@@ -8,7 +8,7 @@ N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import GridSpec
@@ -91,9 +91,6 @@ class PipelineConfig:
 
     def depth_bins(self) -> DepthBinSpec:
         return DepthBinSpec(self.depth_min, self.depth_max, self.depth_count)
-
-    def with_mode(self, mode: str) -> "PipelineConfig":
-        return replace(self, weights_mode=mode)
 
 
 def _grid(xr, yr, zr, cells) -> GridSpec:

@@ -41,14 +41,6 @@ def layer_norm(
     return (normed * scale + shift).astype(np.float32)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x (..., Cin) @ w (Cin, Cout) + b."""
-    out = x @ w
-    if b is not None:
-        out = out + b
-    return out
-
-
 def conv2d(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, stride: int = 1
 ) -> np.ndarray:

@@ -200,6 +200,34 @@ class StageLog:
         return out
 
 
+def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list) -> np.ndarray:
+    """Checks `run_pipeline`'s inputs and returns the points as float32.
+
+    Points must be a finite (n, 4) array of x, y, z, intensity, and each
+    image a finite (h, w, 3) array whose (h, w) is its camera's image_size.
+    Each error names the bad input.
+    """
+    if len(images) != len(cameras):
+        raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
+    pts = np.asarray(points, dtype=np.float32)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(
+            f"points: expected shape (n, 4) for x, y, z, intensity, got {pts.shape}"
+        )
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"points: row {row} is not finite in float32: {pts[row].tolist()}")
+    for i, (image, cam) in enumerate(zip(images, cameras)):
+        shape = np.shape(image)
+        want = (*cam.image_size, 3)
+        if shape != want:
+            raise ValueError(f"image {i}: expected shape {want} from camera {i}, got {shape}")
+        if not np.all(np.isfinite(image)):
+            raise ValueError(f"image {i}: pixels must be finite")
+    return pts
+
+
 def run_pipeline(
     points: np.ndarray,
     images: list[np.ndarray],
@@ -207,8 +235,7 @@ def run_pipeline(
     cfg: PipelineConfig,
     weights: PipelineWeights | None = None,
 ) -> tuple[list[DetectionBox], StageLog]:
-    if len(images) != len(cameras):
-        raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
+    points = validate_inputs(points, images, cameras)
     if weights is None:
         weights = build_weights(cfg)
     grid_l, grid_i = cfg.lidar_grid(), cfg.image_grid()
@@ -216,7 +243,7 @@ def run_pipeline(
     log = StageLog()
 
     t = time.perf_counter()
-    v_raw = voxelize(np.asarray(points, dtype=np.float32), grid_l)
+    v_raw = voxelize(points, grid_l)
     emb = (v_raw.feats @ weights.lidar_embed_w + weights.lidar_embed_b).astype(
         np.float32
     )

@@ -186,36 +186,174 @@ def project_and_sample(
 # Farthest point sampling
 # ---------------------------------------------------------------------------
 
+FPS_BLOCK = 32  # contiguous point indices per bounding box in the neighbour search
+FPS_PAIR_CHUNK = 1 << 15  # point pairs measured per batch; bounds the temporaries
+
+
+def _index_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated range(starts[i], stops[i]), with the i each element came from."""
+    lens = stops - starts
+    owner = np.repeat(np.arange(lens.size), lens)
+    offsets = np.cumsum(lens) - lens
+    return owner, np.arange(owner.size) + (starts - offsets)[owner]
+
+
+class _FpsBlocks:
+    """Points cut into blocks of FPS_BLOCK contiguous indices, each with a box.
+
+    Box-to-box gaps bound every point-to-point distance from below, and
+    rounding is monotone, so a block pair whose squared gap is not < m holds
+    no point pair whose computed squared distance is < m.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n = points.shape[0]
+        # per-axis buffers; (dx^2 + dy^2) + dz^2 matches an axis-1 sum bit for bit
+        self.x, self.y, self.z = (np.ascontiguousarray(points[:, k]) for k in range(3))
+        starts = np.arange(0, n, FPS_BLOCK)
+        self.cuts = np.append(starts, n)
+        self.lo = np.minimum.reduceat(points, starts)
+        self.hi = np.maximum.reduceat(points, starts)
+        # blocks by box x-start, with the running max of box x-ends, so that a
+        # query's reachable x-range is one window of this order
+        self.by_x = np.argsort(self.lo[:, 0], kind="stable")
+        self.lo_x = self.lo[self.by_x, 0]
+        self.hi_x_reach = np.maximum.accumulate(self.hi[self.by_x, 0])
+
+    def sqdist(self, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
+        """Squared distances between points a[i] (or point a) and b[i]."""
+        dx = self.x[b] - self.x[a]
+        dy = self.y[b] - self.y[a]
+        dz = self.z[b] - self.z[a]
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        return dx
+
+    def near(
+        self, q: np.ndarray, t: np.ndarray, m: float, later_only: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs of a sorted query and a sorted target index set within < m.
+
+        Returns (position in q, position in t, squared distance). With
+        later_only, q and t are the same set and only pairs whose target
+        comes after its query are returned.
+        """
+        lo, hi = self.lo, self.hi
+        qb = q // FPS_BLOCK
+        ub, ufirst, ucount = np.unique(qb, return_index=True, return_counts=True)
+        # over-covers sqrt(m) by more than any rounding of a squared gap, the
+        # subnormal range included, so the window drops no block the exact
+        # gap test below keeps
+        reach = np.sqrt(m) * (1 + 1e-6) + 1e-150
+        w0 = np.searchsorted(self.hi_x_reach, lo[ub, 0] - reach, "left")
+        w1 = np.searchsorted(self.lo_x, hi[ub, 0] + reach, "right")
+        uu, k = _index_ranges(w0, w1)
+        vv = self.by_x[k]
+        if later_only:
+            keep = vv >= ub[uu]
+            uu, vv = uu[keep], vv[keep]
+        u = ub[uu]
+        g = np.maximum(np.maximum(lo[vv] - hi[u], lo[u] - hi[vv]), 0.0)
+        g *= g
+        keep = (g[:, 0] + g[:, 1]) + g[:, 2] < m
+        uu, vv = uu[keep], vv[keep]
+
+        q_start, q_stop = ufirst[uu], ufirst[uu] + ucount[uu]
+        t_start = np.searchsorted(t, self.cuts[vv])
+        t_stop = np.searchsorted(t, self.cuts[vv + 1])
+        done = np.cumsum(ucount[uu] * (t_stop - t_start))
+        parts = []
+        i = 0
+        while i < uu.size:
+            base = done[i - 1] if i else 0
+            j = max(int(np.searchsorted(done, base + FPS_PAIR_CHUNK, "right")), i + 1)
+            owner, qpos = _index_ranges(q_start[i:j], q_stop[i:j])
+            owner, tpos = _index_ranges(t_start[i:j][owner], t_stop[i:j][owner])
+            qpos = qpos[owner]
+            if later_only:
+                keep = tpos > qpos
+                qpos, tpos = qpos[keep], tpos[keep]
+            d = self.sqdist(q[qpos], t[tpos])
+            keep = d < m
+            parts.append((qpos[keep], tpos[keep], d[keep]))
+            i = j
+        if not parts:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _first_fit(count: int, src: np.ndarray, dst: np.ndarray, quota: int) -> np.ndarray:
+    """Greedy independent set in index order over count nodes, at most quota.
+
+    Node i is taken unless an earlier taken node has an edge (src, dst) to
+    it; every edge has src < dst.
+    """
+    if src.size == 0:
+        return np.arange(min(quota, count))
+    order = np.argsort(src, kind="stable")
+    ptr = np.searchsorted(src[order], np.arange(count + 1)).tolist()
+    dst = dst[order].tolist()
+    blocked = bytearray(count)
+    taken = []
+    for i in range(count):
+        if blocked[i]:
+            continue
+        taken.append(i)
+        if len(taken) == quota:
+            break
+        for j in dst[ptr[i] : ptr[i + 1]]:
+            blocked[j] = 1
+    return np.array(taken, dtype=np.int64)
+
+
 def fps(points: np.ndarray, n_target: int) -> np.ndarray:
-    """Greedy max-min selection of n_target indices; first pick is index 0."""
+    """Farthest point sampling: greedy max-min selection of n_target indices.
+
+    Returns the same indices in the same order as `oracles.fps`: the first
+    pick is index 0, each next pick is the point farthest from all picks so
+    far (squared distance (dx^2 + dy^2) + dz^2), the lowest index on ties.
+
+    The picks come in levels of equal max distance m. Within a level the
+    greedy loop takes the points at distance m in ascending index order,
+    skipping any within < m of an earlier pick of the level, since that pick
+    lowered its distance below m; afterwards only points within < m of the
+    level's picks get a new distance. So each level costs one neighbour
+    search over index blocks (`_FpsBlocks`) instead of one pass over all
+    points per pick. Once m is 0 only duplicates of picks remain, and every
+    further pick is index 0, as argmax over all-zero distances gives.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if n_target > n:
         raise ValueError(f"fps: target {n_target} exceeds point count {n}")
     if n_target < 1:
         raise ValueError("fps: target must be >= 1")
-    # per-axis buffers; (dx^2 + dy^2) + dz^2 matches an axis-1 sum bit for bit
-    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
-    sx, sy, sz = np.empty(n), np.empty(n), np.empty(n)
-
-    def _sqdist(idx: int) -> np.ndarray:
-        np.subtract(x, x[idx], out=sx)
-        np.multiply(sx, sx, out=sx)
-        np.subtract(y, y[idx], out=sy)
-        np.multiply(sy, sy, out=sy)
-        np.subtract(z, z[idx], out=sz)
-        np.multiply(sz, sz, out=sz)
-        np.add(sx, sy, out=sx)
-        np.add(sx, sz, out=sx)
-        return sx
-
-    chosen = np.empty(n_target, dtype=np.int64)
-    chosen[0] = 0
-    dist = _sqdist(0).copy()
-    for i in range(1, n_target):
-        idx = int(np.argmax(dist))
-        chosen[i] = idx
-        np.minimum(dist, _sqdist(idx), out=dist)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"fps: points must be finite; row {int(np.argmax(bad))} is {points[bad][0]}"
+        )
+    blocks = _FpsBlocks(points)
+    everything = np.arange(n)
+    chosen = np.zeros(n_target, dtype=np.int64)
+    dist = blocks.sqdist(0, everything)
+    filled = 1
+    while filled < n_target:
+        m = dist.max()
+        if m == 0:
+            break
+        ties = np.flatnonzero(dist == m)
+        src, dst, _ = blocks.near(ties, ties, m, later_only=True)
+        picks = ties[_first_fit(ties.size, src, dst, n_target - filled)]
+        chosen[filled : filled + picks.size] = picks
+        filled += picks.size
+        if filled < n_target:
+            _, near_idx, d = blocks.near(picks, everything, m, later_only=False)
+            lower = d < dist[near_idx]
+            np.minimum.at(dist, near_idx[lower], d[lower])
     return chosen
 
 

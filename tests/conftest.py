@@ -14,6 +14,16 @@ def random_voxel_set(rng, grid: GridSpec, n: int, channels: int) -> SparseVoxelS
     return SparseVoxelSet(coords, feats, grid)
 
 
+def sparse_lattice(rng, extents, keep: float = 0.9) -> np.ndarray:
+    """Cell centers at the default image grid's 2.25 x 2.25 x 0.5 spacing, in
+    grid (x-major) order, with about 1 - keep of the cells left out: the
+    dense distance ties that semantic voxel selection hands to fps."""
+    cells = np.stack(
+        np.meshgrid(*(np.arange(e) for e in extents), indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    return ((cells + 0.5) * (2.25, 2.25, 0.5))[rng.random(cells.shape[0]) < keep]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)

@@ -23,7 +23,7 @@ from ddhf.scene import SceneObject, SceneSpec, gen_points, render_images
 from ddhf.ssm import ScanParams, init_ssm_block, selective_scan, selective_scan_chunked
 from ddhf.viewtrans import encode_images, fps, lss_splat, safs_select
 
-from conftest import random_voxel_set
+from conftest import random_voxel_set, sparse_lattice
 
 
 def test_criterion_1_scan_equivalence():
@@ -90,10 +90,22 @@ def test_criterion_3_oracle_batch():
         assert np.array_equal(cls, wcls)
         assert np.array_equal(sc, wsc)
 
+    fps_cases = []
     for _ in range(100):  # fps: exact indices
         n = int(rng.integers(2, 40))
         pts = rng.normal(size=(n, 3))
-        k = int(rng.integers(1, n + 1))
+        fps_cases.append((pts, int(rng.integers(1, n + 1))))
+    # plus tie-dense inputs from their own stream, leaving the draws above and
+    # below as they were: sparse lattices and clouds of duplicates
+    ties = np.random.default_rng(1033)
+    for _ in range(30):
+        pts = sparse_lattice(ties, ties.integers(1, [5, 5, 9], endpoint=True))
+        if pts.shape[0] == 0:
+            continue
+        fps_cases.append((pts, int(ties.integers(1, pts.shape[0] + 1))))
+        dups = pts[ties.integers(0, pts.shape[0], size=int(ties.integers(1, 40)))]
+        fps_cases.append((dups, int(ties.integers(1, dups.shape[0] + 1))))
+    for pts, k in fps_cases:
         assert fps(pts, k).tolist() == list(oracles.fps(pts, k))
 
     grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(6, 6, 4))

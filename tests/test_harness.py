@@ -98,6 +98,34 @@ def test_pipeline_no_cameras(rng):
     assert isinstance(dets, list)
 
 
+def _inf_pixel(points, images):
+    bad = images[0].copy()
+    bad[2, 3, 1] = np.inf
+    return points, [bad] + images[1:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p, im: (p[:, :3], im), r"points: expected shape \(n, 4\)"),
+        (
+            lambda p, im: (np.vstack([p, [[1.0, 1.0, 0.0, np.nan]]]), im),
+            r"points: row \d+ is not finite",
+        ),
+        (lambda p, im: (p, [im[0][..., 0]] + im[1:]), r"image 0: expected shape"),
+        (lambda p, im: (p, [im[0][:-1]] + im[1:]), r"image 0: expected shape"),
+        (_inf_pixel, r"image 0: pixels must be finite"),
+    ],
+    ids=["xyz_only_points", "nan_intensity", "grayscale_image", "short_image", "inf_pixel"],
+)
+def test_run_pipeline_rejects_bad_input(corrupt, message):
+    from ddhf.scene import gen_points, render_images
+
+    points, images = corrupt(gen_points(TINY_SCENE), render_images(TINY_SCENE))
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(points, images, list(TINY_SCENE.cameras), TINY)
+
+
 def test_cli_gen_run_eval(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     save_spec(TINY_SCENE, spec_path)

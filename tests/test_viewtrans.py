@@ -4,6 +4,7 @@ import pytest
 from ddhf import oracles
 from ddhf.core import CameraModel, GridSpec
 from ddhf.viewtrans import (
+    FPS_BLOCK,
     DepthBinSpec,
     ImageEncoderWeights,
     ImageFeatureSet,
@@ -17,6 +18,8 @@ from ddhf.viewtrans import (
     project_points,
     safs_select,
 )
+
+from conftest import sparse_lattice
 
 
 def make_camera(extrinsics=None, focal=20.0, image_size=(16, 24)):
@@ -120,9 +123,29 @@ def test_fps_extremes(rng):
         fps(pts, 0)
 
 
+def test_fps_rejects_non_finite(rng):
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = rng.normal(size=(10, 3))
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="row 4"):
+            fps(pts, 3)
+
+
 def test_fps_matches_oracle(rng):
-    pts = rng.normal(size=(50, 3))
-    assert fps(pts, 12).tolist() == list(oracles.fps(pts, 12))
+    cases = [(rng.normal(size=(50, 3)), 12)]
+    lattice = sparse_lattice(rng, (6, 5, 9))
+    n = lattice.shape[0]
+    cases += [(lattice, k) for k in (n // 3, n // 2, n)]
+    # duplicates; an all-identical cloud yields index 0 for every pick
+    cases += [(rng.normal(size=(5, 3))[rng.integers(0, 5, size=30)], 30)]
+    cases += [(np.full((7, 3), 1.5), 7)]
+    # tie levels and neighbour searches across a block boundary
+    for size in (FPS_BLOCK - 1, FPS_BLOCK, FPS_BLOCK + 1):
+        cases += [(sparse_lattice(rng, (3, 3, 8))[:size], size)]
+        cases += [(rng.normal(size=(size, 3)), size // 2)]
+    for pts, k in cases:
+        assert fps(pts, k).tolist() == list(oracles.fps(pts, k))
+    assert fps(np.full((7, 3), 1.5), 7).tolist() == [0] * 7
 
 
 def test_fps_spreads_selection():
