@@ -9,14 +9,21 @@ maps and whose outputs are blended by complementary gates summing to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, init_param
 from .curve import ScanSet2D, cross_merge_2d, scan_flatten, scan_orders_2d
 from .ops import conv2d, layer_norm, silu
-from .ssm import ScanParams, selective_scan, softplus_delta
+from .ssm import (
+    ScanParams,
+    SsmBlockWeights,
+    init_ssm_block,
+    s4d_real_a,
+    selective_scan,
+    softplus_delta,
+)
 
 N_DIRECTIONS = 4
 
@@ -61,53 +68,16 @@ def _ss2d(
 # Intra-modal BEV block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IbMambaWeights:
-    a: np.ndarray  # (C, d_state), negative
-    in_w: np.ndarray
-    in_b: np.ndarray
-    b_w: np.ndarray  # (C, d_state)
-    c_w: np.ndarray
-    dt_w: np.ndarray  # (C, C)
-    dt_b: np.ndarray
-    norm_scale: np.ndarray  # (4, C)
-    norm_shift: np.ndarray
-    y_w: np.ndarray
-    y_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
-    def identity_configured(self) -> "IbMambaWeights":
-        z = np.zeros_like
-        return IbMambaWeights(
-            self.a, self.in_w, self.in_b, self.b_w, self.c_w, self.dt_w, self.dt_b,
-            self.norm_scale, self.norm_shift,
-            z(self.y_w), z(self.y_b), z(self.out_w), z(self.out_b),
-        )
-
-
-def init_ib_mamba(name: str, c: int, d_state: int, global_seed: int) -> IbMambaWeights:
-    from .ssm import init_dt_bias
-
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
-    return IbMambaWeights(
-        a=-np.tile(np.arange(1, d_state + 1, dtype=np.float32), (c, 1)),
-        in_w=p("in_proj.weight", (c, c)),
-        in_b=p("in_proj.bias", (c,)),
-        b_w=p("b_proj.weight", (c, d_state)),
-        c_w=p("c_proj.weight", (c, d_state)),
-        dt_w=p("dt_proj.weight", (c, c)),
-        dt_b=init_dt_bias(f"{name}.dt_proj.floor", c, global_seed),
+def init_ib_mamba(name: str, c: int, d_state: int, global_seed: int) -> SsmBlockWeights:
+    """A scan block's weights with one LayerNorm per scan direction."""
+    return replace(
+        init_ssm_block(name, c, d_state, global_seed),
         norm_scale=np.ones((N_DIRECTIONS, c), dtype=np.float32),
         norm_shift=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
-        y_w=p("y_gate.weight", (c, c)),
-        y_b=p("y_gate.bias", (c,)),
-        out_w=p("out_proj.weight", (c, c)),
-        out_b=p("out_proj.bias", (c,)),
     )
 
 
-def ib_mamba(b: FeatureMap, w: IbMambaWeights) -> FeatureMap:
+def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
     """Four-direction scan block with gate modulation and residual add."""
     x_in = b.data
     h, wd, _ = x_in.shape
@@ -169,7 +139,6 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     hidden = 2 * c
     t_ch = 2 * N_DIRECTIONS * (2 * d_state + c)
-    a = -np.tile(np.arange(1, d_state + 1, dtype=np.float32), (c, 1))
     return CbMambaWeights(
         t1_w=p("t1.weight", (2 * c, hidden)),
         t1_b=p("t1.bias", (hidden,)),
@@ -179,8 +148,8 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
         t2_b=p("t2.bias", (t_ch,)),
         gate_w=p("gate.weight", (t_ch, c)),
         gate_b=p("gate.bias", (c,)),
-        a_img=a,
-        a_lid=a.copy(),
+        a_img=s4d_real_a(c, d_state),
+        a_lid=s4d_real_a(c, d_state),
         in_w_img=p("in_proj_img.weight", (c, c)),
         in_b_img=p("in_proj_img.bias", (c,)),
         in_w_lid=p("in_proj_lid.weight", (c, c)),
@@ -295,8 +264,8 @@ class HbfWeights:
     proj_img_b: np.ndarray
     proj_lid_w: np.ndarray
     proj_lid_b: np.ndarray
-    ib_img: IbMambaWeights
-    ib_lid: IbMambaWeights
+    ib_img: SsmBlockWeights
+    ib_lid: SsmBlockWeights
     cb: CbMambaWeights
     backbone: BevBackboneWeights
 

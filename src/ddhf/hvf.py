@@ -261,28 +261,25 @@ def init_hvf(name: str, c: int, d_state: int, global_seed: int) -> HvfWeights:
     )
 
 
-def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights, chunk: int = 256) -> SparseVoxelSet:
+def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights) -> SparseVoxelSet:
     """Intra-modal block: scan the voxel features in Hilbert order."""
     if v.n == 0:
         return v
     perm = hilbert_sort(v).permutation
-    seq = bidirectional_block(v.feats[perm], w, chunk)
+    seq = bidirectional_block(v.feats[perm], w)
     feats = np.empty_like(seq)
     feats[perm] = seq
     return v.with_feats(feats)
 
 
 def cv_mamba(
-    v_lidar: SparseVoxelSet,
-    v_image: SparseVoxelSet,
-    w: SsmBlockWeights,
-    chunk: int = 256,
+    v_lidar: SparseVoxelSet, v_image: SparseVoxelSet, w: SsmBlockWeights
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Cross-modal block: one scan over the merged two-modality sequence."""
     seq = cv_merge(v_lidar, v_image)
     if seq.n == 0:
         return v_lidar, v_image
-    out = bidirectional_block(seq.feats, w, chunk)
+    out = bidirectional_block(seq.feats, w)
     return cv_split(
         MergedSequence(out, seq.lifted, seq.tags, seq.orig_idx, seq.lidar, seq.image)
     )

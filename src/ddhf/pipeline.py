@@ -2,10 +2,9 @@
 
 Stage order: voxelize -> lidar embed -> image encode -> semantic voxel
 selection + BEV splat -> dual-branch voxel fusion -> BEV fusion -> query
-generation -> decoder. Each stage is timed and its output size recorded.
+generation -> decoder. Each stage is timed.
 
 Two weight modes exist. "seeded" draws every parameter from the
-
 name-keyed deterministic initializer. "passthrough" identity-configures all
 residual blocks and hand-sets the heatmap and class heads to read the
 point-count channel, which makes planted objects rank first without any
@@ -14,6 +13,8 @@ training; used by the end-to-end fixture tests.
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core import (
-    SparseVoxelSet,
     bev_map_for_grid,
     empty_voxel_set,
     init_param,
@@ -47,6 +47,7 @@ from .viewtrans import (
 
 LIDAR_RAW_CHANNELS = 5  # mean offset xyz, mean intensity, point count
 PASSTHROUGH_GAIN = 0.1
+MAX_INTENSITY = 255.0  # 8-bit reflectance
 
 
 @dataclass(frozen=True)
@@ -162,40 +163,30 @@ def build_weights(cfg: PipelineConfig) -> PipelineWeights:
     return init_pipeline_weights(cfg)
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (ru_maxrss), in MB."""
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return kb * (1 if sys.platform == "darwin" else 1024) / 1e6  # macOS counts bytes
+
+
 @dataclass
 class StageLog:
-    """Coarse per-stage timing and output sizes; not a hardware benchmark."""
+    """Coarse per-stage wall time; not a hardware benchmark."""
 
-    entries: list = field(default_factory=list)  # (name, seconds, out_bytes)
+    entries: list = field(default_factory=list)  # (name, seconds)
 
-    def add(self, name: str, seconds: float, *outputs) -> None:
-        nbytes = 0
-        for out in outputs:
-            if isinstance(out, np.ndarray):
-                nbytes += out.nbytes
-            elif isinstance(out, SparseVoxelSet):
-                nbytes += out.coords.nbytes + out.feats.nbytes
-            elif hasattr(out, "data"):
-                nbytes += out.data.nbytes
-        self.entries.append((name, seconds, nbytes))
+    def add(self, name: str, seconds: float) -> None:
+        self.entries.append((name, seconds))
 
     @property
     def total_seconds(self) -> float:
-        return sum(e[1] for e in self.entries)
-
-    @property
-    def peak_live_bytes(self) -> int:
-        # the runner keeps every stage output alive until the end
-        return sum(e[2] for e in self.entries)
+        return sum(seconds for _, seconds in self.entries)
 
     def lines(self) -> list[str]:
-        out = [
-            f"{name:<16} {seconds * 1e3:9.1f} ms {nbytes / 1e6:9.3f} MB"
-            for name, seconds, nbytes in self.entries
-        ]
+        out = [f"{name:<16} {seconds * 1e3:9.1f} ms" for name, seconds in self.entries]
         out.append(
             f"{'total':<16} {self.total_seconds * 1e3:9.1f} ms"
-            f" {self.peak_live_bytes / 1e6:9.3f} MB peak-live estimate"
+            f" {peak_rss_mb():9.1f} MB process peak RSS"
         )
         return out
 
@@ -203,9 +194,10 @@ class StageLog:
 def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list) -> np.ndarray:
     """Checks `run_pipeline`'s inputs and returns the points as float32.
 
-    Points must be a finite (n, 4) array of x, y, z, intensity, and each
-    image a finite (h, w, 3) array whose (h, w) is its camera's image_size.
-    Each error names the bad input.
+    Points must be a finite (n, 4) array of x, y, z, intensity with each
+    intensity in the 8-bit reflectance range [0, 255], and each image a
+    finite (h, w, 3) array whose (h, w) is its camera's image_size. Each
+    error names the bad input.
     """
     if len(images) != len(cameras):
         raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
@@ -218,6 +210,12 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"points: row {row} is not finite in float32: {pts[row].tolist()}")
+    bad = (pts[:, 3] < 0.0) | (pts[:, 3] > MAX_INTENSITY)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"points: row {row} intensity {pts[row, 3]:g} is outside [0, {MAX_INTENSITY:g}]"
+        )
     for i, (image, cam) in enumerate(zip(images, cameras)):
         shape = np.shape(image)
         want = (*cam.image_size, 3)
@@ -248,7 +246,7 @@ def run_pipeline(
         np.float32
     )
     v_lidar = v_raw.with_feats(emb)
-    log.add("voxelize", time.perf_counter() - t, v_lidar)
+    log.add("voxelize", time.perf_counter() - t)
 
     t = time.perf_counter()
     if cameras:
@@ -260,23 +258,23 @@ def run_pipeline(
     else:
         v_img = empty_voxel_set(grid_i, cfg.channels)
         b_img = bev_map_for_grid(grid_l, cfg.channels)
-    log.add("image_branch", time.perf_counter() - t, v_img, b_img)
+    log.add("image_branch", time.perf_counter() - t)
 
     t = time.perf_counter()
     b_lid = sparse_height_compress(v_lidar)
-    log.add("height_compress", time.perf_counter() - t, b_lid)
+    log.add("height_compress", time.perf_counter() - t)
 
     t = time.perf_counter()
     vl, vi = hvf_forward(v_lidar, v_img, weights.hvf)
-    log.add("voxel_fusion", time.perf_counter() - t, vl, vi)
+    log.add("voxel_fusion", time.perf_counter() - t)
 
     t = time.perf_counter()
     b_out = hbf_forward(b_lid, b_img, vl, vi, weights.hbf)
-    log.add("bev_fusion", time.perf_counter() - t, b_out)
+    log.add("bev_fusion", time.perf_counter() - t)
 
     t = time.perf_counter()
     q_easy, q_hard, b_act = pqg_forward(b_out, weights.pqg, cfg.k_easy, cfg.k_hard)
-    log.add("queries", time.perf_counter() - t, b_act)
+    log.add("queries", time.perf_counter() - t)
 
     t = time.perf_counter()
     dets = decode(

@@ -1,16 +1,19 @@
 """Discrete selective state-space primitive.
 
-Zero-order-hold discretization, the sequential scan and its chunked form
-(identical results, chunk-parallel structure), and the bidirectional block
-with input-dependent (B, C, Delta) generation that every Mamba-style module
-in the pipeline instantiates.
+Zero-order-hold discretization, one streaming selective scan, and the
+bidirectional block with input-dependent (B, C, Delta) generation that every
+Mamba-style module in the pipeline instantiates.
 
+The scan discretizes a block of steps at a time and carries the state h into
+the next block, so the expanded (n, C, d_state) state is never built.
+`selective_scan` and `selective_scan_chunked` run that one loop at the
+default and at a given block size; every block size gives the same bits.
 Scans run internally in float64 and return float32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .ops import layer_norm, silu, softplus
 
 _SMALL = 1e-8
 DELTA_FLOOR = 1e-30
+SCAN_BLOCK = 256  # steps discretized at once; any size gives the same bits
 
 
 def softplus_delta(x: np.ndarray) -> np.ndarray:
@@ -62,75 +66,47 @@ def discretize(
     return abar, bbar
 
 
-def _precompute(
-    x: np.ndarray, a: np.ndarray, params: ScanParams, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discretized (abar, bbar*x, c) for steps [lo, hi) as float64 arrays."""
-    delta = params.delta[lo:hi].astype(np.float64)  # (m, C)
-    abar, bbar = discretize(
-        a[None, :, :], params.b[lo:hi, None, :].astype(np.float64), delta[:, :, None]
-    )
-    bx = bbar * x[lo:hi, :, None].astype(np.float64)  # (m, C, d_state)
-    return abar, bx, params.c[lo:hi].astype(np.float64)
+def _scan(x: np.ndarray, a: np.ndarray, params: ScanParams, block: int) -> np.ndarray:
+    """Single streaming pass: discretize `block` steps, scan them, carry h on.
 
-
-def _scan_steps(
-    abar: np.ndarray, bx: np.ndarray, c: np.ndarray, h: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Run the recurrence h = abar*h + bx over precomputed steps; fills out."""
-    for i in range(abar.shape[0]):
-        h = abar[i] * h + bx[i]
-        out[i] = h @ c[i]
-    return h
+    Only one block's float64 Abar and Bbar*x exist at a time. Each step's
+    arithmetic is the same at every block size, so every size gives the
+    same bits.
+    """
+    n, c_width = x.shape
+    a = np.asarray(a, dtype=np.float64)
+    h = np.zeros_like(a)
+    out = np.empty((n, c_width), dtype=np.float64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        delta = params.delta[lo:hi].astype(np.float64)  # (m, C)
+        abar, bbar = discretize(
+            a[None, :, :], params.b[lo:hi, None, :].astype(np.float64), delta[:, :, None]
+        )
+        bx = bbar * x[lo:hi, :, None].astype(np.float64)  # (m, C, d_state)
+        c_seq = params.c[lo:hi].astype(np.float64)
+        for i in range(hi - lo):
+            h = abar[i] * h + bx[i]
+            out[lo + i] = h @ c_seq[i]
+    return (out + x).astype(np.float32)
 
 
 def selective_scan(x: np.ndarray, a: np.ndarray, params: ScanParams) -> np.ndarray:
     """h_i = Abar_i h_{i-1} + Bbar_i x_i with h_0 = 0; out_i = C_i . h_i + x_i.
 
     x: (n, C); a: (C, d_state) continuous diagonal (negative); returns (n, C).
+    Streams SCAN_BLOCK steps at a time.
     """
-    n, c_width = x.shape
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty((n, c_width), dtype=np.float64)
-    abar, bx, c_seq = _precompute(x, a, params, 0, n)
-    _scan_steps(abar, bx, c_seq, np.zeros_like(a), out)
-    return (out + x).astype(np.float32)
+    return _scan(x, a, params, SCAN_BLOCK)
 
 
 def selective_scan_chunked(
     x: np.ndarray, a: np.ndarray, params: ScanParams, chunk: int
 ) -> np.ndarray:
-    """Blocked form of selective_scan: same recurrence, chunk-level structure.
-
-    Pass 1 scans each chunk from a zero state and takes the chunk's Abar
-    product; entering states are then combined across chunks with the same
-    multiply-add expression the scan uses, so chunk=1 and chunk=n reproduce
-    selective_scan bit-for-bit, and interior sizes agree to roundoff.
-    """
+    """selective_scan streaming `chunk` steps at a time; bit-identical to it."""
     if chunk < 1:
         raise ValueError("selective_scan_chunked: chunk must be >= 1")
-    n, c_width = x.shape
-    a = np.asarray(a, dtype=np.float64)
-    starts = list(range(0, n, chunk))
-
-    finals, prods = [], []
-    cached = []
-    for lo in starts:
-        hi = min(lo + chunk, n)
-        abar, bx, c_seq = _precompute(x, a, params, lo, hi)
-        cached.append((abar, bx, c_seq))
-        local = np.empty((hi - lo, c_width), dtype=np.float64)
-        finals.append(_scan_steps(abar, bx, c_seq, np.zeros_like(a), local))
-        prods.append(np.prod(abar, axis=0))
-
-    entering = np.zeros_like(a)
-    out = np.empty((n, c_width), dtype=np.float64)
-    for t, lo in enumerate(starts):
-        hi = min(lo + chunk, n)
-        abar, bx, c_seq = cached[t]
-        _scan_steps(abar, bx, c_seq, entering, out[lo:hi])
-        entering = prods[t] * entering + finals[t]
-    return (out + x).astype(np.float32)
+    return _scan(x, a, params, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +118,8 @@ class SsmBlockWeights:
     """Weights of one bidirectional selective-scan block (shared fwd/bwd)."""
 
     a: np.ndarray  # (C, d_state), strictly negative
-    norm_scale: np.ndarray  # (C,)
-    norm_shift: np.ndarray  # (C,)
+    norm_scale: np.ndarray  # (C,); (4, C), one per direction, in hbf.ib_mamba
+    norm_shift: np.ndarray
     in_w: np.ndarray  # (C, C)
     in_b: np.ndarray  # (C,)
     b_w: np.ndarray  # (C, d_state)
@@ -166,11 +142,14 @@ class SsmBlockWeights:
     def identity_configured(self) -> "SsmBlockWeights":
         """Zero the output projection and gate: block becomes the identity."""
         z = np.zeros_like
-        return SsmBlockWeights(
-            self.a, self.norm_scale, self.norm_shift, self.in_w, self.in_b,
-            self.b_w, self.c_w, self.dt_w, self.dt_b,
-            z(self.y_w), z(self.y_b), z(self.out_w), z(self.out_b),
+        return replace(
+            self, y_w=z(self.y_w), y_b=z(self.y_b), out_w=z(self.out_w), out_b=z(self.out_b)
         )
+
+
+def s4d_real_a(c: int, d_state: int) -> np.ndarray:
+    """S4D-real diagonal A: row -(1, 2, ..., d_state) for each of c channels."""
+    return -np.tile(np.arange(1, d_state + 1, dtype=np.float32), (c, 1))
 
 
 def init_dt_bias(name: str, c: int, global_seed: int) -> np.ndarray:
@@ -185,7 +164,7 @@ def init_ssm_block(name: str, c: int, d_state: int, global_seed: int) -> SsmBloc
     """Seed-derived block weights; A is the S4D-real diagonal -(1..d_state)."""
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     return SsmBlockWeights(
-        a=-np.tile(np.arange(1, d_state + 1, dtype=np.float32), (c, 1)),
+        a=s4d_real_a(c, d_state),
         norm_scale=np.ones(c, dtype=np.float32),
         norm_shift=np.zeros(c, dtype=np.float32),
         in_w=p("in_proj.weight", (c, c)),
@@ -210,9 +189,7 @@ def generate_scan_params(x: np.ndarray, w: SsmBlockWeights) -> ScanParams:
     )
 
 
-def bidirectional_block(
-    seq: np.ndarray, w: SsmBlockWeights, chunk: int = 256
-) -> np.ndarray:
+def bidirectional_block(seq: np.ndarray, w: SsmBlockWeights) -> np.ndarray:
     """Forward + backward selective scans, gated and residually added.
 
     Scan weights are shared between directions, so palindromic inputs give
@@ -224,9 +201,10 @@ def bidirectional_block(
     u = layer_norm(seq, w.norm_scale, w.norm_shift)
     x = (u @ w.in_w + w.in_b).astype(np.float32)
     params = generate_scan_params(x, w)
-    fwd = selective_scan_chunked(x, w.a, params, chunk)
+    # the chunked name keeps voxel-block scans apart from BEV scans in traces
+    fwd = selective_scan_chunked(x, w.a, params, SCAN_BLOCK)
     xr = np.ascontiguousarray(x[::-1])
-    bwd = selective_scan_chunked(xr, w.a, params.reversed(), chunk)[::-1]
+    bwd = selective_scan_chunked(xr, w.a, params.reversed(), SCAN_BLOCK)[::-1]
     gate = silu(seq @ w.y_w + w.y_b)
     y = (fwd + bwd) * gate
     return (seq + y @ w.out_w + w.out_b).astype(np.float32)

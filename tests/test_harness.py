@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -81,8 +84,11 @@ def test_pipeline_smoke_and_dict_export(rng):
     cameras = list(TINY_SCENE.cameras)
     dets, log = run_pipeline(points, images, cameras, TINY)
     assert len(dets) > 0
-    names = [entry[0] for entry in log.entries]
+    names = [name for name, _seconds in log.entries]
     assert "voxelize" in names and "decode" in names
+    total = re.fullmatch(r"total\s+([\d.]+) ms\s+([\d.]+) MB process peak RSS", log.lines()[-1])
+    assert total is not None
+    assert float(total.group(2)) > 1.0  # a Python process with numpy loaded
     rows = detections_to_dicts(dets)
     for row in rows:
         assert set(row) == {"center", "size", "yaw", "class", "score"}
@@ -104,6 +110,15 @@ def _inf_pixel(points, images):
     return points, [bad] + images[1:]
 
 
+def _with_intensity(value):
+    def corrupt(points, images):
+        bad = points.copy()
+        bad[len(bad) // 2, 3] = value
+        return bad, images
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -115,8 +130,14 @@ def _inf_pixel(points, images):
         (lambda p, im: (p, [im[0][..., 0]] + im[1:]), r"image 0: expected shape"),
         (lambda p, im: (p, [im[0][:-1]] + im[1:]), r"image 0: expected shape"),
         (_inf_pixel, r"image 0: pixels must be finite"),
+        (_with_intensity(1e30), r"points: row \d+ intensity 1e\+30 is outside \[0, 255\]"),
+        (_with_intensity(-1e30), r"points: row \d+ intensity -1e\+30 is outside \[0, 255\]"),
+        (_with_intensity(-1.0), r"points: row \d+ intensity -1 is outside \[0, 255\]"),
     ],
-    ids=["xyz_only_points", "nan_intensity", "grayscale_image", "short_image", "inf_pixel"],
+    ids=[
+        "xyz_only_points", "nan_intensity", "grayscale_image", "short_image", "inf_pixel",
+        "huge_intensity", "huge_negative_intensity", "negative_intensity",
+    ],
 )
 def test_run_pipeline_rejects_bad_input(corrupt, message):
     from ddhf.scene import gen_points, render_images
@@ -124,6 +145,52 @@ def test_run_pipeline_rejects_bad_input(corrupt, message):
     points, images = corrupt(gen_points(TINY_SCENE), render_images(TINY_SCENE))
     with pytest.raises(ValueError, match=message):
         run_pipeline(points, images, list(TINY_SCENE.cameras), TINY)
+
+
+def test_run_pipeline_accepts_full_intensity():
+    from ddhf.scene import gen_points, render_images
+
+    points = gen_points(TINY_SCENE)
+    points[:, 3] = 255.0
+    dets, _ = run_pipeline(points, render_images(TINY_SCENE), list(TINY_SCENE.cameras), TINY)
+    assert len(dets) > 0
+    assert all(np.isfinite(d.score) for d in dets)
+
+
+GOLDEN_SCENE = SceneSpec(
+    seed=11,
+    objects=(
+        SceneObject(0, (6.75, 6.75, 0.0), (4.2, 1.9, 1.6), 0.4),
+        SceneObject(0, (20.25, -24.75, 0.0), (4.5, 2.0, 1.7), 2.1),
+    ),
+    n_clutter=2000,
+)
+
+
+# SHA-256 of json.dumps(detections_to_dicts(dets), sort_keys=True). A change
+# that keeps behaviour keeps these; one that changes numerics on purpose
+# updates them and says why in CHANGES.md.
+@pytest.mark.parametrize(
+    "cfg, spec, mode, digest",
+    [
+        (TINY, TINY_SCENE, "seeded",
+         "4b66309c71878bee04d967d7127c98e78c0ae81a27a3aed41164a5b2dea71501"),
+        (TINY, TINY_SCENE, "passthrough",
+         "6298dadd04a29fd992b26e8b8b007e0070751bc1dc497993c69921ee93aff361"),
+        (PipelineConfig(), GOLDEN_SCENE, "seeded",
+         "6866f193658fc649980ff1a4d0eb429f66aa0c91dd676a28dd9ba6130680c06b"),
+        (PipelineConfig(), GOLDEN_SCENE, "passthrough",
+         "2081d5ff9c3344b7159724738910ac3bc30051b7ea6f594122a4b5838b597f47"),
+    ],
+    ids=["tiny_seeded", "tiny_passthrough", "default_seeded", "default_passthrough"],
+)
+def test_golden_detection_digest(cfg, spec, mode, digest):
+    from ddhf.scene import gen_points, render_images
+
+    cfg = dataclasses.replace(cfg, weights_mode=mode)
+    dets, _ = run_pipeline(gen_points(spec), render_images(spec), list(spec.cameras), cfg)
+    text = json.dumps(detections_to_dicts(dets), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cli_gen_run_eval(tmp_path, capsys):

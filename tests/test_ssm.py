@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,7 +93,20 @@ def test_chunked_scan_long_sequence(rng):
     x, a, params = _random_case(rng, n, c, ds)
     base = selective_scan(x, a, params)
     got = selective_scan_chunked(x, a, params, chunk=64)
-    assert np.max(np.abs(got - base)) < 1e-5
+    assert np.array_equal(got, base)
+
+
+def test_selective_scan_peak_memory(rng):
+    # streaming never holds the (n, C, d_state) float64 state: that alone
+    # would be 2 * 8192 * 32 * 16 * 8 B = 67 MB for Abar and Bbar*x
+    x, a, params = _random_case(rng, 8192, 32, 16)
+    tracemalloc.start()
+    try:
+        selective_scan(x, a, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_scan_params_reversed(rng):
@@ -153,4 +168,4 @@ def test_chunked_any_chunk_close(n, seed):
     base = selective_scan(x, a, params)
     for chunk in (1, 2, 5, n):
         got = selective_scan_chunked(x, a, params, chunk=chunk)
-        assert np.max(np.abs(got - base)) < 1e-5
+        assert np.array_equal(got, base)
