@@ -173,17 +173,19 @@ class SparseVoxelSet:
         feats = np.ascontiguousarray(self.feats, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:
             raise ValueError("SparseVoxelSet: feats must be (n, C) matching coords")
-        if coords.shape[0]:
-            ext = np.asarray(self.grid.extents, dtype=np.int64)
-            if coords.min() < 0 or np.any(coords >= ext):
-                raise ValueError("SparseVoxelSet: coords outside grid extents")
-            flat = np.ravel_multi_index(coords.T, self.grid.extents)
-            if np.unique(flat).size != coords.shape[0]:
-                raise ValueError("SparseVoxelSet: duplicate coords")
+        if coords.shape[0] and (coords.min() < 0 or np.any(coords >= self.grid.extents)):
+            raise ValueError("SparseVoxelSet: coords outside grid extents")
+        flat = np.ravel_multi_index(coords.T, self.grid.extents)
+        order = np.argsort(flat, kind="stable")
+        keys = flat[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("SparseVoxelSet: duplicate coords")
         coords.flags.writeable = False
         feats.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "feats", feats)
+        object.__setattr__(self, "_keys", keys)  # sorted flat cell indices
+        object.__setattr__(self, "_order", order)  # row of each sorted key
 
     @property
     def n(self) -> int:
@@ -192,6 +194,19 @@ class SparseVoxelSet:
     @property
     def channels(self) -> int:
         return self.feats.shape[1]
+
+    def rows_of(self, coords: np.ndarray) -> np.ndarray:
+        """Row of the voxel at each integer coordinate (..., 3), or -1 where
+        the cell is unoccupied or outside the grid."""
+        coords = np.asarray(coords, dtype=np.int64)
+        inside = np.all((coords >= 0) & (coords < self.grid.extents), axis=-1)
+        rows = np.full(inside.shape, -1, dtype=np.int64)
+        if self.n == 0:
+            return rows
+        flat = np.ravel_multi_index(coords[inside].T, self.grid.extents)
+        pos = np.minimum(np.searchsorted(self._keys, flat), self.n - 1)
+        rows[inside] = np.where(self._keys[pos] == flat, self._order[pos], -1)
+        return rows
 
     def with_feats(self, feats: np.ndarray) -> "SparseVoxelSet":
         """Same occupancy, new per-voxel features."""
@@ -305,13 +320,20 @@ def load_tensor(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes, need 16)")
     version, dtype, ndim = struct.unpack_from("<III", raw, 4)
     if version != 1:
         raise ValueError(f"{path}: unsupported version {version}")
     if dtype != 0:
         raise ValueError(f"{path}: unsupported dtype tag {dtype}")
+    start = 16 + 8 * ndim
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes, {ndim} dims need {start})")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 16)
-    payload = raw[16 + 8 * ndim :]
-    n = int(np.prod(dims)) if ndim else 1
-    data = np.frombuffer(payload, dtype="<f4", count=n)
-    return data.reshape(dims).astype(np.float32)
+    want = 4 * math.prod(dims)
+    if len(raw) - start != want:
+        raise ValueError(
+            f"{path}: payload is {len(raw) - start} bytes, dims {dims} need {want}"
+        )
+    return np.frombuffer(raw, dtype="<f4", offset=start).reshape(dims).astype(np.float32)

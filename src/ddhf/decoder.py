@@ -52,12 +52,14 @@ class DetectionBox:
 
 @dataclass(frozen=True)
 class GridFeatures:
-    points: np.ndarray  # (G, 3) world coordinates
-    feats: np.ndarray  # (G, C)
-    offsets: np.ndarray  # (G, 3) relative to box center
+    """Lattice features; leading axes before (G, ...) index queries."""
+
+    points: np.ndarray  # (..., G, 3) world coordinates
+    feats: np.ndarray  # (..., G, C)
+    offsets: np.ndarray  # (..., G, 3) relative to box center
 
     def __post_init__(self):
-        if self.points.shape[0] % 4:
+        if self.points.shape[-2] % 4:
             raise ValueError("GridFeatures: G must be divisible by 4")
 
 
@@ -139,7 +141,6 @@ class DecoderWeights:
     mmvfm: tuple[MmvfmLayerWeights, ...]
     box: BoxHeadWeights  # shared proposal head for the voxel layers
     head: DetectionHeadWeights
-    g_side: int = GRID_SIDE
 
     def identity_configured(self) -> "DecoderWeights":
         """Layers pass query features through unchanged; heads left as-is."""
@@ -170,7 +171,7 @@ class DecoderWeights:
             z(self.head.ffn2_w), z(self.head.ffn2_b),
             self.head.cls_w, self.head.cls_b, self.head.box,
         )
-        return DecoderWeights(deform, tuple(mmvfm), self.box, head, self.g_side)
+        return DecoderWeights(deform, tuple(mmvfm), self.box, head)
 
 
 def _init_attn(name: str, c: int, seed: int) -> SelfAttnWeights:
@@ -183,9 +184,9 @@ def _init_attn(name: str, c: int, seed: int) -> SelfAttnWeights:
     )
 
 
-def _init_mix(name: str, c: int, g_side: int, seed: int) -> MixWeights:
+def _init_mix(name: str, c: int, seed: int) -> MixWeights:
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
-    g = g_side**3
+    g = GRID_SIDE**3
     return MixWeights(
         off_w=p("offset_embed.weight", (3, c)),
         off_b=p("offset_embed.bias", (c,)),
@@ -207,8 +208,7 @@ def _init_box_head(name: str, c: int, seed: int) -> BoxHeadWeights:
 
 
 def init_decoder(
-    name: str, c: int, k_classes: int, n_bev: int, m_vox: int, global_seed: int,
-    g_side: int = GRID_SIDE,
+    name: str, c: int, k_classes: int, n_bev: int, m_vox: int, global_seed: int
 ) -> DecoderWeights:
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     deform = tuple(
@@ -228,8 +228,8 @@ def init_decoder(
     )
     mmvfm = tuple(
         MmvfmLayerWeights(
-            mix_lid=_init_mix(f"{name}.mmvfm{j}.mix_lid", c, g_side, global_seed),
-            mix_img=_init_mix(f"{name}.mmvfm{j}.mix_img", c, g_side, global_seed),
+            mix_lid=_init_mix(f"{name}.mmvfm{j}.mix_lid", c, global_seed),
+            mix_img=_init_mix(f"{name}.mmvfm{j}.mix_img", c, global_seed),
             attn_lid=_init_attn(f"{name}.mmvfm{j}.attn_lid", c, global_seed),
             attn_img=_init_attn(f"{name}.mmvfm{j}.attn_img", c, global_seed),
             comb_w=p(f"mmvfm{j}.combine.weight", (3 * c, c)),
@@ -247,9 +247,7 @@ def init_decoder(
         cls_b=p("head.cls.bias", (k_classes,)),
         box=_init_box_head(f"{name}.head.box", c, global_seed),
     )
-    return DecoderWeights(
-        deform, mmvfm, _init_box_head(f"{name}.box", c, global_seed), head, g_side
-    )
+    return DecoderWeights(deform, mmvfm, _init_box_head(f"{name}.box", c, global_seed), head)
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +320,13 @@ def voxel_pool(v: SparseVoxelSet, points: np.ndarray) -> np.ndarray:
     if v.n == 0:
         return out.astype(np.float32)
     cells, _ = v.grid.point_coords(points)
-    ext = np.asarray(v.grid.extents, dtype=np.int64)
-    flat = np.ravel_multi_index(v.coords.T, v.grid.extents)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
     feats = v.feats.astype(np.float64)
     counts = np.zeros(n, dtype=np.int64)
     for off in _NEIGHBOR_OFFSETS:
-        cand = cells + off
-        ok = np.all((cand >= 0) & (cand < ext), axis=1)
-        if not np.any(ok):
-            continue
-        cand_flat = np.ravel_multi_index(cand[ok].T, v.grid.extents)
-        pos = np.searchsorted(flat_sorted, cand_flat)
-        pos = np.minimum(pos, flat_sorted.size - 1)
-        hit = flat_sorted[pos] == cand_flat
-        rows = np.where(ok)[0][hit]
-        out[rows] += feats[order[pos[hit]]]
-        counts[rows] += 1
+        rows = v.rows_of(cells + off)
+        hit = rows >= 0
+        out[hit] += feats[rows[hit]]
+        counts += hit
     nz = counts > 0
     out[nz] /= counts[nz, None]
     return out.astype(np.float32)
@@ -350,15 +337,17 @@ def mmvfm_mix(q_feat: np.ndarray, grid: GridFeatures, w: MixWeights) -> np.ndarr
 
     F_g (G, C) gains an offset embedding, is multiplied by the (C, C) channel
     kernel, transposed against the (G, G/4) spatial kernel, and projected
-    back down to a C-vector.
+    back down to a C-vector. Leading axes of q_feat (..., C) and of the grid
+    (..., G, C) batch queries.
     """
-    g, c = grid.feats.shape
+    g, c = grid.feats.shape[-2:]
+    batch = q_feat.shape[:-1]
     f = grid.feats.astype(np.float64) + (grid.offsets @ w.off_w + w.off_b)
-    ck = (q_feat @ w.cw + w.cb).reshape(c, c).astype(np.float64)
+    ck = (q_feat @ w.cw + w.cb).reshape(*batch, c, c).astype(np.float64)
     f = f @ ck
-    sk = (q_feat @ w.sw + w.sb).reshape(g, g // 4).astype(np.float64)
-    mixed = f.T @ sk  # (C, G/4)
-    return (mixed.reshape(-1) @ w.down_w + w.down_b).astype(np.float32)
+    sk = (q_feat @ w.sw + w.sb).reshape(*batch, g, g // 4).astype(np.float64)
+    mixed = f.swapaxes(-1, -2) @ sk  # (..., C, G/4)
+    return (mixed.reshape(*batch, -1) @ w.down_w + w.down_b).astype(np.float32)
 
 
 def _self_attention(x: np.ndarray, w: SelfAttnWeights) -> np.ndarray:
@@ -369,23 +358,20 @@ def _self_attention(x: np.ndarray, w: SelfAttnWeights) -> np.ndarray:
 def mmvfm_layer(
     feats: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     v_lidar: SparseVoxelSet, v_img: SparseVoxelSet,
-    fm: FeatureMap, box_w: BoxHeadWeights, w: MmvfmLayerWeights, g_side: int,
+    fm: FeatureMap, box_w: BoxHeadWeights, w: MmvfmLayerWeights,
 ) -> np.ndarray:
-    """Per query: proposal box -> lattice -> per-modality voxel pooling and
-    mixing -> per-modality self-attention -> concat with the query -> linear."""
-    m, c = feats.shape
-    mixed = {"lid": np.zeros((m, c), dtype=np.float32),
-             "img": np.zeros((m, c), dtype=np.float32)}
-    for i in range(m):
-        box = box_from_query(feats[i], int(rows[i]), int(cols[i]), fm, box_w)
-        pts = grid_points(box, g_side)
-        offsets = pts - np.array(box.center)
-        for key, vox, mw in (("lid", v_lidar, w.mix_lid), ("img", v_img, w.mix_img)):
-            gf = GridFeatures(pts, voxel_pool(vox, pts), offsets)
-            mixed[key][i] = mmvfm_mix(feats[i], gf, mw)
-    f_lid = _self_attention(mixed["lid"], w.attn_lid)
-    f_img = _self_attention(mixed["img"], w.attn_img)
-    cat = np.concatenate([feats, f_lid, f_img], axis=1)
+    """Per query: proposal box -> lattice. Per modality, over all queries at
+    once: voxel pooling -> mixing -> self-attention. Then concat with the
+    query -> linear."""
+    m = feats.shape[0]
+    boxes = [box_from_query(feats[i], int(rows[i]), int(cols[i]), fm, box_w) for i in range(m)]
+    pts = np.array([grid_points(box, GRID_SIDE) for box in boxes]).reshape(m, GRID_SIDE**3, 3)
+    offsets = pts - np.array([box.center for box in boxes]).reshape(m, 1, 3)
+    mixed = []
+    for vox, mw, attn in ((v_lidar, w.mix_lid, w.attn_lid), (v_img, w.mix_img, w.attn_img)):
+        pooled = voxel_pool(vox, pts).reshape(*pts.shape[:2], vox.channels)
+        mixed.append(_self_attention(mmvfm_mix(feats, GridFeatures(pts, pooled, offsets), mw), attn))
+    cat = np.concatenate([feats, *mixed], axis=1)
     return (cat @ w.comb_w + w.comb_b).astype(np.float32)
 
 
@@ -426,7 +412,5 @@ def decode(
     for i in range(n_bev):
         feats = deformable_layer(feats, rows, cols, b_out, w.deform[i])
     for j in range(m_vox):
-        feats = mmvfm_layer(
-            feats, rows, cols, v_lidar, v_img, b_out, w.box, w.mmvfm[j], w.g_side
-        )
+        feats = mmvfm_layer(feats, rows, cols, v_lidar, v_img, b_out, w.box, w.mmvfm[j])
     return detection_head(feats, rows, cols, b_out, w.head)

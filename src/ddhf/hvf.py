@@ -109,13 +109,6 @@ def coarser_grid(grid: GridSpec) -> GridSpec:
     )
 
 
-def _flat_lookup(coords: np.ndarray, extents: tuple[int, int, int]):
-    """Sorted flat keys + row order for membership queries via searchsorted."""
-    flat = np.ravel_multi_index(coords.T, extents)
-    order = np.argsort(flat, kind="stable")
-    return flat[order], order
-
-
 def sparse_down(
     v: SparseVoxelSet, kernel: np.ndarray, bias: np.ndarray
 ) -> SparseVoxelSet:
@@ -138,25 +131,13 @@ def sparse_down(
     uniq = np.unique(flat_out)
     out_coords = np.stack(np.unravel_index(uniq, grid_out.extents), axis=1).astype(np.int64)
 
-    flat_sorted, row_order = _flat_lookup(v.coords, v.grid.extents)
     feats = v.feats.astype(np.float64)
-    ext = np.asarray(v.grid.extents, dtype=np.int64)
     acc = np.tile(bias.astype(np.float64), (out_coords.shape[0], 1))
-    for tx in (-1, 0, 1):
-        for ty in (-1, 0, 1):
-            for tz in (-1, 0, 1):
-                nb = out_coords * 2 + np.array([tx, ty, tz], dtype=np.int64)
-                ok = np.all((nb >= 0) & (nb < ext), axis=1)
-                if not np.any(ok):
-                    continue
-                nb_flat = np.ravel_multi_index(nb[ok].T, v.grid.extents)
-                pos = np.searchsorted(flat_sorted, nb_flat)
-                pos = np.minimum(pos, flat_sorted.size - 1)
-                hit = flat_sorted[pos] == nb_flat
-                rows_out = np.where(ok)[0][hit]
-                rows_in = row_order[pos[hit]]
-                w = kernel[tx + 1, ty + 1, tz + 1].astype(np.float64)
-                acc[rows_out] += feats[rows_in] @ w
+    for t in np.ndindex(3, 3, 3):
+        rows = v.rows_of(out_coords * 2 + np.array(t, dtype=np.int64) - 1)
+        hit = rows >= 0
+        if np.any(hit):
+            acc[hit] += feats[rows[hit]] @ kernel[t].astype(np.float64)
     return SparseVoxelSet(out_coords, silu(acc).astype(np.float32), grid_out)
 
 
@@ -174,27 +155,14 @@ def sparse_up(
         raise ValueError("sparse_up: target occupancy does not match the coarse grid")
     if target.n == 0 or v_coarse.n == 0:
         return target
-    parents = target.coords // 2
-    offsets = target.coords - parents * 2  # in {0,1}^3
-    flat_sorted, row_order = _flat_lookup(v_coarse.coords, v_coarse.grid.extents)
-    parent_flat = np.ravel_multi_index(parents.T, v_coarse.grid.extents)
-    pos = np.searchsorted(flat_sorted, parent_flat)
-    pos = np.minimum(pos, flat_sorted.size - 1)
-    hit = flat_sorted[pos] == parent_flat
-
+    parents = v_coarse.rows_of(target.coords // 2)
+    offsets = target.coords % 2  # p - 2q, in {0,1}^3
     add = np.zeros(target.feats.shape, dtype=np.float64)
     cfeats = v_coarse.feats.astype(np.float64)
-    rows_fine = np.where(hit)[0]
-    rows_coarse = row_order[pos[hit]]
-    off_hit = offsets[hit]
-    for tx in (0, 1):
-        for ty in (0, 1):
-            for tz in (0, 1):
-                sel = np.all(off_hit == (tx, ty, tz), axis=1)
-                if not np.any(sel):
-                    continue
-                w = kernel[tx, ty, tz].astype(np.float64)
-                add[rows_fine[sel]] = cfeats[rows_coarse[sel]] @ w
+    for t in np.ndindex(2, 2, 2):
+        sel = (parents >= 0) & np.all(offsets == t, axis=1)
+        if np.any(sel):
+            add[sel] = cfeats[parents[sel]] @ kernel[t].astype(np.float64)
     return target.with_feats((target.feats.astype(np.float64) + add).astype(np.float32))
 
 

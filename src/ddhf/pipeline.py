@@ -129,7 +129,6 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
         head_easy=_density_heatmap_head(base.pqg.head_easy),
         head_hard=_density_heatmap_head(base.pqg.head_hard),
         hia=base.pqg.hia.identity_configured(),
-        mask_kernel=base.pqg.mask_kernel,
     )
 
     dec = base.decoder.identity_configured()

@@ -242,7 +242,6 @@ class PqgWeights:
     head_easy: HeatmapHeadWeights
     head_hard: HeatmapHeadWeights  # independent second-stage weights
     hia: HiaWeights
-    mask_kernel: int = 3
 
 
 def init_pqg(name: str, c: int, k_classes: int, global_seed: int) -> PqgWeights:
@@ -264,7 +263,7 @@ def pqg_forward(
     pos_e, cls_e, sc_e = nms_topk(h1, k_easy)
     q_easy = collect(b_out, pos_e, cls_e, sc_e, STAGE_EASY)
 
-    mask = build_mask(pos_e, b_out.h, b_out.w, w.mask_kernel)
+    mask = build_mask(pos_e, b_out.h, b_out.w)
     b_act = hia(q_easy, b_out, w.hia)
     h2 = heatmap_head(b_act, w.head_hard)
     masked = Heatmap(h2.data * mask.data[None, :, :].astype(np.float32))

@@ -135,6 +135,24 @@ def test_sparse_voxel_set_validation():
         SparseVoxelSet(np.array([[1, 1, 1], [1, 1, 1]], dtype=np.int64), feats, grid)
 
 
+def test_rows_of_matches_dict_lookup(rng):
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(5, 6, 4))
+    flat = rng.choice(5 * 6 * 4, size=40, replace=False)
+    coords = np.stack(np.unravel_index(flat, grid.extents), axis=1)
+    v = SparseVoxelSet(coords, np.zeros((40, 2), dtype=np.float32), grid)
+    table = {tuple(c): i for i, c in enumerate(v.coords.tolist())}
+    # every in-grid cell (hits and misses) plus a ring of cells outside it
+    query = np.stack(
+        np.meshgrid(*(np.arange(-2, e + 2) for e in grid.extents), indexing="ij"), axis=-1
+    )
+    rows = v.rows_of(query)
+    assert rows.shape == query.shape[:-1]
+    want = [table.get(tuple(c), -1) for c in query.reshape(-1, 3).tolist()]
+    assert rows.ravel().tolist() == want
+    assert (rows >= 0).sum() == 40
+    assert np.all(empty_voxel_set(grid, 2).rows_of(query) == -1)
+
+
 def test_empty_voxel_set_shapes():
     grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(4, 4, 4))
     v = empty_voxel_set(grid, 7)
@@ -184,6 +202,25 @@ def test_tensor_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 32)
     with pytest.raises(ValueError):
         load_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw[:6], "truncated header"),  # magic + half a version word
+        (lambda raw: raw[:20], "truncated header"),  # two dims declared, half of one present
+        (lambda raw: raw[:-4], "payload is 12 bytes"),  # dims want more floats than stored
+        (lambda raw: raw + b"\0" * 8, "payload is 24 bytes"),  # trailing bytes
+    ],
+    ids=["short_fixed_header", "short_dims", "short_payload", "trailing_bytes"],
+)
+def test_tensor_rejects_bad_length(tmp_path, rng, edit, message):
+    path = tmp_path / "t.bin"
+    save_tensor(path, rng.normal(size=(2, 2)).astype(np.float32))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as exc:
+        load_tensor(path)
+    assert str(path) in str(exc.value)
 
 
 def test_tensor_rejects_bad_version(tmp_path, rng):

@@ -197,6 +197,15 @@ def test_voxel_pool_matches_oracle(rng):
     assert np.allclose(got, want, atol=1e-5)
 
 
+def test_voxel_pool_stacked_lattices_match_per_lattice(rng):
+    grid16 = GridSpec(origin=(-8.0, -8.0, -4.0), voxel_size=(1.0, 1.0, 0.5), extents=(16, 16, 16))
+    v = random_voxel_set(rng, grid16, 300, 3)
+    lattices = rng.uniform([-9, -9, -5], [9, 9, 5], size=(5, 8, 3))
+    stacked = voxel_pool(v, lattices).reshape(5, 8, 3)
+    for i in range(5):
+        assert np.array_equal(stacked[i], voxel_pool(v, lattices[i]))
+
+
 def mix_weights_for(c, g, **overrides):
     base = dict(
         off_w=np.zeros((3, c), dtype=np.float32),
@@ -246,9 +255,8 @@ def test_mmvfm_mix_selector_case(rng):
     assert np.allclose(out, feats[0], atol=1e-5)
 
 
-def test_mmvfm_mix_matches_scalar_oracle(rng):
-    c, g = 8, 8
-    w = MixWeights(
+def random_mix_weights(rng, c, g):
+    return MixWeights(
         off_w=rng.normal(size=(3, c)).astype(np.float32),
         off_b=rng.normal(size=c).astype(np.float32),
         cw=rng.normal(size=(c, c * c)).astype(np.float32) * 0.2,
@@ -258,6 +266,11 @@ def test_mmvfm_mix_matches_scalar_oracle(rng):
         down_w=rng.normal(size=(c * (g // 4), c)).astype(np.float32) * 0.2,
         down_b=rng.normal(size=c).astype(np.float32),
     )
+
+
+def test_mmvfm_mix_matches_scalar_oracle(rng):
+    c, g = 8, 8
+    w = random_mix_weights(rng, c, g)
     q = rng.normal(size=c).astype(np.float32)
     grid = GridFeatures(
         points=rng.normal(size=(g, 3)),
@@ -272,6 +285,27 @@ def test_mmvfm_mix_matches_scalar_oracle(rng):
     assert np.max(np.abs(got - want)) < 1e-6
 
 
+def test_mmvfm_mix_batched_matches_per_query(rng):
+    c, g, m = 8, 8, 5
+    w = random_mix_weights(rng, c, g)
+    q = rng.normal(size=(m, c)).astype(np.float32)
+    grid = GridFeatures(
+        points=rng.normal(size=(m, g, 3)),
+        feats=rng.normal(size=(m, g, c)).astype(np.float32),
+        offsets=rng.normal(size=(m, g, 3)),
+    )
+    got = mmvfm_mix(q, grid, w)
+    assert got.shape == (m, c)
+    for i in range(m):
+        one = mmvfm_mix(q[i], GridFeatures(grid.points[i], grid.feats[i], grid.offsets[i]), w)
+        want = oracles.mmvfm_mix(
+            q[i], grid.feats[i], grid.offsets[i], w.off_w, w.off_b, w.cw, w.cb, w.sw, w.sb,
+            w.down_w, w.down_b,
+        )
+        assert np.max(np.abs(got[i] - want)) < 1e-5
+        assert np.max(np.abs(got[i] - one)) < 1e-6
+
+
 def test_mmvfm_layer_empty_modalities_finite(rng):
     c = 4
     w = init_decoder("dec", c, 3, 1, 1, 12)
@@ -281,7 +315,7 @@ def test_mmvfm_layer_empty_modalities_finite(rng):
     img_grid = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.25), extents=(8, 8, 8))
     out = mmvfm_layer(
         feats, rows, cols, empty_voxel_set(GRID, c), empty_voxel_set(img_grid, c),
-        fm, w.box, w.mmvfm[0], w.g_side,
+        fm, w.box, w.mmvfm[0],
     )
     assert out.shape == feats.shape
     assert np.all(np.isfinite(out))
@@ -296,8 +330,8 @@ def test_mmvfm_layer_deterministic(rng):
     v_lid = random_voxel_set(rng, GRID, 30, c)
     img_grid = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.25), extents=(8, 8, 8))
     v_img = random_voxel_set(rng, img_grid, 30, c)
-    a = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0], w.g_side)
-    b = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0], w.g_side)
+    a = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
+    b = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
     assert np.array_equal(a, b)
 
 

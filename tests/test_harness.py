@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,27 +174,52 @@ GOLDEN_SCENE = SceneSpec(
 # SHA-256 of json.dumps(detections_to_dicts(dets), sort_keys=True). A change
 # that keeps behaviour keeps these; one that changes numerics on purpose
 # updates them and says why in CHANGES.md.
-@pytest.mark.parametrize(
-    "cfg, spec, mode, digest",
-    [
-        (TINY, TINY_SCENE, "seeded",
-         "4b66309c71878bee04d967d7127c98e78c0ae81a27a3aed41164a5b2dea71501"),
-        (TINY, TINY_SCENE, "passthrough",
-         "6298dadd04a29fd992b26e8b8b007e0070751bc1dc497993c69921ee93aff361"),
-        (PipelineConfig(), GOLDEN_SCENE, "seeded",
-         "6866f193658fc649980ff1a4d0eb429f66aa0c91dd676a28dd9ba6130680c06b"),
-        (PipelineConfig(), GOLDEN_SCENE, "passthrough",
-         "2081d5ff9c3344b7159724738910ac3bc30051b7ea6f594122a4b5838b597f47"),
-    ],
-    ids=["tiny_seeded", "tiny_passthrough", "default_seeded", "default_passthrough"],
-)
-def test_golden_detection_digest(cfg, spec, mode, digest):
+GOLDEN_DIGESTS = {
+    "tiny_seeded": (TINY, TINY_SCENE, "seeded",
+                    "4b66309c71878bee04d967d7127c98e78c0ae81a27a3aed41164a5b2dea71501"),
+    "tiny_passthrough": (TINY, TINY_SCENE, "passthrough",
+                         "6298dadd04a29fd992b26e8b8b007e0070751bc1dc497993c69921ee93aff361"),
+    "default_seeded": (PipelineConfig(), GOLDEN_SCENE, "seeded",
+                       "6866f193658fc649980ff1a4d0eb429f66aa0c91dd676a28dd9ba6130680c06b"),
+    "default_passthrough": (PipelineConfig(), GOLDEN_SCENE, "passthrough",
+                            "2081d5ff9c3344b7159724738910ac3bc30051b7ea6f594122a4b5838b597f47"),
+}
+
+
+def detection_digest(cfg, spec, mode):
     from ddhf.scene import gen_points, render_images
 
     cfg = dataclasses.replace(cfg, weights_mode=mode)
     dets, _ = run_pipeline(gen_points(spec), render_images(spec), list(spec.cameras), cfg)
     text = json.dumps(detections_to_dicts(dets), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cfg, spec, mode, digest", list(GOLDEN_DIGESTS.values()), ids=list(GOLDEN_DIGESTS)
+)
+def test_golden_detection_digest(cfg, spec, mode, digest):
+    assert detection_digest(cfg, spec, mode) == digest
+
+
+def test_golden_digest_one_blas_thread():
+    # the in-process digests run at the default BLAS thread count; the seeded
+    # ones must not change when OpenBLAS runs single-threaded
+    cases = ("tiny_seeded", "default_seeded")
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import test_harness as h\n"
+        f"for case in {cases!r}:\n"
+        "    print(case, h.detection_digest(*h.GOLDEN_DIGESTS[case][:3]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    got = dict(line.split() for line in run.stdout.splitlines())
+    assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}
 
 
 def test_cli_gen_run_eval(tmp_path, capsys):
@@ -299,6 +328,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
                  str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_truncated_tensor_exit_code(tmp_path, capsys):
+    heat_path = tmp_path / "heat.bin"
+    heat_path.write_bytes(b"DDHF\x01\x00")
+    assert main([
+        "oracle", "nms", "--heat", str(heat_path), "--k", "2",
+        "--out", str(tmp_path / "nms.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "heat.bin" in err
 
 
 def test_tensor_cli_compatible_container(tmp_path):
