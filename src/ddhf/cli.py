@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,9 +49,56 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _box_problem(rec, scored: bool) -> str | None:
+    """What is wrong with one box record, or None if it is well-formed."""
+    if not isinstance(rec, dict):
+        return f"expected an object, got {type(rec).__name__}"
+    center, size = rec.get("center"), rec.get("size")
+    if not (isinstance(center, list) and len(center) == 3 and all(_is_number(v) for v in center)):
+        return f"center must be 3 finite numbers, got {center!r}"
+    if not (
+        isinstance(size, list) and len(size) == 3
+        and all(_is_number(v) and v > 0 for v in size)
+    ):
+        return f"size must be 3 positive finite numbers, got {size!r}"
+    if not _is_number(rec.get("yaw")):
+        return f"yaw must be a finite number, got {rec.get('yaw')!r}"
+    cls = rec.get("class")
+    if not (isinstance(cls, int) and not isinstance(cls, bool) and cls >= 0):
+        return f"class must be an integer >= 0, got {cls!r}"
+    score = rec.get("score")
+    if scored and not (_is_number(score) and 0.0 <= score <= 1.0):
+        return f"score must be a number in [0, 1], got {score!r}"
+    return None
+
+
+def _load_boxes(path: str, scored: bool) -> list[dict]:
+    """Box records of a detection file (a JSON list; `scored`) or of a
+    ground-truth file (an object holding an "objects" list), each checked;
+    an error names the file and the record index."""
+    data = jsonio.load(path)
+    if scored:
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: detections must be a JSON list")
+        records = data
+    else:
+        if not (isinstance(data, dict) and isinstance(data.get("objects"), list)):
+            raise ValueError(f'{path}: ground truth must be an object with an "objects" list')
+        records = data["objects"]
+    for i, rec in enumerate(records):
+        problem = _box_problem(rec, scored)
+        if problem is not None:
+            raise ValueError(f"{path}: record {i}: {problem}")
+    return records
+
+
 def _cmd_eval(args) -> int:
-    dets = jsonio.load(args.det)
-    gt = jsonio.load(args.gt)["objects"]
+    dets = _load_boxes(args.det, scored=True)
+    gt = _load_boxes(args.gt, scored=False)
     result = eval_detections(dets, gt)
     report = {
         "ap": [

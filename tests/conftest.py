@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,20 @@ def sparse_lattice(rng, extents, keep: float = 0.9) -> np.ndarray:
         np.meshgrid(*(np.arange(e) for e in extents), indexing="ij"), axis=-1
     ).reshape(-1, 3)
     return ((cells + 0.5) * (2.25, 2.25, 0.5))[rng.random(cells.shape[0]) < keep]
+
+
+def run_at_blas_threads(code: str, threads: int) -> list[str]:
+    """Runs `code` in a fresh interpreter with OPENBLAS_NUM_THREADS=threads
+    (read only at numpy import, so an in-process switch would not reach it),
+    with src/ and tests/ importable; returns its stdout lines."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
 
 
 @pytest.fixture

@@ -1,14 +1,13 @@
 import dataclasses
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_at_blas_threads
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ddhf import jsonio
 from ddhf.cli import main
@@ -161,6 +160,52 @@ def test_run_pipeline_accepts_full_intensity():
     assert all(np.isfinite(d.score) for d in dets)
 
 
+@st.composite
+def scene_runs(draw):
+    """(spec arguments, weights mode, with cameras) for a TINY run: 0-4
+    objects of classes 0-11, 0.01-8 m boxes of 0.5-100 points/m^2, centers
+    up to 5% of the world range past either end, 0-5000 clutter points."""
+    coord = lambda lo, hi: st.floats(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
+    objects = draw(st.lists(st.builds(
+        SceneObject,
+        class_id=st.integers(0, 11),
+        center=st.tuples(coord(-54.0, 54.0), coord(-54.0, 54.0), coord(-5.0, 3.0)),
+        size=st.tuples(*[st.floats(0.01, 8.0)] * 3),
+        yaw=st.floats(-10.0, 10.0),
+        density=st.floats(0.5, 100.0),
+    ), max_size=4))
+    spec_args = dict(
+        seed=draw(st.integers(0, 2**31 - 1)),
+        objects=tuple(objects),
+        n_clutter=draw(st.integers(0, 5000)),
+        noise_sigma=draw(st.floats(0.0, 0.5)),
+    )
+    return spec_args, draw(st.sampled_from(("seeded", "passthrough"))), draw(st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene_runs())
+def test_random_scenes_run_or_reject(run):
+    # a spec either fails its own checks with ValueError (here: an object
+    # center outside the world range) or runs to finite, scored detections
+    from ddhf.scene import gen_points, render_images
+
+    spec_args, mode, with_cameras = run
+    try:
+        spec = SceneSpec(**spec_args)
+    except ValueError:
+        event("spec rejected")
+        return
+    cameras = list(spec.cameras) if with_cameras else []
+    images = render_images(spec) if with_cameras else []
+    cfg = dataclasses.replace(TINY, weights_mode=mode)
+    dets, _ = run_pipeline(gen_points(spec), images, cameras, cfg)
+    for d in dets:
+        assert np.all(np.isfinite(d.center)) and np.all(np.isfinite(d.size))
+        assert np.isfinite(d.yaw) and 0.0 <= d.score <= 1.0
+        assert 0 <= d.class_id < cfg.k_classes
+
+
 GOLDEN_SCENE = SceneSpec(
     seed=11,
     objects=(
@@ -204,22 +249,16 @@ def test_golden_detection_digest(cfg, spec, mode, digest):
 
 def test_golden_digest_one_blas_thread():
     # the in-process digests run at the default BLAS thread count; the seeded
-    # ones must not change when OpenBLAS runs single-threaded
+    # ones must not change when OpenBLAS runs on one thread or on four
     cases = ("tiny_seeded", "default_seeded")
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
     code = (
         "import test_harness as h\n"
         f"for case in {cases!r}:\n"
         "    print(case, h.detection_digest(*h.GOLDEN_DIGESTS[case][:3]))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
-    )
-    assert run.returncode == 0, run.stderr
-    got = dict(line.split() for line in run.stdout.splitlines())
-    assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}
+    for threads in (1, 4):
+        got = dict(line.split() for line in run_at_blas_threads(code, threads))
+        assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}, threads
 
 
 def test_cli_gen_run_eval(tmp_path, capsys):
@@ -247,6 +286,69 @@ def test_cli_gen_run_eval(tmp_path, capsys):
     parsed = __import__("json").loads(text)
     assert "map" in parsed
     assert 0.0 <= parsed["map"] <= 1.0
+
+
+def _box(score=None):
+    rec = {"center": [1.0, 2.0, 0.0], "size": [4.0, 2.0, 1.5], "yaw": 0.3, "class": 0}
+    return rec if score is None else dict(rec, score=score)
+
+
+def _gt(**change):
+    """Ground-truth file whose record 1 has `change` applied."""
+    return {"objects": [_box(), dict(_box(), **change)]}
+
+
+def _det(**change):
+    """Detection file whose record 1 has `change` applied."""
+    return [_box(0.9), dict(_box(0.4), **change)]
+
+
+NAN, INF = float("nan"), float("inf")
+# case -> (which file, its content, text the error must hold); record-level
+# cases break record 1, so their error must also name "record 1"
+BAD_EVAL_INPUTS = {
+    "gt_is_list": ("gt", [_box()], '"objects" list'),
+    "gt_objects_not_list": ("gt", {"objects": {"a": 1}}, '"objects" list'),
+    "det_is_dict": ("det", {"objects": [_box(0.9)]}, "must be a JSON list"),
+    "record_not_object": ("det", [_box(0.9), 5], "record 1: expected an object"),
+    "nan_center": ("gt", _gt(center=[NAN, 0.0, 0.0]), "record 1: center"),
+    "two_element_center": ("det", _det(center=[1.0, 2.0]), "record 1: center"),
+    "string_coordinate": ("det", _det(center=["1", 2.0, 0.0]), "record 1: center"),
+    "zero_size": ("gt", _gt(size=[4.0, 0.0, 1.5]), "record 1: size"),
+    "infinite_size": ("det", _det(size=[INF, 1.0, 1.0]), "record 1: size"),
+    "missing_size": ("gt", _gt(size=None), "record 1: size"),
+    "nan_yaw": ("det", _det(yaw=NAN), "record 1: yaw"),
+    "negative_class": ("gt", _gt(**{"class": -1}), "record 1: class"),
+    "float_class": ("det", _det(**{"class": 1.0}), "record 1: class"),
+    "bool_class": ("det", _det(**{"class": True}), "record 1: class"),
+    "score_above_one": ("det", _det(score=1.5), "record 1: score"),
+    "string_score": ("det", _det(score="0.5"), "record 1: score"),
+    "missing_score": ("det", _det(score=None), "record 1: score"),
+}
+
+
+@pytest.mark.parametrize(
+    "which, content, message", list(BAD_EVAL_INPUTS.values()), ids=list(BAD_EVAL_INPUTS)
+)
+def test_cli_eval_rejects_bad_input(tmp_path, capsys, which, content, message):
+    paths = {name: tmp_path / f"{name}.json" for name in ("gt", "det")}
+    files = {"gt": _gt(), "det": _det(), which: content}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[which]}: ") and message in err
+
+
+def test_cli_eval_accepts_boundary_values(tmp_path, capsys):
+    # integer coordinates, scores 0 and 1, any finite yaw, an empty GT list
+    paths = {name: tmp_path / f"{name}.json" for name in ("gt", "det")}
+    paths["gt"].write_text(json.dumps(_gt(**{"class": 3, "yaw": -7.0})))
+    paths["det"].write_text(json.dumps([_box(0.0), _box(1), dict(_box(1.0), center=[1, 2, 0])]))
+    assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 0
+    paths["gt"].write_text(json.dumps({"objects": []}))
+    assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 0
+    capsys.readouterr()
 
 
 def test_cli_run_seed_changes_weights(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import run_at_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddhf import oracles
+from ddhf.ops import layer_norm
 from ddhf.ssm import (
     DELTA_FLOOR,
     ScanParams,
@@ -26,12 +29,17 @@ def test_discretize_closed_forms():
     abar, bbar = discretize(a, b, delta)
     assert np.allclose(abar, 0.5, atol=1e-12)
     assert np.allclose(bbar, 0.0)
-    # phi(z) -> 1 as z -> 0: Bbar collapses to delta * B
+    # expm1 keeps full relative precision for tiny |delta*a|, so
+    # expm1(delta*a)/a still gives Bbar = delta * B there
     a0 = np.array([[-1e-12]])
     b0 = np.array([[2.0]])
     d0 = np.array([[0.5]])
     _, bbar0 = discretize(a0, b0, d0)
     assert np.allclose(bbar0, 1.0, atol=1e-9)
+    # the closed form divides by a, so a must be strictly negative
+    for bad in (0.0, 1.0, -0.0):
+        with pytest.raises(ValueError, match="a must be strictly negative"):
+            discretize(np.array([[-1.0, bad]]), b0, d0)
 
 
 def test_discretize_matches_quadrature(rng):
@@ -158,6 +166,42 @@ def test_generate_scan_params_delta_positive(rng):
     assert np.all(params.delta > 0)
     assert params.b.shape == (20, 4)
     assert params.c.shape == (20, 4)
+
+
+def scan_hashes() -> dict:
+    """SHA-256 of the float32 output bytes of one seeded bidirectional block
+    (C=32, d_state=16, n=3000) and of its forward scan at three block sizes."""
+    n = 3000
+    w = init_ssm_block("scan_hash", 32, 16, 7)
+    seq = np.random.default_rng(3000).normal(size=(n, 32)).astype(np.float32)
+    x = (layer_norm(seq, w.norm_scale, w.norm_shift) @ w.in_w + w.in_b).astype(np.float32)
+    params = generate_scan_params(x, w)
+    outs = {"block": bidirectional_block(seq, w)}
+    for chunk in (1, 64, n):
+        outs[f"scan_chunk_{chunk}"] = selective_scan_chunked(x, w.a, params, chunk)
+    return {name: hashlib.sha256(out.tobytes()).hexdigest() for name, out in outs.items()}
+
+
+# Unlike the golden detection digests, these change when any scan output
+# moves by one float32 ulp; a change meant to keep the scan's bits keeps them.
+SCAN_HASHES = {
+    "block": "0dcada766c78bc2175ea03c6d0a1050676c6e5c3b65ca6043a508f2317060623",
+    "scan_chunk_1": "61d719176622598f6cc9aa41ef147ed334f0c70f9cfab7df022b3cd70811de1f",
+    "scan_chunk_64": "61d719176622598f6cc9aa41ef147ed334f0c70f9cfab7df022b3cd70811de1f",
+    "scan_chunk_3000": "61d719176622598f6cc9aa41ef147ed334f0c70f9cfab7df022b3cd70811de1f",
+}
+
+
+def test_scan_output_hashes():
+    assert scan_hashes() == SCAN_HASHES
+
+
+def test_scan_output_hashes_blas_threads():
+    # the batched readout matmul must give the same bits at any BLAS thread count
+    code = "import test_ssm as t\nfor k, v in t.scan_hashes().items():\n    print(k, v)\n"
+    for threads in (1, 4):
+        got = dict(line.split() for line in run_at_blas_threads(code, threads))
+        assert got == SCAN_HASHES, threads
 
 
 @settings(max_examples=20, deadline=None)
