@@ -8,6 +8,8 @@ N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,14 +46,13 @@ class PipelineConfig:
     weights_mode: str = "seeded"
 
     def __post_init__(self):
+        _check_types(self)
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be ascending, got ({lo}, {hi})")
         lc, ic = self.lidar_cells, self.image_cells
-        if len(lc) != 3 or len(ic) != 3:
-            raise ValueError("grid cell counts must have three axes")
-        if any(int(n) <= 0 for n in lc + ic):
+        if any(n <= 0 for n in lc + ic):
             raise ValueError("grid cell counts must be positive")
         if lc[0] != ic[0] or lc[1] != ic[1]:
             raise ValueError("lidar and image grids must share x/y cell counts")
@@ -78,7 +79,7 @@ class PipelineConfig:
             raise ValueError("k_easy, k_hard, k_classes must be >= 1")
         if self.n_bev < 1 or self.m_vox < 1:
             raise ValueError("decoder layer counts must be >= 1")
-        if tuple(int(s) for s in self.strides) != (1, 2, 4):
+        if self.strides != (1, 2, 4):
             raise ValueError(f"strides must be (1, 2, 4), got {self.strides}")
         if self.weights_mode not in WEIGHTS_MODES:
             raise ValueError(f"weights_mode must be one of {WEIGHTS_MODES}")
@@ -98,6 +99,48 @@ def _grid(xr, yr, zr, cells) -> GridSpec:
     spans = (xr[1] - xr[0], yr[1] - yr[0], zr[1] - zr[0])
     voxel = tuple(span / int(n) for span, n in zip(spans, cells))
     return GridSpec(origin=origin, voxel_size=voxel, extents=tuple(int(n) for n in cells))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+_INT_FIELDS = (
+    "global_seed", "channels", "d_state", "safs_cap", "depth_count",
+    "k_easy", "k_hard", "k_classes", "n_bev", "m_vox",
+)
+_REAL_FIELDS = ("d_thresh", "s_thresh", "depth_min", "depth_max")
+# tuple field -> (length, element check, what the elements are)
+_TUPLE_FIELDS = {
+    "x_range": (2, _is_real, "finite numbers"),
+    "y_range": (2, _is_real, "finite numbers"),
+    "z_range": (2, _is_real, "finite numbers"),
+    "lidar_cells": (3, _is_int, "integers"),
+    "image_cells": (3, _is_int, "integers"),
+    "strides": (3, _is_int, "integers"),
+}
+
+
+def _check_types(cfg: PipelineConfig) -> None:
+    """Reject a field of the wrong type, naming it, before any value check."""
+    for name in _INT_FIELDS:
+        val = getattr(cfg, name)
+        if not _is_int(val):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+    for name in _REAL_FIELDS:
+        val = getattr(cfg, name)
+        if not _is_real(val):
+            raise ValueError(f"{name} must be a finite number, got {val!r}")
+    for name, (length, ok, what) in _TUPLE_FIELDS.items():
+        val = getattr(cfg, name)
+        if not (isinstance(val, tuple) and len(val) == length and all(ok(v) for v in val)):
+            raise ValueError(f"{name} must be {length} {what}, got {val!r}")
+    if not isinstance(cfg.weights_mode, str):
+        raise ValueError(f"weights_mode must be a string, got {cfg.weights_mode!r}")
 
 
 _FIELD_KEYS = (
@@ -124,24 +167,28 @@ _FIELD_KEYS = (
     "weights_mode",
 )
 
-_TUPLE_KEYS = {"x_range", "y_range", "z_range", "lidar_cells", "image_cells", "strides"}
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
     out = {}
     for key in _FIELD_KEYS:
         val = getattr(cfg, key)
-        out[key] = list(val) if key in _TUPLE_KEYS else val
+        out[key] = list(val) if key in _TUPLE_FIELDS else val
     return out
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(_FIELD_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, val in data.items():
-        kwargs[key] = tuple(val) if key in _TUPLE_KEYS else val
+        if key in _TUPLE_FIELDS:
+            length, _, what = _TUPLE_FIELDS[key]
+            if not isinstance(val, list):
+                raise ValueError(f"{key} must be a list of {length} {what}, got {val!r}")
+            val = tuple(val)
+        kwargs[key] = val
     return PipelineConfig(**kwargs)
 
 

@@ -8,6 +8,7 @@ row-major float32; all randomness flows through splitmix64 so that any
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,8 +143,21 @@ class CameraModel:
             raise ValueError("CameraModel: intrinsics must be 3x3 with [2,2] == 1")
         if e.shape != (4, 4) or not np.array_equal(e[3], [0.0, 0.0, 0.0, 1.0]):
             raise ValueError("CameraModel: extrinsics must be 4x4 with bottom row (0,0,0,1)")
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(e))):
+            raise ValueError("CameraModel: intrinsics and extrinsics must be finite")
+        if not (k[0, 0] > 0 and k[1, 1] > 0):
+            raise ValueError(f"CameraModel: focal lengths must be > 0, got {k[0, 0]}, {k[1, 1]}")
+        size = self.image_size
+        if not (
+            isinstance(size, (tuple, list))
+            and len(size) == 2
+            and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in size)
+            and min(size) > 0
+        ):
+            raise ValueError(f"CameraModel: image_size must be two positive integers, got {size!r}")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics", e)
+        object.__setattr__(self, "image_size", (int(size[0]), int(size[1])))
 
     def world_to_cam(self, points: np.ndarray) -> np.ndarray:
         """Transform world points (n, 3) into camera frame (n, 3)."""

@@ -163,7 +163,8 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
 
 
 def _split_t(t: np.ndarray, c: int, d_state: int):
-    """Per-modality, per-direction (b, c, delta) maps from the generator output."""
+    """Per-modality, per-direction (b, c, delta) maps from the float32 generator
+    output; b and c are views of t."""
     span = 2 * d_state + c
     out = []
     off = 0
@@ -173,9 +174,7 @@ def _split_t(t: np.ndarray, c: int, d_state: int):
             bmap = t[..., off : off + d_state]
             cmap = t[..., off + d_state : off + 2 * d_state]
             dtmap = softplus_delta(t[..., off + 2 * d_state : off + span])
-            dirs.append((
-                bmap.astype(np.float32), cmap.astype(np.float32), dtmap.astype(np.float32),
-            ))
+            dirs.append((bmap, cmap, dtmap))
             off += span
         out.append(dirs)
     return out[0], out[1]

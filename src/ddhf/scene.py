@@ -263,19 +263,25 @@ def load_scene(scene_dir: str | Path):
     points = load_tensor(d / "points.bin")
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points.bin must be (n, 4), got {points.shape}")
-    meta = load(d / "cameras.json")
+    meta_path = d / "cameras.json"
+    meta = load(meta_path)
+    cam_list = meta.get("cameras") if isinstance(meta, dict) else None
+    if not isinstance(cam_list, list):
+        raise ValueError(f'{meta_path}: expected an object with a "cameras" list')
     cameras = []
     images = []
-    for i, cam in enumerate(meta["cameras"]):
-        cameras.append(
-            CameraModel(
+    for i, cam in enumerate(cam_list):
+        try:
+            camera = CameraModel(
                 intrinsics=np.asarray(cam["intrinsics"], dtype=np.float64),
                 extrinsics=np.asarray(cam["extrinsics"], dtype=np.float64),
-                image_size=tuple(int(s) for s in cam["image_size"]),
+                image_size=cam["image_size"],
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{meta_path}: camera {i}: {exc}") from exc
+        cameras.append(camera)
         img = load_tensor(d / f"cam_{i}.bin")
-        expect = tuple(cam["image_size"]) + (3,)
+        expect = camera.image_size + (3,)
         if img.shape != expect:
             raise ValueError(f"cam_{i}.bin shape {img.shape} != declared {expect}")
         images.append(img)

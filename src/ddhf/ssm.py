@@ -22,6 +22,7 @@ from .ops import layer_norm, silu, softplus
 
 DELTA_FLOOR = 1e-30
 SCAN_BLOCK = 64  # steps discretized at once; any size gives the same bits
+ROW_CHUNK = 2048  # rows per projection batch in bidirectional_block; same bits at any size
 
 
 def softplus_delta(x: np.ndarray) -> np.ndarray:
@@ -71,12 +72,14 @@ def _scan(x: np.ndarray, a: np.ndarray, params: ScanParams, block: int) -> np.nd
 
     Each block writes Bbar*x into one (m, C, d_state) buffer hs, runs
     hs[i] += Abar[i] * hs[i-1] in place (the previous block's hs[-1] before
-    its first step) and reads hs out with one batched matmul. Each step's
-    arithmetic is the same at every block size, so every size gives the same bits.
+    its first step), reads hs out with one batched matmul, adds the residual
+    x in float64 and writes the block's float32 rows. No float64 temporary
+    outlives its block. Each step's arithmetic is the same at every block
+    size, so every size gives the same bits.
     """
     n, c_width = x.shape
     h = np.zeros(np.shape(a))
-    out = np.empty((n, c_width), dtype=np.float64)
+    out = np.empty((n, c_width), dtype=np.float32)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         abar, hs = discretize(a, params.b[lo:hi, None, :], params.delta[lo:hi, :, None])
@@ -85,9 +88,10 @@ def _scan(x: np.ndarray, a: np.ndarray, params: ScanParams, block: int) -> np.nd
             h_i += abar_i * h
             h = h_i
         c_seq = params.c[lo:hi, :, None].astype(np.float64)
-        out[lo:hi] = np.matmul(hs, c_seq)[:, :, 0]
-    out += x
-    return out.astype(np.float32)
+        r = np.matmul(hs, c_seq)[:, :, 0]
+        r += x[lo:hi]
+        out[lo:hi] = r
+    return out
 
 
 def selective_scan(x: np.ndarray, a: np.ndarray, params: ScanParams) -> np.ndarray:
@@ -193,17 +197,35 @@ def bidirectional_block(seq: np.ndarray, w: SsmBlockWeights) -> np.ndarray:
 
     Scan weights are shared between directions, so palindromic inputs give
     palindromic outputs. Zeroing out_proj and y_gate makes this the identity.
+
+    Layer norm, in_proj, the (B, C, Delta) generation, the gate and out_proj
+    run over ROW_CHUNK rows at a time into float32 buffers, so no
+    whole-sequence float64 temporary exists. Every step is row-wise, so any
+    chunk size gives the same bits.
     """
-    n = seq.shape[0]
+    n, c_width = seq.shape
     if n == 0:
         return seq.astype(np.float32)
-    u = layer_norm(seq, w.norm_scale, w.norm_shift)
-    x = (u @ w.in_w + w.in_b).astype(np.float32)
-    params = generate_scan_params(x, w)
+    d_state = w.a.shape[1]
+    x = np.empty((n, c_width), dtype=np.float32)
+    params = ScanParams(
+        b=np.empty((n, d_state), dtype=np.float32),
+        c=np.empty((n, d_state), dtype=np.float32),
+        delta=np.empty((n, c_width), dtype=np.float32),
+    )
+    for lo in range(0, n, ROW_CHUNK):
+        rows = slice(lo, lo + ROW_CHUNK)
+        u = layer_norm(seq[rows], w.norm_scale, w.norm_shift)
+        x[rows] = u @ w.in_w + w.in_b
+        part = generate_scan_params(x[rows], w)
+        params.b[rows], params.c[rows], params.delta[rows] = part.b, part.c, part.delta
     # the chunked name keeps voxel-block scans apart from BEV scans in traces
     fwd = selective_scan_chunked(x, w.a, params, SCAN_BLOCK)
-    xr = np.ascontiguousarray(x[::-1])
-    bwd = selective_scan_chunked(xr, w.a, params.reversed(), SCAN_BLOCK)[::-1]
-    gate = silu(seq @ w.y_w + w.y_b)
-    y = (fwd + bwd) * gate
-    return (seq + y @ w.out_w + w.out_b).astype(np.float32)
+    bwd = selective_scan_chunked(x[::-1], w.a, params.reversed(), SCAN_BLOCK)[::-1]
+    del x, params  # only the scan outputs are read from here on
+    out = np.empty((n, c_width), dtype=np.float32)
+    for lo in range(0, n, ROW_CHUNK):
+        rows = slice(lo, lo + ROW_CHUNK)
+        y = (fwd[rows] + bwd[rows]) * silu(seq[rows] @ w.y_w + w.y_b)
+        out[rows] = seq[rows] + y @ w.out_w + w.out_b
+    return out

@@ -361,38 +361,24 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
 # Semantic-aware voxel selection
 # ---------------------------------------------------------------------------
 
-def safs_select(
-    grid: GridSpec,
+SAFS_CHUNK = 4096  # grid cells projected and sampled at once; any size gives the same bits
+
+
+def _best_camera(
+    centers: np.ndarray,
     images: ImageFeatureSet,
     cameras: list[CameraModel],
     bins: DepthBinSpec,
-    d_thresh: float,
-    s_thresh: float,
-    cap: int,
-) -> SparseVoxelSet:
-    """Select image voxels whose semantic and depth scores clear thresholds.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(semantic score, v_d, feature) of each center's highest-semantic camera.
 
-    Every voxel center is projected into each camera; the camera with the
-    highest semantic score supplies the scores and features. v_d is the
-    depth-distribution mass of the bin containing the projected depth; kept
-    voxels carry feature = sampled image feature * v_d. If more than `cap`
-    survive, farthest point sampling over voxel centers trims the set.
+    A center no camera sees, in image and in depth range, keeps semantic
+    score -1, v_d 0 and a zero feature.
     """
-    if not 0 <= d_thresh <= 1 or not 0 <= s_thresh <= 1:
-        raise ValueError("safs_select: thresholds must lie in [0, 1]")
-    nx, ny, nz = grid.extents
-    coords = np.stack(
-        np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 3)
-    centers = grid.centers(coords)
-    n = coords.shape[0]
-    c_width = images.feats[0].shape[2]
-
+    n = centers.shape[0]
     best_sem = np.full(n, -1.0)
     best_vd = np.zeros(n)
-    best_feat = np.zeros((n, c_width), dtype=np.float64)
-
+    best_feat = np.zeros((n, images.feats[0].shape[2]), dtype=np.float64)
     for cam_idx, cam in enumerate(cameras):
         u, v, z = project_points(centers, cam)
         h_img, w_img = cam.image_size
@@ -412,17 +398,52 @@ def safs_select(
         best_sem[upd] = sem[better]
         best_vd[upd] = vd[better]
         best_feat[upd] = feat[better]
+    return best_sem, best_vd, best_feat
 
-    keep = (best_sem > s_thresh) & (best_vd > d_thresh)
-    if not np.any(keep):
-        return empty_voxel_set(grid, c_width)
-    coords_k = coords[keep]
-    feats_k = best_feat[keep] * best_vd[keep][:, None]
+
+def safs_select(
+    grid: GridSpec,
+    images: ImageFeatureSet,
+    cameras: list[CameraModel],
+    bins: DepthBinSpec,
+    d_thresh: float,
+    s_thresh: float,
+    cap: int,
+) -> SparseVoxelSet:
+    """Select image voxels whose semantic and depth scores clear thresholds.
+
+    Every voxel center is projected into each camera; the camera with the
+    highest semantic score supplies the scores and features. v_d is the
+    depth-distribution mass of the bin containing the projected depth; kept
+    voxels carry feature = sampled image feature * v_d. If more than `cap`
+    survive, farthest point sampling over voxel centers trims the set.
+
+    Grid cells are projected, sampled and tested SAFS_CHUNK at a time, in
+    grid order, and only the survivors' float32 features are kept, so no
+    whole-grid float64 state exists. Every step is per cell, so any chunk
+    size gives the same bits.
+    """
+    if not 0 <= d_thresh <= 1 or not 0 <= s_thresh <= 1:
+        raise ValueError("safs_select: thresholds must lie in [0, 1]")
+    n = int(np.prod(grid.extents))
+    kept_coords, kept_feats = [], []
+    for lo in range(0, n, SAFS_CHUNK):
+        cells = np.arange(lo, min(lo + SAFS_CHUNK, n))
+        coords = np.stack(np.unravel_index(cells, grid.extents), axis=-1)
+        best_sem, best_vd, best_feat = _best_camera(grid.centers(coords), images, cameras, bins)
+        keep = (best_sem > s_thresh) & (best_vd > d_thresh)
+        kept_coords.append(coords[keep])
+        kept_feats.append((best_feat[keep] * best_vd[keep][:, None]).astype(np.float32))
+    coords_k = np.concatenate(kept_coords)
+    feats_k = np.concatenate(kept_feats)
+    del kept_coords, kept_feats  # FPS below may need the room
+    if coords_k.shape[0] == 0:
+        return empty_voxel_set(grid, images.feats[0].shape[2])
     if coords_k.shape[0] > cap:
         pick = fps(grid.centers(coords_k), cap)
         pick = np.sort(pick)  # keep grid order for deterministic downstream sorts
         coords_k, feats_k = coords_k[pick], feats_k[pick]
-    return SparseVoxelSet(coords_k, feats_k.astype(np.float32), grid)
+    return SparseVoxelSet(coords_k, feats_k, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name, ok in sorted(rows):
             terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {name}")
+
+
+def traced_peak(fn, *args) -> int:
+    """Highest tracemalloc peak, in bytes, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -188,6 +188,44 @@ def test_camera_world_cam_roundtrip(rng):
     assert np.allclose(back, pts, atol=1e-9)
 
 
+def _camera_args(**change):
+    intr = np.array([[48.0, 0.0, 48.0], [0.0, 48.0, 32.0], [0.0, 0.0, 1.0]])
+    args = {"intrinsics": intr, "extrinsics": np.eye(4), "image_size": (64, 96)}
+    args.update(change)
+    return args
+
+
+def _with(array, index, value):
+    out = np.array(array, dtype=np.float64)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (0, 2), np.nan)}, "finite"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (1, 1), np.inf)}, "finite"),
+        ({"extrinsics": _with(np.eye(4), (0, 3), np.nan)}, "finite"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (0, 0), 0.0)}, "focal"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (1, 1), -48.0)}, "focal"),
+        ({"image_size": (64,)}, "image_size"),
+        ({"image_size": (0, 96)}, "image_size"),
+        ({"image_size": (64.0, 96)}, "image_size"),
+        ({"image_size": (True, 96)}, "image_size"),
+        ({"image_size": "ab"}, "image_size"),
+    ],
+)
+def test_camera_rejects_bad_geometry(change, message):
+    with pytest.raises(ValueError, match=message):
+        CameraModel(**_camera_args(**change))
+
+
+def test_camera_accepts_integer_like_size():
+    cam = CameraModel(**_camera_args(image_size=[np.int64(64), 96]))
+    assert cam.image_size == (64, 96) and type(cam.image_size[0]) is int
+
+
 def test_tensor_roundtrip(tmp_path, rng):
     arr = rng.normal(size=(3, 5, 2)).astype(np.float32)
     path = tmp_path / "t.bin"

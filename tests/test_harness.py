@@ -69,6 +69,37 @@ def test_config_validation():
         PipelineConfig(d_thresh=0.0)
 
 
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ({"channels": "32"}, "channels"),
+        ({"channels": True}, "channels"),
+        ({"global_seed": "x"}, "global_seed"),
+        ({"k_easy": 2.5}, "k_easy"),
+        ({"safs_cap": 400.5}, "safs_cap"),
+        ({"d_thresh": "0.1"}, "d_thresh"),
+        ({"depth_max": None}, "depth_max"),
+        ({"lidar_cells": 48}, "lidar_cells"),
+        ({"lidar_cells": [48, 48]}, "lidar_cells"),
+        ({"image_cells": [48, 48, 16.0]}, "image_cells"),
+        ({"x_range": [-54, "54"]}, "x_range"),
+        ({"strides": "124"}, "strides"),
+        ({"weights_mode": ["seeded"]}, "weights_mode"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    # the config is read before the scene, so the scene need not exist
+    assert main([
+        "run", "--scene", str(tmp_path / "no_scene"), "--config", str(cfg_path),
+        "--out", str(tmp_path / "det.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_config_grids_consistent():
     g_l = TINY.lidar_grid()
     g_i = TINY.image_grid()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,44 @@ def test_scene_roundtrip_bytes(tmp_path):
 def test_load_scene_rejects_non_scene(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_scene(tmp_path)
+
+
+def _nan_at(key, row, col):
+    def corrupt(meta):
+        meta["cameras"][1][key][row][col] = float("nan")
+    return corrupt
+
+
+def _set(path, value):
+    def corrupt(meta):
+        target = meta
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_nan_at("intrinsics", 0, 2), "camera 1: .*finite"),
+        (_nan_at("extrinsics", 2, 3), "camera 1: .*finite"),
+        (_set(("cameras", 0, "intrinsics", 0, 0), 0.0), "camera 0: .*focal"),
+        (_set(("cameras", 2, "image_size"), [64, 0]), "camera 2: .*image_size"),
+        (_set(("cameras", 0, "image_size"), 64), "camera 0: .*image_size"),
+        (_set(("cameras", 3, "intrinsics"), "K"), "camera 3"),
+        (_set(("cameras", 0), [1, 2]), "camera 0"),
+        (_set(("cameras", 1), {"intrinsics": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}), "camera 1"),
+        (_set(("cameras",), 5), '.*"cameras" list'),
+    ],
+)
+def test_load_scene_rejects_bad_cameras(tmp_path, corrupt, message):
+    scene = gen_scene(small_spec(n_clutter=10), tmp_path / "s")
+    meta = json.loads((scene / "cameras.json").read_text())
+    corrupt(meta)
+    (scene / "cameras.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"cameras.json: {message}"):
+        load_scene(scene)
 
 
 def test_spec_dict_roundtrip(tmp_path):

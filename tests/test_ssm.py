@@ -1,17 +1,17 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import run_at_blas_threads
+from conftest import run_at_blas_threads, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddhf import oracles
+from ddhf import oracles, ssm
 from ddhf.ops import layer_norm
 from ddhf.ssm import (
     DELTA_FLOOR,
     ScanParams,
+    SsmBlockWeights,
     bidirectional_block,
     discretize,
     generate_scan_params,
@@ -105,16 +105,22 @@ def test_chunked_scan_long_sequence(rng):
 
 
 def test_selective_scan_peak_memory(rng):
-    # streaming never holds the (n, C, d_state) float64 state: that alone
-    # would be 2 * 8192 * 32 * 16 * 8 B = 67 MB for Abar and Bbar*x
+    # streaming never holds the (n, C, d_state) float64 state (2 * 8192 * 32
+    # * 16 * 8 B = 67 MB for Abar and Bbar*x), nor a whole-sequence float64
+    # output (2.1 MB): only the float32 output (1.0 MB) and one block's
+    # buffers (2 * 64 * 32 * 16 * 8 B = 0.5 MB) with their temporaries
+    # (3.7 MB peak with the float64 output, 2.2 MB without)
     x, a, params = _random_case(rng, 8192, 32, 16)
-    tracemalloc.start()
-    try:
-        selective_scan(x, a, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    assert traced_peak(selective_scan, x, a, params) < x.nbytes + 1.5e6
+
+
+def test_bidirectional_block_peak_memory(rng):
+    # x, B, C, Delta and both scan outputs are float32 (12.3 MB at this size);
+    # one whole-sequence float64 (n, C) temporary adds 4.9 MB (28.9 MB peak
+    # before the rows were chunked, 13.8 MB after)
+    w = init_ssm_block("peak", 32, 16, 3)
+    seq = rng.normal(size=(19240, 32)).astype(np.float32)
+    assert traced_peak(bidirectional_block, seq, w) < 18e6
 
 
 def test_scan_params_reversed(rng):
@@ -168,18 +174,26 @@ def test_generate_scan_params_delta_positive(rng):
     assert params.c.shape == (20, 4)
 
 
+def scan_hash_block_input() -> tuple[np.ndarray, SsmBlockWeights]:
+    """The seeded (n=3000, C=32) sequence and d_state=16 block the hashes use."""
+    w = init_ssm_block("scan_hash", 32, 16, 7)
+    return np.random.default_rng(3000).normal(size=(3000, 32)).astype(np.float32), w
+
+
+def sha256_hex(out: np.ndarray) -> str:
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
 def scan_hashes() -> dict:
     """SHA-256 of the float32 output bytes of one seeded bidirectional block
     (C=32, d_state=16, n=3000) and of its forward scan at three block sizes."""
-    n = 3000
-    w = init_ssm_block("scan_hash", 32, 16, 7)
-    seq = np.random.default_rng(3000).normal(size=(n, 32)).astype(np.float32)
+    seq, w = scan_hash_block_input()
     x = (layer_norm(seq, w.norm_scale, w.norm_shift) @ w.in_w + w.in_b).astype(np.float32)
     params = generate_scan_params(x, w)
     outs = {"block": bidirectional_block(seq, w)}
-    for chunk in (1, 64, n):
+    for chunk in (1, 64, seq.shape[0]):
         outs[f"scan_chunk_{chunk}"] = selective_scan_chunked(x, w.a, params, chunk)
-    return {name: hashlib.sha256(out.tobytes()).hexdigest() for name, out in outs.items()}
+    return {name: sha256_hex(out) for name, out in outs.items()}
 
 
 # Unlike the golden detection digests, these change when any scan output
@@ -194,6 +208,14 @@ SCAN_HASHES = {
 
 def test_scan_output_hashes():
     assert scan_hashes() == SCAN_HASHES
+
+
+@pytest.mark.parametrize("rows", [1, 7, 3000])
+def test_bidirectional_block_any_row_chunk(monkeypatch, rows):
+    # every step the row chunks cut is row-wise, so each chunk size keeps the
+    # pinned bits (3000 is the whole sequence)
+    monkeypatch.setattr(ssm, "ROW_CHUNK", rows)
+    assert sha256_hex(bidirectional_block(*scan_hash_block_input())) == SCAN_HASHES["block"]
 
 
 def test_scan_output_hashes_blas_threads():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from ddhf import oracles
+from ddhf import oracles, viewtrans
+from ddhf.config import PipelineConfig
 from ddhf.core import CameraModel, GridSpec
+from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 from ddhf.viewtrans import (
+    FEATURE_STRIDE,
     FPS_BLOCK,
     DepthBinSpec,
     ImageEncoderWeights,
@@ -19,7 +22,7 @@ from ddhf.viewtrans import (
     safs_select,
 )
 
-from conftest import sparse_lattice
+from conftest import sparse_lattice, traced_peak
 
 
 def make_camera(extrinsics=None, focal=20.0, image_size=(16, 24)):
@@ -188,20 +191,41 @@ def brute_force_safs(grid, images, cameras, bins, d_thresh, s_thresh, cap):
     return rows
 
 
-def test_safs_matches_brute_force(rng):
+def test_safs_matches_brute_force(rng, monkeypatch):
     grid = GridSpec(origin=(-2.0, -2.0, 1.0), voxel_size=(0.5, 0.5, 0.5), extents=(8, 8, 4))
     shift = np.eye(4)
     shift[:3, 3] = [0.3, -0.2, 0.1]
     cameras = [make_camera(), make_camera(extrinsics=shift)]
     images = make_feature_set(rng, [(4, 6), (4, 6)], depth_bins=8)
     bins = DepthBinSpec(0.5, 4.5, 8)
-    got = safs_select(grid, images, cameras, bins, d_thresh=0.05, s_thresh=0.3, cap=40)
-    want = brute_force_safs(grid, images, cameras, bins, 0.05, 0.3, 40)
-    assert got.n == len(want)
-    assert got.n > 0
-    for i, (coord, feat) in enumerate(want):
-        assert tuple(got.coords[i]) == coord
-        assert np.allclose(got.feats[i], feat, atol=1e-5)
+    args = (grid, images, cameras, bins, 0.05, 0.3, 40)
+    want = brute_force_safs(*args)
+    whole = safs_select(*args)  # the 256 cells fit in one SAFS_CHUNK
+    # chunk boundaries must not change a bit, whatever cells they cut apart
+    for chunk in (7, 64, 256):
+        monkeypatch.setattr(viewtrans, "SAFS_CHUNK", chunk)
+        got = safs_select(*args)
+        assert got.n == len(want)
+        assert got.n > 0
+        for i, (coord, feat) in enumerate(want):
+            assert tuple(got.coords[i]) == coord
+            assert np.allclose(got.feats[i], feat, atol=1e-5)
+        assert np.array_equal(got.coords, whole.coords)
+        assert got.feats.tobytes() == whole.feats.tobytes()
+
+
+def test_safs_peak_memory(rng):
+    # default image grid (36,864 cells), four cameras, 27,830 survivors that
+    # FPS trims to the cap: a whole-grid float64 feature array alone would be
+    # 9.4 MB, and the per-camera samples of every visible cell several times
+    # that (34 MB peak before the cells were chunked, 13 MB after)
+    cfg = PipelineConfig()
+    cameras = list(default_cameras())
+    h, w = (s // FEATURE_STRIDE for s in DEFAULT_IMAGE_SIZE)
+    images = make_feature_set(rng, [(h, w)] * len(cameras), cfg.depth_count, cfg.channels)
+    args = (cfg.image_grid(), images, cameras, cfg.depth_bins(), cfg.d_thresh, cfg.s_thresh)
+    assert safs_select(*args, cfg.safs_cap).n == cfg.safs_cap
+    assert traced_peak(safs_select, *args, cfg.safs_cap) < 24e6
 
 
 def test_safs_empty_when_thresholds_max(rng):
