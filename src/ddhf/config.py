@@ -8,12 +8,10 @@ N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import GridSpec
+from .core import GridSpec, is_int, is_real
 from .jsonio import dump, load
 from .viewtrans import DepthBinSpec
 
@@ -101,14 +99,6 @@ def _grid(xr, yr, zr, cells) -> GridSpec:
     return GridSpec(origin=origin, voxel_size=voxel, extents=tuple(int(n) for n in cells))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 _INT_FIELDS = (
     "global_seed", "channels", "d_state", "safs_cap", "depth_count",
     "k_easy", "k_hard", "k_classes", "n_bev", "m_vox",
@@ -116,12 +106,12 @@ _INT_FIELDS = (
 _REAL_FIELDS = ("d_thresh", "s_thresh", "depth_min", "depth_max")
 # tuple field -> (length, element check, what the elements are)
 _TUPLE_FIELDS = {
-    "x_range": (2, _is_real, "finite numbers"),
-    "y_range": (2, _is_real, "finite numbers"),
-    "z_range": (2, _is_real, "finite numbers"),
-    "lidar_cells": (3, _is_int, "integers"),
-    "image_cells": (3, _is_int, "integers"),
-    "strides": (3, _is_int, "integers"),
+    "x_range": (2, is_real, "finite numbers"),
+    "y_range": (2, is_real, "finite numbers"),
+    "z_range": (2, is_real, "finite numbers"),
+    "lidar_cells": (3, is_int, "integers"),
+    "image_cells": (3, is_int, "integers"),
+    "strides": (3, is_int, "integers"),
 }
 
 
@@ -129,11 +119,11 @@ def _check_types(cfg: PipelineConfig) -> None:
     """Reject a field of the wrong type, naming it, before any value check."""
     for name in _INT_FIELDS:
         val = getattr(cfg, name)
-        if not _is_int(val):
+        if not is_int(val):
             raise ValueError(f"{name} must be an integer, got {val!r}")
     for name in _REAL_FIELDS:
         val = getattr(cfg, name)
-        if not _is_real(val):
+        if not is_real(val):
             raise ValueError(f"{name} must be a finite number, got {val!r}")
     for name, (length, ok, what) in _TUPLE_FIELDS.items():
         val = getattr(cfg, name)

@@ -82,6 +82,16 @@ def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarra
     return ((draws * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
 
 
+def is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false would pass as 1/0)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 # ---------------------------------------------------------------------------
 # Geometry
 # ---------------------------------------------------------------------------
@@ -151,7 +161,7 @@ class CameraModel:
         if not (
             isinstance(size, (tuple, list))
             and len(size) == 2
-            and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in size)
+            and all(is_int(s) for s in size)
             and min(size) > 0
         ):
             raise ValueError(f"CameraModel: image_size must be two positive integers, got {size!r}")

@@ -126,12 +126,6 @@ def scan_orders_2d(h: int, w: int) -> ScanSet2D:
     return ScanSet2D(row, row[::-1].copy(), col, col[::-1].copy())
 
 
-def scan_flatten(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Flatten (H, W, C) into (H*W, C) visiting cells in perm order."""
-    h, w, c = data.shape
-    return data.reshape(h * w, c)[perm]
-
-
 def cross_merge_2d(
     outputs: tuple[np.ndarray, ...], scans: ScanSet2D, h: int, w: int
 ) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, init_param
-from .curve import ScanSet2D, cross_merge_2d, scan_flatten, scan_orders_2d
+from .curve import ScanSet2D, cross_merge_2d, scan_orders_2d
 from .ops import conv2d, layer_norm, silu
 from .ssm import (
     ScanParams,
@@ -45,23 +45,20 @@ def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
 def _ss2d(
     x: np.ndarray,
     a: np.ndarray,
-    dir_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    params: ScanParams,
     norm_scale: np.ndarray,
     norm_shift: np.ndarray,
     scans: ScanSet2D,
 ) -> np.ndarray:
-    """Four-direction scan of x (H, W, C): flatten per direction, scan with that
-    direction's (b, c, delta) maps, LayerNorm, scatter back, and sum."""
-    h, w, _ = x.shape
-    outs = []
-    for k, perm in enumerate(scans.all()):
-        bmap, cmap, dtmap = dir_params[k]
-        params = ScanParams(
-            scan_flatten(bmap, perm), scan_flatten(cmap, perm), scan_flatten(dtmap, perm)
-        )
-        y = selective_scan(scan_flatten(x, perm), a, params)
-        outs.append(layer_norm(y, norm_scale[k], norm_shift[k]))
-    return cross_merge_2d(tuple(outs), scans, h, w)
+    """Four-direction scan of x (H, W, C) as one four-stream scan: stream k
+    visits the cells in scan order k and reads params, row-major (H*W, .)
+    maps shared by every direction or (H*W, 4, .) with one slice per
+    direction. Each direction is LayerNormed with its own affine, scattered
+    back and summed."""
+    h, w, c = x.shape
+    ys = selective_scan(x.reshape(h * w, c), a, params, np.stack(scans.all(), axis=1))
+    outs = tuple(layer_norm(ys[:, k], norm_scale[k], norm_shift[k]) for k in range(N_DIRECTIONS))
+    return cross_merge_2d(outs, scans, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +82,8 @@ def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
     bmap = (x @ w.b_w).astype(np.float32)
     cmap = (x @ w.c_w).astype(np.float32)
     dtmap = softplus_delta(x @ w.dt_w + w.dt_b).astype(np.float32)
-    merged = _ss2d(
-        x, w.a, [(bmap, cmap, dtmap)] * N_DIRECTIONS,
-        w.norm_scale, w.norm_shift, scan_orders_2d(h, wd),
-    )
+    params = ScanParams(*(m.reshape(h * wd, -1) for m in (bmap, cmap, dtmap)))
+    merged = _ss2d(x, w.a, params, w.norm_scale, w.norm_shift, scan_orders_2d(h, wd))
     gated = merged * silu(x_in @ w.y_w + w.y_b)
     return b.with_data(x_in + gated @ w.out_w + w.out_b)
 
@@ -162,22 +157,20 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
     )
 
 
-def _split_t(t: np.ndarray, c: int, d_state: int):
-    """Per-modality, per-direction (b, c, delta) maps from the float32 generator
-    output; b and c are views of t."""
-    span = 2 * d_state + c
-    out = []
-    off = 0
-    for _modality in range(2):
-        dirs = []
-        for _k in range(N_DIRECTIONS):
-            bmap = t[..., off : off + d_state]
-            cmap = t[..., off + d_state : off + 2 * d_state]
-            dtmap = softplus_delta(t[..., off + 2 * d_state : off + span])
-            dirs.append((bmap, cmap, dtmap))
-            off += span
-        out.append(dirs)
-    return out[0], out[1]
+def _split_t(t: np.ndarray, c: int, d_state: int) -> tuple[ScanParams, ScanParams]:
+    """Per-modality scan parameters from the float32 generator output t
+    (H, W, T): b and c are (H*W, 4, d_state) views of t, one slice per
+    direction, and delta is (H*W, 4, C)."""
+    h, w, _ = t.shape
+    per_dir = t.reshape(h * w, 2, N_DIRECTIONS, 2 * d_state + c)
+    return tuple(
+        ScanParams(
+            per_dir[:, m, :, :d_state],
+            per_dir[:, m, :, d_state : 2 * d_state],
+            softplus_delta(per_dir[:, m, :, 2 * d_state :]),
+        )
+        for m in range(2)
+    )
 
 
 def cb_mamba(

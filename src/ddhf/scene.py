@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CameraModel, fnv1a64, load_tensor, prng_fill, save_tensor
+from .core import CameraModel, fnv1a64, is_int, is_real, load_tensor, prng_fill, save_tensor
 from .jsonio import dump, load
 
 DEFAULT_IMAGE_SIZE = (64, 96)
@@ -311,24 +311,62 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def spec_from_dict(data: dict) -> SceneSpec:
-    objects = tuple(
-        SceneObject(
-            class_id=int(o["class"]),
-            center=tuple(o["center"]),
-            size=tuple(o["size"]),
-            yaw=float(o["yaw"]),
-            density=float(o.get("density", 40.0)),
-        )
-        for o in data.get("objects", [])
+def _field(record: dict, key: str, ok, what: str, where: str = ""):
+    """record[key] if ok(it), else ValueError naming the field (inside `where`)."""
+    name = f"{where}.{key}" if where else key
+    if key not in record:
+        raise ValueError(f"{name} is missing")
+    val = record[key]
+    if not ok(val):
+        raise ValueError(f"{name} must be {what}, got {val!r}")
+    return val
+
+
+def _numbers(length: int, ok):
+    return lambda v: isinstance(v, list) and len(v) == length and all(ok(x) for x in v)
+
+
+_FINITE = "a finite number"
+_TRIPLE = (_numbers(3, is_real), "a list of 3 finite numbers")
+_SPEC_FIELDS = {  # optional spec key -> (check, what it must be)
+    "x_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
+    "y_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
+    "z_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
+    "image_size": (_numbers(2, is_int), "a list of 2 integers"),
+    "n_clutter": (is_int, "an integer"),
+    "noise_sigma": (is_real, _FINITE),
+}
+
+
+def _object_from_dict(record, where: str) -> SceneObject:
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object, got {record!r}")
+    record = {"density": 40.0, **record}
+    return SceneObject(
+        class_id=_field(record, "class", is_int, "an integer", where),
+        center=tuple(_field(record, "center", *_TRIPLE, where)),
+        size=tuple(_field(record, "size", *_TRIPLE, where)),
+        yaw=_field(record, "yaw", is_real, _FINITE, where),
+        density=_field(record, "density", is_real, _FINITE, where),
     )
-    kwargs = dict(seed=int(data["seed"]), objects=objects)
-    for key in ("x_range", "y_range", "z_range", "image_size"):
+
+
+def spec_from_dict(data: dict) -> SceneSpec:
+    """A SceneSpec from its JSON form. A non-object top level, or a field of
+    the wrong type or length, raises ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"scene spec must be a JSON object, got {type(data).__name__}")
+    kwargs = {"seed": _field(data, "seed", is_int, "an integer")}
+    for key, (ok, what) in _SPEC_FIELDS.items():
         if key in data:
-            kwargs[key] = tuple(data[key])
-    for key in ("n_clutter", "noise_sigma"):
-        if key in data:
-            kwargs[key] = data[key]
+            val = _field(data, key, ok, what)
+            kwargs[key] = tuple(val) if isinstance(val, list) else val
+    objects = data.get("objects", [])
+    if not isinstance(objects, list):
+        raise ValueError(f"objects must be a list, got {objects!r}")
+    kwargs["objects"] = tuple(
+        _object_from_dict(o, f"objects[{i}]") for i, o in enumerate(objects)
+    )
     return SceneSpec(**kwargs)
 
 

@@ -5,10 +5,18 @@ bidirectional block with input-dependent (B, C, Delta) generation that every
 Mamba-style module in the pipeline instantiates.
 
 Discretization is the closed ZOH form for a diagonal, strictly negative A
-(S4D, arXiv 2206.11893). The scan runs SCAN_BLOCK = 64 steps at a time and
-carries the state h on, so the expanded (n, C, d_state) state is never
-built; every block size gives the same bits. Scans run internally in
-float64 and return float32.
+(S4D, arXiv 2206.11893). The scan discretizes SCAN_BLOCK = 64 stream-steps
+at a time and carries the state h on, so the expanded (n, C, d_state) state
+is never built; every block size gives the same bits. Scans run internally
+in float64 and return float32.
+
+One scan call can advance G streams over one source x (N, C) at once: an
+(n, G) integer row table says which row of x, and of the scan parameters,
+stream g reads at step i (VMamba's SS2D runs its scan directions as one
+batch axis the same way, arXiv 2401.10166). The parameters are shared
+(N, .) or per stream (N, G, .). Each stream does the same elementwise
+arithmetic and the same per-step readout matmul as a lone scan, so its
+output has the same bits; without a row table a call is one forward stream.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from .core import MASK64, fnv1a64, init_param, prng_fill
 from .ops import layer_norm, silu, softplus
 
 DELTA_FLOOR = 1e-30
-SCAN_BLOCK = 64  # steps discretized at once; any size gives the same bits
-ROW_CHUNK = 2048  # rows per projection batch in bidirectional_block; same bits at any size
+SCAN_BLOCK = 64  # stream-steps discretized at once; any size gives the same bits
+ROW_CHUNK = 2048  # rows per projection batch in bidirectional_block
 
 
 def softplus_delta(x: np.ndarray) -> np.ndarray:
@@ -37,14 +45,30 @@ def softplus_delta(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanParams:
-    """Per-step scan inputs: b, c are (n, d_state); delta is (n, C), positive."""
+    """Scan inputs per source row: b and c are (N, d_state) and delta is
+    (N, C), positive, shared by every stream; or each is (N, G, .), one slice
+    per column of a G-stream row table."""
 
     b: np.ndarray
     c: np.ndarray
     delta: np.ndarray
 
-    def reversed(self) -> "ScanParams":
-        return ScanParams(self.b[::-1], self.c[::-1], self.delta[::-1])
+
+def _check_zoh(a: np.ndarray, delta: np.ndarray) -> None:
+    if np.any(a >= 0):
+        raise ValueError("discretize: a must be strictly negative")
+    if np.any(delta <= 0):
+        raise ValueError("discretize: delta must be positive")
+
+
+def _zoh(a, inv_a, b, delta, abar: np.ndarray, bbar: np.ndarray) -> None:
+    """The closed form, unchecked, into float64 buffers: bbar = expm1(delta*a),
+    abar = bbar + 1, then bbar *= 1/a and bbar *= b."""
+    np.multiply(delta, a, out=bbar)
+    np.expm1(bbar, out=bbar)
+    np.add(bbar, 1.0, out=abar)
+    bbar *= inv_a
+    bbar *= b
 
 
 def discretize(
@@ -55,61 +79,120 @@ def discretize(
     every a must be strictly negative and every delta positive; delta and a
     broadcast elementwise, and b broadcasts to the shape of delta*a."""
     a = np.asarray(a, dtype=np.float64)
-    if np.any(a >= 0):
-        raise ValueError("discretize: a must be strictly negative")
-    if np.any(delta <= 0):
-        raise ValueError("discretize: delta must be positive")
-    e = np.asarray(delta, dtype=np.float64) * a
-    np.expm1(e, out=e)
-    abar = e + 1.0
-    e *= 1.0 / a
-    e *= b
-    return abar, e
+    _check_zoh(a, delta)
+    shape = np.broadcast_shapes(np.shape(delta), a.shape)
+    abar, bbar = np.empty(shape), np.empty(shape)
+    _zoh(a, 1.0 / a, b, delta, abar, bbar)
+    return abar, bbar
 
 
-def _scan(x: np.ndarray, a: np.ndarray, params: ScanParams, block: int) -> np.ndarray:
-    """Single streaming pass: discretize `block` steps, scan them, carry h on.
+def _row_table(rows, n_src: int, params: ScanParams) -> np.ndarray:
+    """The (n, G) row table, checked against the source length and the
+    parameters' stream width; None is one forward stream over every row."""
+    if rows is None:
+        rows = np.arange(n_src)[:, None]
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError(f"selective_scan: row table must be (steps, streams), got {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"selective_scan: row table must hold integers, got {rows.dtype}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_src):
+        raise ValueError(f"selective_scan: row table entries must lie in [0, {n_src})")
+    for name in ("b", "c", "delta"):
+        p = getattr(params, name)
+        if p.ndim == 3 and p.shape[1] != rows.shape[1]:
+            raise ValueError(
+                f"selective_scan: row table has {rows.shape[1]} streams"
+                f" but params.{name} has {p.shape[1]}"
+            )
+    return rows
 
-    Each block writes Bbar*x into one (m, C, d_state) buffer hs, runs
-    hs[i] += Abar[i] * hs[i-1] in place (the previous block's hs[-1] before
-    its first step), reads hs out with one batched matmul, adds the residual
-    x in float64 and writes the block's float32 rows. No float64 temporary
-    outlives its block. Each step's arithmetic is the same at every block
-    size, so every size gives the same bits.
+
+def _gather(p: np.ndarray, rows: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """Each stream's parameter rows: (k, G, .) from shared or per-stream p."""
+    return p[rows] if p.ndim == 2 else p[rows, streams]
+
+
+def _scan(
+    x: np.ndarray, a: np.ndarray, params: ScanParams, block: int, rows=None
+) -> np.ndarray:
+    """Single streaming pass over G streams: discretize a block of
+    m = max(1, block // G) steps of every stream, scan them, carry h on.
+
+    Counting a block in stream-steps keeps its float64 buffers the size of a
+    lone stream's, so a G-stream call holds no more memory than one stream.
+    Each block gathers its rows of x, b, c and delta into float64 buffers and
+    writes Bbar*x into one (m, G, C, d_state) buffer hs, runs
+    hs[i] += Abar[i] * hs[i-1] in place (the previous block's last state
+    before its first step), reads hs out with one batched matmul, one
+    (C, d_state) @ (d_state,) product per step and stream, adds the residual
+    x and writes the block's float32 rows. The a and delta checks and 1/a
+    are taken once per call. No float64 temporary outlives its block. Each
+    step's arithmetic is the same at every block size and stream count, so
+    every size and grouping gives the same bits. Returns (n, G, C), or
+    (N, C) without a row table.
     """
-    n, c_width = x.shape
-    h = np.zeros(np.shape(a))
-    out = np.empty((n, c_width), dtype=np.float32)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        abar, hs = discretize(a, params.b[lo:hi, None, :], params.delta[lo:hi, :, None])
-        hs *= x[lo:hi, :, None]
-        for abar_i, h_i in zip(abar, hs):
-            h_i += abar_i * h
-            h = h_i
-        c_seq = params.c[lo:hi, :, None].astype(np.float64)
-        r = np.matmul(hs, c_seq)[:, :, 0]
-        r += x[lo:hi]
-        out[lo:hi] = r
-    return out
+    table = _row_table(rows, x.shape[0], params)
+    n, g = table.shape
+    c_width = x.shape[1]
+    a = np.asarray(a, dtype=np.float64)
+    _check_zoh(a, params.delta)
+    inv_a = 1.0 / a
+    d_state = a.shape[1]
+    per_block = max(1, block // g)
+    m = min(per_block, n)
+    streams = np.arange(g)
+    xs, delta = np.empty((m, g, c_width)), np.empty((m, g, c_width, 1))
+    b, c = np.empty((m, g, 1, d_state)), np.empty((m, g, d_state, 1))
+    abar, hs = np.empty((m, g, c_width, d_state)), np.empty((m, g, c_width, d_state))
+    h = np.zeros((g, c_width, d_state))
+    out = np.empty((n, g, c_width), dtype=np.float32)
+    for lo in range(0, n, per_block):
+        k = min(per_block, n - lo)
+        r = table[lo : lo + k]
+        xs[:k] = x[r]
+        delta[:k, :, :, 0] = _gather(params.delta, r, streams)
+        b[:k, :, 0] = _gather(params.b, r, streams)
+        c[:k, :, :, 0] = _gather(params.c, r, streams)
+        _zoh(a, inv_a, b[:k], delta[:k], abar[:k], hs[:k])
+        hs[:k] *= xs[:k, :, :, None]
+        prev = h
+        for abar_i, h_i in zip(abar[:k], hs[:k]):
+            abar_i *= prev
+            h_i += abar_i
+            prev = h_i
+        h[...] = prev
+        y = np.matmul(hs[:k], c[:k])[..., 0]
+        y += xs[:k]
+        out[lo : lo + k] = y
+    return out[:, 0] if rows is None else out
 
 
-def selective_scan(x: np.ndarray, a: np.ndarray, params: ScanParams) -> np.ndarray:
+def selective_scan(
+    x: np.ndarray, a: np.ndarray, params: ScanParams, rows: np.ndarray | None = None
+) -> np.ndarray:
     """h_i = Abar_i h_{i-1} + Bbar_i x_i with h_0 = 0; out_i = C_i . h_i + x_i.
 
-    x: (n, C); a: (C, d_state) continuous diagonal (negative); returns (n, C).
-    Streams SCAN_BLOCK steps at a time.
+    x: (N, C); a: (C, d_state) continuous diagonal (negative); returns (N, C).
+    With an (n, G) integer row table `rows`, stream g reads source row
+    rows[i, g] at step i and the result is (n, G, C). Streams SCAN_BLOCK
+    stream-steps (SCAN_BLOCK // G steps of each stream) at a time.
     """
-    return _scan(x, a, params, SCAN_BLOCK)
+    return _scan(x, a, params, SCAN_BLOCK, rows)
 
 
 def selective_scan_chunked(
-    x: np.ndarray, a: np.ndarray, params: ScanParams, chunk: int
+    x: np.ndarray,
+    a: np.ndarray,
+    params: ScanParams,
+    chunk: int,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """selective_scan streaming `chunk` steps at a time; bit-identical to it."""
+    """selective_scan streaming `chunk` stream-steps at a time; bit-identical
+    to it."""
     if chunk < 1:
         raise ValueError("selective_scan_chunked: chunk must be >= 1")
-    return _scan(x, a, params, chunk)
+    return _scan(x, a, params, chunk, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +275,29 @@ def generate_scan_params(x: np.ndarray, w: SsmBlockWeights) -> ScanParams:
     )
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """ROW_CHUNK-row slices covering [0, n), with a one-row tail folded into
+    the chunk before it. numpy sends a one-row float32 matmul to BLAS gemv,
+    which in OpenBLAS 0.3.31 rounds differently from gemm from K = 56 up.
+    Chunked rows match the unchunked product only where gemm gives a row the
+    same bits whatever rows share its call: measured there for chunks of two
+    or more rows at K <= 48 and K = 64, 96, 128, but not at K = 56."""
+    bounds = [*range(0, n, ROW_CHUNK), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def bidirectional_block(seq: np.ndarray, w: SsmBlockWeights) -> np.ndarray:
     """Forward + backward selective scans, gated and residually added.
 
     Scan weights are shared between directions, so palindromic inputs give
     palindromic outputs. Zeroing out_proj and y_gate makes this the identity.
 
-    Layer norm, in_proj, the (B, C, Delta) generation, the gate and out_proj
-    run over ROW_CHUNK rows at a time into float32 buffers, so no
-    whole-sequence float64 temporary exists. Every step is row-wise, so any
-    chunk size gives the same bits.
+    Both directions run as one two-stream scan whose row table reads row i
+    and row n-1-i at step i. Layer norm, in_proj, the (B, C, Delta)
+    generation, the gate and out_proj run over row chunks (`_row_chunks`)
+    into float32 buffers, so no whole-sequence float64 temporary exists.
     """
     n, c_width = seq.shape
     if n == 0:
@@ -213,19 +309,20 @@ def bidirectional_block(seq: np.ndarray, w: SsmBlockWeights) -> np.ndarray:
         c=np.empty((n, d_state), dtype=np.float32),
         delta=np.empty((n, c_width), dtype=np.float32),
     )
-    for lo in range(0, n, ROW_CHUNK):
-        rows = slice(lo, lo + ROW_CHUNK)
+    for rows in _row_chunks(n):
         u = layer_norm(seq[rows], w.norm_scale, w.norm_shift)
         x[rows] = u @ w.in_w + w.in_b
         part = generate_scan_params(x[rows], w)
         params.b[rows], params.c[rows], params.delta[rows] = part.b, part.c, part.delta
+    steps = np.arange(n)
     # the chunked name keeps voxel-block scans apart from BEV scans in traces
-    fwd = selective_scan_chunked(x, w.a, params, SCAN_BLOCK)
-    bwd = selective_scan_chunked(x[::-1], w.a, params.reversed(), SCAN_BLOCK)[::-1]
+    scans = selective_scan_chunked(
+        x, w.a, params, SCAN_BLOCK, np.stack([steps, steps[::-1]], axis=1)
+    )
     del x, params  # only the scan outputs are read from here on
+    fwd, bwd = scans[:, 0], scans[::-1, 1]
     out = np.empty((n, c_width), dtype=np.float32)
-    for lo in range(0, n, ROW_CHUNK):
-        rows = slice(lo, lo + ROW_CHUNK)
+    for rows in _row_chunks(n):
         y = (fwd[rows] + bwd[rows]) * silu(seq[rows] @ w.y_w + w.y_b)
         out[rows] = seq[rows] + y @ w.out_w + w.out_b
     return out

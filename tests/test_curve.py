@@ -11,7 +11,6 @@ from ddhf.curve import (
     cross_merge_2d,
     hilbert_index,
     hilbert_sort,
-    scan_flatten,
     scan_orders_2d,
 )
 
@@ -77,15 +76,6 @@ def test_scan_orders_2d_shapes_and_content():
     assert scans.col_fwd.tolist() == col.tolist()
     assert scans.col_rev.tolist() == col[::-1].tolist()
     assert len(scans.all()) == 4
-
-
-def test_scan_flatten_row_major(rng):
-    data = rng.normal(size=(3, 4, 2)).astype(np.float32)
-    scans = scan_orders_2d(3, 4)
-    flat = scan_flatten(data, scans.row_fwd)
-    assert np.array_equal(flat, data.reshape(12, 2))
-    flat_col = scan_flatten(data, scans.col_fwd)
-    assert np.array_equal(flat_col, data.transpose(1, 0, 2).reshape(12, 2))
 
 
 def test_cross_merge_2d_matches_reference(rng):

@@ -100,6 +100,41 @@ def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
     assert err.startswith("error:") and field in err
 
 
+_OBJ = {"class": 0, "center": [0.0, 0.0, 0.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0}
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ([1, 2], "JSON object"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": 3.5}, "seed"),
+        ({"seed": 3, "n_clutter": "5"}, "n_clutter"),
+        ({"seed": 3, "n_clutter": 5.5}, "n_clutter"),
+        ({"seed": 3, "noise_sigma": float("nan")}, "noise_sigma"),
+        ({"seed": 3, "noise_sigma": "0.1"}, "noise_sigma"),
+        ({"seed": 3, "x_range": 54}, "x_range"),
+        ({"seed": 3, "z_range": [-5.0]}, "z_range"),
+        ({"seed": 3, "image_size": [64]}, "image_size"),
+        ({"seed": 3, "objects": {}}, "objects"),
+        ({"seed": 3, "objects": [5]}, "objects[0]"),
+        ({"seed": 3, "objects": [{k: v for k, v in _OBJ.items() if k != "class"}]},
+         "objects[0].class"),
+        ({"seed": 3, "objects": [_OBJ, {**_OBJ, "class": "0"}]}, "objects[1].class"),
+        ({"seed": 3, "objects": [{**_OBJ, "center": [0.0, 0.0]}]}, "objects[0].center"),
+        ({"seed": 3, "objects": [{**_OBJ, "yaw": "0"}]}, "objects[0].yaw"),
+        ({"seed": 3, "objects": [{**_OBJ, "density": None}]}, "objects[0].density"),
+    ],
+)
+def test_cli_gen_scene_rejects_bad_spec(tmp_path, capsys, content, field):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(content))
+    assert main(["gen-scene", "--spec", str(spec_path), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_config_grids_consistent():
     g_l = TINY.lidar_grid()
     g_i = TINY.image_grid()

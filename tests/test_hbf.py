@@ -15,7 +15,7 @@ from ddhf.hbf import (
     sparse_height_compress,
 )
 
-from conftest import random_voxel_set
+from conftest import random_voxel_set, traced_peak
 
 GRID = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 4))
 
@@ -145,6 +145,23 @@ def test_cb_mamba_rejects_shape_mismatch(rng):
     w = init_cb_mamba("cb", 4, 2, 54)
     with pytest.raises(ValueError):
         cb_mamba(bev_map(rng, h=4), bev_map(rng, h=6), w)
+
+
+def test_ib_mamba_peak_memory(rng):
+    # the four directions scan as one four-stream call; their per-block
+    # float64 buffers (2 x 64 x 4 x 32 x 16 x 8 B = 2.1 MB) and one
+    # direction's LayerNorm temporaries at a time fit in the parent's
+    # separate-direction peak (5.2 MB) plus 1 MB
+    w = init_ib_mamba("peak", 32, 16, 3)
+    assert traced_peak(ib_mamba, bev_map(rng, 48, 48, 32), w) < 6.2e6
+
+
+def test_cb_mamba_peak_memory(rng):
+    # each modality's scan reads its per-direction (B, C, Delta) as views of
+    # the generator output; no stacked copy of the direction maps is made
+    # (parent 13.5 MB, bound that plus 1 MB)
+    w = init_cb_mamba("peak", 32, 16, 3)
+    assert traced_peak(cb_mamba, bev_map(rng, 48, 48, 32), bev_map(rng, 48, 48, 32), w) < 14.5e6
 
 
 def test_backbone_identity(rng):

@@ -123,14 +123,6 @@ def test_bidirectional_block_peak_memory(rng):
     assert traced_peak(bidirectional_block, seq, w) < 18e6
 
 
-def test_scan_params_reversed(rng):
-    _, _, params = _random_case(rng, 6, 2, 3)
-    rev = params.reversed()
-    assert np.array_equal(rev.b, params.b[::-1])
-    assert np.array_equal(rev.c, params.c[::-1])
-    assert np.array_equal(rev.delta, params.delta[::-1])
-
-
 def test_identity_configured_block_is_identity(rng):
     w = init_ssm_block("blk", 6, 4, 3).identity_configured()
     seq = rng.normal(size=(15, 6)).astype(np.float32)
@@ -235,3 +227,76 @@ def test_chunked_any_chunk_close(n, seed):
     for chunk in (1, 2, 5, n):
         got = selective_scan_chunked(x, a, params, chunk=chunk)
         assert np.array_equal(got, base)
+
+
+def _stream_tables(rng, n: int) -> dict:
+    """Four-stream row tables over n source rows: forward/backward pairs, random
+    permutations, and n + 5 steps of rows drawn with repeats."""
+    steps = np.arange(n)
+    return {
+        "reversed": np.stack([steps, steps[::-1], steps, steps[::-1]], axis=1),
+        "permuted": np.stack([rng.permutation(n) for _ in range(4)], axis=1),
+        "repeats": rng.integers(0, n, size=(n + 5, 4)),
+    }
+
+
+@pytest.mark.parametrize("streams", [1, 2, 4])
+@pytest.mark.parametrize("per_stream", [False, True])
+@pytest.mark.parametrize("table", ["reversed", "permuted", "repeats"])
+def test_stream_scan_matches_single_streams(streams, per_stream, table):
+    # every stream of a G-stream call must give the bits of a lone scan over
+    # its own rows, whatever the block size (in stream-steps; rows.size puts
+    # the whole table in one block)
+    rng = np.random.default_rng(streams * 10 + per_stream)
+    n, c, ds = 150, 8, 4
+    x, a, params = _random_case(rng, n, c, ds)
+    if per_stream:
+        params = ScanParams(
+            b=rng.normal(size=(n, streams, ds)).astype(np.float32),
+            c=rng.normal(size=(n, streams, ds)).astype(np.float32),
+            delta=rng.uniform(0.01, 0.5, size=(n, streams, c)).astype(np.float32),
+        )
+    rows = _stream_tables(rng, n)[table][:, :streams]
+    lone = []
+    for g in range(streams):
+        r = rows[:, g]
+        own = [p[:, g] if per_stream else p for p in (params.b, params.c, params.delta)]
+        lone.append(selective_scan(x[r], a, ScanParams(*(p[r] for p in own))))
+    want = np.stack(lone, axis=1)
+    assert np.array_equal(selective_scan(x, a, params, rows), want)
+    for block in (1, 7, 64, rows.size):
+        assert np.array_equal(selective_scan_chunked(x, a, params, block, rows), want), block
+
+
+@pytest.mark.parametrize(
+    "rows, per_stream_width",
+    [
+        (np.arange(10), None),
+        (np.zeros((10, 2, 1), dtype=np.int64), None),
+        (np.zeros((10, 2)), None),
+        (np.zeros((10, 2), dtype=bool), None),
+        (np.full((10, 2), 10), None),
+        (np.full((10, 2), -1), None),
+        (np.zeros((10, 2), dtype=np.int64), 3),
+    ],
+    ids=["1-D", "3-D", "float", "bool", "past-end", "negative", "stream-width"],
+)
+def test_stream_scan_rejects_bad_row_table(rng, rows, per_stream_width):
+    x, a, params = _random_case(rng, 10, 3, 2)
+    if per_stream_width is not None:
+        params = ScanParams(
+            np.repeat(params.b[:, None], per_stream_width, axis=1), params.c, params.delta
+        )
+    with pytest.raises(ValueError, match="row table"):
+        selective_scan(x, a, params, rows)
+
+
+def test_bidirectional_block_one_row_tail(monkeypatch):
+    # numpy sends a one-row float32 matmul to BLAS gemv, which OpenBLAS
+    # rounds differently from gemm at K = 64; a one-row tail chunk would
+    # change the last row's bits against the unchunked block
+    w = init_ssm_block("tail", 64, 16, 5)
+    seq = np.random.default_rng(64).normal(size=(ssm.ROW_CHUNK + 1, 64)).astype(np.float32)
+    chunked = bidirectional_block(seq, w)
+    monkeypatch.setattr(ssm, "ROW_CHUNK", seq.shape[0])
+    assert np.array_equal(chunked, bidirectional_block(seq, w))
