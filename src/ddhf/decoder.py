@@ -274,35 +274,51 @@ def deformable_layer(
     return x.astype(np.float32)
 
 
-def box_from_query(
-    feat: np.ndarray, row: int, col: int, fm: FeatureMap, w: BoxHeadWeights
-) -> ProposalBox:
-    """Two-layer MLP readout: center offsets from the cell center, log sizes,
-    yaw from a (sin, cos) pair."""
-    raw = silu(feat @ w.w1 + w.b1) @ w.w2 + w.b2
+def box_readout(
+    feats: np.ndarray, rows: np.ndarray, cols: np.ndarray, fm: FeatureMap, w: BoxHeadWeights
+) -> list[ProposalBox]:
+    """Two-layer MLP readout of one proposal box per query (m, C): center
+    offsets from the query's cell center, log sizes, yaw from a (sin, cos)
+    pair.
+
+    Each query enters the MLP as a one-row matrix, feats[:, None, :], so
+    numpy runs per query the same BLAS gemv that a 1-D product runs. A 2-D
+    (m, C) product would run gemm, which rounds differently in the last bits.
+    """
+    raw = silu(feats[:, None, :] @ w.w1 + w.b1) @ w.w2 + w.b2
     # keep exp(log-size) positive-finite and centers inside int64 cell math
-    raw = np.clip(raw, -BOX_RAW_CLIP, BOX_RAW_CLIP)
-    cx, cy = fm.cell_centers(np.array([row]), np.array([col]))[0]
-    yaw = math.atan2(float(raw[6]), float(raw[7]))
-    if yaw <= -math.pi:
-        yaw = math.pi
-    return ProposalBox(
-        center=(float(cx + raw[0]), float(cy + raw[1]), float(raw[2])),
-        size=tuple(float(s) for s in np.exp(raw[3:6])),
-        yaw=yaw,
-    )
+    raw = np.clip(raw[:, 0], -BOX_RAW_CLIP, BOX_RAW_CLIP)
+    xy = fm.cell_centers(rows, cols) + raw[:, :2]
+    boxes = []
+    for (x, y), z, size, sin, cos in zip(
+        xy.tolist(), raw[:, 2].tolist(), np.exp(raw[:, 3:6]).tolist(),
+        raw[:, 6].tolist(), raw[:, 7].tolist(),
+    ):
+        yaw = math.atan2(sin, cos)
+        if yaw <= -math.pi:
+            yaw = math.pi
+        boxes.append(ProposalBox(center=(x, y, z), size=tuple(size), yaw=yaw))
+    return boxes
 
 
-def grid_points(box: ProposalBox, g: int) -> np.ndarray:
-    """g^3 lattice cell centers spanning the box, rotated and translated."""
+def grid_points(boxes: list[ProposalBox], g: int) -> np.ndarray:
+    """g^3 lattice cell centers spanning each box, rotated and translated:
+    (m, g^3, 3) for m boxes."""
     if g < 2 or (g**3) % 4:
         raise ValueError("grid_points: need g >= 2 with g^3 divisible by 4")
     frac = (np.arange(g, dtype=np.float64) + 0.5) / g - 0.5
     gx, gy, gz = np.meshgrid(frac, frac, frac, indexing="ij")
-    local = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * np.array(box.size)
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return local @ rot.T + np.array(box.center)
+    unit = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    sizes = np.array([box.size for box in boxes]).reshape(-1, 1, 3)
+    centers = np.array([box.center for box in boxes]).reshape(-1, 1, 3)
+    # math.cos/sin per box, as a lone box's lattice takes them: numpy's
+    # vectorised trig may round differently on some CPUs
+    c = np.array([math.cos(box.yaw) for box in boxes])
+    s = np.array([math.sin(box.yaw) for box in boxes])
+    rot = np.zeros((len(boxes), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+    rot[:, 2, 2] = 1.0
+    return (unit * sizes) @ rot.transpose(0, 2, 1) + centers
 
 
 _NEIGHBOR_OFFSETS = np.array(
@@ -360,12 +376,12 @@ def mmvfm_layer(
     v_lidar: SparseVoxelSet, v_img: SparseVoxelSet,
     fm: FeatureMap, box_w: BoxHeadWeights, w: MmvfmLayerWeights,
 ) -> np.ndarray:
-    """Per query: proposal box -> lattice. Per modality, over all queries at
-    once: voxel pooling -> mixing -> self-attention. Then concat with the
+    """Over all queries at once: proposal boxes -> lattices, then per
+    modality voxel pooling -> mixing -> self-attention. Then concat with the
     query -> linear."""
     m = feats.shape[0]
-    boxes = [box_from_query(feats[i], int(rows[i]), int(cols[i]), fm, box_w) for i in range(m)]
-    pts = np.array([grid_points(box, GRID_SIDE) for box in boxes]).reshape(m, GRID_SIDE**3, 3)
+    boxes = box_readout(feats, rows, cols, fm, box_w)
+    pts = grid_points(boxes, GRID_SIDE)
     offsets = pts - np.array([box.center for box in boxes]).reshape(m, 1, 3)
     mixed = []
     for vox, mw, attn in ((v_lidar, w.mix_lid, w.attn_lid), (v_img, w.mix_img, w.attn_img)):
@@ -383,13 +399,13 @@ def detection_head(
     x = _self_attention(feats, w.attn)
     x = (x + silu(x @ w.ffn1_w + w.ffn1_b) @ w.ffn2_w + w.ffn2_b).astype(np.float32)
     logits = x @ w.cls_w + w.cls_b
-    out = []
-    for i in range(x.shape[0]):
-        cls = int(np.argmax(logits[i]))
-        score = float(sigmoid(np.float64(logits[i, cls])))
-        box = box_from_query(x[i], int(rows[i]), int(cols[i]), fm, w.box)
-        out.append(DetectionBox(box.center, box.size, box.yaw, cls, score))
-    return out
+    cls = np.argmax(logits, axis=1)
+    scores = sigmoid(logits[np.arange(len(cls)), cls].astype(np.float64))
+    boxes = box_readout(x, rows, cols, fm, w.box)
+    return [
+        DetectionBox(box.center, box.size, box.yaw, k, score)
+        for box, k, score in zip(boxes, cls.tolist(), scores.tolist())
+    ]
 
 
 def decode(

@@ -54,7 +54,9 @@ def _ss2d(
     visits the cells in scan order k and reads params, row-major (H*W, .)
     maps shared by every direction or (H*W, 4, .) with one slice per
     direction. Each direction is LayerNormed with its own affine, scattered
-    back and summed."""
+    back and summed. The norm runs per direction: one call over the whole
+    (H*W, 4, C) output would hold a float64 copy of it and that copy's
+    square at once."""
     h, w, c = x.shape
     ys = selective_scan(x.reshape(h * w, c), a, params, np.stack(scans.all(), axis=1))
     outs = tuple(layer_norm(ys[:, k], norm_scale[k], norm_shift[k]) for k in range(N_DIRECTIONS))

@@ -6,13 +6,14 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in one pass, without overflow: with e = exp(-|x|),
+    1 / (1 + e) for x >= 0 and e / (1 + e) below. Computed in float32 for
+    float32 input and in float64 otherwise; NaN stays NaN."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.astype(x.dtype) if x.dtype == np.float32 else out
+    if x.dtype != np.float32:
+        x = x.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -33,12 +34,19 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def layer_norm(
     x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
-    """Normalize over the last axis, then apply elementwise scale and shift."""
-    x64 = x.astype(np.float64)
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
-    return (normed * scale + shift).astype(np.float32)
+    """Normalize over the last axis, then apply elementwise scale and shift.
+
+    d = x - mean is taken once, in place in a float64 copy of x, and the
+    variance is sum(d * d) / n, the arithmetic np.var does, so the result has
+    np.var's bits. scale and shift broadcast against x: an (N, k, C) input
+    with a (k, C) affine gives each of the k slices its own affine row."""
+    d = x.astype(np.float64)
+    d -= d.mean(axis=-1, keepdims=True)
+    var = np.sum(d * d, axis=-1, keepdims=True) / x.shape[-1]
+    d /= np.sqrt(var + eps)
+    d *= scale
+    d += shift
+    return d.astype(np.float32)
 
 
 def conv2d(

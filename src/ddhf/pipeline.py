@@ -225,6 +225,21 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
     return pts
 
 
+def validate_weights(weights: PipelineWeights, cfg: PipelineConfig) -> None:
+    """Checks that `weights` were built for `cfg`'s channels, d_state,
+    k_classes and depth_count; the error names the field that differs."""
+    built = {
+        "channels": weights.lidar_embed_w.shape[1],
+        "d_state": weights.hvf.iv_lidar[0].a.shape[1],
+        "k_classes": weights.decoder.head.cls_w.shape[1],
+        "depth_count": weights.encoder.depth_w.shape[1],
+    }
+    for name, value in built.items():
+        want = getattr(cfg, name)
+        if value != want:
+            raise ValueError(f"weights: built for {name} = {value}, config has {name} = {want}")
+
+
 def run_pipeline(
     points: np.ndarray,
     images: list[np.ndarray],
@@ -235,6 +250,8 @@ def run_pipeline(
     points = validate_inputs(points, images, cameras)
     if weights is None:
         weights = build_weights(cfg)
+    else:
+        validate_weights(weights, cfg)
     grid_l, grid_i = cfg.lidar_grid(), cfg.image_grid()
     bins = cfg.depth_bins()
     log = StageLog()

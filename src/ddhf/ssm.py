@@ -31,6 +31,7 @@ from .ops import layer_norm, silu, softplus
 DELTA_FLOOR = 1e-30
 SCAN_BLOCK = 64  # stream-steps discretized at once; any size gives the same bits
 ROW_CHUNK = 2048  # rows per projection batch in bidirectional_block
+MIN_ROW_CHUNK = 512  # a shorter last chunk joins the one before it
 
 
 def softplus_delta(x: np.ndarray) -> np.ndarray:
@@ -276,14 +277,15 @@ def generate_scan_params(x: np.ndarray, w: SsmBlockWeights) -> ScanParams:
 
 
 def _row_chunks(n: int) -> list[slice]:
-    """ROW_CHUNK-row slices covering [0, n), with a one-row tail folded into
-    the chunk before it. numpy sends a one-row float32 matmul to BLAS gemv,
-    which in OpenBLAS 0.3.31 rounds differently from gemm from K = 56 up.
-    Chunked rows match the unchunked product only where gemm gives a row the
-    same bits whatever rows share its call: measured there for chunks of two
-    or more rows at K <= 48 and K = 64, 96, 128, but not at K = 56."""
+    """ROW_CHUNK-row slices covering [0, n), with a tail shorter than
+    MIN_ROW_CHUNK rows folded into the chunk before it. Chunked rows keep the
+    bits of the unchunked product only where BLAS gives a row the same bits
+    whatever rows share its matmul. OpenBLAS 0.3.31 float32 gemm does for
+    calls of MIN_ROW_CHUNK rows or more; shorter ones differ at K = 56 (2 to
+    256 rows measured), and numpy sends a one-row matmul to gemv, which
+    rounds differently from gemm from K = 56 up."""
     bounds = [*range(0, n, ROW_CHUNK), n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_ROW_CHUNK:
         del bounds[-2]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

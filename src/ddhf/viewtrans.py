@@ -161,27 +161,6 @@ def project_points(
     return u, v, z
 
 
-def project_and_sample(
-    centers: np.ndarray, camera: CameraModel, grid: np.ndarray, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project world points onto a (h, w, K) map sampled bilinearly.
-
-    Points behind the camera or outside the image rectangle are invalid and
-    get zero values. `stride` converts pixel coordinates to map coordinates.
-    """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    u, v, z = project_points(centers, camera)
-    h_img, w_img = camera.image_size
-    valid = (z > 1e-9) & (u >= 0) & (u <= w_img - 1) & (v >= 0) & (v <= h_img - 1)
-    squeeze = grid.ndim == 2
-    g = grid[:, :, None] if squeeze else grid
-    vals = np.zeros((centers.shape[0], g.shape[2]), dtype=np.float64)
-    if np.any(valid):
-        vals[valid] = bilinear_sample(g, u[valid] / stride, v[valid] / stride)
-    vals = vals.astype(np.float32)
-    return (vals[:, 0] if squeeze else vals), valid
-
-
 # ---------------------------------------------------------------------------
 # Farthest point sampling
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from ddhf import oracles
 from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set
 from ddhf.decoder import (
+    BOX_RAW_CLIP,
     BOX_RAW_DIM,
     BoxHeadWeights,
     DetectionHeadWeights,
@@ -14,7 +15,7 @@ from ddhf.decoder import (
     MixWeights,
     ProposalBox,
     SelfAttnWeights,
-    box_from_query,
+    box_readout,
     decode,
     deformable_layer,
     detection_head,
@@ -27,6 +28,12 @@ from ddhf.decoder import (
 from ddhf.pqg import Query
 
 from conftest import random_voxel_set
+from test_ops import sigmoid_ref
+
+
+def silu_two_branch(x):
+    return x * sigmoid_ref(x)
+
 
 GRID = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 4))
 
@@ -111,7 +118,8 @@ def test_deformable_matches_scalar_reference(rng):
 def test_box_zero_weights_is_cell_centered_unit(rng):
     c = 4
     fm = bev_map(rng, c=c)
-    box = box_from_query(rng.normal(size=c).astype(np.float32), 2, 5, fm, zero_box_head(c))
+    feats = rng.normal(size=(1, c)).astype(np.float32)
+    [box] = box_readout(feats, np.array([2]), np.array([5]), fm, zero_box_head(c))
     cx, cy = fm.cell_centers(np.array([2]), np.array([5]))[0]
     assert box.center == (pytest.approx(cx), pytest.approx(cy), 0.0)
     assert box.size == (1.0, 1.0, 1.0)
@@ -122,28 +130,87 @@ def test_box_head_extreme_inputs_stay_finite(rng):
     c = 4
     w = init_decoder("dec", c, 3, 1, 0, 9).box
     fm = bev_map(rng, c=c)
-    feat = (rng.normal(size=c) * 1e4).astype(np.float32)
-    box = box_from_query(feat, 0, 0, fm, w)
+    feats = (rng.normal(size=(1, c)) * 1e4).astype(np.float32)
+    [box] = box_readout(feats, np.array([0]), np.array([0]), fm, w)
     assert all(np.isfinite(v) for v in box.center)
     assert all(0 < s < np.inf for s in box.size)
     assert -math.pi < box.yaw <= math.pi
 
 
+def box_from_query_ref(feat, row, col, fm, w):
+    """Reference readout of one query: a 1-D MLP pass, then one ProposalBox."""
+    raw = silu_two_branch(feat @ w.w1 + w.b1) @ w.w2 + w.b2
+    raw = np.clip(raw, -BOX_RAW_CLIP, BOX_RAW_CLIP)
+    cx, cy = fm.cell_centers(np.array([row]), np.array([col]))[0]
+    yaw = math.atan2(float(raw[6]), float(raw[7]))
+    if yaw <= -math.pi:
+        yaw = math.pi
+    return ProposalBox(
+        center=(float(cx + raw[0]), float(cy + raw[1]), float(raw[2])),
+        size=tuple(float(s) for s in np.exp(raw[3:6])),
+        yaw=yaw,
+    )
+
+
+def grid_points_ref(box, g):
+    """Reference lattice of one box."""
+    frac = (np.arange(g, dtype=np.float64) + 0.5) / g - 0.5
+    gx, gy, gz = np.meshgrid(frac, frac, frac, indexing="ij")
+    local = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * np.array(box.size)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return local @ rot.T + np.array(box.center)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.5, 3.0])
+@pytest.mark.parametrize("c", [8, 32])
+def test_box_readout_matches_per_query(scale, c):
+    # unclipped features: at these scales no raw output reaches the
+    # BOX_RAW_CLIP rail, so a last-bit difference cannot hide behind it
+    rng = np.random.default_rng(int(scale * 100) + c)
+    m = 200
+    w = init_decoder("dec", c, 3, 1, 0, 21).box
+    fm = bev_map(rng, h=16, w=16, c=c)
+    feats = (rng.normal(size=(m, c)) * scale).astype(np.float32)
+    rows, cols = rng.integers(0, 16, size=m), rng.integers(0, 16, size=m)
+    raw = silu_two_branch(feats @ w.w1 + w.b1) @ w.w2 + w.b2
+    assert np.abs(raw).max() < BOX_RAW_CLIP
+    got = box_readout(feats, rows, cols, fm, w)
+    want = [box_from_query_ref(feats[i], rows[i], cols[i], fm, w) for i in range(m)]
+    assert got == want
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.5, 3.0])
+def test_grid_points_matches_per_box(scale):
+    rng = np.random.default_rng(int(scale * 100))
+    c, m = 32, 200
+    w = init_decoder("dec", c, 3, 1, 0, 22).box
+    fm = bev_map(rng, h=16, w=16, c=c)
+    feats = (rng.normal(size=(m, c)) * scale).astype(np.float32)
+    boxes = box_readout(feats, rng.integers(0, 16, size=m), rng.integers(0, 16, size=m), fm, w)
+    got = grid_points(boxes, 4)
+    assert got.shape == (m, 64, 3)
+    for i, box in enumerate(boxes):
+        assert np.array_equal(got[i], grid_points_ref(box, 4))
+
+
 def test_grid_points_unit_lattice():
     box = ProposalBox(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)
-    pts = grid_points(box, 2)
+    [pts] = grid_points([box], 2)
     assert pts.shape == (8, 3)
     assert np.allclose(np.abs(pts), 0.25)
 
 
 def test_grid_points_centroid_at_center_any_yaw(rng):
-    for _ in range(10):
-        box = ProposalBox(
+    boxes = [
+        ProposalBox(
             center=tuple(rng.uniform(-5, 5, size=3)),
             size=tuple(rng.uniform(0.5, 4.0, size=3)),
             yaw=float(rng.uniform(-np.pi, np.pi)),
         )
-        pts = grid_points(box, 4)
+        for _ in range(10)
+    ]
+    for box, pts in zip(boxes, grid_points(boxes, 4)):
         assert np.allclose(pts.mean(axis=0), box.center, atol=1e-6)
 
 
@@ -152,7 +219,7 @@ def test_grid_points_inverse_transform_recovers_lattice(rng):
         center=(1.5, -2.0, 0.7), size=(2.0, 3.0, 1.5), yaw=0.9,
     )
     g = 4
-    pts = grid_points(box, g)
+    [pts] = grid_points([box], g)
     c, s = np.cos(box.yaw), np.sin(box.yaw)
     rot_inv = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
     local = (pts - np.array(box.center)) @ rot_inv.T / np.array(box.size)
@@ -165,9 +232,9 @@ def test_grid_points_inverse_transform_recovers_lattice(rng):
 def test_grid_points_rejects_bad_side():
     box = ProposalBox(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)
     with pytest.raises(ValueError):
-        grid_points(box, 1)
+        grid_points([box], 1)
     with pytest.raises(ValueError):
-        grid_points(box, 3)  # 27 not divisible by 4
+        grid_points([box], 3)  # 27 not divisible by 4
 
 
 def test_voxel_pool_lone_voxel():

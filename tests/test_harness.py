@@ -19,7 +19,7 @@ from ddhf.config import (
     save_config,
 )
 from ddhf.core import load_tensor, save_tensor
-from ddhf.pipeline import detections_to_dicts, run_pipeline
+from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, run_pipeline
 from ddhf.scene import SceneObject, SceneSpec, save_spec
 
 TINY = PipelineConfig(
@@ -214,6 +214,24 @@ def test_run_pipeline_rejects_bad_input(corrupt, message):
     points, images = corrupt(gen_points(TINY_SCENE), render_images(TINY_SCENE))
     with pytest.raises(ValueError, match=message):
         run_pipeline(points, images, list(TINY_SCENE.cameras), TINY)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("channels", 16), ("d_state", 8), ("k_classes", 5), ("depth_count", 16)],
+)
+def test_run_pipeline_rejects_weights_of_another_config(field, value):
+    # weights built for another width, state size, class count or depth
+    # bin count would fail deep inside a stage, or run and emit class ids
+    # outside the config's range
+    from ddhf.scene import gen_points, render_images
+
+    weights = init_pipeline_weights(dataclasses.replace(TINY, **{field: value}))
+    with pytest.raises(ValueError, match=rf"weights: built for {field} = {value}, config has"):
+        run_pipeline(
+            gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras),
+            TINY, weights,
+        )
 
 
 def test_run_pipeline_accepts_full_intensity():

@@ -300,3 +300,15 @@ def test_bidirectional_block_one_row_tail(monkeypatch):
     chunked = bidirectional_block(seq, w)
     monkeypatch.setattr(ssm, "ROW_CHUNK", seq.shape[0])
     assert np.array_equal(chunked, bidirectional_block(seq, w))
+
+
+def test_bidirectional_block_short_tail_c56(monkeypatch):
+    # at K = 56 OpenBLAS gemm gives the rows of a short (2- to 256-row)
+    # float32 matmul other last bits than the same rows inside a long one,
+    # so a 100-row tail chunk changes 121 of these rows against the unchunked
+    # block; tails under MIN_ROW_CHUNK rows fold into the chunk before them
+    w = init_ssm_block("tail56", 56, 16, 5)
+    seq = np.random.default_rng(56).normal(size=(ssm.ROW_CHUNK + 100, 56)).astype(np.float32)
+    chunked = bidirectional_block(seq, w)
+    monkeypatch.setattr(ssm, "ROW_CHUNK", seq.shape[0])
+    assert np.array_equal(chunked, bidirectional_block(seq, w))

@@ -17,7 +17,6 @@ from ddhf.viewtrans import (
     fps,
     init_image_encoder,
     lss_splat,
-    project_and_sample,
     project_points,
     safs_select,
 )
@@ -105,15 +104,6 @@ def test_project_matches_oracle(rng):
         assert abs(u[i] - ou) <= 1e-6
         assert abs(v[i] - ov) <= 1e-6
         assert abs(z[i] - oz) <= 1e-6
-
-
-def test_project_and_sample_invalid_zero(rng):
-    cam = make_camera()
-    grid = rng.normal(size=(4, 6, 2)).astype(np.float32)
-    pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [50.0, 0.0, 2.0]])
-    vals, valid = project_and_sample(pts, cam, grid, stride=4)
-    assert valid.tolist() == [True, False, False]
-    assert np.all(vals[~valid] == 0)
 
 
 def test_fps_extremes(rng):
