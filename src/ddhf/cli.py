@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import jsonio, oracles
 from .config import PipelineConfig, load_config
-from .core import load_tensor, save_tensor
+from .core import is_int, is_real, load_tensor, save_tensor
 from .evalmetrics import eval_detections
 from .pipeline import detections_to_dicts, run_pipeline
 from .scene import gen_scene, load_scene, load_spec
@@ -49,29 +48,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _box_problem(rec, scored: bool) -> str | None:
     """What is wrong with one box record, or None if it is well-formed."""
     if not isinstance(rec, dict):
         return f"expected an object, got {type(rec).__name__}"
     center, size = rec.get("center"), rec.get("size")
-    if not (isinstance(center, list) and len(center) == 3 and all(_is_number(v) for v in center)):
+    if not (isinstance(center, list) and len(center) == 3 and all(is_real(v) for v in center)):
         return f"center must be 3 finite numbers, got {center!r}"
     if not (
         isinstance(size, list) and len(size) == 3
-        and all(_is_number(v) and v > 0 for v in size)
+        and all(is_real(v) and v > 0 for v in size)
     ):
         return f"size must be 3 positive finite numbers, got {size!r}"
-    if not _is_number(rec.get("yaw")):
+    if not is_real(rec.get("yaw")):
         return f"yaw must be a finite number, got {rec.get('yaw')!r}"
     cls = rec.get("class")
-    if not (isinstance(cls, int) and not isinstance(cls, bool) and cls >= 0):
+    if not (is_int(cls) and cls >= 0):
         return f"class must be an integer >= 0, got {cls!r}"
     score = rec.get("score")
-    if scored and not (_is_number(score) and 0.0 <= score <= 1.0):
+    if scored and not (is_real(score) and 0.0 <= score <= 1.0):
         return f"score must be a number in [0, 1], got {score!r}"
     return None
 

@@ -8,7 +8,7 @@ N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import GridSpec, is_int, is_real
@@ -133,29 +133,8 @@ def _check_types(cfg: PipelineConfig) -> None:
         raise ValueError(f"weights_mode must be a string, got {cfg.weights_mode!r}")
 
 
-_FIELD_KEYS = (
-    "global_seed",
-    "x_range",
-    "y_range",
-    "z_range",
-    "lidar_cells",
-    "image_cells",
-    "channels",
-    "d_state",
-    "d_thresh",
-    "s_thresh",
-    "safs_cap",
-    "depth_min",
-    "depth_max",
-    "depth_count",
-    "k_easy",
-    "k_hard",
-    "k_classes",
-    "n_bev",
-    "m_vox",
-    "strides",
-    "weights_mode",
-)
+_FIELD_KEYS = [f.name for f in fields(PipelineConfig)]
+
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     out = {}

@@ -76,33 +76,18 @@ def hilbert_index(
     return int(h[0]) if scalar else h
 
 
-@dataclass(frozen=True)
-class CurveOrder:
-    """A serialization order: permutation[k] = element visited at position k."""
-
-    order_bits: int
-    permutation: np.ndarray
-
-    def __post_init__(self):
-        perm = np.ascontiguousarray(self.permutation, dtype=np.int64)
-        n = perm.shape[0]
-        if n and (np.sort(perm) != np.arange(n)).any():
-            raise ValueError("CurveOrder: permutation is not a bijection on [0, n)")
-        perm.flags.writeable = False
-        object.__setattr__(self, "permutation", perm)
-
-
 def bits_for_extents(extents: tuple[int, int, int]) -> int:
     return max(1, math.ceil(math.log2(max(extents))))
 
 
-def hilbert_sort(v: SparseVoxelSet) -> CurveOrder:
-    """Order of voxel indices along the Hilbert curve covering the grid."""
-    b = bits_for_extents(v.grid.extents)
+def hilbert_sort(v: SparseVoxelSet) -> np.ndarray:
+    """Voxel indices in the order the Hilbert curve covering the grid visits
+    them: a permutation whose entry k is the voxel at position k."""
     if v.n == 0:
-        return CurveOrder(b, np.zeros(0, dtype=np.int64))
+        return np.zeros(0, dtype=np.int64)
+    b = bits_for_extents(v.grid.extents)
     keys = hilbert_index(v.coords[:, 0], v.coords[:, 1], v.coords[:, 2], b)
-    return CurveOrder(b, np.argsort(keys, kind="stable").astype(np.int64))
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -138,7 +123,5 @@ def cross_merge_2d(
     for seq, perm in zip(outputs, perms):
         if seq.shape != (h * w, c):
             raise ValueError("cross_merge_2d: sequence shape mismatch")
-        back = np.empty((h * w, c), dtype=np.float64)
-        back[perm] = seq
-        acc += back
+        acc[perm] += seq  # perm is a permutation: each cell gets one addition
     return acc.reshape(h, w, c).astype(np.float32)

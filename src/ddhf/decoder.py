@@ -25,19 +25,6 @@ BOX_RAW_CLIP = 30.0  # untrained readouts can reach +-1e3; exp must stay finite
 
 
 @dataclass(frozen=True)
-class ProposalBox:
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    yaw: float
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.size):
-            raise ValueError("ProposalBox: sizes must be positive")
-        if not -math.pi < self.yaw <= math.pi:
-            raise ValueError("ProposalBox: yaw must lie in (-pi, pi]")
-
-
-@dataclass(frozen=True)
 class DetectionBox:
     center: tuple[float, float, float]
     size: tuple[float, float, float]
@@ -276,10 +263,10 @@ def deformable_layer(
 
 def box_readout(
     feats: np.ndarray, rows: np.ndarray, cols: np.ndarray, fm: FeatureMap, w: BoxHeadWeights
-) -> list[ProposalBox]:
-    """Two-layer MLP readout of one proposal box per query (m, C): center
-    offsets from the query's cell center, log sizes, yaw from a (sin, cos)
-    pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-layer MLP readout of one proposal box per query (m, C): centers
+    (m, 3) offset from each query's cell center, sizes (m, 3) from log sizes
+    and yaws (m,) in (-pi, pi] from a (sin, cos) pair.
 
     Each query enters the MLP as a one-row matrix, feats[:, None, :], so
     numpy runs per query the same BLAS gemv that a 1-D product runs. A 2-D
@@ -288,37 +275,36 @@ def box_readout(
     raw = silu(feats[:, None, :] @ w.w1 + w.b1) @ w.w2 + w.b2
     # keep exp(log-size) positive-finite and centers inside int64 cell math
     raw = np.clip(raw[:, 0], -BOX_RAW_CLIP, BOX_RAW_CLIP)
-    xy = fm.cell_centers(rows, cols) + raw[:, :2]
-    boxes = []
-    for (x, y), z, size, sin, cos in zip(
-        xy.tolist(), raw[:, 2].tolist(), np.exp(raw[:, 3:6]).tolist(),
-        raw[:, 6].tolist(), raw[:, 7].tolist(),
-    ):
-        yaw = math.atan2(sin, cos)
-        if yaw <= -math.pi:
-            yaw = math.pi
-        boxes.append(ProposalBox(center=(x, y, z), size=tuple(size), yaw=yaw))
-    return boxes
+    centers = np.empty((raw.shape[0], 3))
+    centers[:, :2] = fm.cell_centers(rows, cols) + raw[:, :2]
+    centers[:, 2] = raw[:, 2]
+    sizes = np.exp(raw[:, 3:6]).astype(np.float64)
+    yaws = np.array(
+        [math.atan2(s, c) for s, c in zip(raw[:, 6].tolist(), raw[:, 7].tolist())]
+    )
+    yaws[yaws <= -math.pi] = math.pi
+    # NaN features give NaN yaws, which fail the range test
+    if not (np.all(sizes > 0) and np.all((-math.pi < yaws) & (yaws <= math.pi))):
+        raise ValueError("box_readout: sizes must be positive and yaws lie in (-pi, pi]")
+    return centers, sizes, yaws
 
 
-def grid_points(boxes: list[ProposalBox], g: int) -> np.ndarray:
+def grid_points(centers: np.ndarray, sizes: np.ndarray, yaws: np.ndarray, g: int) -> np.ndarray:
     """g^3 lattice cell centers spanning each box, rotated and translated:
-    (m, g^3, 3) for m boxes."""
+    (m, g^3, 3) for m boxes given as centers (m, 3), sizes (m, 3), yaws (m,)."""
     if g < 2 or (g**3) % 4:
         raise ValueError("grid_points: need g >= 2 with g^3 divisible by 4")
     frac = (np.arange(g, dtype=np.float64) + 0.5) / g - 0.5
     gx, gy, gz = np.meshgrid(frac, frac, frac, indexing="ij")
     unit = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    sizes = np.array([box.size for box in boxes]).reshape(-1, 1, 3)
-    centers = np.array([box.center for box in boxes]).reshape(-1, 1, 3)
     # math.cos/sin per box, as a lone box's lattice takes them: numpy's
     # vectorised trig may round differently on some CPUs
-    c = np.array([math.cos(box.yaw) for box in boxes])
-    s = np.array([math.sin(box.yaw) for box in boxes])
-    rot = np.zeros((len(boxes), 3, 3))
+    c = np.array([math.cos(yaw) for yaw in yaws.tolist()])
+    s = np.array([math.sin(yaw) for yaw in yaws.tolist()])
+    rot = np.zeros((len(yaws), 3, 3))
     rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
     rot[:, 2, 2] = 1.0
-    return (unit * sizes) @ rot.transpose(0, 2, 1) + centers
+    return (unit * sizes[:, None, :]) @ rot.transpose(0, 2, 1) + centers[:, None, :]
 
 
 _NEIGHBOR_OFFSETS = np.array(
@@ -367,7 +353,7 @@ def mmvfm_mix(q_feat: np.ndarray, grid: GridFeatures, w: MixWeights) -> np.ndarr
 
 
 def _self_attention(x: np.ndarray, w: SelfAttnWeights) -> np.ndarray:
-    attn, _ = scaled_dot_attention(x @ w.q_w + w.q_b, x @ w.k_w + w.k_b, x @ w.v_w + w.v_b)
+    attn = scaled_dot_attention(x @ w.q_w + w.q_b, x @ w.k_w + w.k_b, x @ w.v_w + w.v_b)
     return (x + attn @ w.o_w + w.o_b).astype(np.float32)
 
 
@@ -379,10 +365,9 @@ def mmvfm_layer(
     """Over all queries at once: proposal boxes -> lattices, then per
     modality voxel pooling -> mixing -> self-attention. Then concat with the
     query -> linear."""
-    m = feats.shape[0]
-    boxes = box_readout(feats, rows, cols, fm, box_w)
-    pts = grid_points(boxes, GRID_SIDE)
-    offsets = pts - np.array([box.center for box in boxes]).reshape(m, 1, 3)
+    centers, sizes, yaws = box_readout(feats, rows, cols, fm, box_w)
+    pts = grid_points(centers, sizes, yaws, GRID_SIDE)
+    offsets = pts - centers[:, None, :]
     mixed = []
     for vox, mw, attn in ((v_lidar, w.mix_lid, w.attn_lid), (v_img, w.mix_img, w.attn_img)):
         pooled = voxel_pool(vox, pts).reshape(*pts.shape[:2], vox.channels)
@@ -401,10 +386,12 @@ def detection_head(
     logits = x @ w.cls_w + w.cls_b
     cls = np.argmax(logits, axis=1)
     scores = sigmoid(logits[np.arange(len(cls)), cls].astype(np.float64))
-    boxes = box_readout(x, rows, cols, fm, w.box)
+    centers, sizes, yaws = box_readout(x, rows, cols, fm, w.box)
     return [
-        DetectionBox(box.center, box.size, box.yaw, k, score)
-        for box, k, score in zip(boxes, cls.tolist(), scores.tolist())
+        DetectionBox(tuple(center), tuple(size), yaw, k, score)
+        for center, size, yaw, k, score in zip(
+            centers.tolist(), sizes.tolist(), yaws.tolist(), cls.tolist(), scores.tolist()
+        )
     ]
 
 
@@ -414,19 +401,16 @@ def decode(
     v_lidar: SparseVoxelSet,
     v_img: SparseVoxelSet,
     w: DecoderWeights,
-    n_bev: int,
-    m_vox: int,
 ) -> list[DetectionBox]:
-    """Full decoder stack: one output box per input query, no suppression."""
+    """Full decoder stack, every layer the weights hold: one output box per
+    input query, no suppression."""
     if not queries:
         return []
-    if n_bev > len(w.deform) or m_vox > len(w.mmvfm):
-        raise ValueError("decode: more layers requested than weights provide")
     feats = np.stack([q.feature for q in queries]).astype(np.float32)
     rows = np.array([q.pos[0] for q in queries], dtype=np.int64)
     cols = np.array([q.pos[1] for q in queries], dtype=np.int64)
-    for i in range(n_bev):
-        feats = deformable_layer(feats, rows, cols, b_out, w.deform[i])
-    for j in range(m_vox):
-        feats = mmvfm_layer(feats, rows, cols, v_lidar, v_img, b_out, w.box, w.mmvfm[j])
+    for layer in w.deform:
+        feats = deformable_layer(feats, rows, cols, b_out, layer)
+    for layer in w.mmvfm:
+        feats = mmvfm_layer(feats, rows, cols, v_lidar, v_img, b_out, w.box, layer)
     return detection_head(feats, rows, cols, b_out, w.head)

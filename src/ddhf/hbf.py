@@ -31,12 +31,12 @@ N_DIRECTIONS = 4
 def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0."""
     grid = v.grid
-    acc = np.full((grid.ny, grid.nx, v.channels), -np.inf, dtype=np.float64)
+    acc = np.full((grid.ny, grid.nx, v.channels), -np.inf, dtype=np.float32)
     if v.n:
-        np.maximum.at(acc, (v.coords[:, 1], v.coords[:, 0]), v.feats.astype(np.float64))
+        np.maximum.at(acc, (v.coords[:, 1], v.coords[:, 0]), v.feats)
     acc[~np.isfinite(acc)] = 0.0
     return FeatureMap(
-        acc.astype(np.float32),
+        acc,
         (grid.origin[0], grid.origin[1]),
         (grid.voxel_size[0], grid.voxel_size[1]),
     )

@@ -233,7 +233,7 @@ def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights) -> SparseVoxelSet:
     """Intra-modal block: scan the voxel features in Hilbert order."""
     if v.n == 0:
         return v
-    perm = hilbert_sort(v).permutation
+    perm = hilbert_sort(v)
     seq = bidirectional_block(v.feats[perm], w)
     feats = np.empty_like(seq)
     feats[perm] = seq

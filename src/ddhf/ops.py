@@ -73,22 +73,14 @@ def conv2d(
 
 
 def max_pool2d_same(x: np.ndarray, k: int = 3) -> np.ndarray:
-    """Max pool (H, W) or (H, W, C) with k x k window, stride 1, same padding."""
+    """Max pool an (H, W) map with a k x k window, stride 1, same padding."""
     p = (k - 1) // 2
-    if x.ndim == 2:
-        xp = np.pad(x, ((p, p), (p, p)), constant_values=-np.inf)
-        stack = [
-            xp[di : di + x.shape[0], dj : dj + x.shape[1]]
-            for di in range(k)
-            for dj in range(k)
-        ]
-    else:
-        xp = np.pad(x, ((p, p), (p, p), (0, 0)), constant_values=-np.inf)
-        stack = [
-            xp[di : di + x.shape[0], dj : dj + x.shape[1], :]
-            for di in range(k)
-            for dj in range(k)
-        ]
+    xp = np.pad(x, ((p, p), (p, p)), constant_values=-np.inf)
+    stack = [
+        xp[di : di + x.shape[0], dj : dj + x.shape[1]]
+        for di in range(k)
+        for dj in range(k)
+    ]
     return np.max(np.stack(stack), axis=0)
 
 
@@ -112,12 +104,9 @@ def posenc_2d(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
     )
 
 
-def scaled_dot_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-head attention: returns (output (nq, dv), weights (nq, nk))."""
+def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Single-head attention: the (nq, dv) output."""
     scale = 1.0 / np.sqrt(q.shape[-1])
     logits = (q.astype(np.float64) @ k.astype(np.float64).T) * scale
     weights = softmax(logits, axis=-1)
-    out = weights @ v.astype(np.float64)
-    return out.astype(np.float32), weights.astype(np.float32)
+    return (weights @ v.astype(np.float64)).astype(np.float32)

@@ -227,12 +227,15 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
 
 def validate_weights(weights: PipelineWeights, cfg: PipelineConfig) -> None:
     """Checks that `weights` were built for `cfg`'s channels, d_state,
-    k_classes and depth_count; the error names the field that differs."""
+    k_classes, depth_count, n_bev and m_vox; the error names the field that
+    differs."""
     built = {
         "channels": weights.lidar_embed_w.shape[1],
         "d_state": weights.hvf.iv_lidar[0].a.shape[1],
         "k_classes": weights.decoder.head.cls_w.shape[1],
         "depth_count": weights.encoder.depth_w.shape[1],
+        "n_bev": len(weights.decoder.deform),
+        "m_vox": len(weights.decoder.mmvfm),
     }
     for name, value in built.items():
         want = getattr(cfg, name)
@@ -293,9 +296,7 @@ def run_pipeline(
     log.add("queries", time.perf_counter() - t)
 
     t = time.perf_counter()
-    dets = decode(
-        q_easy + q_hard, b_act, vl, vi, weights.decoder, cfg.n_bev, cfg.m_vox
-    )
+    dets = decode(q_easy + q_hard, b_act, vl, vi, weights.decoder)
     log.add("decode", time.perf_counter() - t)
     return dets, log
 

@@ -224,11 +224,11 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     tokens = np.stack([q.feature for q in q_easy]) + (
         np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b
     )
-    attn, _ = scaled_dot_attention(tokens @ w.self_q, tokens @ w.self_k, tokens @ w.self_v)
+    attn = scaled_dot_attention(tokens @ w.self_q, tokens @ w.self_k, tokens @ w.self_v)
     tokens = tokens + attn @ w.self_o
 
     flat = b.data.reshape(-1, b.channels)
-    cross, _ = scaled_dot_attention(flat @ w.cross_q, tokens @ w.cross_k, tokens @ w.cross_v)
+    cross = scaled_dot_attention(flat @ w.cross_q, tokens @ w.cross_k, tokens @ w.cross_v)
     x = b.data + (cross @ w.cross_o).reshape(b.data.shape)
     return b.with_data(_residual_conv(x, w).astype(np.float32))
 

@@ -222,10 +222,6 @@ class SsmBlockWeights:
         if np.any(self.a >= 0):
             raise ValueError("SsmBlockWeights: A entries must be strictly negative")
 
-    @property
-    def width(self) -> int:
-        return self.a.shape[0]
-
     def identity_configured(self) -> "SsmBlockWeights":
         """Zero the output projection and gate: block becomes the identity."""
         z = np.zeros_like

@@ -57,12 +57,11 @@ class DepthBinSpec:
 
 @dataclass(frozen=True)
 class ImageFeatureSet:
-    """Per-camera encoder outputs at 1/stride of input resolution."""
+    """Per-camera encoder outputs at 1/FEATURE_STRIDE of input resolution."""
 
     feats: tuple[np.ndarray, ...]  # each (h, w, C)
     depth: tuple[np.ndarray, ...]  # each (h, w, D), softmax-normalized rows
     sem: tuple[np.ndarray, ...]  # each (h, w) in [0, 1]
-    stride: int = FEATURE_STRIDE
 
     def __post_init__(self):
         for dp in self.depth:
@@ -366,7 +365,7 @@ def _best_camera(
         valid &= (kbin >= 0) & (kbin < bins.count)
         if not np.any(valid):
             continue
-        mu, mv = u[valid] / images.stride, v[valid] / images.stride
+        mu, mv = u[valid] / FEATURE_STRIDE, v[valid] / FEATURE_STRIDE
         sem = bilinear_sample(images.sem[cam_idx][:, :, None], mu, mv)[:, 0]
         depth_all = bilinear_sample(images.depth[cam_idx], mu, mv)
         vd = np.take_along_axis(depth_all, kbin[valid][:, None], axis=1)[:, 0]
@@ -449,8 +448,8 @@ def lss_splat(
         p = images.depth[cam_idx].astype(np.float64)  # (h, w, D)
         h, w, c_width = f.shape
         jj, ii = np.meshgrid(np.arange(w), np.arange(h))
-        u = (jj.ravel() * images.stride).astype(np.float64)
-        v = (ii.ravel() * images.stride).astype(np.float64)
+        u = (jj.ravel() * FEATURE_STRIDE).astype(np.float64)
+        v = (ii.ravel() * FEATURE_STRIDE).astype(np.float64)
         k = cam.intrinsics
         rays = np.stack(
             [(u - k[0, 2]) / k[0, 0], (v - k[1, 2]) / k[1, 1], np.ones_like(u)], axis=1

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ddhf import oracles
 from ddhf.core import GridSpec, SparseVoxelSet
 from ddhf.curve import (
-    CurveOrder,
     bits_for_extents,
     cross_merge_2d,
     hilbert_index,
@@ -58,13 +57,7 @@ def test_hilbert_sort_matches_key_sort(rng):
     order = hilbert_sort(v)
     keys = [oracles.hilbert_index(*coords[i], 3) for i in range(60)]
     want = sorted(range(60), key=lambda i: (keys[i], i))
-    assert order.permutation.tolist() == want
-
-
-def test_curve_order_validates_bijection():
-    CurveOrder(order_bits=2, permutation=np.array([2, 0, 1], dtype=np.int64))
-    with pytest.raises(ValueError):
-        CurveOrder(order_bits=2, permutation=np.array([0, 0, 1], dtype=np.int64))
+    assert order.tolist() == want
 
 
 def test_scan_orders_2d_shapes_and_content():

@@ -13,7 +13,6 @@ from ddhf.decoder import (
     DetectionHeadWeights,
     GridFeatures,
     MixWeights,
-    ProposalBox,
     SelfAttnWeights,
     box_readout,
     decode,
@@ -119,11 +118,11 @@ def test_box_zero_weights_is_cell_centered_unit(rng):
     c = 4
     fm = bev_map(rng, c=c)
     feats = rng.normal(size=(1, c)).astype(np.float32)
-    [box] = box_readout(feats, np.array([2]), np.array([5]), fm, zero_box_head(c))
+    centers, sizes, yaws = box_readout(feats, np.array([2]), np.array([5]), fm, zero_box_head(c))
     cx, cy = fm.cell_centers(np.array([2]), np.array([5]))[0]
-    assert box.center == (pytest.approx(cx), pytest.approx(cy), 0.0)
-    assert box.size == (1.0, 1.0, 1.0)
-    assert box.yaw == 0.0
+    assert centers.tolist() == [[pytest.approx(cx), pytest.approx(cy), 0.0]]
+    assert sizes.tolist() == [[1.0, 1.0, 1.0]]
+    assert yaws.tolist() == [0.0]
 
 
 def test_box_head_extreme_inputs_stay_finite(rng):
@@ -131,35 +130,44 @@ def test_box_head_extreme_inputs_stay_finite(rng):
     w = init_decoder("dec", c, 3, 1, 0, 9).box
     fm = bev_map(rng, c=c)
     feats = (rng.normal(size=(1, c)) * 1e4).astype(np.float32)
-    [box] = box_readout(feats, np.array([0]), np.array([0]), fm, w)
-    assert all(np.isfinite(v) for v in box.center)
-    assert all(0 < s < np.inf for s in box.size)
-    assert -math.pi < box.yaw <= math.pi
+    centers, sizes, yaws = box_readout(feats, np.array([0]), np.array([0]), fm, w)
+    assert np.all(np.isfinite(centers))
+    assert np.all((0 < sizes) & (sizes < np.inf))
+    assert -math.pi < yaws[0] <= math.pi
+
+
+def test_box_readout_rejects_nan_feature(rng):
+    # a NaN feature row reads out a NaN yaw, which fails the range check
+    c = 4
+    w = init_decoder("dec", c, 3, 1, 0, 9).box
+    fm = bev_map(rng, c=c)
+    feats = rng.normal(size=(3, c)).astype(np.float32)
+    feats[1] = np.nan
+    with pytest.raises(ValueError, match="box_readout"):
+        box_readout(feats, np.arange(3), np.arange(3), fm, w)
 
 
 def box_from_query_ref(feat, row, col, fm, w):
-    """Reference readout of one query: a 1-D MLP pass, then one ProposalBox."""
+    """Reference readout of one query: a 1-D MLP pass, then its (center,
+    size, yaw) as Python floats."""
     raw = silu_two_branch(feat @ w.w1 + w.b1) @ w.w2 + w.b2
     raw = np.clip(raw, -BOX_RAW_CLIP, BOX_RAW_CLIP)
     cx, cy = fm.cell_centers(np.array([row]), np.array([col]))[0]
     yaw = math.atan2(float(raw[6]), float(raw[7]))
     if yaw <= -math.pi:
         yaw = math.pi
-    return ProposalBox(
-        center=(float(cx + raw[0]), float(cy + raw[1]), float(raw[2])),
-        size=tuple(float(s) for s in np.exp(raw[3:6])),
-        yaw=yaw,
-    )
+    center = (float(cx + raw[0]), float(cy + raw[1]), float(raw[2]))
+    return center, tuple(float(s) for s in np.exp(raw[3:6])), yaw
 
 
-def grid_points_ref(box, g):
+def grid_points_ref(center, size, yaw, g):
     """Reference lattice of one box."""
     frac = (np.arange(g, dtype=np.float64) + 0.5) / g - 0.5
     gx, gy, gz = np.meshgrid(frac, frac, frac, indexing="ij")
-    local = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * np.array(box.size)
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    local = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * np.array(size)
+    c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return local @ rot.T + np.array(box.center)
+    return local @ rot.T + np.array(center)
 
 
 @pytest.mark.parametrize("scale", [0.05, 0.5, 3.0])
@@ -175,9 +183,11 @@ def test_box_readout_matches_per_query(scale, c):
     rows, cols = rng.integers(0, 16, size=m), rng.integers(0, 16, size=m)
     raw = silu_two_branch(feats @ w.w1 + w.b1) @ w.w2 + w.b2
     assert np.abs(raw).max() < BOX_RAW_CLIP
-    got = box_readout(feats, rows, cols, fm, w)
+    centers, sizes, yaws = box_readout(feats, rows, cols, fm, w)
     want = [box_from_query_ref(feats[i], rows[i], cols[i], fm, w) for i in range(m)]
-    assert got == want
+    assert centers.tolist() == [list(center) for center, _, _ in want]
+    assert sizes.tolist() == [list(size) for _, size, _ in want]
+    assert yaws.tolist() == [yaw for _, _, yaw in want]
 
 
 @pytest.mark.parametrize("scale", [0.05, 0.5, 3.0])
@@ -188,41 +198,36 @@ def test_grid_points_matches_per_box(scale):
     fm = bev_map(rng, h=16, w=16, c=c)
     feats = (rng.normal(size=(m, c)) * scale).astype(np.float32)
     boxes = box_readout(feats, rng.integers(0, 16, size=m), rng.integers(0, 16, size=m), fm, w)
-    got = grid_points(boxes, 4)
+    got = grid_points(*boxes, 4)
     assert got.shape == (m, 64, 3)
-    for i, box in enumerate(boxes):
-        assert np.array_equal(got[i], grid_points_ref(box, 4))
+    for i, (center, size, yaw) in enumerate(zip(*boxes)):
+        assert np.array_equal(got[i], grid_points_ref(center, size, yaw, 4))
+
+
+UNIT_BOX = (np.zeros((1, 3)), np.ones((1, 3)), np.zeros(1))
 
 
 def test_grid_points_unit_lattice():
-    box = ProposalBox(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)
-    [pts] = grid_points([box], 2)
+    [pts] = grid_points(*UNIT_BOX, 2)
     assert pts.shape == (8, 3)
     assert np.allclose(np.abs(pts), 0.25)
 
 
 def test_grid_points_centroid_at_center_any_yaw(rng):
-    boxes = [
-        ProposalBox(
-            center=tuple(rng.uniform(-5, 5, size=3)),
-            size=tuple(rng.uniform(0.5, 4.0, size=3)),
-            yaw=float(rng.uniform(-np.pi, np.pi)),
-        )
-        for _ in range(10)
-    ]
-    for box, pts in zip(boxes, grid_points(boxes, 4)):
-        assert np.allclose(pts.mean(axis=0), box.center, atol=1e-6)
+    centers = rng.uniform(-5, 5, size=(10, 3))
+    sizes = rng.uniform(0.5, 4.0, size=(10, 3))
+    yaws = rng.uniform(-np.pi, np.pi, size=10)
+    for center, pts in zip(centers, grid_points(centers, sizes, yaws, 4)):
+        assert np.allclose(pts.mean(axis=0), center, atol=1e-6)
 
 
 def test_grid_points_inverse_transform_recovers_lattice(rng):
-    box = ProposalBox(
-        center=(1.5, -2.0, 0.7), size=(2.0, 3.0, 1.5), yaw=0.9,
-    )
+    center, size, yaw = np.array([1.5, -2.0, 0.7]), np.array([2.0, 3.0, 1.5]), 0.9
     g = 4
-    [pts] = grid_points([box], g)
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    [pts] = grid_points(center[None], size[None], np.array([yaw]), g)
+    c, s = np.cos(yaw), np.sin(yaw)
     rot_inv = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    local = (pts - np.array(box.center)) @ rot_inv.T / np.array(box.size)
+    local = (pts - center) @ rot_inv.T / size
     frac = (np.arange(g) + 0.5) / g - 0.5
     gx, gy, gz = np.meshgrid(frac, frac, frac, indexing="ij")
     want = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
@@ -230,11 +235,10 @@ def test_grid_points_inverse_transform_recovers_lattice(rng):
 
 
 def test_grid_points_rejects_bad_side():
-    box = ProposalBox(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)
     with pytest.raises(ValueError):
-        grid_points([box], 1)
+        grid_points(*UNIT_BOX, 1)
     with pytest.raises(ValueError):
-        grid_points([box], 3)  # 27 not divisible by 4
+        grid_points(*UNIT_BOX, 3)  # 27 not divisible by 4
 
 
 def test_voxel_pool_lone_voxel():
@@ -442,17 +446,16 @@ def test_decode_one_box_per_query(rng):
     v_lid = random_voxel_set(rng, GRID, 25, c)
     img_grid = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.25), extents=(8, 8, 8))
     v_img = random_voxel_set(rng, img_grid, 25, c)
-    dets = decode(queries, fm, v_lid, v_img, w, n_bev=3, m_vox=1)
+    dets = decode(queries, fm, v_lid, v_img, w)
     assert len(dets) == 6
 
 
 def test_decode_m_vox_zero_still_valid(rng):
     c = 4
-    w = init_decoder("dec", c, 3, 3, 1, 16)
+    w = init_decoder("dec", c, 3, 3, 0, 16)
     fm = bev_map(rng, c=c)
     queries = make_queries(rng, fm, 4, c)
-    dets = decode(queries, fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c),
-                  w, n_bev=3, m_vox=0)
+    dets = decode(queries, fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c), w)
     assert len(dets) == 4
     for d in dets:
         assert all(s > 0 for s in d.size)
@@ -463,17 +466,23 @@ def test_decode_empty_queries(rng):
     c = 4
     w = init_decoder("dec", c, 3, 3, 1, 17)
     fm = bev_map(rng, c=c)
-    assert decode([], fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c),
-                  w, 3, 1) == []
+    assert decode([], fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c), w) == []
 
 
-def test_decode_rejects_excess_layers(rng):
+def test_decode_runs_every_layer_the_weights_hold(rng):
     c = 4
-    w = init_decoder("dec", c, 3, 1, 1, 18)
+    w = init_decoder("dec", c, 3, 2, 1, 18)
     fm = bev_map(rng, c=c)
-    queries = make_queries(rng, fm, 2, c)
-    with pytest.raises(ValueError):
-        decode(queries, fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c), w, 2, 1)
+    queries = make_queries(rng, fm, 3, c)
+    v_lid, v_img = empty_voxel_set(GRID, c), empty_voxel_set(GRID, c)
+    feats = np.stack([q.feature for q in queries])
+    rows = np.array([q.pos[0] for q in queries])
+    cols = np.array([q.pos[1] for q in queries])
+    for layer in w.deform:
+        feats = deformable_layer(feats, rows, cols, fm, layer)
+    feats = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
+    want = detection_head(feats, rows, cols, fm, w.head)
+    assert decode(queries, fm, v_lid, v_img, w) == want
 
 
 def test_decode_bit_identical(rng):
@@ -484,8 +493,8 @@ def test_decode_bit_identical(rng):
     v_lid = random_voxel_set(rng, GRID, 20, c)
     img_grid = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.25), extents=(8, 8, 8))
     v_img = random_voxel_set(rng, img_grid, 20, c)
-    a = decode(queries, fm, v_lid, v_img, w, 3, 1)
-    b = decode(queries, fm, v_lid, v_img, w, 3, 1)
+    a = decode(queries, fm, v_lid, v_img, w)
+    b = decode(queries, fm, v_lid, v_img, w)
     assert [(d.center, d.size, d.yaw, d.class_id, d.score) for d in a] == [
         (d.center, d.size, d.yaw, d.class_id, d.score) for d in b
     ]

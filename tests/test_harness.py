@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,12 +222,15 @@ def test_run_pipeline_rejects_bad_input(corrupt, message):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("channels", 16), ("d_state", 8), ("k_classes", 5), ("depth_count", 16)],
+    [
+        ("channels", 16), ("d_state", 8), ("k_classes", 5), ("depth_count", 16),
+        ("n_bev", 2), ("m_vox", 2),
+    ],
 )
 def test_run_pipeline_rejects_weights_of_another_config(field, value):
-    # weights built for another width, state size, class count or depth
-    # bin count would fail deep inside a stage, or run and emit class ids
-    # outside the config's range
+    # weights built for another width, state size, class count, depth bin
+    # count or decoder depth would fail deep inside a stage, or run and emit
+    # class ids outside the config's range or a decoder of another depth
     from ddhf.scene import gen_points, render_images
 
     weights = init_pipeline_weights(dataclasses.replace(TINY, **{field: value}))
@@ -343,6 +350,26 @@ def test_golden_digest_one_blas_thread():
     for threads in (1, 4):
         got = dict(line.split() for line in run_at_blas_threads(code, threads))
         assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}, threads
+
+
+def test_run_demo_script_runs_both_weight_modes():
+    # scripts/run_demo.py unpacks run_pipeline's (detections, StageLog)
+    # return value and prints the log's total line once per weight mode
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_demo.py"), "--clutter", "200"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    mode, totals = None, []
+    for line in run.stdout.splitlines():
+        if line.startswith("== weights_mode="):
+            mode = line.strip("= ").split("=")[1]
+        elif line.split()[:1] == ["total"]:
+            totals.append(mode)
+    assert totals == ["seeded", "passthrough"]
 
 
 def test_cli_gen_run_eval(tmp_path, capsys):

@@ -166,7 +166,7 @@ def brute_force_safs(grid, images, cameras, bins, d_thresh, s_thresh, cap):
                     k = int(np.floor((z - bins.d_min) / bins.width))
                     if not (0 <= k < bins.count):
                         continue
-                    mu, mv = u / images.stride, v / images.stride
+                    mu, mv = u / FEATURE_STRIDE, v / FEATURE_STRIDE
                     sem = float(oracles.bilinear(images.sem[idx][:, :, None], mu, mv)[0])
                     vd = float(oracles.bilinear(images.depth[idx], mu, mv)[k])
                     feat = oracles.bilinear(images.feats[idx], mu, mv)
@@ -254,7 +254,7 @@ def test_lss_splat_matches_oracle(rng):
         images.depth[0],
         cam.intrinsics,
         cam.extrinsics,
-        images.stride,
+        FEATURE_STRIDE,
         bins.centers(),
         (bev.origin[0], bev.origin[1]),
         (bev.voxel_size[0], bev.voxel_size[1]),
