@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +65,9 @@ def fnv1a64(name: str) -> int:
 def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarray:
     """Deterministic parameter tensor seeded by FNV-1a(name) XOR global_seed.
 
-    Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in
-    taken from the last dim. Names ending in ".bias" are zero-initialized.
+    Values are uniform in [-1/sqrt(shape[-1]), +1/sqrt(shape[-1])]. Weights
+    are stored (in, out) and applied as `x @ W`, so that last dim is the
+    fan-out, not the fan-in. Names ending in ".bias" are zero-initialized.
     Adding parameters elsewhere never shifts this tensor's values.
     """
     shape = tuple(int(d) for d in shape)
@@ -80,6 +81,17 @@ def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarra
     _, draws = prng_fill(seed, int(np.prod(shape)))
     bound = 1.0 / math.sqrt(shape[-1])
     return ((draws * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
+
+
+def zeroed(w, *names: str):
+    """Copy of the weights dataclass `w` with the named tensor fields zeroed
+    (same shapes and dtypes). A tuple-valued field is zeroed element by
+    element: np.zeros_like on a tuple would return one stacked array."""
+
+    def zero(v):
+        return tuple(zero(x) for x in v) if isinstance(v, tuple) else np.zeros_like(v)
+
+    return replace(w, **{n: zero(getattr(w, n)) for n in names})
 
 
 def is_int(v) -> bool:

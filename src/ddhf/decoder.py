@@ -9,11 +9,11 @@ and finally read out as scored boxes by a small detection head.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FeatureMap, SparseVoxelSet, init_param
+from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
 from .ops import scaled_dot_attention, sigmoid, silu, softmax
 from .pqg import Query
 from .viewtrans import bilinear_sample
@@ -130,35 +130,25 @@ class DecoderWeights:
     head: DetectionHeadWeights
 
     def identity_configured(self) -> "DecoderWeights":
-        """Layers pass query features through unchanged; heads left as-is."""
-        z = np.zeros_like
-        deform = tuple(
-            DeformableLayerWeights(
-                d.off_w, d.off_b, d.att_w, d.att_b, z(d.out_w), z(d.out_b),
-                d.ffn1_w, d.ffn1_b, z(d.ffn2_w), z(d.ffn2_b),
-            )
-            for d in self.deform
-        )
-        mmvfm = []
-        for m in self.mmvfm:
-            c = m.comb_w.shape[1]
-            comb = np.zeros_like(m.comb_w)
-            comb[:c, :] = np.eye(c, dtype=np.float32)
-            mmvfm.append(
-                MmvfmLayerWeights(m.mix_lid, m.mix_img, m.attn_lid, m.attn_img,
-                                  comb, z(m.comb_b))
-            )
-        head = DetectionHeadWeights(
-            SelfAttnWeights(
-                self.head.attn.q_w, self.head.attn.q_b, self.head.attn.k_w,
-                self.head.attn.k_b, self.head.attn.v_w, self.head.attn.v_b,
-                z(self.head.attn.o_w), z(self.head.attn.o_b),
+        """Every layer, and the detection head's attention and feed-forward,
+        pass query features through unchanged; the class and box readouts
+        are left as-is."""
+        return replace(
+            self,
+            deform=tuple(zeroed(d, "out_w", "out_b", "ffn2_w", "ffn2_b") for d in self.deform),
+            mmvfm=tuple(_keep_query(m) for m in self.mmvfm),
+            head=replace(
+                zeroed(self.head, "ffn2_w", "ffn2_b"), attn=zeroed(self.head.attn, "o_w", "o_b")
             ),
-            self.head.ffn1_w, self.head.ffn1_b,
-            z(self.head.ffn2_w), z(self.head.ffn2_b),
-            self.head.cls_w, self.head.cls_b, self.head.box,
         )
-        return DecoderWeights(deform, tuple(mmvfm), self.box, head)
+
+
+def _keep_query(m: MmvfmLayerWeights) -> MmvfmLayerWeights:
+    """The combine layer reads back the query block of [query | lidar | image]."""
+    m = zeroed(m, "comb_w", "comb_b")
+    c = m.comb_w.shape[1]
+    m.comb_w[:c] = np.eye(c, dtype=np.float32)
+    return m
 
 
 def _init_attn(name: str, c: int, seed: int) -> SelfAttnWeights:

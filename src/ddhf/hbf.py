@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FeatureMap, SparseVoxelSet, init_param
+from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
 from .curve import ScanSet2D, cross_merge_2d, scan_orders_2d
 from .ops import conv2d, layer_norm, silu
 from .ssm import (
     ScanParams,
     SsmBlockWeights,
+    generate_scan_params,
     init_ssm_block,
     s4d_real_a,
     selective_scan,
@@ -81,10 +82,8 @@ def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
     x_in = b.data
     h, wd, _ = x_in.shape
     x = (x_in @ w.in_w + w.in_b).astype(np.float32)
-    bmap = (x @ w.b_w).astype(np.float32)
-    cmap = (x @ w.c_w).astype(np.float32)
-    dtmap = softplus_delta(x @ w.dt_w + w.dt_b).astype(np.float32)
-    params = ScanParams(*(m.reshape(h * wd, -1) for m in (bmap, cmap, dtmap)))
+    maps = generate_scan_params(x, w)
+    params = ScanParams(*(m.reshape(h * wd, -1) for m in (maps.b, maps.c, maps.delta)))
     merged = _ss2d(x, w.a, params, w.norm_scale, w.norm_shift, scan_orders_2d(h, wd))
     gated = merged * silu(x_in @ w.y_w + w.y_b)
     return b.with_data(x_in + gated @ w.out_w + w.out_b)
@@ -121,11 +120,10 @@ class CbMambaWeights:
     norm_shift_img: np.ndarray
     norm_scale_lid: np.ndarray
     norm_shift_lid: np.ndarray
-    d_state: int
 
     def __post_init__(self):
-        c = self.a_img.shape[0]
-        budget = 2 * N_DIRECTIONS * (2 * self.d_state + c)
+        c, d_state = self.a_img.shape
+        budget = 2 * N_DIRECTIONS * (2 * d_state + c)
         if self.t2_w.shape[1] != budget:
             raise ValueError(
                 f"CbMambaWeights: T width {self.t2_w.shape[1]} != split budget {budget}"
@@ -155,7 +153,6 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
         norm_shift_img=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
         norm_scale_lid=np.ones((N_DIRECTIONS, c), dtype=np.float32),
         norm_shift_lid=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
-        d_state=d_state,
     )
 
 
@@ -192,7 +189,7 @@ def cb_mamba(
     f_comb = np.concatenate([b_img.data, b_lidar.data], axis=-1)
     t1 = silu((f_comb @ w.t1_w + w.t1_b) * w.bn_scale + w.bn_shift)
     t = t1 @ w.t2_w + w.t2_b
-    params_img, params_lid = _split_t(t, c, w.d_state)
+    params_img, params_lid = _split_t(t, c, w.a_img.shape[1])
 
     scans = scan_orders_2d(h, wd)
     x_img = (b_img.data @ w.in_w_img + w.in_b_img).astype(np.float32)
@@ -219,10 +216,7 @@ class BevBackboneWeights:
     # each block: (conv_a kernel, conv_a bias, conv_b kernel, conv_b bias)
 
     def identity_configured(self) -> "BevBackboneWeights":
-        return BevBackboneWeights(
-            tuple((np.zeros_like(ka), np.zeros_like(ba), np.zeros_like(kb), np.zeros_like(bb))
-                  for ka, ba, kb, bb in self.blocks)
-        )
+        return zeroed(self, "blocks")
 
 
 def init_bev_backbone(name: str, c: int, global_seed: int) -> BevBackboneWeights:

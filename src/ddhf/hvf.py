@@ -11,11 +11,11 @@ doubled before merging so both modalities share one coordinate frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridSpec, SparseVoxelSet, init_param
+from .core import GridSpec, SparseVoxelSet, empty_voxel_set, init_param, zeroed
 from .curve import bits_for_extents, hilbert_index, hilbert_sort
 from .ops import silu
 from .ssm import SsmBlockWeights, bidirectional_block, init_ssm_block
@@ -121,11 +121,7 @@ def sparse_down(
     grid_out = coarser_grid(v.grid)
     cout = kernel.shape[4]
     if v.n == 0:
-        return SparseVoxelSet(
-            np.zeros((0, 3), dtype=np.int64),
-            np.zeros((0, cout), dtype=np.float32),
-            grid_out,
-        )
+        return empty_voxel_set(grid_out, cout)
     half = v.coords // 2
     flat_out = np.ravel_multi_index(half.T, grid_out.extents)
     uniq = np.unique(flat_out)
@@ -188,14 +184,11 @@ class HvfWeights:
 
     def identity_configured(self) -> "HvfWeights":
         """Identity scan blocks and zero upsample kernels: features pass through."""
-        return HvfWeights(
-            tuple(w.identity_configured() for w in self.iv_lidar),
-            tuple(w.identity_configured() for w in self.iv_image),
-            tuple(w.identity_configured() for w in self.cv),
-            self.down_lidar,
-            self.down_image,
-            tuple(np.zeros_like(k) for k in self.up_lidar),
-            tuple(np.zeros_like(k) for k in self.up_image),
+        return replace(
+            zeroed(self, "up_lidar", "up_image"),
+            iv_lidar=tuple(w.identity_configured() for w in self.iv_lidar),
+            iv_image=tuple(w.identity_configured() for w in self.iv_image),
+            cv=tuple(w.identity_configured() for w in self.cv),
         )
 
 
@@ -247,10 +240,7 @@ def cv_mamba(
     seq = cv_merge(v_lidar, v_image)
     if seq.n == 0:
         return v_lidar, v_image
-    out = bidirectional_block(seq.feats, w)
-    return cv_split(
-        MergedSequence(out, seq.lifted, seq.tags, seq.orig_idx, seq.lidar, seq.image)
-    )
+    return cv_split(replace(seq, feats=bidirectional_block(seq.feats, w)))
 
 
 def hvf_forward(

@@ -354,7 +354,7 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
     """Scalar transcription of the cross-modal block with joint parameters."""
     h, wd, cw = img.shape
     n = h * wd
-    ds = w.d_state
+    ds = w.a_img.shape[1]
     flat_img = img.reshape(n, cw)
     flat_lid = lid.reshape(n, cw)
     f_comb = np.concatenate([flat_img, flat_lid], axis=1)

@@ -26,9 +26,9 @@ from .core import (
     empty_voxel_set,
     init_param,
     voxelize,
+    zeroed,
 )
 from .decoder import (
-    BoxHeadWeights,
     DecoderWeights,
     DetectionBox,
     decode,
@@ -76,13 +76,10 @@ def init_pipeline_weights(cfg: PipelineConfig) -> PipelineWeights:
 
 def _density_heatmap_head(like: HeatmapHeadWeights) -> HeatmapHeadWeights:
     """Class-0 logit = gain * silu(channel 0); other classes stay at zero."""
-    conv_k = np.zeros_like(like.conv_k)
-    conv_k[1, 1, 0, 0] = 1.0
-    head_w = np.zeros_like(like.head_w)
-    head_w[0, 0] = PASSTHROUGH_GAIN
-    return HeatmapHeadWeights(
-        conv_k, np.zeros_like(like.conv_b), head_w, np.zeros_like(like.head_b)
-    )
+    w = zeroed(like, "conv_k", "conv_b", "head_w", "head_b")
+    w.conv_k[1, 1, 0, 0] = 1.0
+    w.head_w[0, 0] = PASSTHROUGH_GAIN
+    return w
 
 
 def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
@@ -95,65 +92,33 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
     at its query's cell center with unit size.
     """
     base = init_pipeline_weights(cfg)
-    c = cfg.channels
-
-    embed_w = np.zeros((LIDAR_RAW_CHANNELS, c), dtype=np.float32)
-    embed_w[4, 0] = 1.0
-    embed_b = np.zeros(c, dtype=np.float32)
-
-    hbf = base.hbf
-    proj_lid_w = np.zeros_like(hbf.proj_lid_w)
-    proj_lid_w[0, 0] = 1.0
-    cb = replace(
-        hbf.cb,
-        gate_w=np.zeros_like(hbf.cb.gate_w),
-        gate_b=np.zeros_like(hbf.cb.gate_b),
-        in_w_img=np.zeros_like(hbf.cb.in_w_img),
-        in_b_img=np.zeros_like(hbf.cb.in_b_img),
-        in_w_lid=np.zeros_like(hbf.cb.in_w_lid),
-        in_b_lid=np.zeros_like(hbf.cb.in_b_lid),
-    )
     hbf = replace(
-        hbf,
-        proj_img_w=np.zeros_like(hbf.proj_img_w),
-        proj_img_b=np.zeros_like(hbf.proj_img_b),
-        proj_lid_w=proj_lid_w,
-        proj_lid_b=np.zeros_like(hbf.proj_lid_b),
-        ib_img=hbf.ib_img.identity_configured(),
-        ib_lid=hbf.ib_lid.identity_configured(),
-        cb=cb,
-        backbone=hbf.backbone.identity_configured(),
+        zeroed(base.hbf, "proj_img_w", "proj_img_b", "proj_lid_w", "proj_lid_b"),
+        ib_img=base.hbf.ib_img.identity_configured(),
+        ib_lid=base.hbf.ib_lid.identity_configured(),
+        cb=zeroed(base.hbf.cb, "gate_w", "gate_b", "in_w_img", "in_b_img", "in_w_lid", "in_b_lid"),
+        backbone=base.hbf.backbone.identity_configured(),
     )
-
-    pqg = PqgWeights(
+    hbf.proj_lid_w[0, 0] = 1.0
+    pqg = replace(
+        base.pqg,
         head_easy=_density_heatmap_head(base.pqg.head_easy),
         head_hard=_density_heatmap_head(base.pqg.head_hard),
         hia=base.pqg.hia.identity_configured(),
     )
-
     dec = base.decoder.identity_configured()
-    zero_box = BoxHeadWeights(
-        np.zeros_like(dec.box.w1),
-        np.zeros_like(dec.box.b1),
-        np.zeros_like(dec.box.w2),
-        np.zeros_like(dec.box.b2),
-    )
-    cls_w = np.zeros_like(dec.head.cls_w)
-    cls_w[0, 0] = PASSTHROUGH_GAIN
-    head = replace(
-        dec.head, cls_w=cls_w, cls_b=np.zeros_like(dec.head.cls_b), box=zero_box
-    )
-    dec = replace(dec, box=zero_box, head=head)
-
-    return PipelineWeights(
-        lidar_embed_w=embed_w,
-        lidar_embed_b=embed_b,
-        encoder=base.encoder,
+    zero_box = zeroed(dec.box, "w1", "b1", "w2", "b2")
+    head = replace(zeroed(dec.head, "cls_w", "cls_b"), box=zero_box)
+    head.cls_w[0, 0] = PASSTHROUGH_GAIN
+    w = replace(
+        zeroed(base, "lidar_embed_w", "lidar_embed_b"),
         hvf=base.hvf.identity_configured(),
         hbf=hbf,
         pqg=pqg,
-        decoder=dec,
+        decoder=replace(dec, box=zero_box, head=head),
     )
+    w.lidar_embed_w[4, 0] = 1.0
+    return w
 
 
 def build_weights(cfg: PipelineConfig) -> PipelineWeights:

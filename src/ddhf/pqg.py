@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMap, init_param
+from .core import FeatureMap, init_param, zeroed
 from .ops import (
     conv2d,
     max_pool2d_same,
@@ -171,12 +171,9 @@ class HiaWeights:
     conv_b_b: np.ndarray
 
     def identity_configured(self) -> "HiaWeights":
-        z = np.zeros_like
-        return HiaWeights(
-            self.emb_w, self.emb_b,
-            self.self_q, self.self_k, self.self_v, z(self.self_o),
-            self.cross_q, self.cross_k, self.cross_v, z(self.cross_o),
-            z(self.conv_a_k), z(self.conv_a_b), z(self.conv_b_k), z(self.conv_b_b),
+        """Zero both attention outputs and the residual conv: HIA returns its map."""
+        return zeroed(
+            self, "self_o", "cross_o", "conv_a_k", "conv_a_b", "conv_b_k", "conv_b_b"
         )
 
 

@@ -21,11 +21,11 @@ output has the same bits; without a row table a call is one forward stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MASK64, fnv1a64, init_param, prng_fill
+from .core import MASK64, fnv1a64, init_param, prng_fill, zeroed
 from .ops import layer_norm, silu, softplus
 
 DELTA_FLOOR = 1e-30
@@ -224,10 +224,7 @@ class SsmBlockWeights:
 
     def identity_configured(self) -> "SsmBlockWeights":
         """Zero the output projection and gate: block becomes the identity."""
-        z = np.zeros_like
-        return replace(
-            self, y_w=z(self.y_w), y_b=z(self.y_b), out_w=z(self.out_w), out_b=z(self.out_b)
-        )
+        return zeroed(self, "y_w", "y_b", "out_w", "out_b")
 
 
 def s4d_real_a(c: int, d_state: int) -> np.ndarray:

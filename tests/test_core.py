@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from ddhf.core import (
     prng_next,
     save_tensor,
     voxelize,
+    zeroed,
 )
 
 # Reference outputs of the splitmix64 generator from state 0: raw draws
@@ -151,6 +154,26 @@ def test_rows_of_matches_dict_lookup(rng):
     assert rows.ravel().tolist() == want
     assert (rows >= 0).sum() == 40
     assert np.all(empty_voxel_set(grid, 2).rows_of(query) == -1)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Weights:
+    w: np.ndarray
+    b: np.ndarray
+    blocks: tuple
+
+
+def test_zeroed_zeroes_only_the_named_fields(rng):
+    f32 = lambda *shape: rng.normal(size=shape).astype(np.float32)
+    src = _Weights(f32(3, 2), f32(2), (f32(2, 2), (f32(4), f32(1))))
+    out = zeroed(src, "w", "blocks")
+    assert out.b is src.b
+    assert out.w.dtype == np.float32 and out.w.shape == (3, 2) and not np.any(out.w)
+    # a tuple field is zeroed element by element, not stacked into one array
+    assert isinstance(out.blocks, tuple) and isinstance(out.blocks[1], tuple)
+    assert [a.shape for a in (out.blocks[0], *out.blocks[1])] == [(2, 2), (4,), (1,)]
+    assert not any(np.any(a) for a in (out.blocks[0], *out.blocks[1]))
+    assert np.all(src.w != 0) and np.all(src.blocks[0] != 0)  # source untouched
 
 
 def test_empty_voxel_set_shapes():

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set
+from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set, zeroed
 from ddhf.decoder import (
     BOX_RAW_CLIP,
-    BOX_RAW_DIM,
-    BoxHeadWeights,
     DetectionHeadWeights,
     GridFeatures,
     MixWeights,
@@ -45,12 +43,7 @@ def bev_map(rng, h=8, w=8, c=4):
 
 
 def zero_box_head(c):
-    return BoxHeadWeights(
-        w1=np.zeros((c, 2 * c), dtype=np.float32),
-        b1=np.zeros(2 * c, dtype=np.float32),
-        w2=np.zeros((2 * c, BOX_RAW_DIM), dtype=np.float32),
-        b2=np.zeros(BOX_RAW_DIM, dtype=np.float32),
-    )
+    return zeroed(init_decoder("dec", c, 3, 0, 0, 0).box, "w1", "b1", "w2", "b2")
 
 
 def make_queries(rng, fm, n, c=4):
@@ -404,6 +397,25 @@ def test_mmvfm_layer_deterministic(rng):
     a = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
     b = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
     assert np.array_equal(a, b)
+
+
+def test_identity_configured_decoder_layers_return_their_input(rng):
+    # seeded generators, pooling and mixing stay live; only the residual
+    # outputs are zeroed, so every layer adds exactly zero to its query
+    c = 8
+    w = init_decoder("dec", c, 3, n_bev=3, m_vox=2, global_seed=14).identity_configured()
+    fm = bev_map(rng, c=c)
+    feats = rng.normal(size=(5, c)).astype(np.float32)
+    rows, cols = np.array([0, 1, 4, 6, 7]), np.array([7, 2, 4, 0, 5])
+    img_grid = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.25), extents=(8, 8, 8))
+    v_lid = random_voxel_set(rng, GRID, 40, c)
+    v_img = random_voxel_set(rng, img_grid, 40, c)
+    assert len(w.deform) == 3 and len(w.mmvfm) == 2
+    for layer in w.deform:
+        assert np.array_equal(deformable_layer(feats, rows, cols, fm, layer), feats)
+    for layer in w.mmvfm:
+        out = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, layer)
+        assert np.array_equal(out, feats)
 
 
 def test_detection_head_zero_weights_scores_half(rng):

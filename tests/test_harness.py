@@ -241,6 +241,24 @@ def test_run_pipeline_rejects_weights_of_another_config(field, value):
         )
 
 
+def test_pipeline_weights_hold_only_tensors():
+    # every leaf under the dataclass fields and tuples is an ndarray, so
+    # weight helpers (core.zeroed, validate_weights) treat weights as tensors
+    def leaves(obj, path):
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
+        elif isinstance(obj, tuple):
+            for i, item in enumerate(obj):
+                yield from leaves(item, f"{path}[{i}]")
+        else:
+            yield path, obj
+
+    found = list(leaves(init_pipeline_weights(TINY), "weights"))
+    assert found
+    assert [path for path, v in found if not isinstance(v, np.ndarray)] == []
+
+
 def test_run_pipeline_accepts_full_intensity():
     from ddhf.scene import gen_points, render_images
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set
+from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set, zeroed
 from ddhf.hbf import (
     bev_backbone,
     cb_mamba,
@@ -185,18 +185,13 @@ def identity_hbf(c, d_state, seed):
     w = init_hbf("hbf", c, d_state, seed)
     proj = np.zeros((2 * c, c), dtype=np.float32)
     proj[:c, :c] = np.eye(c, dtype=np.float32)
-    cb = dataclasses.replace(
-        w.cb, gate_w=np.zeros_like(w.cb.gate_w), gate_b=np.zeros_like(w.cb.gate_b),
-        in_w_lid=np.zeros_like(w.cb.in_w_lid), in_b_lid=np.zeros_like(w.cb.in_b_lid),
-        in_w_img=np.zeros_like(w.cb.in_w_img), in_b_img=np.zeros_like(w.cb.in_b_img),
-    )
     return dataclasses.replace(
-        w,
-        proj_img_w=proj, proj_img_b=np.zeros(c, dtype=np.float32),
-        proj_lid_w=proj, proj_lid_b=np.zeros(c, dtype=np.float32),
+        zeroed(w, "proj_img_b", "proj_lid_b"),
+        proj_img_w=proj,
+        proj_lid_w=proj,
         ib_img=w.ib_img.identity_configured(),
         ib_lid=w.ib_lid.identity_configured(),
-        cb=cb,
+        cb=zeroed(w.cb, "gate_w", "gate_b", "in_w_lid", "in_b_lid", "in_w_img", "in_b_img"),
         backbone=w.backbone.identity_configured(),
     )
 
