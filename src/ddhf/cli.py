@@ -48,27 +48,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _box_problem(rec, scored: bool) -> str | None:
-    """What is wrong with one box record, or None if it is well-formed."""
-    if not isinstance(rec, dict):
-        return f"expected an object, got {type(rec).__name__}"
-    center, size = rec.get("center"), rec.get("size")
-    if not (isinstance(center, list) and len(center) == 3 and all(is_real(v) for v in center)):
-        return f"center must be 3 finite numbers, got {center!r}"
-    if not (
-        isinstance(size, list) and len(size) == 3
-        and all(is_real(v) and v > 0 for v in size)
-    ):
-        return f"size must be 3 positive finite numbers, got {size!r}"
-    if not is_real(rec.get("yaw")):
-        return f"yaw must be a finite number, got {rec.get('yaw')!r}"
-    cls = rec.get("class")
-    if not (is_int(cls) and cls >= 0):
-        return f"class must be an integer >= 0, got {cls!r}"
-    score = rec.get("score")
-    if scored and not (is_real(score) and 0.0 <= score <= 1.0):
-        return f"score must be a number in [0, 1], got {score!r}"
-    return None
+_BOX = {  # ground-truth box key -> (check, what it must be, required)
+    "center": (jsonio.numbers(3, is_real), "3 finite numbers", True),
+    "size": (
+        jsonio.numbers(3, lambda v: is_real(v) and v > 0), "3 positive finite numbers", True
+    ),
+    "yaw": (is_real, "a finite number", True),
+    "class": (lambda v: is_int(v) and v >= 0, "an integer >= 0", True),
+}
+_DETECTION = {
+    **_BOX, "score": (lambda v: is_real(v) and 0.0 <= v <= 1.0, "a number in [0, 1]", True)
+}
 
 
 def _load_boxes(path: str, scored: bool) -> list[dict]:
@@ -84,11 +74,10 @@ def _load_boxes(path: str, scored: bool) -> list[dict]:
         if not (isinstance(data, dict) and isinstance(data.get("objects"), list)):
             raise ValueError(f'{path}: ground truth must be an object with an "objects" list')
         records = data["objects"]
-    for i, rec in enumerate(records):
-        problem = _box_problem(rec, scored)
-        if problem is not None:
-            raise ValueError(f"{path}: record {i}: {problem}")
-    return records
+    table = _DETECTION if scored else _BOX
+    return [
+        jsonio.check_record(rec, table, f"{path}: record {i}: ") for i, rec in enumerate(records)
+    ]
 
 
 def _cmd_eval(args) -> int:

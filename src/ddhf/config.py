@@ -8,11 +8,11 @@ N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import GridSpec, is_int, is_real
-from .jsonio import dump, load
+from .jsonio import check_record, dump, load, numbers
 from .viewtrans import DepthBinSpec
 
 WEIGHTS_MODES = ("seeded", "passthrough")
@@ -44,7 +44,11 @@ class PipelineConfig:
     weights_mode: str = "seeded"
 
     def __post_init__(self):
-        _check_types(self)
+        given = vars(self)
+        for key, val in check_record(given, _FIELDS, "config.").items():
+            # the checker reads a JSON list as a tuple; from Python, pass the tuple
+            if val is not given[key]:
+                raise ValueError(f"config.{key} must be a tuple, got {given[key]!r}")
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:
@@ -79,8 +83,6 @@ class PipelineConfig:
             raise ValueError("decoder layer counts must be >= 1")
         if self.strides != (1, 2, 4):
             raise ValueError(f"strides must be (1, 2, 4), got {self.strides}")
-        if self.weights_mode not in WEIGHTS_MODES:
-            raise ValueError(f"weights_mode must be one of {WEIGHTS_MODES}")
 
     def lidar_grid(self) -> GridSpec:
         return _grid(self.x_range, self.y_range, self.z_range, self.lidar_cells)
@@ -99,66 +101,41 @@ def _grid(xr, yr, zr, cells) -> GridSpec:
     return GridSpec(origin=origin, voxel_size=voxel, extents=tuple(int(n) for n in cells))
 
 
-_INT_FIELDS = (
-    "global_seed", "channels", "d_state", "safs_cap", "depth_count",
-    "k_easy", "k_hard", "k_classes", "n_bev", "m_vox",
-)
-_REAL_FIELDS = ("d_thresh", "s_thresh", "depth_min", "depth_max")
-# tuple field -> (length, element check, what the elements are)
-_TUPLE_FIELDS = {
-    "x_range": (2, is_real, "finite numbers"),
-    "y_range": (2, is_real, "finite numbers"),
-    "z_range": (2, is_real, "finite numbers"),
-    "lidar_cells": (3, is_int, "integers"),
-    "image_cells": (3, is_int, "integers"),
-    "strides": (3, is_int, "integers"),
+_INT = (is_int, "an integer", False)
+_REAL = (is_real, "a finite number", False)
+_RANGE = (numbers(2, is_real), "a list of 2 finite numbers", False)
+_CELLS = (numbers(3, is_int), "a list of 3 integers", False)
+_FIELDS = {  # config key -> (check, what it must be, required)
+    "global_seed": _INT,
+    "x_range": _RANGE,
+    "y_range": _RANGE,
+    "z_range": _RANGE,
+    "lidar_cells": _CELLS,
+    "image_cells": _CELLS,
+    "channels": _INT,
+    "d_state": _INT,
+    "d_thresh": _REAL,
+    "s_thresh": _REAL,
+    "safs_cap": _INT,
+    "depth_min": _REAL,
+    "depth_max": _REAL,
+    "depth_count": _INT,
+    "k_easy": _INT,
+    "k_hard": _INT,
+    "k_classes": _INT,
+    "n_bev": _INT,
+    "m_vox": _INT,
+    "strides": _CELLS,
+    "weights_mode": (lambda v: v in WEIGHTS_MODES, f"one of {list(WEIGHTS_MODES)}", False),
 }
 
 
-def _check_types(cfg: PipelineConfig) -> None:
-    """Reject a field of the wrong type, naming it, before any value check."""
-    for name in _INT_FIELDS:
-        val = getattr(cfg, name)
-        if not is_int(val):
-            raise ValueError(f"{name} must be an integer, got {val!r}")
-    for name in _REAL_FIELDS:
-        val = getattr(cfg, name)
-        if not is_real(val):
-            raise ValueError(f"{name} must be a finite number, got {val!r}")
-    for name, (length, ok, what) in _TUPLE_FIELDS.items():
-        val = getattr(cfg, name)
-        if not (isinstance(val, tuple) and len(val) == length and all(ok(v) for v in val)):
-            raise ValueError(f"{name} must be {length} {what}, got {val!r}")
-    if not isinstance(cfg.weights_mode, str):
-        raise ValueError(f"weights_mode must be a string, got {cfg.weights_mode!r}")
-
-
-_FIELD_KEYS = [f.name for f in fields(PipelineConfig)]
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    out = {}
-    for key in _FIELD_KEYS:
-        val = getattr(cfg, key)
-        out[key] = list(val) if key in _TUPLE_FIELDS else val
-    return out
+    return {key: getattr(cfg, key) for key in _FIELDS}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(_FIELD_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, val in data.items():
-        if key in _TUPLE_FIELDS:
-            length, _, what = _TUPLE_FIELDS[key]
-            if not isinstance(val, list):
-                raise ValueError(f"{key} must be a list of {length} {what}, got {val!r}")
-            val = tuple(val)
-        kwargs[key] = val
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(**check_record(data, _FIELDS, "config."))
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:

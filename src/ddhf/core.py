@@ -62,6 +62,11 @@ def fnv1a64(name: str) -> int:
     return h
 
 
+def named_draws(name: str, seed: int, count: int) -> np.ndarray:
+    """`count` uniform draws in [0, 1) of the stream seeded by FNV-1a(name) XOR seed."""
+    return prng_fill(fnv1a64(name) ^ (seed & MASK64), count)[1]
+
+
 def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarray:
     """Deterministic parameter tensor seeded by FNV-1a(name) XOR global_seed.
 
@@ -77,8 +82,7 @@ def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarra
         raise ValueError(f"init_param: zero-sized dim in shape {shape}")
     if name.endswith(".bias"):
         return np.zeros(shape, dtype=np.float32)
-    seed = fnv1a64(name) ^ (global_seed & MASK64)
-    _, draws = prng_fill(seed, int(np.prod(shape)))
+    draws = named_draws(name, global_seed, int(np.prod(shape)))
     bound = 1.0 / math.sqrt(shape[-1])
     return ((draws * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
 

@@ -1,4 +1,5 @@
-"""Deterministic JSON writing: floats at 9 significant digits, stable layout."""
+"""Deterministic JSON writing (floats at 9 significant digits, stable layout)
+and the one checker for the JSON records the pipeline reads."""
 
 from __future__ import annotations
 
@@ -41,3 +42,37 @@ def dump(obj, path: str | Path) -> None:
 
 def load(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def numbers(length: int, ok):
+    """Check for a JSON list (a tuple once read) of `length` values passing `ok`."""
+    return lambda v: isinstance(v, tuple) and len(v) == length and all(ok(x) for x in v)
+
+
+def check_record(data, table: dict, where: str) -> dict:
+    """`data` checked against `table`, a map of key -> (check, what it must
+    be, required), with list values returned as tuples.
+
+    A non-object, an unknown or missing key, or a value failing its check
+    raises ValueError naming the field as `where` + key ("objects[1]."
+    names objects[1].class).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{where.rstrip('.: ')}: expected an object, got {type(data).__name__}"
+            " (each record is one JSON object)"
+        )
+    for key in data:
+        if key not in table:
+            raise ValueError(f"{where}{key} is not a known key (known: {', '.join(table)})")
+    out = {}
+    for key, (ok, what, required) in table.items():
+        if key not in data:
+            if required:
+                raise ValueError(f"{where}{key} is missing")
+            continue
+        val = tuple(data[key]) if isinstance(data[key], list) else data[key]
+        if not ok(val):
+            raise ValueError(f"{where}{key} must be {what}, got {data[key]!r}")
+        out[key] = val
+    return out

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CameraModel, fnv1a64, is_int, is_real, load_tensor, prng_fill, save_tensor
-from .jsonio import dump, load
+from .core import CameraModel, is_int, is_real, load_tensor, named_draws, save_tensor
+from .jsonio import check_record, dump, load, numbers
 
 DEFAULT_IMAGE_SIZE = (64, 96)
 DEFAULT_FOCAL = 48.0
@@ -39,13 +39,13 @@ class SceneObject:
 
     def __post_init__(self):
         if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
+            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
         if len(self.center) != 3 or len(self.size) != 3:
             raise ValueError("center and size must have three components")
         if any(s <= 0.0 for s in self.size):
             raise ValueError(f"box size must be positive, got {self.size}")
         if self.density <= 0.0:
-            raise ValueError("point density must be > 0")
+            raise ValueError(f"point density must be > 0, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,11 @@ class SceneSpec:
             if not lo < hi:
                 raise ValueError(f"{name} must be ascending")
         ranges = (self.x_range, self.y_range, self.z_range)
-        for obj in self.objects:
+        for i, obj in enumerate(self.objects):
             for axis, (lo, hi) in enumerate(ranges):
-                c = obj.center[axis]
-                if not lo <= c <= hi:
+                if not lo <= obj.center[axis] <= hi:
                     raise ValueError(
-                        f"object center {obj.center} outside world range on axis {axis}"
+                        f"objects[{i}]: center {obj.center} outside world range on axis {axis}"
                     )
         if not self.cameras:
             object.__setattr__(self, "cameras", default_cameras(image_size=self.image_size))
@@ -121,13 +120,8 @@ def default_cameras(
     return tuple(cams)
 
 
-def _stream(label: str, seed: int, count: int) -> np.ndarray:
-    _, vals = prng_fill(fnv1a64(label) ^ (seed & 0xFFFFFFFFFFFFFFFF), count)
-    return vals
-
-
 def _normals(label: str, seed: int, count: int) -> np.ndarray:
-    u = _stream(label, seed, 2 * count)
+    u = named_draws(label, seed, 2 * count)
     r = np.sqrt(-2.0 * np.log(1.0 - u[:count]))
     return r * np.cos(2.0 * math.pi * u[count:])
 
@@ -147,7 +141,7 @@ def sample_object_points(obj: SceneObject, seed: int, index: int) -> np.ndarray:
     )
     total = float(areas.sum())
     n = max(1, int(math.ceil(obj.density * total)))
-    u = _stream(f"scene.object{index}.surface", seed, 3 * n)
+    u = named_draws(f"scene.object{index}.surface", seed, 3 * n)
     pick, ua, ub = u[:n], u[n : 2 * n], u[2 * n :]
     face = np.searchsorted(np.cumsum(areas) / total, pick, side="right")
     face = np.minimum(face, 5)
@@ -167,7 +161,7 @@ def sample_object_points(obj: SceneObject, seed: int, index: int) -> np.ndarray:
     c, s = math.cos(obj.yaw), math.sin(obj.yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     world = local @ rot.T + np.asarray(obj.center)
-    intensity = _stream(f"scene.object{index}.intensity", seed, n)
+    intensity = named_draws(f"scene.object{index}.intensity", seed, n)
     return np.concatenate([world, intensity[:, None]], axis=1).astype(np.float32)
 
 
@@ -175,7 +169,7 @@ def _clutter_points(spec: SceneSpec) -> np.ndarray:
     n = spec.n_clutter
     if n == 0:
         return np.zeros((0, 4), dtype=np.float32)
-    u = _stream("scene.clutter", spec.seed, 4 * n).reshape(4, n)
+    u = named_draws("scene.clutter", spec.seed, 4 * n).reshape(4, n)
     x = spec.x_range[0] + u[0] * (spec.x_range[1] - spec.x_range[0])
     y = spec.y_range[0] + u[1] * (spec.y_range[1] - spec.y_range[0])
     z = spec.z_range[0] + u[2] * GROUND_LAYER
@@ -311,63 +305,45 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def _field(record: dict, key: str, ok, what: str, where: str = ""):
-    """record[key] if ok(it), else ValueError naming the field (inside `where`)."""
-    name = f"{where}.{key}" if where else key
-    if key not in record:
-        raise ValueError(f"{name} is missing")
-    val = record[key]
-    if not ok(val):
-        raise ValueError(f"{name} must be {what}, got {val!r}")
-    return val
-
-
-def _numbers(length: int, ok):
-    return lambda v: isinstance(v, list) and len(v) == length and all(ok(x) for x in v)
-
-
-_FINITE = "a finite number"
-_TRIPLE = (_numbers(3, is_real), "a list of 3 finite numbers")
-_SPEC_FIELDS = {  # optional spec key -> (check, what it must be)
-    "x_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
-    "y_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
-    "z_range": (_numbers(2, is_real), "a list of 2 finite numbers"),
-    "image_size": (_numbers(2, is_int), "a list of 2 integers"),
-    "n_clutter": (is_int, "an integer"),
-    "noise_sigma": (is_real, _FINITE),
+_TRIPLE = (numbers(3, is_real), "a list of 3 finite numbers", True)
+_RANGE = (numbers(2, is_real), "a list of 2 finite numbers", False)
+_SPEC = {  # spec key -> (check, what it must be, required)
+    "seed": (is_int, "an integer", True),
+    "x_range": _RANGE,
+    "y_range": _RANGE,
+    "z_range": _RANGE,
+    "objects": (lambda v: isinstance(v, tuple), "a list", False),
+    "image_size": (numbers(2, is_int), "a list of 2 integers", False),
+    "n_clutter": (is_int, "an integer", False),
+    "noise_sigma": (is_real, "a finite number", False),
+}
+_OBJECT = {
+    "class": (is_int, "an integer", True),
+    "center": _TRIPLE,
+    "size": _TRIPLE,
+    "yaw": (is_real, "a finite number", True),
+    "density": (is_real, "a finite number", False),
 }
 
 
-def _object_from_dict(record, where: str) -> SceneObject:
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} must be an object, got {record!r}")
-    record = {"density": 40.0, **record}
-    return SceneObject(
-        class_id=_field(record, "class", is_int, "an integer", where),
-        center=tuple(_field(record, "center", *_TRIPLE, where)),
-        size=tuple(_field(record, "size", *_TRIPLE, where)),
-        yaw=_field(record, "yaw", is_real, _FINITE, where),
-        density=_field(record, "density", is_real, _FINITE, where),
-    )
+def _object_from_dict(data, name: str) -> SceneObject:
+    record = check_record(data, _OBJECT, f"{name}.")
+    try:
+        return SceneObject(class_id=record.pop("class"), **record)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
-    """A SceneSpec from its JSON form. A non-object top level, or a field of
-    the wrong type or length, raises ValueError naming the field."""
-    if not isinstance(data, dict):
-        raise ValueError(f"scene spec must be a JSON object, got {type(data).__name__}")
-    kwargs = {"seed": _field(data, "seed", is_int, "an integer")}
-    for key, (ok, what) in _SPEC_FIELDS.items():
-        if key in data:
-            val = _field(data, key, ok, what)
-            kwargs[key] = tuple(val) if isinstance(val, list) else val
-    objects = data.get("objects", [])
-    if not isinstance(objects, list):
-        raise ValueError(f"objects must be a list, got {objects!r}")
-    kwargs["objects"] = tuple(
-        _object_from_dict(o, f"objects[{i}]") for i, o in enumerate(objects)
+    """A SceneSpec from its JSON form. A non-object, an unknown or missing
+    key, or a field of the wrong type or length raises ValueError naming
+    the field; a bad object value names the object record."""
+    spec = check_record(data, _SPEC, "spec.")
+    objects = spec.get("objects", ())
+    spec["objects"] = tuple(
+        _object_from_dict(o, f"spec.objects[{i}]") for i, o in enumerate(objects)
     )
-    return SceneSpec(**kwargs)
+    return SceneSpec(**spec)
 
 
 def save_spec(spec: SceneSpec, path: str | Path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MASK64, fnv1a64, init_param, prng_fill, zeroed
+from .core import init_param, named_draws, zeroed
 from .ops import layer_norm, silu, softplus
 
 DELTA_FLOOR = 1e-30
@@ -234,9 +234,7 @@ def s4d_real_a(c: int, d_state: int) -> np.ndarray:
 
 def init_dt_bias(name: str, c: int, global_seed: int) -> np.ndarray:
     """Bias such that softplus(bias) lands uniformly in [0.01, 0.1]."""
-    seed = fnv1a64(name) ^ (global_seed & MASK64)
-    _, u = prng_fill(seed, c)
-    target = 0.01 + u * 0.09
+    target = 0.01 + named_draws(name, global_seed, c) * 0.09
     return np.log(np.expm1(target)).astype(np.float32)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,6 +19,20 @@ def random_voxel_set(rng, grid: GridSpec, n: int, channels: int) -> SparseVoxelS
     coords = np.stack(np.unravel_index(flat, grid.extents), axis=1).astype(np.int64)
     feats = rng.normal(size=(n, channels)).astype(np.float32)
     return SparseVoxelSet(coords, feats, grid)
+
+
+def fill_zero_tensors(w, rng):
+    """Copy of the weights `w` with every all-zero tensor (the zero-initialized
+    biases and norm shifts) filled with nonzero values. An identity
+    configuration built from it must zero every tensor it relies on: one left
+    off its zeroing list no longer reads zero by accident."""
+    if dataclasses.is_dataclass(w):
+        return dataclasses.replace(
+            w, **{f.name: fill_zero_tensors(getattr(w, f.name), rng) for f in dataclasses.fields(w)}
+        )
+    if isinstance(w, tuple):
+        return tuple(fill_zero_tensors(v, rng) for v in w)
+    return rng.uniform(0.1, 0.5, size=w.shape).astype(w.dtype) if not np.any(w) else w
 
 
 def sparse_lattice(rng, extents, keep: float = 0.9) -> np.ndarray:

@@ -24,7 +24,7 @@ from ddhf.decoder import (
 )
 from ddhf.pqg import Query
 
-from conftest import random_voxel_set
+from conftest import fill_zero_tensors, random_voxel_set
 from test_ops import sigmoid_ref
 
 
@@ -399,11 +399,8 @@ def test_mmvfm_layer_deterministic(rng):
     assert np.array_equal(a, b)
 
 
-def test_identity_configured_decoder_layers_return_their_input(rng):
-    # seeded generators, pooling and mixing stay live; only the residual
-    # outputs are zeroed, so every layer adds exactly zero to its query
+def _assert_layers_return_their_input(w, rng):
     c = 8
-    w = init_decoder("dec", c, 3, n_bev=3, m_vox=2, global_seed=14).identity_configured()
     fm = bev_map(rng, c=c)
     feats = rng.normal(size=(5, c)).astype(np.float32)
     rows, cols = np.array([0, 1, 4, 6, 7]), np.array([7, 2, 4, 0, 5])
@@ -416,6 +413,18 @@ def test_identity_configured_decoder_layers_return_their_input(rng):
     for layer in w.mmvfm:
         out = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, layer)
         assert np.array_equal(out, feats)
+
+
+def test_identity_configured_decoder_layers_return_their_input(rng):
+    # seeded generators, pooling and mixing stay live; only the residual
+    # outputs are zeroed, so every layer adds exactly zero to its query
+    w = init_decoder("dec", 8, 3, n_bev=3, m_vox=2, global_seed=14).identity_configured()
+    _assert_layers_return_their_input(w, rng)
+
+
+def test_identity_configured_decoder_layers_with_filled_zero_tensors(rng):
+    w = init_decoder("dec", 8, 3, n_bev=3, m_vox=2, global_seed=14)
+    _assert_layers_return_their_input(fill_zero_tensors(w, rng).identity_configured(), rng)
 
 
 def test_detection_head_zero_weights_scores_half(rng):

@@ -139,6 +139,46 @@ def test_cli_gen_scene_rejects_bad_spec(tmp_path, capsys, content, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        ({"seed": 3, "n_cluter": 5}, "n_cluter"),
+        ({"seed": 3, "objects": [_OBJ, {**_OBJ, "densty": 5.0}]}, "objects[1].densty"),
+    ],
+)
+def test_cli_gen_scene_rejects_unknown_key(tmp_path, capsys, content, key):
+    # a misspelt key would otherwise leave its field at the default
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(content))
+    assert main(["gen-scene", "--spec", str(spec_path), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} is not a known key" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"class": -1}, {"size": [4.0, 0.0, 1.5]}, {"density": 0.0}, {"center": [99.0, 0.0, 0.0]}],
+    ids=["negative_class", "zero_size", "zero_density", "center_out_of_range"],
+)
+def test_cli_gen_scene_value_error_names_object(tmp_path, capsys, change):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"seed": 3, "objects": [_OBJ, {**_OBJ, **change}]}))
+    assert main(["gen-scene", "--spec", str(spec_path), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "objects[1]" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("x_range", [-54.0, 54.0]), ("lidar_cells", [48, 48, 8]), ("strides", [1, 2, 4])],
+)
+def test_config_from_python_rejects_list_in_tuple_field(field, value):
+    # the JSON reader turns lists into tuples; a list passed from Python is
+    # not a valid field value (it would make the config unhashable)
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+
+
 def test_config_grids_consistent():
     g_l = TINY.lidar_grid()
     g_i = TINY.image_grid()
@@ -478,6 +518,21 @@ def test_cli_eval_accepts_boundary_values(tmp_path, capsys):
     paths["gt"].write_text(json.dumps({"objects": []}))
     assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "which, content",
+    [("gt", _gt(score=0.5)), ("det", _det(scor=0.5))],
+    ids=["gt_box_with_score", "det_misspelt_key"],
+)
+def test_cli_eval_rejects_unknown_box_key(tmp_path, capsys, which, content):
+    paths = {name: tmp_path / f"{name}.json" for name in ("gt", "det")}
+    files = {"gt": _gt(), "det": _det(), which: content}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[which]}: record 1: ") and "is not a known key" in err
 
 
 def test_cli_run_seed_changes_weights(tmp_path, capsys):

@@ -15,7 +15,7 @@ from ddhf.hbf import (
     sparse_height_compress,
 )
 
-from conftest import random_voxel_set, traced_peak
+from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 
 GRID = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 4))
 
@@ -166,6 +166,12 @@ def test_cb_mamba_peak_memory(rng):
 
 def test_backbone_identity(rng):
     w = init_bev_backbone("bb", 4, 61).identity_configured()
+    b = bev_map(rng, h=5, w=7)
+    assert np.array_equal(bev_backbone(b, w).data, b.data)
+
+
+def test_backbone_identity_with_filled_zero_tensors(rng):
+    w = fill_zero_tensors(init_bev_backbone("bb", 4, 61), rng).identity_configured()
     b = bev_map(rng, h=5, w=7)
     assert np.array_equal(bev_backbone(b, w).data, b.data)
 

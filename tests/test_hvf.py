@@ -19,7 +19,7 @@ from ddhf.hvf import (
 )
 from ddhf.ssm import init_ssm_block
 
-from conftest import random_voxel_set
+from conftest import fill_zero_tensors, random_voxel_set
 
 LIDAR_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(8, 8, 4))
 IMAGE_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 8))
@@ -197,6 +197,14 @@ def test_hvf_identity_configuration(rng):
     out_l, out_i = hvf_forward(vl, vi, w)
     assert np.array_equal(out_l.coords, vl.coords)
     assert np.array_equal(out_i.coords, vi.coords)
+    assert np.array_equal(out_l.feats, vl.feats)
+    assert np.array_equal(out_i.feats, vi.feats)
+
+
+def test_hvf_identity_configuration_with_filled_zero_tensors(rng):
+    w = fill_zero_tensors(init_hvf("hvf", 4, 3, 31), rng).identity_configured()
+    vl, vi = paired_sets(rng, coincident=4)
+    out_l, out_i = hvf_forward(vl, vi, w)
     assert np.array_equal(out_l.feats, vl.feats)
     assert np.array_equal(out_i.feats, vi.feats)
 

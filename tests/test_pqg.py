@@ -19,6 +19,8 @@ from ddhf.pqg import (
     pqg_forward,
 )
 
+from conftest import fill_zero_tensors
+
 
 def bev_map(rng, h=8, w=8, c=4):
     return FeatureMap(
@@ -138,6 +140,13 @@ def test_hia_zeroed_projections_is_identity(rng):
     qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]), np.array([0.9, 0.8]), "easy")
     out = hia(qs, b, w)
     assert np.array_equal(out.data, b.data)
+
+
+def test_hia_identity_with_filled_zero_tensors(rng):
+    w = fill_zero_tensors(init_hia("hia", 4, 3, 91), rng).identity_configured()
+    b = bev_map(rng)
+    qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]), np.array([0.9, 0.8]), "easy")
+    assert np.array_equal(hia(qs, b, w).data, b.data)
 
 
 def test_hia_no_queries_runs_conv_only(rng):

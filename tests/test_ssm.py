@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import run_at_blas_threads, traced_peak
+from conftest import fill_zero_tensors, run_at_blas_threads, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +128,12 @@ def test_identity_configured_block_is_identity(rng):
     seq = rng.normal(size=(15, 6)).astype(np.float32)
     out = bidirectional_block(seq, w)
     assert np.array_equal(out, seq)
+
+
+def test_identity_configured_block_with_filled_zero_tensors(rng):
+    w = fill_zero_tensors(init_ssm_block("blk", 6, 4, 3), rng).identity_configured()
+    seq = rng.normal(size=(15, 6)).astype(np.float32)
+    assert np.array_equal(bidirectional_block(seq, w), seq)
 
 
 def test_bidirectional_block_palindrome(rng):
