@@ -249,37 +249,55 @@ def gen_scene(spec: SceneSpec, out_dir: str | Path) -> Path:
     return out
 
 
+_CAMERAS = {  # cameras.json key -> (check, what it must be, required)
+    "cameras": (
+        lambda v: isinstance(v, tuple), 'a list of camera objects (the "cameras" list)', True
+    ),
+}
+_CAMERA = {  # values are checked by CameraModel
+    "intrinsics": (lambda v: isinstance(v, tuple), "a 3x3 list of numbers", True),
+    "extrinsics": (lambda v: isinstance(v, tuple), "a 4x4 list of numbers", True),
+    "image_size": (numbers(2, is_int), "a list of 2 integers", True),
+}
+
+
+def _load_cameras(path: Path) -> list[CameraModel]:
+    """Cameras of a cameras.json file. An unknown or missing key names the
+    file and the camera index, as does a value CameraModel rejects."""
+    records = check_record(load(path), _CAMERAS, f"{path}: ")["cameras"]
+    cameras = []
+    for i, data in enumerate(records):
+        where = f"{path}: camera {i}: "
+        cam = check_record(data, _CAMERA, where)
+        try:
+            cameras.append(CameraModel(
+                intrinsics=np.asarray(cam["intrinsics"], dtype=np.float64),
+                extrinsics=np.asarray(cam["extrinsics"], dtype=np.float64),
+                image_size=cam["image_size"],
+            ))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}{exc}") from exc
+    return cameras
+
+
 def load_scene(scene_dir: str | Path):
-    """Read a scene directory -> (points, images, cameras, gt dict)."""
+    """Read a scene directory -> (points, images, cameras, gt dict, or None
+    when the directory holds no gt.json)."""
     d = Path(scene_dir)
     if not (d / "points.bin").exists():
         raise FileNotFoundError(f"not a scene directory (no points.bin): {d}")
     points = load_tensor(d / "points.bin")
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points.bin must be (n, 4), got {points.shape}")
-    meta_path = d / "cameras.json"
-    meta = load(meta_path)
-    cam_list = meta.get("cameras") if isinstance(meta, dict) else None
-    if not isinstance(cam_list, list):
-        raise ValueError(f'{meta_path}: expected an object with a "cameras" list')
-    cameras = []
+    cameras = _load_cameras(d / "cameras.json")
     images = []
-    for i, cam in enumerate(cam_list):
-        try:
-            camera = CameraModel(
-                intrinsics=np.asarray(cam["intrinsics"], dtype=np.float64),
-                extrinsics=np.asarray(cam["extrinsics"], dtype=np.float64),
-                image_size=cam["image_size"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{meta_path}: camera {i}: {exc}") from exc
-        cameras.append(camera)
+    for i, camera in enumerate(cameras):
         img = load_tensor(d / f"cam_{i}.bin")
         expect = camera.image_size + (3,)
         if img.shape != expect:
             raise ValueError(f"cam_{i}.bin shape {img.shape} != declared {expect}")
         images.append(img)
-    gt = load(d / "gt.json")
+    gt = load(d / "gt.json") if (d / "gt.json").exists() else None
     return points, images, cameras, gt
 
 

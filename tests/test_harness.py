@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import re
 import subprocess
@@ -348,11 +349,20 @@ def test_random_scenes_run_or_reject(run):
     cameras = list(spec.cameras) if with_cameras else []
     images = render_images(spec) if with_cameras else []
     cfg = dataclasses.replace(TINY, weights_mode=mode)
-    dets, _ = run_pipeline(gen_points(spec), images, cameras, cfg)
+    points = gen_points(spec)
+    dets, _ = run_pipeline(points, images, cameras, cfg)
     for d in dets:
         assert np.all(np.isfinite(d.center)) and np.all(np.isfinite(d.size))
         assert np.isfinite(d.yaw) and 0.0 <= d.score <= 1.0
         assert 0 <= d.class_id < cfg.k_classes
+    if not with_cameras:
+        # the run above may have reused (or evicted) the previous camera-less
+        # example's image block output; a cold run must give the same bits
+        from ddhf import hbf
+
+        hbf._IB_IMG_MEMO.clear()
+        cold, _ = run_pipeline(points, [], [], cfg)
+        assert detections_to_dicts(cold) == detections_to_dicts(dets)
 
 
 GOLDEN_SCENE = SceneSpec(
@@ -408,6 +418,80 @@ def test_golden_digest_one_blas_thread():
     for threads in (1, 4):
         got = dict(line.split() for line in run_at_blas_threads(code, threads))
         assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}, threads
+
+
+def camera_less_detections(cfg, spec, mode, weights=None) -> str:
+    """Detections of a camera-less run of `spec`, as exact JSON text."""
+    from ddhf.scene import gen_points
+
+    cfg = dataclasses.replace(cfg, weights_mode=mode)
+    dets, _ = run_pipeline(gen_points(spec), [], [], cfg, weights)
+    return json.dumps(detections_to_dicts(dets))
+
+
+@pytest.fixture
+def ib_calls(monkeypatch):
+    """Counts hbf.ib_mamba calls; starts with an empty camera-less memo."""
+    from ddhf import hbf
+
+    calls = []
+    orig = hbf.ib_mamba
+    monkeypatch.setattr(hbf, "ib_mamba", lambda *args: calls.append(1) or orig(*args))
+    hbf._IB_IMG_MEMO.clear()
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["seeded", "passthrough"])
+@pytest.mark.parametrize(
+    "cfg, spec", [(TINY, TINY_SCENE), (PipelineConfig(), GOLDEN_SCENE)], ids=["tiny", "default"]
+)
+def test_camera_less_memo_hit_matches_cleared(cfg, spec, mode, ib_calls):
+    # the second camera-less frame, with its weights rebuilt, reuses the
+    # image-side ib_mamba output of the first and keeps every bit
+    from ddhf import hbf
+
+    first = camera_less_detections(cfg, spec, mode)
+    assert len(ib_calls) == 2
+    hit = camera_less_detections(cfg, spec, mode)
+    assert len(ib_calls) == 3
+    hbf._IB_IMG_MEMO.clear()
+    assert camera_less_detections(cfg, spec, mode) == hit == first
+    assert len(ib_calls) == 5
+
+
+@pytest.mark.parametrize("mode", ["seeded", "passthrough"])
+@pytest.mark.parametrize("field", ["ib_img.in_w", "proj_img_b"])
+def test_camera_less_memo_misses_after_in_place_edit(field, mode, ib_calls):
+    # the memo key is the content of the image map and weights, not their
+    # identity: an in-place edit between two frames must not reuse the old output
+    from ddhf import hbf
+    from ddhf.pipeline import build_weights
+
+    weights = build_weights(dataclasses.replace(TINY, weights_mode=mode))
+    camera_less_detections(TINY, TINY_SCENE, mode, weights)
+    operator.attrgetter(f"hbf.{field}")(weights)[...] += 0.5
+    edited = camera_less_detections(TINY, TINY_SCENE, mode, weights)
+    hbf._IB_IMG_MEMO.clear()
+    uncached = camera_less_detections(TINY, TINY_SCENE, mode, weights)
+    assert edited == uncached
+    # two calls per frame: the edited frame missed (the image block's output
+    # does not always reach the saturated seeded detections)
+    assert len(ib_calls) == 6
+
+
+def test_camera_less_memo_calls_ib_mamba_once(ib_calls):
+    from ddhf.scene import gen_points, render_images
+
+    run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras), TINY)
+    assert len(ib_calls) == 2
+    camera_less_detections(TINY, TINY_SCENE, "seeded")
+    assert len(ib_calls) == 4
+    for repeat in range(2):
+        camera_less_detections(TINY, TINY_SCENE, "seeded")
+        assert len(ib_calls) == 5 + repeat
+    # a frame with cameras takes neither memo path
+    run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras), TINY)
+    assert len(ib_calls) == 8
 
 
 def test_run_demo_script_runs_both_weight_modes():
@@ -533,6 +617,50 @@ def test_cli_eval_rejects_unknown_box_key(tmp_path, capsys, which, content):
     assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[which]}: record 1: ") and "is not a known key" in err
+
+
+def _tiny_scene_dir(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    save_spec(TINY_SCENE, spec_path)
+    scene_dir = tmp_path / "scene"
+    main(["gen-scene", "--spec", str(spec_path), "--out", str(scene_dir)])
+    cfg_path = tmp_path / "cfg.json"
+    save_config(TINY, cfg_path)
+    return scene_dir, cfg_path
+
+
+def test_cli_run_without_ground_truth(tmp_path, capsys):
+    scene_dir, cfg_path = _tiny_scene_dir(tmp_path)
+    outs = []
+    for name in ("with_gt.json", "without_gt.json"):
+        assert main([
+            "run", "--scene", str(scene_dir), "--config", str(cfg_path),
+            "--out", str(tmp_path / name),
+        ]) == 0
+        outs.append((tmp_path / name).read_bytes())
+        (scene_dir / "gt.json").unlink(missing_ok=True)
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "path, key", [((), "camras"), (("cameras", 0), "extrinsic")], ids=["file", "camera"]
+)
+def test_cli_run_rejects_unknown_camera_key(tmp_path, capsys, path, key):
+    scene_dir, cfg_path = _tiny_scene_dir(tmp_path)
+    meta = json.loads((scene_dir / "cameras.json").read_text())
+    record = meta
+    for step in path:
+        record = record[step]
+    record[key] = 1
+    (scene_dir / "cameras.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main([
+        "run", "--scene", str(scene_dir), "--config", str(cfg_path),
+        "--out", str(tmp_path / "det.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cameras.json" in err and f"{key} is not a known key" in err
 
 
 def test_cli_run_seed_changes_weights(tmp_path, capsys):

@@ -88,6 +88,14 @@ def test_scene_roundtrip_bytes(tmp_path):
     assert gt["objects"][0]["class"] == 0
 
 
+def test_load_scene_without_ground_truth(tmp_path):
+    scene = gen_scene(small_spec(n_clutter=10), tmp_path / "s")
+    (scene / "gt.json").unlink()
+    points, images, cameras, gt = load_scene(scene)
+    assert gt is None
+    assert len(points) > 0 and len(images) == len(cameras) == 4
+
+
 def test_load_scene_rejects_non_scene(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_scene(tmp_path)
