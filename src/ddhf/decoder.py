@@ -22,6 +22,7 @@ N_SAMPLE_POINTS = 4
 GRID_SIDE = 4  # g; lattice has G = g^3 points
 BOX_RAW_DIM = 8  # dx, dy, z, log sizes (3), sin, cos
 BOX_RAW_CLIP = 30.0  # untrained readouts can reach +-1e3; exp must stay finite
+MIX_CHUNK = 16  # queries in mmvfm_mix's per-query stage at once; any size gives the same bits
 
 
 @dataclass(frozen=True)
@@ -331,14 +332,25 @@ def mmvfm_mix(q_feat: np.ndarray, grid: GridFeatures, w: MixWeights) -> np.ndarr
     kernel, transposed against the (G, G/4) spatial kernel, and projected
     back down to a C-vector. Leading axes of q_feat (..., C) and of the grid
     (..., G, C) batch queries.
+
+    The kernel generators and the down projection are 2-D products over all
+    queries at once (a gemm cut into row pieces can round differently). The
+    float64 per-query stage between them runs MIX_CHUNK queries at a time:
+    numpy makes one BLAS call per query for each of its stacked matmuls,
+    whatever the batch, so any piece size gives the same bits.
     """
     g, c = grid.feats.shape[-2:]
     batch = q_feat.shape[:-1]
-    f = grid.feats.astype(np.float64) + (grid.offsets @ w.off_w + w.off_b)
-    ck = (q_feat @ w.cw + w.cb).reshape(*batch, c, c).astype(np.float64)
-    f = f @ ck
-    sk = (q_feat @ w.sw + w.sb).reshape(*batch, g, g // 4).astype(np.float64)
-    mixed = f.swapaxes(-1, -2) @ sk  # (..., C, G/4)
+    ck = (q_feat @ w.cw + w.cb).reshape(-1, c, c)
+    sk = (q_feat @ w.sw + w.sb).reshape(-1, g, g // 4)
+    feats = grid.feats.reshape(-1, g, c)
+    offsets = grid.offsets.reshape(-1, g, 3)
+    mixed = np.empty((ck.shape[0], c, g // 4))
+    for lo in range(0, ck.shape[0], MIX_CHUNK):
+        q = slice(lo, lo + MIX_CHUNK)
+        f = feats[q].astype(np.float64) + (offsets[q] @ w.off_w + w.off_b)
+        f = f @ ck[q].astype(np.float64)
+        np.matmul(f.swapaxes(-1, -2), sk[q].astype(np.float64), out=mixed[q])
     return (mixed.reshape(*batch, -1) @ w.down_w + w.down_b).astype(np.float32)
 
 

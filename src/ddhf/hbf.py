@@ -157,20 +157,16 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
     )
 
 
-def _split_t(t: np.ndarray, c: int, d_state: int) -> tuple[ScanParams, ScanParams]:
-    """Per-modality scan parameters from the float32 generator output t
-    (H, W, T): b and c are (H*W, 4, d_state) views of t, one slice per
-    direction, and delta is (H*W, 4, C)."""
-    h, w, _ = t.shape
-    per_dir = t.reshape(h * w, 2, N_DIRECTIONS, 2 * d_state + c)
-    return tuple(
-        ScanParams(
-            per_dir[:, m, :, :d_state],
-            per_dir[:, m, :, d_state : 2 * d_state],
-            softplus_delta(per_dir[:, m, :, 2 * d_state :]),
-        )
-        for m in range(2)
-    )
+def _modality_params(t_m: np.ndarray, c: int, d_state: int) -> ScanParams:
+    """One modality's scan parameters from its float32 generator half t_m
+    (H, W, 4 * (2 * d_state + C)): b and c are (H*W, 4, d_state) views of
+    t_m, one slice per direction, and delta is the (H*W, 4, C) view with
+    softplus_delta written back over it."""
+    h, w, _ = t_m.shape
+    per_dir = t_m.reshape(h * w, N_DIRECTIONS, 2 * d_state + c)
+    delta = per_dir[:, :, 2 * d_state :]
+    delta[...] = softplus_delta(delta)
+    return ScanParams(per_dir[:, :, :d_state], per_dir[:, :, d_state : 2 * d_state], delta)
 
 
 def cb_mamba(
@@ -183,22 +179,41 @@ def cb_mamba(
 
     output = Y_img * SS2D(image map) + (1 - Y_img) * SS2D(LiDAR map)
              + mean of the two inputs (skip path).
+
+    The whole generator output T (H, W, T) lives only while the gate is
+    read from it. Then one modality at a time, image first, its (B, C, Δ)
+    is generated again from its column half of t2_w, scanned and freed.
+    numpy runs the generator as one gemm per map row, t1 being
+    (H, W, 2C), and a column half of that gemm gives the full product's
+    columns bit for bit, so the pieces keep the one-product bits.
     """
     if b_img.data.shape != b_lidar.data.shape:
         raise ValueError("cb_mamba: input maps must share (H, W, C)")
     h, wd, c = b_img.data.shape
     f_comb = np.concatenate([b_img.data, b_lidar.data], axis=-1)
     t1 = silu((f_comb @ w.t1_w + w.t1_b) * w.bn_scale + w.bn_shift)
-    t = t1 @ w.t2_w + w.t2_b
-    params_img, params_lid = _split_t(t, c, w.a_img.shape[1])
-
-    scans = scan_orders_2d(h, wd)
-    x_img = (b_img.data @ w.in_w_img + w.in_b_img).astype(np.float32)
-    x_lid = (b_lidar.data @ w.in_w_lid + w.in_b_lid).astype(np.float32)
-    ss_img = _ss2d(x_img, w.a_img, params_img, w.norm_scale_img, w.norm_shift_img, scans)
-    ss_lid = _ss2d(x_lid, w.a_lid, params_lid, w.norm_scale_lid, w.norm_shift_lid, scans)
-
+    del f_comb
+    t = t1 @ w.t2_w
+    t += w.t2_b
     y_img = silu(t @ w.gate_w + w.gate_b).astype(np.float32)
+    del t
+
+    half = w.t2_w.shape[1] // 2
+    scans = scan_orders_2d(h, wd)
+    ss = []
+    for m, (b, in_w, in_b, a, n_scale, n_shift) in enumerate((
+        (b_img, w.in_w_img, w.in_b_img, w.a_img, w.norm_scale_img, w.norm_shift_img),
+        (b_lidar, w.in_w_lid, w.in_b_lid, w.a_lid, w.norm_scale_lid, w.norm_shift_lid),
+    )):
+        cols = slice(m * half, (m + 1) * half)
+        t_m = t1 @ w.t2_w[:, cols]
+        t_m += w.t2_b[cols]
+        x = (b.data @ in_w + in_b).astype(np.float32)
+        params = _modality_params(t_m, c, a.shape[1])
+        ss.append(_ss2d(x, a, params, n_scale, n_shift, scans))
+        del t_m, params  # free this modality's (B, C, Δ) before the next is built
+    ss_img, ss_lid = ss
+
     y_lid = (np.ones_like(y_img) - y_img).astype(np.float32)
     out = y_img * ss_img + y_lid * ss_lid + 0.5 * (b_img.data + b_lidar.data)
     result = b_img.with_data(out)

@@ -25,10 +25,18 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of float x along axis, written over x: each in-place ufunc
+    gives the bits of its out-of-place form."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Softmax of float x along axis; one copy of x is its one whole temporary."""
+    return _softmax_in_place(np.array(x), axis)
 
 
 def layer_norm(
@@ -105,8 +113,15 @@ def posenc_2d(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
 
 
 def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Single-head attention: the (nq, dv) output."""
+    """Single-head attention: the (nq, dv) output.
+
+    The (nq, nk) float64 logits are scaled and turned into softmax weights
+    in place, so they are the one (nq, nk) array it holds, with the bits of
+    `softmax` on the scaled logits. Both products run whole: a float64 gemm
+    cut into row pieces of 1 or 7 rows gives some rows other bits (measured
+    at K = 32 and K = 100)."""
     scale = 1.0 / np.sqrt(q.shape[-1])
-    logits = (q.astype(np.float64) @ k.astype(np.float64).T) * scale
-    weights = softmax(logits, axis=-1)
+    logits = q.astype(np.float64) @ k.astype(np.float64).T
+    logits *= scale
+    weights = _softmax_in_place(logits)
     return (weights @ v.astype(np.float64)).astype(np.float32)

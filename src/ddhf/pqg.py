@@ -208,6 +208,12 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     Easy queries, embedded with one-hot class and sinusoidal position codes,
     self-attend; every BEV cell then attends to them (query-to-map path) and
     the result feeds a residual conv block.
+
+    The cross-attention runs over all H*W cells at once. Its float64
+    products stay whole, since a gemm cut into row pieces can round
+    differently, and `scaled_dot_attention` makes the (H*W, n_easy) logits
+    into softmax weights in place, so they are the one array of that size
+    it holds.
     """
     if not q_easy:
         return b.with_data(_residual_conv(b.data, w).astype(np.float32))

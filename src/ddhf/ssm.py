@@ -40,8 +40,12 @@ def softplus_delta(x: np.ndarray) -> np.ndarray:
     Generated step sizes must stay strictly positive; for inputs below about
     -104 the float32 softplus underflows to exactly zero, so the floor keeps
     the discretization precondition intact (and exp(1e-30 * a) == 1 anyway).
+    The floor is applied in place on softplus's new array, so that array is
+    the one temporary.
     """
-    return np.maximum(softplus(x), DELTA_FLOOR)
+    d = softplus(x)
+    np.maximum(d, DELTA_FLOOR, out=d)
+    return d
 
 
 @dataclass(frozen=True)

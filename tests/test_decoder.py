@@ -24,7 +24,7 @@ from ddhf.decoder import (
 )
 from ddhf.pqg import Query
 
-from conftest import fill_zero_tensors, random_voxel_set
+from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 from test_ops import sigmoid_ref
 
 
@@ -397,6 +397,26 @@ def test_mmvfm_layer_deterministic(rng):
     a = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
     b = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])
     assert np.array_equal(a, b)
+
+
+def test_mmvfm_layer_peak_memory(rng):
+    # the float64 mixing runs MIX_CHUNK queries at a time, so it never holds a
+    # (200, 64, 32) float64 array (3.3 MB each); 200 queries on a 48x48 map,
+    # C = 32, with 4,000 occupied LiDAR voxels: 12,800 lattice points per
+    # modality (8.2 MB traced; bound that plus 1 MB)
+    from ddhf.config import PipelineConfig
+
+    cfg = PipelineConfig()
+    fm = FeatureMap(
+        rng.normal(size=(48, 48, 32)).astype(np.float32), origin=(-54.0, -54.0),
+        cell_size=(2.25, 2.25),
+    )
+    feats = rng.normal(size=(200, 32)).astype(np.float32)
+    rows, cols = rng.integers(0, 48, 200), rng.integers(0, 48, 200)
+    v_lid = random_voxel_set(rng, cfg.lidar_grid(), 4000, 32)
+    v_img = empty_voxel_set(cfg.image_grid(), 32)
+    w = init_decoder("peak", 32, 3, 0, 1, 3)
+    assert traced_peak(mmvfm_layer, feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0]) < 9.2e6
 
 
 def _assert_layers_return_their_input(w, rng):

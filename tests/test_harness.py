@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_at_blas_threads
+from conftest import run_at_blas_threads, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -492,6 +492,24 @@ def test_camera_less_memo_calls_ib_mamba_once(ib_calls):
     # a frame with cameras takes neither memo path
     run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras), TINY)
     assert len(ib_calls) == 8
+
+
+def test_camera_less_frame_peak_memory():
+    # one default-config frame without cameras, weights built beforehand and
+    # the image-side block computed (the memo cleared), after a first frame
+    # has done the process's one-time work: the cross-modal BEV block sets
+    # its peak, the decoder stays under it (11.0 MB traced; bound that plus
+    # 1 MB)
+    from ddhf import hbf
+    from ddhf.pipeline import build_weights
+    from ddhf.scene import gen_points
+
+    cfg = PipelineConfig()
+    weights = build_weights(cfg)
+    points = gen_points(GOLDEN_SCENE)
+    run_pipeline(points, [], [], cfg, weights)
+    hbf._IB_IMG_MEMO.clear()
+    assert traced_peak(run_pipeline, points, [], [], cfg, weights) < 12e6
 
 
 def test_run_demo_script_runs_both_weight_modes():

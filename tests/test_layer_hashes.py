@@ -1,0 +1,118 @@
+"""Pinned output bits of the cross-modal BEV block, HIA and the voxel layer.
+
+Unlike the golden detection digests, these hashes change when any output
+of `cb_mamba` (result and both gates), `hia`, `mmvfm_mix` or `voxel_pool`
+moves by one float32 ulp. A change meant to keep those layers' bits keeps
+them at every piece size and BLAS thread count.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ddhf import decoder, pqg
+from ddhf.config import PipelineConfig
+from ddhf.core import FeatureMap
+from ddhf.decoder import GridFeatures, init_decoder, mmvfm_mix, voxel_pool
+from ddhf.hbf import cb_mamba, init_cb_mamba
+from ddhf.pqg import collect, hia, init_hia
+
+from conftest import random_voxel_set, run_at_blas_threads
+
+SIDE = 48  # BEV cells per side, as the default config
+N_EASY = 100
+N_QUERIES = 200
+LATTICE = decoder.GRID_SIDE**3  # 64 points per query: 12,800 in all
+K_CLASSES = 3
+WIDTHS = {32: 16, 8: 4}  # channels -> d_state: the default and the TINY config
+
+
+def _bev(rng, c: int) -> FeatureMap:
+    data = rng.normal(size=(SIDE, SIDE, c)).astype(np.float32)
+    return FeatureMap(data, origin=(-54.0, -54.0), cell_size=(2.25, 2.25))
+
+
+def layer_outputs(c: int) -> dict:
+    """Outputs of each pinned layer on seeded inputs of width c."""
+    rng = np.random.default_rng(14_000 + c)
+    outs = {}
+
+    b_img, b_lid = _bev(rng, c), _bev(rng, c)
+    fused, y_img, y_lid = cb_mamba(
+        b_img, b_lid, init_cb_mamba("layer_hash.cb", c, WIDTHS[c], 7), return_gates=True
+    )
+    outs.update(cb_mamba=fused.data, cb_gate_img=y_img, cb_gate_lid=y_lid)
+
+    b = _bev(rng, c)
+    cells = rng.choice(SIDE * SIDE, size=N_EASY, replace=False)
+    pos = np.stack(np.divmod(cells, SIDE), axis=1)
+    q_easy = collect(
+        b, pos, rng.integers(0, K_CLASSES, N_EASY), rng.uniform(size=N_EASY), pqg.STAGE_EASY
+    )
+    outs["hia"] = hia(q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)).data
+
+    mix_w = init_decoder("layer_hash.dec", c, K_CLASSES, 0, 1, 7).mmvfm[0].mix_lid
+    grid = GridFeatures(
+        points=rng.normal(size=(N_QUERIES, LATTICE, 3)),
+        feats=rng.normal(size=(N_QUERIES, LATTICE, c)).astype(np.float32),
+        offsets=rng.normal(size=(N_QUERIES, LATTICE, 3)),
+    )
+    q_feat = rng.normal(size=(N_QUERIES, c)).astype(np.float32)
+    outs["mmvfm_mix"] = mmvfm_mix(q_feat, grid, mix_w)
+
+    lidar_grid = PipelineConfig().lidar_grid()
+    vox = random_voxel_set(rng, lidar_grid, 4000, c)
+    lo = np.asarray(lidar_grid.origin)
+    span = np.asarray(lidar_grid.voxel_size) * lidar_grid.extents
+    # a 2.25 m margin (one voxel in x and y) beyond the grid on each side, so
+    # some points and neighbors fall outside it
+    pts = rng.uniform(lo - 2.25, lo + span + 2.25, size=(N_QUERIES * LATTICE, 3))
+    outs["voxel_pool"] = voxel_pool(vox, pts)
+    return outs
+
+
+def layer_hashes() -> dict:
+    """SHA-256 of each pinned layer output's bytes, at C = 32 and C = 8."""
+    return {
+        f"{name}_c{c}": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        for c in WIDTHS
+        for name, out in layer_outputs(c).items()
+    }
+
+
+LAYER_HASHES = {
+    "cb_mamba_c32": "8c231e963b18ed3f991c592e426a80bae2322e7c739631df9db96e33160d4e85",
+    "cb_gate_img_c32": "756358b6135b2c527a0b232fd870fe687bdfde81e7e655f3a2bab1fc25c84bd8",
+    "cb_gate_lid_c32": "78cc767112e146dc1f9223ac184e3e70751879dd0e475aa5a16f95a5e3dac7d7",
+    "hia_c32": "fdb858b58c1e4f339e1915f4be6dd668dc1836cb8c75de0c7d4ec37f697456af",
+    "mmvfm_mix_c32": "f79b249c8e4d2d0fe13130d73f09fb047248dcc9594bbdf19c8d666cf1fdd0e8",
+    "voxel_pool_c32": "b8c679c942300c52fe7d5144e0a3987168e79387687588d51484e2b3fcb09fa5",
+    "cb_mamba_c8": "34cbc60ea6647ab0436dafdf02bbdfdcc0e5b58ea6f22fed56b640e5e80f5728",
+    "cb_gate_img_c8": "732c00baba26d6db4f2a2c66b9ad3729bcde7fcc421d4bab413dff9973e8220a",
+    "cb_gate_lid_c8": "364d7fb8f8f52c7d9a7fd851e703135f619bd30a3b750a3379e7f8a3a2a01e94",
+    "hia_c8": "fa28bc4c8849d27f190d8febd59bb001805b8ab13845b211cc89db7ee6704bc7",
+    "mmvfm_mix_c8": "1172c878086f60c52530aec3dd806caaac060a03f4fed86e1eab9e8eb0c6bf99",
+    "voxel_pool_c8": "6900e8a36cf9c1d5e40fc27c164581bb5499fb1e8715a246c3e33831c6f5b5c7",
+}
+
+
+def test_layer_hashes():
+    assert layer_hashes() == LAYER_HASHES
+
+
+def test_layer_hashes_blas_threads():
+    # the kernel generators, the attention products and the stacked per-query
+    # matmuls must give the same bits at any BLAS thread count
+    code = "import test_layer_hashes as t\nfor k, v in t.layer_hashes().items():\n    print(k, v)\n"
+    for threads in (1, 4):
+        got = dict(line.split() for line in run_at_blas_threads(code, threads))
+        assert got == LAYER_HASHES, threads
+
+
+@pytest.mark.parametrize("size", [1, N_QUERIES])
+def test_layer_hashes_any_piece_size(monkeypatch, size):
+    # mmvfm_mix's float64 stage works per query, so one-query pieces and one
+    # whole-input piece keep the bits
+    monkeypatch.setattr(decoder, "MIX_CHUNK", size)
+    assert layer_hashes() == LAYER_HASHES

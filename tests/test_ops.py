@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddhf.ops import layer_norm, sigmoid, silu
+from ddhf.ops import layer_norm, sigmoid, silu, softplus
 
 
 def sigmoid_ref(x):
@@ -111,3 +111,19 @@ def test_layer_norm_per_direction_affine():
     for k in range(4):
         assert_same_bits(got[:, k], layer_norm_ref(np.ascontiguousarray(x[:, k]), scale[k], shift[k]))
         assert_same_bits(got[:, k], layer_norm(x[:, k], scale[k], shift[k]))
+
+
+# float32 inputs on which the candidate replacements for softplus round
+# differently from np.logaddexp(0, x), with logaddexp's value at each.
+# maximum(x, 0) + log1p(exp(-|x|)) in float32 gives 2.126932 at the first;
+# the same form staged in float64 gives 2.126932 and 0.6931472. A swap to
+# either form moves a seeded lidar_only reference detection from one size
+# rail to the other, so it is a deliberate numerics change.
+SOFTPLUS_PINS = {2.0000043: 2.1269317, 2.9802326e-08: 0.69314724}
+
+
+def test_softplus_is_logaddexp_bit_for_bit():
+    x = np.array(list(SOFTPLUS_PINS), dtype=np.float32)
+    got = softplus(x)
+    assert_same_bits(got, np.logaddexp(0.0, x))
+    assert_same_bits(got, np.array(list(SOFTPLUS_PINS.values()), dtype=np.float32))

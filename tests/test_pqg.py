@@ -19,7 +19,7 @@ from ddhf.pqg import (
     pqg_forward,
 )
 
-from conftest import fill_zero_tensors
+from conftest import fill_zero_tensors, traced_peak
 
 
 def bev_map(rng, h=8, w=8, c=4):
@@ -158,6 +158,17 @@ def test_hia_no_queries_runs_conv_only(rng):
     from ddhf.pqg import _residual_conv
 
     assert np.allclose(out.data, _residual_conv(b.data, conv), atol=1e-6)
+
+
+def test_hia_peak_memory(rng):
+    # the (2304, 100) float64 cell-to-query logits are scaled and turned into
+    # softmax weights in place: one 1.8 MB array instead of four at once
+    # (3.1 MB traced; bound that plus 1 MB)
+    b = bev_map(rng, 48, 48, 32)
+    cells = rng.choice(48 * 48, size=100, replace=False)
+    pos = np.stack(np.divmod(cells, 48), axis=1)
+    qs = collect(b, pos, rng.integers(0, 3, 100), rng.uniform(size=100), "easy")
+    assert traced_peak(hia, qs, b, init_hia("peak", 32, 3, 3)) < 4.1e6
 
 
 def _posenc_ref(rows, cols, dim):

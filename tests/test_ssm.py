@@ -66,6 +66,18 @@ def test_softplus_delta_floor():
     assert np.isclose(d[2], np.log(2.0), atol=1e-6)
 
 
+def test_softplus_delta_in_place_keeps_bits(rng):
+    # cb_mamba writes softplus_delta of the Delta columns of its generator
+    # output back over them, through a strided view
+    x = np.concatenate(
+        [rng.normal(size=(64, 9)) * 30, np.full((64, 1), -200.0)], axis=1
+    ).astype(np.float32)
+    want = np.maximum(np.logaddexp(0.0, x[:, 2:]), DELTA_FLOOR)
+    delta = x[:, 2:]
+    delta[...] = softplus_delta(delta)
+    assert np.array_equal(x[:, 2:].view(np.uint32), want.view(np.uint32))
+
+
 def _random_case(rng, n, c, ds):
     x = rng.normal(size=(n, c)).astype(np.float32)
     a = -rng.uniform(0.1, 2.0, size=(c, ds))
