@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
-from .ops import scaled_dot_attention, sigmoid, silu, softmax
+from .ops import AttentionWeights, attention, init_attn, sigmoid, silu, softmax
 from .pqg import Query
 from .viewtrans import bilinear_sample
 
@@ -56,18 +56,6 @@ class GridFeatures:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SelfAttnWeights:
-    q_w: np.ndarray
-    q_b: np.ndarray
-    k_w: np.ndarray
-    k_b: np.ndarray
-    v_w: np.ndarray
-    v_b: np.ndarray
-    o_w: np.ndarray
-    o_b: np.ndarray
-
-
-@dataclass(frozen=True)
 class DeformableLayerWeights:
     off_w: np.ndarray  # (C, 2 * N_SAMPLE_POINTS)
     off_b: np.ndarray
@@ -105,15 +93,15 @@ class MixWeights:
 class MmvfmLayerWeights:
     mix_lid: MixWeights
     mix_img: MixWeights
-    attn_lid: SelfAttnWeights
-    attn_img: SelfAttnWeights
+    attn_lid: AttentionWeights
+    attn_img: AttentionWeights
     comb_w: np.ndarray  # (3C, C)
     comb_b: np.ndarray
 
 
 @dataclass(frozen=True)
 class DetectionHeadWeights:
-    attn: SelfAttnWeights
+    attn: AttentionWeights
     ffn1_w: np.ndarray
     ffn1_b: np.ndarray
     ffn2_w: np.ndarray
@@ -139,7 +127,7 @@ class DecoderWeights:
             deform=tuple(zeroed(d, "out_w", "out_b", "ffn2_w", "ffn2_b") for d in self.deform),
             mmvfm=tuple(_keep_query(m) for m in self.mmvfm),
             head=replace(
-                zeroed(self.head, "ffn2_w", "ffn2_b"), attn=zeroed(self.head.attn, "o_w", "o_b")
+                zeroed(self.head, "ffn2_w", "ffn2_b"), attn=self.head.attn.identity_configured()
             ),
         )
 
@@ -150,16 +138,6 @@ def _keep_query(m: MmvfmLayerWeights) -> MmvfmLayerWeights:
     c = m.comb_w.shape[1]
     m.comb_w[:c] = np.eye(c, dtype=np.float32)
     return m
-
-
-def _init_attn(name: str, c: int, seed: int) -> SelfAttnWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
-    return SelfAttnWeights(
-        p("q.weight", (c, c)), p("q.bias", (c,)),
-        p("k.weight", (c, c)), p("k.bias", (c,)),
-        p("v.weight", (c, c)), p("v.bias", (c,)),
-        p("o.weight", (c, c)), p("o.bias", (c,)),
-    )
 
 
 def _init_mix(name: str, c: int, seed: int) -> MixWeights:
@@ -208,15 +186,15 @@ def init_decoder(
         MmvfmLayerWeights(
             mix_lid=_init_mix(f"{name}.mmvfm{j}.mix_lid", c, global_seed),
             mix_img=_init_mix(f"{name}.mmvfm{j}.mix_img", c, global_seed),
-            attn_lid=_init_attn(f"{name}.mmvfm{j}.attn_lid", c, global_seed),
-            attn_img=_init_attn(f"{name}.mmvfm{j}.attn_img", c, global_seed),
+            attn_lid=init_attn(f"{name}.mmvfm{j}.attn_lid", c, global_seed),
+            attn_img=init_attn(f"{name}.mmvfm{j}.attn_img", c, global_seed),
             comb_w=p(f"mmvfm{j}.combine.weight", (3 * c, c)),
             comb_b=p(f"mmvfm{j}.combine.bias", (c,)),
         )
         for j in range(m_vox)
     )
     head = DetectionHeadWeights(
-        attn=_init_attn(f"{name}.head.attn", c, global_seed),
+        attn=init_attn(f"{name}.head.attn", c, global_seed),
         ffn1_w=p("head.ffn1.weight", (c, 2 * c)),
         ffn1_b=p("head.ffn1.bias", (2 * c,)),
         ffn2_w=p("head.ffn2.weight", (2 * c, c)),
@@ -313,12 +291,11 @@ def voxel_pool(v: SparseVoxelSet, points: np.ndarray) -> np.ndarray:
     if v.n == 0:
         return out.astype(np.float32)
     cells, _ = v.grid.point_coords(points)
-    feats = v.feats.astype(np.float64)
     counts = np.zeros(n, dtype=np.int64)
     for off in _NEIGHBOR_OFFSETS:
         rows = v.rows_of(cells + off)
         hit = rows >= 0
-        out[hit] += feats[rows[hit]]
+        out[hit] += v.feats[rows[hit]]  # float32 rows widen exactly in the float64 add
         counts += hit
     nz = counts > 0
     out[nz] /= counts[nz, None]
@@ -354,11 +331,6 @@ def mmvfm_mix(q_feat: np.ndarray, grid: GridFeatures, w: MixWeights) -> np.ndarr
     return (mixed.reshape(*batch, -1) @ w.down_w + w.down_b).astype(np.float32)
 
 
-def _self_attention(x: np.ndarray, w: SelfAttnWeights) -> np.ndarray:
-    attn = scaled_dot_attention(x @ w.q_w + w.q_b, x @ w.k_w + w.k_b, x @ w.v_w + w.v_b)
-    return (x + attn @ w.o_w + w.o_b).astype(np.float32)
-
-
 def mmvfm_layer(
     feats: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     v_lidar: SparseVoxelSet, v_img: SparseVoxelSet,
@@ -373,7 +345,7 @@ def mmvfm_layer(
     mixed = []
     for vox, mw, attn in ((v_lidar, w.mix_lid, w.attn_lid), (v_img, w.mix_img, w.attn_img)):
         pooled = voxel_pool(vox, pts).reshape(*pts.shape[:2], vox.channels)
-        mixed.append(_self_attention(mmvfm_mix(feats, GridFeatures(pts, pooled, offsets), mw), attn))
+        mixed.append(attention(mmvfm_mix(feats, GridFeatures(pts, pooled, offsets), mw), attn))
     cat = np.concatenate([feats, *mixed], axis=1)
     return (cat @ w.comb_w + w.comb_b).astype(np.float32)
 
@@ -383,7 +355,7 @@ def detection_head(
     fm: FeatureMap, w: DetectionHeadWeights,
 ) -> list[DetectionBox]:
     """Self-attention + feed-forward, then class scores and box readout."""
-    x = _self_attention(feats, w.attn)
+    x = attention(feats, w.attn)
     x = (x + silu(x @ w.ffn1_w + w.ffn1_b) @ w.ffn2_w + w.ffn2_b).astype(np.float32)
     logits = x @ w.cls_w + w.cls_b
     cls = np.argmax(logits, axis=1)

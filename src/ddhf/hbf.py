@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
 from .curve import ScanSet2D, cross_merge_2d, scan_orders_2d
-from .ops import conv2d, layer_norm, silu
+from .ops import ConvBlock, conv_block, init_conv_block, layer_norm, silu
 from .ssm import (
     ScanParams,
     SsmBlockWeights,
@@ -228,33 +228,23 @@ def cb_mamba(
 
 @dataclass(frozen=True)
 class BevBackboneWeights:
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    # each block: (conv_a kernel, conv_a bias, conv_b kernel, conv_b bias)
+    blocks: tuple[ConvBlock, ...]
 
     def identity_configured(self) -> "BevBackboneWeights":
         return zeroed(self, "blocks")
 
 
 def init_bev_backbone(name: str, c: int, global_seed: int) -> BevBackboneWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     return BevBackboneWeights(
-        tuple(
-            (
-                p(f"block{i}.conv_a.weight", (3, 3, c, c)),
-                p(f"block{i}.conv_a.bias", (c,)),
-                p(f"block{i}.conv_b.weight", (3, 3, c, c)),
-                p(f"block{i}.conv_b.bias", (c,)),
-            )
-            for i in range(2)
-        )
+        tuple(init_conv_block(f"{name}.block{i}", c, global_seed) for i in range(2))
     )
 
 
 def bev_backbone(b: FeatureMap, w: BevBackboneWeights) -> FeatureMap:
-    """Two residual 3x3 conv blocks, channel width preserved."""
+    """Two residual 3x3 conv blocks (`ops.conv_block`), channel width preserved."""
     x = b.data
-    for ka, ba, kb, bb in w.blocks:
-        x = x + conv2d(silu(conv2d(x, ka, ba)), kb, bb)
+    for block in w.blocks:
+        x = conv_block(x, block)
     return b.with_data(x.astype(np.float32))
 
 

@@ -1,8 +1,13 @@
-"""Shared numeric primitives: activations, norms, dense layers, conv, attention."""
+"""Shared numeric primitives and blocks: activations, norms, conv, the
+residual conv block and the residual attention block."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .core import init_param, zeroed
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -80,6 +85,26 @@ def conv2d(
     return out.astype(np.float32)
 
 
+# residual conv block: conv_a kernel (3, 3, C, C), conv_a bias, conv_b kernel, conv_b bias
+ConvBlock = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def init_conv_block(name: str, c: int, seed: int) -> ConvBlock:
+    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
+    return (
+        p("conv_a.weight", (3, 3, c, c)),
+        p("conv_a.bias", (c,)),
+        p("conv_b.weight", (3, 3, c, c)),
+        p("conv_b.bias", (c,)),
+    )
+
+
+def conv_block(x: np.ndarray, w: ConvBlock) -> np.ndarray:
+    """Residual 3x3 conv block on (H, W, C): x + conv_b(silu(conv_a(x)))."""
+    ka, ba, kb, bb = w
+    return x + conv2d(silu(conv2d(x, ka, ba)), kb, bb)
+
+
 def max_pool2d_same(x: np.ndarray, k: int = 3) -> np.ndarray:
     """Max pool an (H, W) map with a k x k window, stride 1, same padding."""
     p = (k - 1) // 2
@@ -112,16 +137,46 @@ def posenc_2d(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
     )
 
 
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Single-head attention: the (nq, dv) output.
+@dataclass(frozen=True)
+class AttentionWeights:
+    """Projections of one attention block, each (C, C) with a (C,) bias."""
 
-    The (nq, nk) float64 logits are scaled and turned into softmax weights
-    in place, so they are the one (nq, nk) array it holds, with the bits of
+    q_w: np.ndarray
+    q_b: np.ndarray
+    k_w: np.ndarray
+    k_b: np.ndarray
+    v_w: np.ndarray
+    v_b: np.ndarray
+    o_w: np.ndarray
+    o_b: np.ndarray
+
+    def identity_configured(self) -> "AttentionWeights":
+        """Zero the output projection: the block returns its input."""
+        return zeroed(self, "o_w", "o_b")
+
+
+def init_attn(name: str, c: int, seed: int) -> AttentionWeights:
+    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
+    return AttentionWeights(
+        p("q.weight", (c, c)), p("q.bias", (c,)),
+        p("k.weight", (c, c)), p("k.bias", (c,)),
+        p("v.weight", (c, c)), p("v.bias", (c,)),
+        p("o.weight", (c, c)), p("o.bias", (c,)),
+    )
+
+
+def attention(x: np.ndarray, w: AttentionWeights, ctx: np.ndarray | None = None) -> np.ndarray:
+    """Residual single-head attention block, float32: x (n, C) attends to
+    ctx (m, C), or to itself when ctx is None, and adds the o-projection.
+
+    The (n, m) float64 logits are scaled and turned into softmax weights in
+    place, so they are the one (n, m) array it holds, with the bits of
     `softmax` on the scaled logits. Both products run whole: a float64 gemm
     cut into row pieces of 1 or 7 rows gives some rows other bits (measured
     at K = 32 and K = 100)."""
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    ctx = x if ctx is None else ctx
+    q, k, v = x @ w.q_w + w.q_b, ctx @ w.k_w + w.k_b, ctx @ w.v_w + w.v_b
     logits = q.astype(np.float64) @ k.astype(np.float64).T
-    logits *= scale
-    weights = _softmax_in_place(logits)
-    return (weights @ v.astype(np.float64)).astype(np.float32)
+    logits *= 1.0 / np.sqrt(q.shape[-1])
+    out = (_softmax_in_place(logits) @ v.astype(np.float64)).astype(np.float32)
+    return (x + out @ w.o_w + w.o_b).astype(np.float32, copy=False)

@@ -9,16 +9,21 @@ hard query can land next to an easy one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import FeatureMap, init_param, zeroed
 from .ops import (
+    AttentionWeights,
+    ConvBlock,
+    attention,
     conv2d,
+    conv_block,
+    init_attn,
+    init_conv_block,
     max_pool2d_same,
     posenc_2d,
-    scaled_dot_attention,
     sigmoid,
     silu,
 )
@@ -157,49 +162,27 @@ def build_mask(p_easy: np.ndarray, h: int, w: int, kernel: int = 3) -> QueryMask
 class HiaWeights:
     emb_w: np.ndarray  # (K + C, C): one-hot class ++ position encoding -> C
     emb_b: np.ndarray
-    self_q: np.ndarray
-    self_k: np.ndarray
-    self_v: np.ndarray
-    self_o: np.ndarray
-    cross_q: np.ndarray
-    cross_k: np.ndarray
-    cross_v: np.ndarray
-    cross_o: np.ndarray
-    conv_a_k: np.ndarray  # (3, 3, C, C)
-    conv_a_b: np.ndarray
-    conv_b_k: np.ndarray
-    conv_b_b: np.ndarray
+    self_attn: AttentionWeights
+    cross_attn: AttentionWeights
+    conv: ConvBlock
 
     def identity_configured(self) -> "HiaWeights":
         """Zero both attention outputs and the residual conv: HIA returns its map."""
-        return zeroed(
-            self, "self_o", "cross_o", "conv_a_k", "conv_a_b", "conv_b_k", "conv_b_b"
+        return replace(
+            zeroed(self, "conv"),
+            self_attn=self.self_attn.identity_configured(),
+            cross_attn=self.cross_attn.identity_configured(),
         )
 
 
 def init_hia(name: str, c: int, k_classes: int, global_seed: int) -> HiaWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
-    sq = lambda suffix: p(suffix, (c, c))
     return HiaWeights(
-        emb_w=p("embed.weight", (k_classes + c, c)),
-        emb_b=p("embed.bias", (c,)),
-        self_q=sq("self_attn.q.weight"),
-        self_k=sq("self_attn.k.weight"),
-        self_v=sq("self_attn.v.weight"),
-        self_o=sq("self_attn.o.weight"),
-        cross_q=sq("cross_attn.q.weight"),
-        cross_k=sq("cross_attn.k.weight"),
-        cross_v=sq("cross_attn.v.weight"),
-        cross_o=sq("cross_attn.o.weight"),
-        conv_a_k=p("conv_a.weight", (3, 3, c, c)),
-        conv_a_b=p("conv_a.bias", (c,)),
-        conv_b_k=p("conv_b.weight", (3, 3, c, c)),
-        conv_b_b=p("conv_b.bias", (c,)),
+        emb_w=init_param(f"{name}.embed.weight", (k_classes + c, c), global_seed),
+        emb_b=init_param(f"{name}.embed.bias", (c,), global_seed),
+        self_attn=init_attn(f"{name}.self_attn", c, global_seed),
+        cross_attn=init_attn(f"{name}.cross_attn", c, global_seed),
+        conv=init_conv_block(name, c, global_seed),
     )
-
-
-def _residual_conv(x: np.ndarray, w: HiaWeights) -> np.ndarray:
-    return x + conv2d(silu(conv2d(x, w.conv_a_k, w.conv_a_b)), w.conv_b_k, w.conv_b_b)
 
 
 def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
@@ -207,16 +190,17 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
 
     Easy queries, embedded with one-hot class and sinusoidal position codes,
     self-attend; every BEV cell then attends to them (query-to-map path) and
-    the result feeds a residual conv block.
+    the result feeds a residual conv block. Both attentions and the conv
+    block are the shared `ops` blocks.
 
     The cross-attention runs over all H*W cells at once. Its float64
     products stay whole, since a gemm cut into row pieces can round
-    differently, and `scaled_dot_attention` makes the (H*W, n_easy) logits
-    into softmax weights in place, so they are the one array of that size
-    it holds.
+    differently, and `attention` turns the (H*W, n_easy) logits into
+    softmax weights in place, so they are the one array of that size it
+    holds.
     """
     if not q_easy:
-        return b.with_data(_residual_conv(b.data, w).astype(np.float32))
+        return b.with_data(conv_block(b.data, w.conv).astype(np.float32))
     k_classes = w.emb_w.shape[0] - b.channels
     onehot = np.zeros((len(q_easy), k_classes), dtype=np.float32)
     rows = np.array([q.pos[0] for q in q_easy], dtype=np.float64)
@@ -227,13 +211,9 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     tokens = np.stack([q.feature for q in q_easy]) + (
         np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b
     )
-    attn = scaled_dot_attention(tokens @ w.self_q, tokens @ w.self_k, tokens @ w.self_v)
-    tokens = tokens + attn @ w.self_o
-
-    flat = b.data.reshape(-1, b.channels)
-    cross = scaled_dot_attention(flat @ w.cross_q, tokens @ w.cross_k, tokens @ w.cross_v)
-    x = b.data + (cross @ w.cross_o).reshape(b.data.shape)
-    return b.with_data(_residual_conv(x, w).astype(np.float32))
+    tokens = attention(tokens, w.self_attn)
+    x = attention(b.data.reshape(-1, b.channels), w.cross_attn, tokens)
+    return b.with_data(conv_block(x.reshape(b.data.shape), w.conv).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ddhf.decoder import (
     DetectionHeadWeights,
     GridFeatures,
     MixWeights,
-    SelfAttnWeights,
     box_readout,
     decode,
     deformable_layer,
@@ -22,6 +21,7 @@ from ddhf.decoder import (
     mmvfm_mix,
     voxel_pool,
 )
+from ddhf.ops import AttentionWeights
 from ddhf.pqg import Query
 
 from conftest import fill_zero_tensors, random_voxel_set, traced_peak
@@ -403,7 +403,7 @@ def test_mmvfm_layer_peak_memory(rng):
     # the float64 mixing runs MIX_CHUNK queries at a time, so it never holds a
     # (200, 64, 32) float64 array (3.3 MB each); 200 queries on a 48x48 map,
     # C = 32, with 4,000 occupied LiDAR voxels: 12,800 lattice points per
-    # modality (8.2 MB traced; bound that plus 1 MB)
+    # modality (7.2 MB traced; bound that plus 1 MB)
     from ddhf.config import PipelineConfig
 
     cfg = PipelineConfig()
@@ -416,7 +416,7 @@ def test_mmvfm_layer_peak_memory(rng):
     v_lid = random_voxel_set(rng, cfg.lidar_grid(), 4000, 32)
     v_img = empty_voxel_set(cfg.image_grid(), 32)
     w = init_decoder("peak", 32, 3, 0, 1, 3)
-    assert traced_peak(mmvfm_layer, feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0]) < 9.2e6
+    assert traced_peak(mmvfm_layer, feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0]) < 8.2e6
 
 
 def _assert_layers_return_their_input(w, rng):
@@ -450,7 +450,7 @@ def test_identity_configured_decoder_layers_with_filled_zero_tensors(rng):
 def test_detection_head_zero_weights_scores_half(rng):
     c, k = 4, 3
     zeros = lambda *shape: np.zeros(shape, dtype=np.float32)
-    attn = SelfAttnWeights(
+    attn = AttentionWeights(
         zeros(c, c), zeros(c), zeros(c, c), zeros(c),
         zeros(c, c), zeros(c), zeros(c, c), zeros(c),
     )

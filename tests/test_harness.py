@@ -282,22 +282,59 @@ def test_run_pipeline_rejects_weights_of_another_config(field, value):
         )
 
 
+def leaves(obj, path="weights"):
+    """(path, leaf) for every leaf under a weights tree's dataclass fields and tuples."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
 def test_pipeline_weights_hold_only_tensors():
     # every leaf under the dataclass fields and tuples is an ndarray, so
     # weight helpers (core.zeroed, validate_weights) treat weights as tensors
-    def leaves(obj, path):
-        if dataclasses.is_dataclass(obj):
-            for f in dataclasses.fields(obj):
-                yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
-        elif isinstance(obj, tuple):
-            for i, item in enumerate(obj):
-                yield from leaves(item, f"{path}[{i}]")
-        else:
-            yield path, obj
-
-    found = list(leaves(init_pipeline_weights(TINY), "weights"))
+    found = list(leaves(init_pipeline_weights(TINY)))
     assert found
     assert [path for path, v in found if not isinstance(v, np.ndarray)] == []
+
+
+def nonzero_weights_digest(weights) -> str:
+    """SHA-256 of the sorted SHA-256s of (dtype, shape, bytes) of every
+    tensor in the tree that is not all zeros. It pins every value the
+    weights hold, drawn or hand-set, whatever the tree's shape, field names
+    or count of zero tensors."""
+    digests = sorted(
+        hashlib.sha256(repr((v.dtype.str, v.shape)).encode() + v.tobytes()).hexdigest()
+        for _, v in leaves(weights)
+        if np.any(v)
+    )
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+WEIGHT_VALUE_DIGESTS = {
+    "tiny_seeded": (TINY, "seeded",
+                    "aa41a619c440a28d98ac5df8a6f4a323a2072d5ab020b4797718a6b35702fe1a"),
+    "tiny_passthrough": (TINY, "passthrough",
+                         "5b976d71438fdb7fd51a83d3b480583c333e99a7751a44ec9a05534f0a454c5c"),
+    "default_seeded": (PipelineConfig(), "seeded",
+                       "f1a0baac6855e88edfa9f8a4b319ae55c663c04f0551fccade29d502fcc7e7ee"),
+    "default_passthrough": (PipelineConfig(), "passthrough",
+                            "167976e236e220392271e8b4d88f34048eed75bd5848710d58b5d82b414a1023"),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, mode, digest", list(WEIGHT_VALUE_DIGESTS.values()), ids=list(WEIGHT_VALUE_DIGESTS)
+)
+def test_weight_values_pinned(cfg, mode, digest):
+    from ddhf.pipeline import build_weights
+
+    weights = build_weights(dataclasses.replace(cfg, weights_mode=mode))
+    assert nonzero_weights_digest(weights) == digest
 
 
 def test_run_pipeline_accepts_full_intensity():

@@ -2,8 +2,11 @@
 
 Unlike the golden detection digests, these hashes change when any output
 of `cb_mamba` (result and both gates), `hia`, `mmvfm_mix` or `voxel_pool`
-moves by one float32 ulp. A change meant to keep those layers' bits keeps
-them at every piece size and BLAS thread count.
+moves by one float32 ulp. The float64 softmax weights of HIA's two
+attentions, of both MMVFM attentions and of the detection head's are
+pinned too: the float32 rounding at a layer's end nearly always absorbs a
+one-ulp float64 change inside it. A change meant to keep those layers'
+bits keeps them at every piece size and BLAS thread count.
 """
 
 import hashlib
@@ -11,10 +14,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from ddhf import decoder, pqg
+from ddhf import decoder, ops, pqg
 from ddhf.config import PipelineConfig
 from ddhf.core import FeatureMap
-from ddhf.decoder import GridFeatures, init_decoder, mmvfm_mix, voxel_pool
+from ddhf.decoder import (
+    GridFeatures,
+    detection_head,
+    init_decoder,
+    mmvfm_layer,
+    mmvfm_mix,
+    voxel_pool,
+)
 from ddhf.hbf import cb_mamba, init_cb_mamba
 from ddhf.pqg import collect, hia, init_hia
 
@@ -31,6 +41,24 @@ WIDTHS = {32: 16, 8: 4}  # channels -> d_state: the default and the TINY config
 def _bev(rng, c: int) -> FeatureMap:
     data = rng.normal(size=(SIDE, SIDE, c)).astype(np.float32)
     return FeatureMap(data, origin=(-54.0, -54.0), cell_size=(2.25, 2.25))
+
+
+def with_softmax_weights(fn, *args) -> tuple:
+    """fn(*args) and the float64 softmax weights of every attention it runs,
+    in call order, captured by wrapping `ops._softmax_in_place`."""
+    seen = []
+    orig = ops._softmax_in_place
+
+    def record(x, axis=-1):
+        out = orig(x, axis)
+        seen.append(out.copy())
+        return out
+
+    ops._softmax_in_place = record
+    try:
+        return fn(*args), seen
+    finally:
+        ops._softmax_in_place = orig
 
 
 def layer_outputs(c: int) -> dict:
@@ -50,9 +78,13 @@ def layer_outputs(c: int) -> dict:
     q_easy = collect(
         b, pos, rng.integers(0, K_CLASSES, N_EASY), rng.uniform(size=N_EASY), pqg.STAGE_EASY
     )
-    outs["hia"] = hia(q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)).data
+    out, (outs["hia_self_softmax"], outs["hia_cross_softmax"]) = with_softmax_weights(
+        hia, q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)
+    )
+    outs["hia"] = out.data
 
-    mix_w = init_decoder("layer_hash.dec", c, K_CLASSES, 0, 1, 7).mmvfm[0].mix_lid
+    dec_w = init_decoder("layer_hash.dec", c, K_CLASSES, 0, 1, 7)
+    mix_w = dec_w.mmvfm[0].mix_lid
     grid = GridFeatures(
         points=rng.normal(size=(N_QUERIES, LATTICE, 3)),
         feats=rng.normal(size=(N_QUERIES, LATTICE, c)).astype(np.float32),
@@ -69,11 +101,22 @@ def layer_outputs(c: int) -> dict:
     # some points and neighbors fall outside it
     pts = rng.uniform(lo - 2.25, lo + span + 2.25, size=(N_QUERIES * LATTICE, 3))
     outs["voxel_pool"] = voxel_pool(vox, pts)
+
+    fm = _bev(rng, c)
+    img_vox = random_voxel_set(rng, PipelineConfig().image_grid(), 4000, c)
+    feats = rng.normal(size=(N_QUERIES, c)).astype(np.float32)
+    rows, cols = rng.integers(0, SIDE, size=(2, N_QUERIES))
+    _, (outs["mmvfm_lid_softmax"], outs["mmvfm_img_softmax"]) = with_softmax_weights(
+        mmvfm_layer, feats, rows, cols, vox, img_vox, fm, dec_w.box, dec_w.mmvfm[0]
+    )
+    _, (outs["head_softmax"],) = with_softmax_weights(
+        detection_head, feats, rows, cols, fm, dec_w.head
+    )
     return outs
 
 
 def layer_hashes() -> dict:
-    """SHA-256 of each pinned layer output's bytes, at C = 32 and C = 8."""
+    """SHA-256 of each pinned output's bytes, at C = 32 and C = 8."""
     return {
         f"{name}_c{c}": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
         for c in WIDTHS
@@ -94,6 +137,17 @@ LAYER_HASHES = {
     "hia_c8": "fa28bc4c8849d27f190d8febd59bb001805b8ab13845b211cc89db7ee6704bc7",
     "mmvfm_mix_c8": "1172c878086f60c52530aec3dd806caaac060a03f4fed86e1eab9e8eb0c6bf99",
     "voxel_pool_c8": "6900e8a36cf9c1d5e40fc27c164581bb5499fb1e8715a246c3e33831c6f5b5c7",
+    # float64 softmax weights
+    "hia_self_softmax_c32": "19c8d83c02e8d9b01fb3235980a18f77e3ffeb6dc02fc1960a2594a5b08b2c5b",
+    "hia_cross_softmax_c32": "8581cc07eff4efeb860fcc89431b36581c667473015df9dff41b6182eb6108ce",
+    "mmvfm_lid_softmax_c32": "48e7d1340f8a6bb443050ee432007bd656a0e9666180f75538c9f445192374ce",
+    "mmvfm_img_softmax_c32": "9ce16baf3ea1b86e84a988d905c7badc1c2444971a89f1e366f1d9faa5ce9f36",
+    "head_softmax_c32": "d582455bf3cf592b85f0619be6758b2ac1906fcad322eec9fab13614d3aafcd6",
+    "hia_self_softmax_c8": "75e526261502672c7ddc2087d7cfaaae4c49d72d056a5fbd3be9591dabd0e54b",
+    "hia_cross_softmax_c8": "8d8bc57119acc74c17d474757f6b9cae9bc478b3caa7d19d8c55690402e3d2c8",
+    "mmvfm_lid_softmax_c8": "4d8066266c9a4e83bb2097bef977130f6f61cf4783c0a478bce621b43f34bb18",
+    "mmvfm_img_softmax_c8": "de0bf408356eeef278e746286ef6b81783b55ec7c7c4de5de97887c31add33ba",
+    "head_softmax_c8": "c256133b7f823218f14bba329bfdaf1e5e9804f93303257f3eca6e2eb947ef69",
 }
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap
+from ddhf.core import FeatureMap, zeroed
+from ddhf.ops import conv_block
 from ddhf.pqg import (
     Heatmap,
     HeatmapHeadWeights,
@@ -153,11 +154,8 @@ def test_hia_no_queries_runs_conv_only(rng):
     w = init_hia("hia", 4, 3, 92)
     b = bev_map(rng)
     out = hia([], b, w)
-    conv = dataclasses.replace(w)
     # matches the residual conv applied directly to the input map
-    from ddhf.pqg import _residual_conv
-
-    assert np.allclose(out.data, _residual_conv(b.data, conv), atol=1e-6)
+    assert np.allclose(out.data, conv_block(b.data, w.conv), atol=1e-6)
 
 
 def test_hia_peak_memory(rng):
@@ -185,12 +183,7 @@ def _posenc_ref(rows, cols, dim):
 
 def test_hia_matches_scalar_reference(rng):
     c, k_classes = 4, 2
-    w = init_hia("hia", c, k_classes, 93)
-    w = dataclasses.replace(
-        w,
-        conv_a_k=np.zeros_like(w.conv_a_k), conv_a_b=np.zeros_like(w.conv_a_b),
-        conv_b_k=np.zeros_like(w.conv_b_k), conv_b_b=np.zeros_like(w.conv_b_b),
-    )
+    w = zeroed(init_hia("hia", c, k_classes, 93), "conv")
     b = bev_map(rng, h=4, w=4, c=c)
     pos = np.array([[0, 3], [2, 1]])
     qs = collect(b, pos, np.array([1, 0]), np.array([0.9, 0.7]), "easy")
@@ -201,11 +194,16 @@ def test_hia_matches_scalar_reference(rng):
     pe = _posenc_ref(pos[:, 0].astype(float), pos[:, 1].astype(float), c)
     tokens = np.stack([q.feature for q in qs]).astype(np.float64)
     tokens = tokens + np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b
-    attn = oracles.attention(tokens @ w.self_q, tokens @ w.self_k, tokens @ w.self_v)
-    tokens = tokens + attn @ w.self_o
+    sa, ca = w.self_attn, w.cross_attn
+    attn = oracles.attention(
+        tokens @ sa.q_w + sa.q_b, tokens @ sa.k_w + sa.k_b, tokens @ sa.v_w + sa.v_b
+    )
+    tokens = tokens + attn @ sa.o_w + sa.o_b
     flat = b.data.reshape(-1, c).astype(np.float64)
-    cross = oracles.attention(flat @ w.cross_q, tokens @ w.cross_k, tokens @ w.cross_v)
-    want = b.data + (cross @ w.cross_o).reshape(b.data.shape)
+    cross = oracles.attention(
+        flat @ ca.q_w + ca.q_b, tokens @ ca.k_w + ca.k_b, tokens @ ca.v_w + ca.v_b
+    )
+    want = b.data + (cross @ ca.o_w + ca.o_b).reshape(b.data.shape)
 
     out = hia(qs, b, w)
     assert np.max(np.abs(out.data - want)) < 1e-5
