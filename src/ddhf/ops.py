@@ -68,6 +68,8 @@ def conv2d(
     """2-D convolution on (H, W, Cin) with kernel (kh, kw, Cin, Cout), same padding.
 
     Padding is (k-1)//2 per side, so odd kernels keep spatial size at stride 1.
+    Each tap widens its input patch into one reused float64 buffer and takes
+    its product into another, so no float64 temporary is made per tap.
     """
     kh, kw, cin, cout = kernel.shape
     h, w = x.shape[:2]
@@ -76,10 +78,12 @@ def conv2d(
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (w + 2 * pw - kw) // stride + 1
     out = np.zeros((ho, wo, cout), dtype=np.float64)
+    patch64, prod = np.empty((ho, wo, cin)), np.empty((ho, wo, cout))
     for di in range(kh):
         for dj in range(kw):
-            patch = xp[di : di + ho * stride : stride, dj : dj + wo * stride : stride]
-            out += patch.astype(np.float64) @ kernel[di, dj].astype(np.float64)
+            patch64[...] = xp[di : di + ho * stride : stride, dj : dj + wo * stride : stride]
+            out += np.matmul(patch64, kernel[di, dj].astype(np.float64), out=prod)
+    del patch64, prod
     if bias is not None:
         out += bias
     return out.astype(np.float32)
