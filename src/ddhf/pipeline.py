@@ -128,9 +128,10 @@ def build_weights(cfg: PipelineConfig) -> PipelineWeights:
 
 
 def peak_rss_mb() -> float:
-    """The process's peak resident set size so far (ru_maxrss), in MB."""
+    """The process's peak resident set size so far (ru_maxrss), in MB of
+    2**20 bytes, the unit perfbench's `peak_rss_mb` reports."""
     kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return kb * (1 if sys.platform == "darwin" else 1024) / 1e6  # macOS counts bytes
+    return kb / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)  # macOS counts bytes
 
 
 @dataclass

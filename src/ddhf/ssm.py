@@ -5,10 +5,14 @@ bidirectional block with input-dependent (B, C, Delta) generation that every
 Mamba-style module in the pipeline instantiates.
 
 Discretization is the closed ZOH form for a diagonal, strictly negative A
-(S4D, arXiv 2206.11893). The scan discretizes SCAN_BLOCK = 64 stream-steps
-at a time and carries the state h on, so the expanded (n, C, d_state) state
-is never built; every block size gives the same bits. Scans run internally
-in float64 and return float32.
+(S4D, arXiv 2206.11893); `discretize` (float64) and the scan (float32)
+share one helper for it. The scan discretizes SCAN_BLOCK
+stream-steps at a time and carries the state h on, so the expanded
+(n, C, d_state) state is never built; every block size gives the same bits.
+Scans run in float32, as Mamba's reference selective scan does (arXiv
+2312.00752), and advance h by an increment, h + (e*h + Bbar*x) with
+e = Abar - 1 = expm1(Delta*a), so 1 - Abar keeps float32 precision
+when Abar is near 1.
 
 One scan call can advance G streams over one source x (N, C) at once: an
 (n, G) integer row table says which row of x, and of the scan parameters,
@@ -66,28 +70,29 @@ def _check_zoh(a: np.ndarray, delta: np.ndarray) -> None:
         raise ValueError("discretize: delta must be positive")
 
 
-def _zoh(a, inv_a, b, delta, abar: np.ndarray, bbar: np.ndarray) -> None:
-    """The closed form, unchecked, into float64 buffers: bbar = expm1(delta*a),
-    abar = bbar + 1, then bbar *= 1/a and bbar *= b."""
-    np.multiply(delta, a, out=bbar)
-    np.expm1(bbar, out=bbar)
-    np.add(bbar, 1.0, out=abar)
-    bbar *= inv_a
+def _zoh(a, inv_a, b, delta, e: np.ndarray, bbar: np.ndarray) -> None:
+    """The closed form, unchecked, into buffers of the dtype it runs in:
+    e = expm1(delta*a), then bbar = e * (1/a) * b. Abar is e + 1."""
+    np.multiply(delta, a, out=e)
+    np.expm1(e, out=e)
+    np.multiply(e, inv_a, out=bbar)
     bbar *= b
 
 
 def discretize(
     a: np.ndarray, b: np.ndarray, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order hold for a diagonal A: with e = expm1(delta*a) taken once,
-    Abar = e + 1 = exp(delta*a) and Bbar = e * (1/a) * b. This divides by a, so
-    every a must be strictly negative and every delta positive; delta and a
-    broadcast elementwise, and b broadcasts to the shape of delta*a."""
+    """Zero-order hold for a diagonal A, in float64: with e = expm1(delta*a)
+    taken once, Abar = e + 1 = exp(delta*a) and Bbar = e * (1/a) * b. This
+    divides by a, so every a must be strictly negative and every delta
+    positive; delta and a broadcast elementwise, and b broadcasts to the
+    shape of delta*a."""
     a = np.asarray(a, dtype=np.float64)
     _check_zoh(a, delta)
     shape = np.broadcast_shapes(np.shape(delta), a.shape)
     abar, bbar = np.empty(shape), np.empty(shape)
     _zoh(a, 1.0 / a, b, delta, abar, bbar)
+    abar += 1.0
     return abar, bbar
 
 
@@ -124,34 +129,38 @@ def _scan(
     """Single streaming pass over G streams: discretize a block of
     m = max(1, block // G) steps of every stream, scan them, carry h on.
 
-    Counting a block in stream-steps keeps its float64 buffers the size of a
-    lone stream's, so a G-stream call holds no more memory than one stream.
-    Each block gathers its rows of x, b, c and delta into float64 buffers and
-    writes Bbar*x into one (m, G, C, d_state) buffer hs, runs
-    hs[i] += Abar[i] * hs[i-1] in place (the previous block's last state
-    before its first step), reads hs out with one batched matmul, one
-    (C, d_state) @ (d_state,) product per step and stream, adds the residual
-    x and writes the block's float32 rows. The a and delta checks and 1/a
-    are taken once per call. No float64 temporary outlives its block. Each
-    step's arithmetic is the same at every block size and stream count, so
-    every size and grouping gives the same bits. Returns (n, G, C), or
-    (N, C) without a row table.
+    Every buffer, a, 1/a and the carried state h are float32. Counting a
+    block in stream-steps keeps its buffers the size of a lone stream's, so
+    a G-stream call holds no more memory than one stream. Each block gathers
+    its rows of x, b, c and delta, takes e = expm1(delta*a) into one
+    (m, G, C, d_state) buffer and Bbar*x into another, hs. Each step adds an
+    increment, d = e_i*h + (Bbar*x)_i and h_i = h + d, in place over e_i and
+    hs[i] (the previous block's last state before its first step):
+    multiplying h by Abar = e + 1 would round 1 - Abar to float32 spacing
+    near 1 and lose it over thousands of steps. One batched matmul reads hs
+    out, one (C, d_state) @ (d_state,) product per step and stream; the
+    residual x is added and the block's rows written. The a and delta
+    checks and 1/a are taken once per call, and no temporary outlives its
+    block. Each step's arithmetic is the same at every block size and stream
+    count, so every size and grouping gives the same bits. Returns float32
+    (n, G, C), or (N, C) without a row table.
     """
     table = _row_table(rows, x.shape[0], params)
     n, g = table.shape
     c_width = x.shape[1]
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float32)
     _check_zoh(a, params.delta)
     inv_a = 1.0 / a
     d_state = a.shape[1]
     per_block = max(1, block // g)
     m = min(per_block, n)
     streams = np.arange(g)
-    xs, delta = np.empty((m, g, c_width)), np.empty((m, g, c_width, 1))
-    b, c = np.empty((m, g, 1, d_state)), np.empty((m, g, d_state, 1))
-    abar, hs = np.empty((m, g, c_width, d_state)), np.empty((m, g, c_width, d_state))
-    h = np.zeros((g, c_width, d_state))
-    out = np.empty((n, g, c_width), dtype=np.float32)
+    f32 = np.float32
+    xs, delta = np.empty((m, g, c_width), f32), np.empty((m, g, c_width, 1), f32)
+    b, c = np.empty((m, g, 1, d_state), f32), np.empty((m, g, d_state, 1), f32)
+    e, hs = np.empty((m, g, c_width, d_state), f32), np.empty((m, g, c_width, d_state), f32)
+    h = np.zeros((g, c_width, d_state), f32)
+    out = np.empty((n, g, c_width), f32)
     for lo in range(0, n, per_block):
         k = min(per_block, n - lo)
         r = table[lo : lo + k]
@@ -159,12 +168,13 @@ def _scan(
         delta[:k, :, :, 0] = _gather(params.delta, r, streams)
         b[:k, :, 0] = _gather(params.b, r, streams)
         c[:k, :, :, 0] = _gather(params.c, r, streams)
-        _zoh(a, inv_a, b[:k], delta[:k], abar[:k], hs[:k])
+        _zoh(a, inv_a, b[:k], delta[:k], e[:k], hs[:k])
         hs[:k] *= xs[:k, :, :, None]
         prev = h
-        for abar_i, h_i in zip(abar[:k], hs[:k]):
-            abar_i *= prev
-            h_i += abar_i
+        for e_i, h_i in zip(e[:k], hs[:k]):
+            e_i *= prev
+            e_i += h_i
+            np.add(prev, e_i, out=h_i)
             prev = h_i
         h[...] = prev
         y = np.matmul(hs[:k], c[:k])[..., 0]

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from ddhf.config import (
     save_config,
 )
 from ddhf.core import load_tensor, save_tensor
-from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, run_pipeline
+from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, peak_rss_mb, run_pipeline
 from ddhf.scene import SceneObject, SceneSpec, save_spec
 
 TINY = PipelineConfig(
@@ -208,6 +209,16 @@ def test_pipeline_smoke_and_dict_export(rng):
         assert set(row) == {"center", "size", "yaw", "class", "score"}
         assert all(s > 0 for s in row["size"])
     jsonio.dumps(rows)  # must serialize without non-finite errors
+
+
+@pytest.mark.skipif(sys.platform == "darwin", reason="ru_maxrss counts bytes on macOS")
+def test_peak_rss_mb_is_the_bench_unit():
+    # the run summary's peak RSS is ru_maxrss in KiB / 1024, as perfbench's
+    # peak_rss_mb, so both print the same figure under "MB"
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    got = peak_rss_mb()
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert before <= got <= after
 
 
 def test_pipeline_no_cameras(rng):
@@ -421,7 +432,7 @@ GOLDEN_DIGESTS = {
     "tiny_passthrough": (TINY, TINY_SCENE, "passthrough",
                          "6298dadd04a29fd992b26e8b8b007e0070751bc1dc497993c69921ee93aff361"),
     "default_seeded": (PipelineConfig(), GOLDEN_SCENE, "seeded",
-                       "6866f193658fc649980ff1a4d0eb429f66aa0c91dd676a28dd9ba6130680c06b"),
+                       "192b8de4e0c6b1f16ce66633e9c54ccbbc051c76b6cc246806d1d95072ae2a5c"),
     "default_passthrough": (PipelineConfig(), GOLDEN_SCENE, "passthrough",
                             "2081d5ff9c3344b7159724738910ac3bc30051b7ea6f594122a4b5838b597f47"),
 }

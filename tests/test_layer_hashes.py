@@ -125,13 +125,13 @@ def layer_hashes() -> dict:
 
 
 LAYER_HASHES = {
-    "cb_mamba_c32": "8c231e963b18ed3f991c592e426a80bae2322e7c739631df9db96e33160d4e85",
+    "cb_mamba_c32": "36a4e89c45afa01194c30456d1c4925acd0e0b5cfb11c3b39aaa8b263e88bf42",
     "cb_gate_img_c32": "756358b6135b2c527a0b232fd870fe687bdfde81e7e655f3a2bab1fc25c84bd8",
     "cb_gate_lid_c32": "78cc767112e146dc1f9223ac184e3e70751879dd0e475aa5a16f95a5e3dac7d7",
     "hia_c32": "fdb858b58c1e4f339e1915f4be6dd668dc1836cb8c75de0c7d4ec37f697456af",
     "mmvfm_mix_c32": "f79b249c8e4d2d0fe13130d73f09fb047248dcc9594bbdf19c8d666cf1fdd0e8",
     "voxel_pool_c32": "b8c679c942300c52fe7d5144e0a3987168e79387687588d51484e2b3fcb09fa5",
-    "cb_mamba_c8": "34cbc60ea6647ab0436dafdf02bbdfdcc0e5b58ea6f22fed56b640e5e80f5728",
+    "cb_mamba_c8": "b5b55f1d8650d1ffb035cdce1f28f9c43275a4595d63990872edc3b04e103796",
     "cb_gate_img_c8": "732c00baba26d6db4f2a2c66b9ad3729bcde7fcc421d4bab413dff9973e8220a",
     "cb_gate_lid_c8": "364d7fb8f8f52c7d9a7fd851e703135f619bd30a3b750a3379e7f8a3a2a01e94",
     "hia_c8": "fa28bc4c8849d27f190d8febd59bb001805b8ab13845b211cc89db7ee6704bc7",
