@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import GridSpec, is_int, is_real
+from .hvf import STRIDES
 from .jsonio import check_record, dump, load, numbers
 from .viewtrans import DepthBinSpec
 
@@ -40,7 +41,7 @@ class PipelineConfig:
     k_classes: int = 3
     n_bev: int = 3
     m_vox: int = 1
-    strides: tuple[int, ...] = (1, 2, 4)
+    strides: tuple[int, ...] = STRIDES
     weights_mode: str = "seeded"
 
     def __post_init__(self):
@@ -62,9 +63,9 @@ class PipelineConfig:
             raise ValueError(
                 f"image grid needs twice the lidar z cells, got {ic[2]} vs {lc[2]}"
             )
-        # two sparse downsamplings in the voxel fusion stage
-        if lc[0] % 4 != 0 or lc[1] % 4 != 0:
-            raise ValueError("x/y cell counts must be divisible by 4")
+        # the voxel fusion stage downsamples x/y to its coarsest stride
+        if lc[0] % STRIDES[-1] != 0 or lc[1] % STRIDES[-1] != 0:
+            raise ValueError(f"x/y cell counts must be divisible by {STRIDES[-1]}")
         if self.channels < 4 or self.channels % 4 != 0:
             raise ValueError("channels must be a positive multiple of 4")
         if self.d_state < 1:
@@ -81,8 +82,8 @@ class PipelineConfig:
             raise ValueError("k_easy, k_hard, k_classes must be >= 1")
         if self.n_bev < 1 or self.m_vox < 1:
             raise ValueError("decoder layer counts must be >= 1")
-        if self.strides != (1, 2, 4):
-            raise ValueError(f"strides must be (1, 2, 4), got {self.strides}")
+        if self.strides != STRIDES:
+            raise ValueError(f"strides must be {STRIDES}, got {self.strides}")
 
     def lidar_grid(self) -> GridSpec:
         return _grid(self.x_range, self.y_range, self.z_range, self.lidar_cells)

@@ -24,6 +24,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 VOXEL_FEATURE_DIM = 5  # (dx, dy, dz offsets from center, mean intensity, count)
+VOXEL_COUNT_CHANNEL = 4  # the point count's column of a voxelized feature
 
 
 # ---------------------------------------------------------------------------

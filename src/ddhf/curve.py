@@ -80,14 +80,20 @@ def bits_for_extents(extents: tuple[int, int, int]) -> int:
     return max(1, math.ceil(math.log2(max(extents))))
 
 
+def hilbert_order(coords: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
+    """Rows of integer cells (n, 3) in the order the Hilbert curve covering a
+    grid of `extents` visits them: a permutation whose entry k is the row at
+    position k. The sort is stable, so rows on one cell keep their order."""
+    if coords.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    keys = hilbert_index(coords[:, 0], coords[:, 1], coords[:, 2], bits_for_extents(extents))
+    return np.argsort(keys, kind="stable")
+
+
 def hilbert_sort(v: SparseVoxelSet) -> np.ndarray:
     """Voxel indices in the order the Hilbert curve covering the grid visits
     them: a permutation whose entry k is the voxel at position k."""
-    if v.n == 0:
-        return np.zeros(0, dtype=np.int64)
-    b = bits_for_extents(v.grid.extents)
-    keys = hilbert_index(v.coords[:, 0], v.coords[:, 1], v.coords[:, 2], b)
-    return np.argsort(keys, kind="stable")
+    return hilbert_order(v.coords, v.grid.extents)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
+from .core import FeatureMap, SparseVoxelSet, bev_map_for_grid, init_param, zeroed
 from .curve import ScanSet2D, cross_merge_2d, scan_orders_2d
 from .ops import ConvBlock, conv_block, init_conv_block, layer_norm, silu
 from .ssm import (
@@ -31,17 +31,14 @@ N_DIRECTIONS = 4
 
 
 def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
-    """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0."""
-    grid = v.grid
-    acc = np.full((grid.ny, grid.nx, v.channels), -np.inf, dtype=np.float32)
+    """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0.
+    The map covers the grid's x/y footprint, rows = y cells, cols = x."""
+    bev = bev_map_for_grid(v.grid, v.channels)
+    acc = np.full(bev.data.shape, -np.inf, dtype=np.float32)
     if v.n:
         np.maximum.at(acc, (v.coords[:, 1], v.coords[:, 0]), v.feats)
     acc[~np.isfinite(acc)] = 0.0
-    return FeatureMap(
-        acc,
-        (grid.origin[0], grid.origin[1]),
-        (grid.voxel_size[0], grid.voxel_size[1]),
-    )
+    return bev.with_data(acc)
 
 
 def _ss2d(

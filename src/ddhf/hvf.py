@@ -16,14 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GridSpec, SparseVoxelSet, empty_voxel_set, init_param, zeroed
-from .curve import bits_for_extents, hilbert_index, hilbert_sort
+from .curve import hilbert_order, hilbert_sort
 from .ops import silu
 from .ssm import SsmBlockWeights, bidirectional_block, init_ssm_block
 
 TAG_LIDAR = 0
 TAG_IMAGE = 1
 
-N_SCALES = 3  # strides 1, 2, 4
+STRIDES = (1, 2, 4)  # voxel size of each scale over the input's; sparse_down doubles it
+N_SCALES = len(STRIDES)
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +77,8 @@ def cv_merge(v_lidar: SparseVoxelSet, v_image: SparseVoxelSet) -> MergedSequence
         [np.arange(v_lidar.n, dtype=np.int64), np.arange(v_image.n, dtype=np.int64)]
     )
     feats = np.concatenate([v_lidar.feats, v_image.feats], axis=0)
-    if lifted.shape[0]:
-        b = bits_for_extents(v_image.grid.extents)
-        keys = hilbert_index(lifted[:, 0], lifted[:, 1], lifted[:, 2], b)
-        order = np.lexsort((tags, keys))  # primary: curve key; tie: LiDAR first
-    else:
-        order = np.zeros(0, dtype=np.int64)
+    # stable over [LiDAR; image], so LiDAR goes first on a shared cell
+    order = hilbert_order(lifted, v_image.grid.extents)
     return MergedSequence(
         feats[order], lifted[order], tags[order], orig[order], v_lidar, v_image
     )

@@ -22,6 +22,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core import (
+    VOXEL_COUNT_CHANNEL,
+    VOXEL_FEATURE_DIM,
     bev_map_for_grid,
     empty_voxel_set,
     init_param,
@@ -45,14 +47,13 @@ from .viewtrans import (
     safs_select,
 )
 
-LIDAR_RAW_CHANNELS = 5  # mean offset xyz, mean intensity, point count
 PASSTHROUGH_GAIN = 0.1
 MAX_INTENSITY = 255.0  # 8-bit reflectance
 
 
 @dataclass(frozen=True)
 class PipelineWeights:
-    lidar_embed_w: np.ndarray  # (5, C)
+    lidar_embed_w: np.ndarray  # (VOXEL_FEATURE_DIM, C)
     lidar_embed_b: np.ndarray
     encoder: ImageEncoderWeights
     hvf: HvfWeights
@@ -64,7 +65,7 @@ class PipelineWeights:
 def init_pipeline_weights(cfg: PipelineConfig) -> PipelineWeights:
     seed, c = cfg.global_seed, cfg.channels
     return PipelineWeights(
-        lidar_embed_w=init_param("lidar_embed.weight", (LIDAR_RAW_CHANNELS, c), seed),
+        lidar_embed_w=init_param("lidar_embed.weight", (VOXEL_FEATURE_DIM, c), seed),
         lidar_embed_b=init_param("lidar_embed.bias", (c,), seed),
         encoder=init_image_encoder("image_encoder", c, cfg.depth_count, seed),
         hvf=init_hvf("hvf", c, cfg.d_state, seed),
@@ -117,7 +118,7 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
         pqg=pqg,
         decoder=replace(dec, box=zero_box, head=head),
     )
-    w.lidar_embed_w[4, 0] = 1.0
+    w.lidar_embed_w[VOXEL_COUNT_CHANNEL, 0] = 1.0
     return w
 
 

@@ -5,8 +5,8 @@ bidirectional block with input-dependent (B, C, Delta) generation that every
 Mamba-style module in the pipeline instantiates.
 
 Discretization is the closed ZOH form for a diagonal, strictly negative A
-(S4D, arXiv 2206.11893); `discretize` (float64) and the scan (float32)
-share one helper for it. The scan discretizes SCAN_BLOCK
+(S4D, arXiv 2206.11893), taken in one helper, `_zoh`, which the scan runs
+on each block. The scan discretizes SCAN_BLOCK
 stream-steps at a time and carries the state h on, so the expanded
 (n, C, d_state) state is never built; every block size gives the same bits.
 Scans run in float32, as Mamba's reference selective scan does (arXiv
@@ -63,37 +63,15 @@ class ScanParams:
     delta: np.ndarray
 
 
-def _check_zoh(a: np.ndarray, delta: np.ndarray) -> None:
-    if np.any(a >= 0):
-        raise ValueError("discretize: a must be strictly negative")
-    if np.any(delta <= 0):
-        raise ValueError("discretize: delta must be positive")
-
-
 def _zoh(a, inv_a, b, delta, e: np.ndarray, bbar: np.ndarray) -> None:
     """The closed form, unchecked, into buffers of the dtype it runs in:
-    e = expm1(delta*a), then bbar = e * (1/a) * b. Abar is e + 1."""
+    e = expm1(delta*a), then bbar = e * (1/a) * b. Abar is e + 1. It divides
+    by a, so the scan first checks that every a is strictly negative and
+    every delta positive."""
     np.multiply(delta, a, out=e)
     np.expm1(e, out=e)
     np.multiply(e, inv_a, out=bbar)
     bbar *= b
-
-
-def discretize(
-    a: np.ndarray, b: np.ndarray, delta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order hold for a diagonal A, in float64: with e = expm1(delta*a)
-    taken once, Abar = e + 1 = exp(delta*a) and Bbar = e * (1/a) * b. This
-    divides by a, so every a must be strictly negative and every delta
-    positive; delta and a broadcast elementwise, and b broadcasts to the
-    shape of delta*a."""
-    a = np.asarray(a, dtype=np.float64)
-    _check_zoh(a, delta)
-    shape = np.broadcast_shapes(np.shape(delta), a.shape)
-    abar, bbar = np.empty(shape), np.empty(shape)
-    _zoh(a, 1.0 / a, b, delta, abar, bbar)
-    abar += 1.0
-    return abar, bbar
 
 
 def _row_table(rows, n_src: int, params: ScanParams) -> np.ndarray:
@@ -149,7 +127,10 @@ def _scan(
     n, g = table.shape
     c_width = x.shape[1]
     a = np.asarray(a, dtype=np.float32)
-    _check_zoh(a, params.delta)
+    if np.any(a >= 0):
+        raise ValueError("selective_scan: a must be strictly negative")
+    if np.any(params.delta <= 0):
+        raise ValueError("selective_scan: delta must be positive")
     inv_a = 1.0 / a
     d_state = a.shape[1]
     per_block = max(1, block // g)

@@ -45,3 +45,26 @@ def test_pqg_hard_stage_finds_what_the_easy_stage_leaves(k_hard, want_recall):
     easy, hard = _found(dets[: cfg.k_easy]), _found(dets[cfg.k_easy :])
     assert len(easy) == 2 and not easy & hard
     assert len(easy | hard) / len(PLANTED) == want_recall
+
+
+def _near(dets, x: float, y: float) -> list:
+    """The detections within 0.5 m of (x, y) in x, y."""
+    return [d for d in dets if math.hypot(d.center[0] - x, d.center[1] - y) <= 0.5]
+
+
+def test_bev_rotation_rotates_planted_detections():
+    # the TINY grid is square and centred on the origin, so a 90 degree turn
+    # about z, (x, y) -> (-y, x), maps every BEV cell onto a cell exactly; a
+    # row/column swap in any BEV stage moves the planted detections off the
+    # turned cells. Only planted detections are compared: nms_topk breaks
+    # exact ties by flat (class, row, col) index, which the turn reorders.
+    cfg = dataclasses.replace(TINY, weights_mode="passthrough")
+    points = gen_points(SPEC)
+    turned = points.copy()
+    turned[:, 0], turned[:, 1] = -points[:, 1], points[:, 0]
+    dets, _ = run_pipeline(points, [], [], cfg)
+    turned_dets, _ = run_pipeline(turned, [], [], cfg)
+    for x, y in PLANTED:
+        (d,), (t,) = _near(dets, x, y), _near(turned_dets, -y, x)
+        assert t.center == (-d.center[1], d.center[0], d.center[2])
+        assert (t.size, t.yaw, t.class_id, t.score) == (d.size, d.yaw, d.class_id, d.score)

@@ -13,7 +13,6 @@ from ddhf.ssm import (
     ScanParams,
     SsmBlockWeights,
     bidirectional_block,
-    discretize,
     generate_scan_params,
     init_ssm_block,
     selective_scan,
@@ -22,31 +21,29 @@ from ddhf.ssm import (
 )
 
 
-def test_discretize_closed_forms():
-    a = np.array([[-1.0]])
-    b = np.array([[0.0]])
-    delta = np.array([[np.log(2.0)]])
-    abar, bbar = discretize(a, b, delta)
+def _zoh64(a, b, delta):
+    """(Abar, Bbar) from the scan's ZOH helper, run on float64 buffers."""
+    a, b, delta = (np.asarray(v, dtype=np.float64) for v in (a, b, delta))
+    e, bbar = np.empty(delta.shape), np.empty(delta.shape)
+    ssm._zoh(a, 1.0 / a, b, delta, e, bbar)
+    return e + 1.0, bbar
+
+
+def test_zoh_closed_forms():
+    abar, bbar = _zoh64([[-1.0]], [[0.0]], [[np.log(2.0)]])
     assert np.allclose(abar, 0.5, atol=1e-12)
     assert np.allclose(bbar, 0.0)
     # expm1 keeps full relative precision for tiny |delta*a|, so
     # expm1(delta*a)/a still gives Bbar = delta * B there
-    a0 = np.array([[-1e-12]])
-    b0 = np.array([[2.0]])
-    d0 = np.array([[0.5]])
-    _, bbar0 = discretize(a0, b0, d0)
+    _, bbar0 = _zoh64([[-1e-12]], [[2.0]], [[0.5]])
     assert np.allclose(bbar0, 1.0, atol=1e-9)
-    # the closed form divides by a, so a must be strictly negative
-    for bad in (0.0, 1.0, -0.0):
-        with pytest.raises(ValueError, match="a must be strictly negative"):
-            discretize(np.array([[-1.0, bad]]), b0, d0)
 
 
-def test_discretize_matches_quadrature(rng):
+def test_zoh_matches_quadrature(rng):
     a = -rng.uniform(0.1, 3.0, size=(6, 4))
     b = rng.normal(size=(6, 4))
     delta = rng.uniform(0.01, 1.0, size=(6, 4))
-    abar, bbar = discretize(a, b, delta)
+    abar, bbar = _zoh64(a, b, delta)
     for i in range(6):
         for j in range(4):
             qa, qb = oracles.zoh_quadrature(a[i, j], b[i, j], delta[i, j])
@@ -54,9 +51,26 @@ def test_discretize_matches_quadrature(rng):
             assert abs(bbar[i, j] - qb) <= 1e-6
 
 
-def test_discretize_rejects_nonpositive_delta():
-    with pytest.raises(ValueError):
-        discretize(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+def _unit_scan_params(delta: float) -> ScanParams:
+    """Params of a 3-step, 2-channel scan with d_state 2 and constant delta."""
+    ones = np.ones((3, 2), dtype=np.float32)
+    return ScanParams(b=ones, c=ones, delta=np.full((3, 2), delta, dtype=np.float32))
+
+
+def test_selective_scan_rejects_nonnegative_a():
+    # the closed form divides by a, so a must be strictly negative
+    x = np.ones((3, 2), dtype=np.float32)
+    for bad in (0.0, 1.0, -0.0):
+        a = np.array([[-1.0, bad], [-1.0, -2.0]])
+        with pytest.raises(ValueError, match="selective_scan: a must be strictly negative"):
+            selective_scan(x, a, _unit_scan_params(0.5))
+
+
+def test_selective_scan_rejects_nonpositive_delta():
+    x = np.ones((3, 2), dtype=np.float32)
+    a = -np.ones((2, 2))
+    with pytest.raises(ValueError, match="selective_scan: delta must be positive"):
+        selective_scan(x, a, _unit_scan_params(0.0))
 
 
 def test_softplus_delta_floor():
