@@ -2,8 +2,10 @@
 
 One frozen dataclass carries every knob the pipeline reads. Defaults follow
 the reference operating point: score thresholds d=0.01 / s=0.25, sampling cap
-N=18000, detection range x,y in [-54, 54] and z in [-5, 3], BEV strides
-[1, 2, 4], three deformable decoder layers and one voxel fusion layer.
+N=18000, detection range x,y in [-54, 54] and z in [-5, 3], three deformable
+decoder layers and one voxel fusion layer. Voxel fusion's strides (1, 2, 4)
+are fixed by its three-scale U shape (`hvf.STRIDES`), not a setting;
+`PipelineConfig.strides` reads them back.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class PipelineConfig:
     k_classes: int = 3
     n_bev: int = 3
     m_vox: int = 1
-    strides: tuple[int, ...] = STRIDES
     weights_mode: str = "seeded"
+    strides = STRIDES  # a class attribute, not a field: voxel fusion fixes it
 
     def __post_init__(self):
         given = vars(self)
@@ -82,8 +84,6 @@ class PipelineConfig:
             raise ValueError("k_easy, k_hard, k_classes must be >= 1")
         if self.n_bev < 1 or self.m_vox < 1:
             raise ValueError("decoder layer counts must be >= 1")
-        if self.strides != STRIDES:
-            raise ValueError(f"strides must be {STRIDES}, got {self.strides}")
 
     def lidar_grid(self) -> GridSpec:
         return _grid(self.x_range, self.y_range, self.z_range, self.lidar_cells)
@@ -126,7 +126,6 @@ _FIELDS = {  # config key -> (check, what it must be, required)
     "k_classes": _INT,
     "n_bev": _INT,
     "m_vox": _INT,
-    "strides": _CELLS,
     "weights_mode": (lambda v: v in WEIGHTS_MODES, f"one of {list(WEIGHTS_MODES)}", False),
 }
 

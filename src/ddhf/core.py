@@ -287,7 +287,7 @@ def voxelize(points: np.ndarray, grid: GridSpec) -> SparseVoxelSet:
     np.add.at(sums, inverse, np.concatenate([offsets, pts[:, 3:4]], axis=1))
     means = sums / counts[:, None]
     feats = np.concatenate([means, counts[:, None].astype(np.float64)], axis=1)
-    return SparseVoxelSet(coords, feats.astype(np.float32), grid)
+    return SparseVoxelSet(coords, feats, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +333,15 @@ class FeatureMap:
         return np.stack([x, y], axis=-1)
 
 
-def bev_map_for_grid(grid: GridSpec, channels: int) -> FeatureMap:
-    """Zero map over a 3D grid's x/y footprint (rows = y cells, cols = x)."""
+def bev_map_for_grid(grid: GridSpec, data: np.ndarray) -> FeatureMap:
+    """`data` (ny, nx, C) as the map over a 3D grid's x/y footprint
+    (rows = y cells, cols = x)."""
+    if data.shape[:2] != (grid.ny, grid.nx):
+        raise ValueError(
+            f"bev_map_for_grid: data is {data.shape[:2]}, grid footprint is {(grid.ny, grid.nx)}"
+        )
     return FeatureMap(
-        np.zeros((grid.ny, grid.nx, channels), dtype=np.float32),
-        (grid.origin[0], grid.origin[1]),
-        (grid.voxel_size[0], grid.voxel_size[1]),
+        data, (grid.origin[0], grid.origin[1]), (grid.voxel_size[0], grid.voxel_size[1])
     )
 
 

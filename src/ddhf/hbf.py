@@ -33,12 +33,11 @@ N_DIRECTIONS = 4
 def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0.
     The map covers the grid's x/y footprint, rows = y cells, cols = x."""
-    bev = bev_map_for_grid(v.grid, v.channels)
-    acc = np.full(bev.data.shape, -np.inf, dtype=np.float32)
+    acc = np.full((v.grid.ny, v.grid.nx, v.channels), -np.inf, dtype=np.float32)
     if v.n:
         np.maximum.at(acc, (v.coords[:, 1], v.coords[:, 0]), v.feats)
     acc[~np.isfinite(acc)] = 0.0
-    return bev.with_data(acc)
+    return bev_map_for_grid(v.grid, acc)
 
 
 def _ss2d(
@@ -242,7 +241,7 @@ def bev_backbone(b: FeatureMap, w: BevBackboneWeights) -> FeatureMap:
     x = b.data
     for block in w.blocks:
         x = conv_block(x, block)
-    return b.with_data(x.astype(np.float32))
+    return b.with_data(x)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +312,8 @@ def hbf_forward(
     b_img_vox = sparse_height_compress(v_img)
     cat_lid = np.concatenate([b_lidar.data, b_lidar_vox.data], axis=-1)
     cat_img = np.concatenate([b_img.data, b_img_vox.data], axis=-1)
-    m_lid = b_lidar.with_data((cat_lid @ w.proj_lid_w + w.proj_lid_b).astype(np.float32))
-    m_img = b_img.with_data((cat_img @ w.proj_img_w + w.proj_img_b).astype(np.float32))
+    m_lid = b_lidar.with_data(cat_lid @ w.proj_lid_w + w.proj_lid_b)
+    m_img = b_img.with_data(cat_img @ w.proj_img_w + w.proj_img_b)
     m_lid = ib_mamba(m_lid, w.ib_lid)
     if v_img.n == 0 and not b_img.data.any():
         m_img = _ib_img_camera_less(m_img, w.ib_img)

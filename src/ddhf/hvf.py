@@ -131,7 +131,7 @@ def sparse_down(
         hit = rows >= 0
         if np.any(hit):
             acc[hit] += feats[rows[hit]] @ kernel[t].astype(np.float64)
-    return SparseVoxelSet(out_coords, silu(acc).astype(np.float32), grid_out)
+    return SparseVoxelSet(out_coords, silu(acc), grid_out)
 
 
 def sparse_up(
@@ -143,8 +143,7 @@ def sparse_up(
     kernel[p - 2q]; the result is added to target's features (skip path).
     kernel: (2,2,2,Cin,Cout) with Cout == target channel width.
     """
-    fine_as_coarse = tuple(math.ceil(e / 2) for e in target.grid.extents)
-    if fine_as_coarse != v_coarse.grid.extents:
+    if coarser_grid(target.grid).extents != v_coarse.grid.extents:
         raise ValueError("sparse_up: target occupancy does not match the coarse grid")
     if target.n == 0 or v_coarse.n == 0:
         return target
@@ -156,7 +155,7 @@ def sparse_up(
         sel = (parents >= 0) & np.all(offsets == t, axis=1)
         if np.any(sel):
             add[sel] = cfeats[parents[sel]] @ kernel[t].astype(np.float64)
-    return target.with_feats((target.feats.astype(np.float64) + add).astype(np.float32))
+    return target.with_feats(target.feats.astype(np.float64) + add)
 
 
 # ---------------------------------------------------------------------------

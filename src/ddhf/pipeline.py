@@ -228,10 +228,7 @@ def run_pipeline(
 
     t = time.perf_counter()
     v_raw = voxelize(points, grid_l)
-    emb = (v_raw.feats @ weights.lidar_embed_w + weights.lidar_embed_b).astype(
-        np.float32
-    )
-    v_lidar = v_raw.with_feats(emb)
+    v_lidar = v_raw.with_feats(v_raw.feats @ weights.lidar_embed_w + weights.lidar_embed_b)
     log.add("voxelize", time.perf_counter() - t)
 
     t = time.perf_counter()
@@ -243,7 +240,9 @@ def run_pipeline(
         b_img = lss_splat(img_feats, cameras, bins, grid_l)
     else:
         v_img = empty_voxel_set(grid_i, cfg.channels)
-        b_img = bev_map_for_grid(grid_l, cfg.channels)
+        b_img = bev_map_for_grid(
+            grid_l, np.zeros((grid_l.ny, grid_l.nx, cfg.channels), dtype=np.float32)
+        )
     log.add("image_branch", time.perf_counter() - t)
 
     t = time.perf_counter()

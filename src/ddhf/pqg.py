@@ -28,10 +28,6 @@ from .ops import (
     silu,
 )
 
-STAGE_EASY = "easy"
-STAGE_HARD = "hard"
-
-
 @dataclass(frozen=True)
 class Heatmap:
     """Per-class score maps, (K, H, W), sigmoid range."""
@@ -50,8 +46,6 @@ class Query:
     pos: tuple[int, int]  # (row, col)
     class_id: int
     feature: np.ndarray  # (C,)
-    stage: str
-    score: float
 
 
 @dataclass(frozen=True)
@@ -124,21 +118,13 @@ def nms_topk(h: Heatmap, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def collect(
-    b: FeatureMap,
-    positions: np.ndarray,
-    classes: np.ndarray,
-    scores: np.ndarray,
-    stage: str,
-) -> list[Query]:
+def collect(b: FeatureMap, positions: np.ndarray, classes: np.ndarray) -> list[Query]:
     """Read the map's feature vector at each position and build queries."""
     out = []
-    for (r, c), cls, sc in zip(positions, classes, scores):
+    for (r, c), cls in zip(positions, classes):
         if not (0 <= r < b.h and 0 <= c < b.w):
             raise ValueError(f"collect: position ({r}, {c}) outside map")
-        out.append(
-            Query((int(r), int(c)), int(cls), b.data[r, c].copy(), stage, float(sc))
-        )
+        out.append(Query((int(r), int(c)), int(cls), b.data[r, c].copy()))
     return out
 
 
@@ -200,7 +186,7 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     holds.
     """
     if not q_easy:
-        return b.with_data(conv_block(b.data, w.conv).astype(np.float32))
+        return b.with_data(conv_block(b.data, w.conv))
     k_classes = w.emb_w.shape[0] - b.channels
     onehot = np.zeros((len(q_easy), k_classes), dtype=np.float32)
     rows = np.array([q.pos[0] for q in q_easy], dtype=np.float64)
@@ -213,7 +199,7 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     )
     tokens = attention(tokens, w.self_attn)
     x = attention(b.data.reshape(-1, b.channels), w.cross_attn, tokens)
-    return b.with_data(conv_block(x.reshape(b.data.shape), w.conv).astype(np.float32))
+    return b.with_data(conv_block(x.reshape(b.data.shape), w.conv))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +229,8 @@ def pqg_forward(
     of the second heatmap and the mask. Zero-score (fully masked) candidates
     are dropped so hard queries can never touch an easy neighborhood."""
     h1 = heatmap_head(b_out, w.head_easy)
-    pos_e, cls_e, sc_e = nms_topk(h1, k_easy)
-    q_easy = collect(b_out, pos_e, cls_e, sc_e, STAGE_EASY)
+    pos_e, cls_e, _ = nms_topk(h1, k_easy)
+    q_easy = collect(b_out, pos_e, cls_e)
 
     mask = build_mask(pos_e, b_out.h, b_out.w)
     b_act = hia(q_easy, b_out, w.hia)
@@ -252,7 +238,7 @@ def pqg_forward(
     masked = Heatmap(h2.data * mask.data[None, :, :].astype(np.float32))
     pos_h, cls_h, sc_h = nms_topk(masked, k_hard)
     live = sc_h > 0
-    pos_h, cls_h, sc_h = pos_h[live], cls_h[live], sc_h[live]
+    pos_h, cls_h = pos_h[live], cls_h[live]
     assert np.all(mask.data[pos_h[:, 0], pos_h[:, 1]] == 1)
-    q_hard = collect(b_act, pos_h, cls_h, sc_h, STAGE_HARD)
+    q_hard = collect(b_act, pos_h, cls_h)
     return q_easy, q_hard, b_act

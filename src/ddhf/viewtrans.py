@@ -440,8 +440,7 @@ def lss_splat(
     point unprojected through that bin's center depth; contributions landing
     in the same BEV cell are summed, conserving total feature mass in range.
     """
-    out = bev_map_for_grid(bev, images.feats[0].shape[2])
-    acc = np.zeros_like(out.data, dtype=np.float64)
+    acc = np.zeros((bev.ny, bev.nx, images.feats[0].shape[2]), dtype=np.float64)
     centers_d = bins.centers()
     for cam_idx, cam in enumerate(cameras):
         f = images.feats[cam_idx].astype(np.float64)  # (h, w, C)
@@ -464,4 +463,4 @@ def lss_splat(
                 continue
             contrib = f.reshape(-1, c_width)[ok] * p.reshape(-1, bins.count)[ok, kbin : kbin + 1]
             np.add.at(acc, (cy[ok], cx[ok]), contrib)
-    return out.with_data(acc.astype(np.float32))
+    return bev_map_for_grid(bev, acc)

@@ -11,6 +11,7 @@ from ddhf.core import (
     FeatureMap,
     GridSpec,
     SparseVoxelSet,
+    bev_map_for_grid,
     empty_voxel_set,
     fnv1a64,
     init_param,
@@ -190,6 +191,16 @@ def test_feature_map_rejects_non_finite():
     bad[1, 2, 0] = np.nan
     with pytest.raises(ValueError):
         FeatureMap(bad, origin=(0.0, 0.0), cell_size=(1.0, 1.0))
+
+
+def test_bev_map_for_grid_wraps_data(rng):
+    grid = GridSpec(origin=(-4.0, -2.0, -1.0), voxel_size=(0.5, 0.25, 2.0), extents=(6, 3, 2))
+    data = rng.normal(size=(3, 6, 5))  # (ny, nx, C), float64
+    m = bev_map_for_grid(grid, data)
+    assert m.origin == (-4.0, -2.0) and m.cell_size == (0.5, 0.25)
+    assert np.array_equal(m.data, data.astype(np.float32))
+    with pytest.raises(ValueError, match="footprint"):
+        bev_map_for_grid(grid, np.zeros((6, 3, 5), dtype=np.float32))  # x/y swapped
 
 
 def test_camera_world_cam_roundtrip(rng):

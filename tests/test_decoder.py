@@ -49,11 +49,13 @@ def zero_box_head(c):
 def make_queries(rng, fm, n, c=4):
     rows = rng.integers(0, fm.h, size=n)
     cols = rng.integers(0, fm.w, size=n)
-    return [
-        Query((int(r), int(cc)), int(rng.integers(0, 3)),
-              rng.normal(size=c).astype(np.float32), "easy", float(rng.uniform()))
-        for r, cc in zip(rows, cols)
-    ]
+    queries = []
+    for r, cc in zip(rows, cols):
+        queries.append(
+            Query((int(r), int(cc)), int(rng.integers(0, 3)), rng.normal(size=c).astype(np.float32))
+        )
+        rng.uniform()  # once the query's score: later draws keep their values
+    return queries
 
 
 def test_deformable_zero_generators_sample_own_cell(rng):

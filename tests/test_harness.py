@@ -25,6 +25,7 @@ from ddhf.config import (
     save_config,
 )
 from ddhf.core import load_tensor, save_tensor
+from ddhf.hvf import STRIDES
 from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, peak_rss_mb, run_pipeline
 from ddhf.scene import SceneObject, SceneSpec, save_spec
 
@@ -62,12 +63,19 @@ def test_config_rejects_unknown_key():
         config_from_dict({"global_seed": 1, "bogus": 2})
 
 
+def test_config_strides_is_not_a_field():
+    cfg = PipelineConfig()
+    assert cfg.strides == STRIDES
+    assert "strides" not in config_to_dict(cfg)
+    assert len(dataclasses.fields(cfg)) == len(config_to_dict(cfg)) == 20
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(lidar_cells=(16, 16, 4), image_cells=(16, 16, 4))  # z not doubled
     with pytest.raises(ValueError):
         PipelineConfig(channels=30)  # not divisible by 4
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # not a field: voxel fusion fixes the strides
         PipelineConfig(strides=(1, 2, 8))
     with pytest.raises(ValueError):
         PipelineConfig(weights_mode="other")
@@ -92,6 +100,7 @@ def test_config_validation():
         ({"strides": "124"}, "strides"),
         ({"weights_mode": ["seeded"]}, "weights_mode"),
         ([1, 2], "JSON object"),
+        ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
     ],
 )
 def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
@@ -172,7 +181,7 @@ def test_cli_gen_scene_value_error_names_object(tmp_path, capsys, change):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("x_range", [-54.0, 54.0]), ("lidar_cells", [48, 48, 8]), ("strides", [1, 2, 4])],
+    [("x_range", [-54.0, 54.0]), ("lidar_cells", [48, 48, 8])],
 )
 def test_config_from_python_rejects_list_in_tuple_field(field, value):
     # the JSON reader turns lists into tuples; a list passed from Python is
@@ -801,6 +810,14 @@ def test_cli_oracle_nms(tmp_path, capsys):
     result = jsonio.load(out_path)
     assert result["positions"][0] == [2, 2]
     assert result["scores"][0] == pytest.approx(0.9, abs=1e-6)
+
+
+def test_cli_oracle_unknown_name_exits_through_argparse(capsys):
+    # the subparser's choices reject the name before `_cmd_oracle` runs
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

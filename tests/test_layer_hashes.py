@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ddhf import decoder, ops, pqg
+from ddhf import decoder, ops
 from ddhf.config import PipelineConfig
 from ddhf.core import FeatureMap
 from ddhf.decoder import (
@@ -75,9 +75,9 @@ def layer_outputs(c: int) -> dict:
     b = _bev(rng, c)
     cells = rng.choice(SIDE * SIDE, size=N_EASY, replace=False)
     pos = np.stack(np.divmod(cells, SIDE), axis=1)
-    q_easy = collect(
-        b, pos, rng.integers(0, K_CLASSES, N_EASY), rng.uniform(size=N_EASY), pqg.STAGE_EASY
-    )
+    classes = rng.integers(0, K_CLASSES, N_EASY)
+    rng.uniform(size=N_EASY)  # once the queries' scores: later draws keep their values
+    q_easy = collect(b, pos, classes)
     out, (outs["hia_self_softmax"], outs["hia_cross_softmax"]) = with_softmax_weights(
         hia, q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)
     )

@@ -90,14 +90,13 @@ def test_nms_rejects_bad_k():
 def test_collect_reads_feature_at_position(rng):
     b = bev_map(rng)
     pos = np.array([[3, 5], [0, 0]])
-    qs = collect(b, pos, np.array([1, 2]), np.array([0.7, 0.3]), "easy")
+    qs = collect(b, pos, np.array([1, 2]))
     assert np.array_equal(qs[0].feature, b.data[3, 5])
     assert qs[0].pos == (3, 5)
     assert qs[0].class_id == 1
-    assert qs[1].score == pytest.approx(0.3)
-    assert qs[0].stage == "easy"
+    assert qs[1].pos == (0, 0) and qs[1].class_id == 2
     with pytest.raises(ValueError):
-        collect(b, np.array([[8, 0]]), np.array([0]), np.array([0.5]), "easy")
+        collect(b, np.array([[8, 0]]), np.array([0]))
 
 
 def test_build_mask_no_easy_positions():
@@ -138,7 +137,7 @@ def test_build_mask_rejects_even_kernel():
 def test_hia_zeroed_projections_is_identity(rng):
     w = init_hia("hia", 4, 3, 91).identity_configured()
     b = bev_map(rng)
-    qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]), np.array([0.9, 0.8]), "easy")
+    qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]))
     out = hia(qs, b, w)
     assert np.array_equal(out.data, b.data)
 
@@ -146,7 +145,7 @@ def test_hia_zeroed_projections_is_identity(rng):
 def test_hia_identity_with_filled_zero_tensors(rng):
     w = fill_zero_tensors(init_hia("hia", 4, 3, 91), rng).identity_configured()
     b = bev_map(rng)
-    qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]), np.array([0.9, 0.8]), "easy")
+    qs = collect(b, np.array([[1, 1], [5, 6]]), np.array([0, 2]))
     assert np.array_equal(hia(qs, b, w).data, b.data)
 
 
@@ -165,7 +164,7 @@ def test_hia_peak_memory(rng):
     b = bev_map(rng, 48, 48, 32)
     cells = rng.choice(48 * 48, size=100, replace=False)
     pos = np.stack(np.divmod(cells, 48), axis=1)
-    qs = collect(b, pos, rng.integers(0, 3, 100), rng.uniform(size=100), "easy")
+    qs = collect(b, pos, rng.integers(0, 3, 100))
     assert traced_peak(hia, qs, b, init_hia("peak", 32, 3, 3)) < 4.1e6
 
 
@@ -186,7 +185,7 @@ def test_hia_matches_scalar_reference(rng):
     w = zeroed(init_hia("hia", c, k_classes, 93), "conv")
     b = bev_map(rng, h=4, w=4, c=c)
     pos = np.array([[0, 3], [2, 1]])
-    qs = collect(b, pos, np.array([1, 0]), np.array([0.9, 0.7]), "easy")
+    qs = collect(b, pos, np.array([1, 0]))
 
     onehot = np.zeros((2, k_classes))
     onehot[0, 1] = 1.0
@@ -212,13 +211,16 @@ def test_hia_matches_scalar_reference(rng):
 def test_pqg_hard_avoids_easy_neighborhoods(rng):
     w = init_pqg("pqg", 4, 3, 94)
     b = bev_map(rng, h=12, w=12)
-    q_easy, q_hard, _ = pqg_forward(b, w, k_easy=6, k_hard=6)
+    q_easy, q_hard, b_act = pqg_forward(b, w, k_easy=6, k_hard=6)
+    assert q_hard
     easy_pos = {q.pos for q in q_easy}
     for q in q_hard:
         for er, ec in easy_pos:
             assert max(abs(q.pos[0] - er), abs(q.pos[1] - ec)) >= 2
-    assert all(q.stage == "hard" for q in q_hard)
-    assert all(q.score > 0 for q in q_hard)
+    # no hard query reads a zero (masked-out) cell of the second heatmap
+    mask = build_mask(np.array(sorted(easy_pos)), b.h, b.w)
+    masked = heatmap_head(b_act, w.head_hard).data * mask.data
+    assert all(masked[q.class_id, q.pos[0], q.pos[1]] > 0 for q in q_hard)
 
 
 def test_pqg_two_peak_stages():
@@ -253,10 +255,7 @@ def test_pqg_deterministic(rng):
     b = bev_map(rng, h=10, w=10)
     a = pqg_forward(b, w, k_easy=4, k_hard=4)
     bb = pqg_forward(b, w, k_easy=4, k_hard=4)
-    assert [(q.pos, q.class_id, q.score) for q in a[0]] == [
-        (q.pos, q.class_id, q.score) for q in bb[0]
-    ]
-    assert [(q.pos, q.class_id, q.score) for q in a[1]] == [
-        (q.pos, q.class_id, q.score) for q in bb[1]
-    ]
+    key = lambda qs: [(q.pos, q.class_id, q.feature.tobytes()) for q in qs]
+    assert key(a[0]) == key(bb[0])
+    assert key(a[1]) == key(bb[1])
     assert np.array_equal(a[2].data, bb[2].data)
