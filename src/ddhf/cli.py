@@ -11,8 +11,8 @@ import numpy as np
 
 from . import jsonio, oracles
 from .config import PipelineConfig, load_config
-from .core import is_int, is_real, load_tensor, save_tensor
-from .evalmetrics import eval_detections
+from .core import is_real, load_tensor, save_tensor
+from .evalmetrics import BOX, eval_detections
 from .pipeline import detections_to_dicts, run_pipeline
 from .scene import gen_scene, load_scene, load_spec
 
@@ -37,16 +37,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_BOX = {  # ground-truth box key -> (check, what it must be, required)
-    "center": (jsonio.numbers(3, is_real), "3 finite numbers", True),
-    "size": (
-        jsonio.numbers(3, lambda v: is_real(v) and v > 0), "3 positive finite numbers", True
-    ),
-    "yaw": (is_real, "a finite number", True),
-    "class": (lambda v: is_int(v) and v >= 0, "an integer >= 0", True),
-}
 _DETECTION = {
-    **_BOX, "score": (lambda v: is_real(v) and 0.0 <= v <= 1.0, "a number in [0, 1]", True)
+    **BOX, "score": (lambda v: is_real(v) and 0.0 <= v <= 1.0, "a number in [0, 1]", True)
 }
 
 
@@ -63,7 +55,7 @@ def _load_boxes(path: str, scored: bool) -> list[dict]:
         if not (isinstance(data, dict) and isinstance(data.get("objects"), list)):
             raise ValueError(f'{path}: ground truth must be an object with an "objects" list')
         records = data["objects"]
-    table = _DETECTION if scored else _BOX
+    table = _DETECTION if scored else BOX
     return [
         jsonio.check_record(rec, table, f"{path}: record {i}: ") for i, rec in enumerate(records)
     ]

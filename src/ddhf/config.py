@@ -52,38 +52,16 @@ class PipelineConfig:
             # the checker reads a JSON list as a tuple; from Python, pass the tuple
             if val is not given[key]:
                 raise ValueError(f"config.{key} must be a tuple, got {given[key]!r}")
-        for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} must be ascending, got ({lo}, {hi})")
         lc, ic = self.lidar_cells, self.image_cells
-        if any(n <= 0 for n in lc + ic):
-            raise ValueError("grid cell counts must be positive")
-        if lc[0] != ic[0] or lc[1] != ic[1]:
-            raise ValueError("lidar and image grids must share x/y cell counts")
-        if ic[2] != 2 * lc[2]:
+        want = (lc[0], lc[1], 2 * lc[2])
+        if ic != want:
             raise ValueError(
-                f"image grid needs twice the lidar z cells, got {ic[2]} vs {lc[2]}"
+                f"config.image_cells must be {want} (lidar_cells x/y, twice its z), got {ic}"
             )
-        # the voxel fusion stage downsamples x/y to its coarsest stride
-        if lc[0] % STRIDES[-1] != 0 or lc[1] % STRIDES[-1] != 0:
-            raise ValueError(f"x/y cell counts must be divisible by {STRIDES[-1]}")
-        if self.channels < 4 or self.channels % 4 != 0:
-            raise ValueError("channels must be a positive multiple of 4")
-        if self.d_state < 1:
-            raise ValueError("d_state must be >= 1")
-        if not 0.0 < self.d_thresh < 1.0 or not 0.0 < self.s_thresh < 1.0:
-            raise ValueError("score thresholds must lie in (0, 1)")
-        if self.safs_cap < 1:
-            raise ValueError("safs_cap must be >= 1")
-        if not (self.depth_min > 0.0 and self.depth_max > self.depth_min):
-            raise ValueError("depth bin range must satisfy 0 < min < max")
-        if self.depth_count < 2:
-            raise ValueError("depth_count must be >= 2")
-        if min(self.k_easy, self.k_hard, self.k_classes) < 1:
-            raise ValueError("k_easy, k_hard, k_classes must be >= 1")
-        if self.n_bev < 1 or self.m_vox < 1:
-            raise ValueError("decoder layer counts must be >= 1")
+        if not self.depth_max > self.depth_min:
+            raise ValueError(
+                f"config.depth_max must be > depth_min ({self.depth_min}), got {self.depth_max}"
+            )
 
     def lidar_grid(self) -> GridSpec:
         return _grid(self.x_range, self.y_range, self.z_range, self.lidar_cells)
@@ -102,30 +80,44 @@ def _grid(xr, yr, zr, cells) -> GridSpec:
     return GridSpec(origin=origin, voxel_size=voxel, extents=tuple(int(n) for n in cells))
 
 
-_INT = (is_int, "an integer", False)
-_REAL = (is_real, "a finite number", False)
-_RANGE = (numbers(2, is_real), "a list of 2 finite numbers", False)
-_CELLS = (numbers(3, is_int), "a list of 3 integers", False)
+def _int(least: int):
+    return (lambda v: is_int(v) and v >= least, f"an integer >= {least}", False)
+
+
+def _divisible(v) -> bool:
+    # the voxel fusion stage downsamples x/y to its coarsest stride
+    return v[0] % STRIDES[-1] == 0 and v[1] % STRIDES[-1] == 0
+
+
+_RANGE = (
+    lambda v: numbers(2, is_real)(v) and v[0] < v[1], "a list of 2 ascending finite numbers", False
+)
+_CELLS = (
+    lambda v: numbers(3, lambda n: is_int(n) and n > 0)(v) and _divisible(v),
+    f"a list of 3 positive integers, x and y divisible by {STRIDES[-1]}",
+    False,
+)
+_FRACTION = (lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)", False)
 _FIELDS = {  # config key -> (check, what it must be, required)
-    "global_seed": _INT,
+    "global_seed": (is_int, "an integer", False),
     "x_range": _RANGE,
     "y_range": _RANGE,
     "z_range": _RANGE,
     "lidar_cells": _CELLS,
     "image_cells": _CELLS,
-    "channels": _INT,
-    "d_state": _INT,
-    "d_thresh": _REAL,
-    "s_thresh": _REAL,
-    "safs_cap": _INT,
-    "depth_min": _REAL,
-    "depth_max": _REAL,
-    "depth_count": _INT,
-    "k_easy": _INT,
-    "k_hard": _INT,
-    "k_classes": _INT,
-    "n_bev": _INT,
-    "m_vox": _INT,
+    "channels": (lambda v: is_int(v) and v >= 4 and v % 4 == 0, "a positive multiple of 4", False),
+    "d_state": _int(1),
+    "d_thresh": _FRACTION,
+    "s_thresh": _FRACTION,
+    "safs_cap": _int(1),
+    "depth_min": (lambda v: is_real(v) and v > 0.0, "a finite number > 0", False),
+    "depth_max": (is_real, "a finite number", False),
+    "depth_count": _int(2),
+    "k_easy": _int(1),
+    "k_hard": _int(1),
+    "k_classes": _int(1),
+    "n_bev": _int(1),
+    "m_vox": _int(1),
     "weights_mode": (lambda v: v in WEIGHTS_MODES, f"one of {list(WEIGHTS_MODES)}", False),
 }
 

@@ -5,6 +5,10 @@ order each take the nearest unmatched ground-truth center within the
 threshold. Distances are measured in the ground plane (x, y). AP uses
 101-point interpolation; mAP averages over classes with ground truth and
 all thresholds.
+
+It also owns the box record every box file holds (detections, ground
+truth, scene spec objects): `BOX`, the table `jsonio.check_record` reads
+it with, and `box_record`, its one writer.
 """
 
 from __future__ import annotations
@@ -14,7 +18,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_int, is_real
+from .jsonio import numbers
+
 THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
+
+BOX = {  # box key -> (check, what it must be, required), in written key order
+    "center": (numbers(3, is_real), "a list of 3 finite numbers", True),
+    "size": (
+        numbers(3, lambda v: is_real(v) and v > 0), "a list of 3 positive finite numbers", True
+    ),
+    "yaw": (is_real, "a finite number", True),
+    "class": (lambda v: is_int(v) and v >= 0, "an integer >= 0", True),
+}
+
+
+def box_record(box, **extra) -> dict:
+    """The BOX record of anything with center, size, yaw and class_id
+    (a DetectionBox, a SceneObject), followed by the `extra` keys."""
+    return {
+        "center": [float(v) for v in box.center],
+        "size": [float(v) for v in box.size],
+        "yaw": float(box.yaw),
+        "class": int(box.class_id),
+        **extra,
+    }
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .decoder import (
     decode,
     init_decoder,
 )
+from .evalmetrics import box_record
 from .hbf import HbfWeights, hbf_forward, init_hbf, sparse_height_compress
 from .hvf import HvfWeights, hvf_forward, init_hvf
 from .pqg import HeatmapHeadWeights, PqgWeights, init_pqg, pqg_forward
@@ -268,13 +269,4 @@ def run_pipeline(
 
 
 def detections_to_dicts(dets: list[DetectionBox]) -> list[dict]:
-    return [
-        {
-            "center": [float(x) for x in d.center],
-            "size": [float(s) for s in d.size],
-            "yaw": float(d.yaw),
-            "class": int(d.class_id),
-            "score": float(d.score),
-        }
-        for d in dets
-    ]
+    return [box_record(d, score=float(d.score)) for d in dets]

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CameraModel, is_int, is_real, load_tensor, named_draws, save_tensor
+from .evalmetrics import BOX, box_record
 from .jsonio import check_record, dump, load, numbers
 
 DEFAULT_IMAGE_SIZE = (64, 96)
@@ -236,16 +237,7 @@ def gen_scene(spec: SceneSpec, out_dir: str | Path) -> Path:
         for cam in spec.cameras
     ]
     dump({"cameras": cams}, out / "cameras.json")
-    gt = [
-        {
-            "class": obj.class_id,
-            "center": list(obj.center),
-            "size": list(obj.size),
-            "yaw": obj.yaw,
-        }
-        for obj in spec.objects
-    ]
-    dump({"objects": gt}, out / "gt.json")
+    dump({"objects": [box_record(obj) for obj in spec.objects]}, out / "gt.json")
     return out
 
 
@@ -307,23 +299,13 @@ def spec_to_dict(spec: SceneSpec) -> dict:
         "x_range": list(spec.x_range),
         "y_range": list(spec.y_range),
         "z_range": list(spec.z_range),
-        "objects": [
-            {
-                "class": o.class_id,
-                "center": list(o.center),
-                "size": list(o.size),
-                "yaw": o.yaw,
-                "density": o.density,
-            }
-            for o in spec.objects
-        ],
+        "objects": [box_record(o, density=o.density) for o in spec.objects],
         "image_size": list(spec.image_size),
         "n_clutter": spec.n_clutter,
         "noise_sigma": spec.noise_sigma,
     }
 
 
-_TRIPLE = (numbers(3, is_real), "a list of 3 finite numbers", True)
 _RANGE = (numbers(2, is_real), "a list of 2 finite numbers", False)
 _SPEC = {  # spec key -> (check, what it must be, required)
     "seed": (is_int, "an integer", True),
@@ -335,31 +317,22 @@ _SPEC = {  # spec key -> (check, what it must be, required)
     "n_clutter": (is_int, "an integer", False),
     "noise_sigma": (is_real, "a finite number", False),
 }
-_OBJECT = {
-    "class": (is_int, "an integer", True),
-    "center": _TRIPLE,
-    "size": _TRIPLE,
-    "yaw": (is_real, "a finite number", True),
-    "density": (is_real, "a finite number", False),
-}
+_OBJECT = {**BOX, "density": (lambda v: is_real(v) and v > 0, "a finite number > 0", False)}
 
 
-def _object_from_dict(data, name: str) -> SceneObject:
-    record = check_record(data, _OBJECT, f"{name}.")
-    try:
-        return SceneObject(class_id=record.pop("class"), **record)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+def _object_from_dict(data, where: str) -> SceneObject:
+    record = check_record(data, _OBJECT, where)
+    return SceneObject(class_id=record.pop("class"), **record)
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
     """A SceneSpec from its JSON form. A non-object, an unknown or missing
-    key, or a field of the wrong type or length raises ValueError naming
-    the field; a bad object value names the object record."""
+    key, or a field failing its table raises ValueError naming the field
+    (`spec.objects[1].size`)."""
     spec = check_record(data, _SPEC, "spec.")
     objects = spec.get("objects", ())
     spec["objects"] = tuple(
-        _object_from_dict(o, f"spec.objects[{i}]") for i, o in enumerate(objects)
+        _object_from_dict(o, f"spec.objects[{i}].") for i, o in enumerate(objects)
     )
     return SceneSpec(**spec)
 

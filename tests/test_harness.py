@@ -73,14 +73,10 @@ def test_config_strides_is_not_a_field():
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(lidar_cells=(16, 16, 4), image_cells=(16, 16, 4))  # z not doubled
-    with pytest.raises(ValueError):
-        PipelineConfig(channels=30)  # not divisible by 4
     with pytest.raises(TypeError):  # not a field: voxel fusion fixes the strides
         PipelineConfig(strides=(1, 2, 8))
     with pytest.raises(ValueError):
         PipelineConfig(weights_mode="other")
-    with pytest.raises(ValueError):
-        PipelineConfig(d_thresh=0.0)
 
 
 @pytest.mark.parametrize(
@@ -97,10 +93,9 @@ def test_config_validation():
         ({"lidar_cells": [48, 48]}, "lidar_cells"),
         ({"image_cells": [48, 48, 16.0]}, "image_cells"),
         ({"x_range": [-54, "54"]}, "x_range"),
-        ({"strides": "124"}, "strides"),
+        ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
         ({"weights_mode": ["seeded"]}, "weights_mode"),
         ([1, 2], "JSON object"),
-        ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
     ],
 )
 def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
@@ -113,6 +108,60 @@ def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+# each case breaks one bounded field; the rest stay at their defaults
+BOUND_CASES = [
+    ("x_range", (54.0, -54.0)),
+    ("y_range", (0.0, 0.0)),
+    ("z_range", (3.0, -5.0)),
+    ("lidar_cells", (0, 48, 8)),
+    ("lidar_cells", (48, 48, -8)),
+    ("lidar_cells", (46, 48, 8)),  # x not divisible by the coarsest stride
+    ("image_cells", (48, 48, 0)),
+    ("image_cells", (48, 50, 16)),
+    ("channels", 30),
+    ("channels", 0),
+    ("d_state", 0),
+    ("d_thresh", 0.0),
+    ("s_thresh", 1.0),
+    ("safs_cap", 0),
+    ("depth_min", 0.0),
+    ("depth_min", -1.0),
+    ("depth_count", 1),
+    ("k_easy", 0),
+    ("k_hard", 0),
+    ("k_classes", 0),
+    ("n_bev", 0),
+    ("m_vox", 0),
+]
+BOUND_IDS = [f"{field}={value}".replace(" ", "") for field, value in BOUND_CASES]
+
+
+def assert_names_only(message: str, field: str):
+    assert message.startswith(f"config.{field} must be "), message
+    others = [key for key in config_to_dict(PipelineConfig()) if key != field]
+    assert [key for key in others if key in message] == [], message
+
+
+@pytest.mark.parametrize("field, value", BOUND_CASES, ids=BOUND_IDS)
+def test_config_bound_names_its_field(field, value):
+    with pytest.raises(ValueError) as info:
+        PipelineConfig(**{field: value})
+    assert_names_only(str(info.value), field)
+
+
+@pytest.mark.parametrize("field, value", BOUND_CASES, ids=BOUND_IDS)
+def test_cli_run_config_bound_names_its_field(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    assert main([
+        "run", "--scene", str(tmp_path / "no_scene"), "--config", str(cfg_path),
+        "--out", str(tmp_path / "det.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert_names_only(err[len("error: "):], field)
 
 
 _OBJ = {"class": 0, "center": [0.0, 0.0, 0.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0}
@@ -692,6 +741,27 @@ def test_cli_eval_rejects_unknown_box_key(tmp_path, capsys, which, content):
     assert main(["eval", "--det", str(paths["det"]), "--gt", str(paths["gt"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[which]}: record 1: ") and "is not a known key" in err
+
+
+@pytest.mark.parametrize(
+    "change, text",
+    [
+        ({"size": [4.0, 0.0, 1.5]}, "size must be a list of 3 positive finite numbers, got"),
+        ({"class": -1}, "class must be an integer >= 0, got -1"),
+        ({"bogus": 1}, "bogus is not a known key (known: center, size, yaw, class"),
+    ],
+    ids=["zero_size", "negative_class", "unknown_key"],
+)
+def test_box_error_same_in_ground_truth_and_spec(tmp_path, capsys, change, text):
+    # ground truth and spec objects are read with one box table
+    gt_path, det_path, spec_path = (tmp_path / n for n in ("gt.json", "det.json", "spec.json"))
+    gt_path.write_text(json.dumps(_gt(**change)))
+    det_path.write_text(json.dumps(_det()))
+    spec_path.write_text(json.dumps({"seed": 3, "objects": [_OBJ, {**_OBJ, **change}]}))
+    assert main(["eval", "--det", str(det_path), "--gt", str(gt_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {gt_path}: record 1: {text}")
+    assert main(["gen-scene", "--spec", str(spec_path), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: spec.objects[1].{text}")
 
 
 def _tiny_scene_dir(tmp_path):

@@ -1,9 +1,11 @@
-"""The benchmark's outside-in tracer against the pipeline it wraps.
+"""The benchmark's files against the package they import.
 
 `perfbench/tracing.py` wraps the functions its LAYERS table names, by module
-and function name, and reads counts from their argument names. A renamed
-layer or argument would only show in a benchmark run; this test shows it in
-the suite. The tracer file is loaded as it is, without writing bytecode.
+and function name, and reads counts from their argument names;
+`perfbench/workloads.py` builds its configs at import. A renamed layer or
+argument, or a config rule its configs break, would only show in a
+benchmark run; these tests show it in the suite. Each file is loaded as it
+is, without writing bytecode.
 """
 
 import importlib.util
@@ -11,15 +13,16 @@ import sys
 from pathlib import Path
 
 from ddhf import pipeline
+from ddhf.config import config_from_dict, config_to_dict
 from ddhf.scene import gen_points, render_images
 
 from test_harness import TINY, TINY_SCENE
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # @dataclass looks the module up in sys.modules while the file runs
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -29,7 +32,7 @@ def _load_tracing(monkeypatch):
 
 
 def test_tracer_records_every_layer_of_a_camera_frame(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     points, images = gen_points(TINY_SCENE), render_images(TINY_SCENE)
     with tracer.installed():
@@ -43,3 +46,11 @@ def test_tracer_records_every_layer_of_a_camera_frame(monkeypatch):
         if counter is not None:
             assert all(s.counts for s in tracer.spans if s.name == name), name
     assert pipeline.run_pipeline.__name__ == "run_pipeline"  # the original is back
+
+
+def test_workload_configs_construct(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    assert workloads.TINY == TINY
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        assert config_from_dict(config_to_dict(workload.cfg)) == workload.cfg
