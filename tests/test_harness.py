@@ -93,9 +93,10 @@ def test_config_validation():
         ({"lidar_cells": [48, 48]}, "lidar_cells"),
         ({"image_cells": [48, 48, 16.0]}, "image_cells"),
         ({"x_range": [-54, "54"]}, "x_range"),
-        ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
+        ({"strides": "124"}, "strides"),
         ({"weights_mode": ["seeded"]}, "weights_mode"),
         ([1, 2], "JSON object"),
+        ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
     ],
 )
 def test_cli_run_rejects_bad_config_types(tmp_path, capsys, content, field):
