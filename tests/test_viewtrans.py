@@ -141,6 +141,35 @@ def test_fps_matches_oracle(rng):
     assert fps(np.full((7, 3), 1.5), 7).tolist() == [0] * 7
 
 
+def fps_levels(points, picks) -> list[tuple[int, int, int]]:
+    """(first pick, stop, ties) of each level of equal max distance m in an
+    FPS pick order; ties counts the points at distance m when it starts."""
+    d = points[:, None, :] - points[None, :, :]
+    sq = (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+    dist = sq[picks[0]].copy()
+    levels, k = [], 1
+    while k < len(picks):
+        m, start = dist.max(), k
+        ties = int(np.count_nonzero(dist == m))
+        while k < len(picks) and dist[picks[k]] == m:
+            np.minimum(dist, sq[picks[k]], out=dist)
+            k += 1
+        levels.append((start, k, ties))
+    return levels
+
+
+def test_fps_matches_oracle_on_safs_lattice():
+    # SAFS's anisotropic dyadic lattice, with n_target once at the end of a
+    # level and once inside the next, both after levels with a single tie
+    pts = sparse_lattice(np.random.default_rng(5), (6, 6, 10))
+    want = oracles.fps(pts, pts.shape[0])  # greedy: every shorter run is a prefix
+    levels = fps_levels(pts, want)
+    start, stop, _ = levels[-2]
+    assert stop - start > 2 and any(ties == 1 for _, _, ties in levels[:-2])
+    for k in (start, (start + stop) // 2):
+        assert fps(pts, k).tolist() == want[:k].tolist()
+
+
 def test_fps_spreads_selection():
     # two tight clusters: second pick must come from the far cluster
     a = np.zeros((5, 3))
