@@ -240,14 +240,19 @@ class SparseVoxelSet:
         """Row of the voxel at each integer coordinate (..., 3), or -1 where
         the cell is unoccupied or outside the grid."""
         coords = np.asarray(coords, dtype=np.int64)
-        inside = np.all((coords >= 0) & (coords < self.grid.extents), axis=-1)
-        rows = np.full(inside.shape, -1, dtype=np.int64)
+        # per-axis columns; an outside coordinate is clipped into the grid
+        # for its flat index and then dropped by `inside`
+        inside = np.ones(coords.shape[:-1], dtype=bool)
+        flat = np.zeros(coords.shape[:-1], dtype=np.int64)
+        for k, extent in enumerate(self.grid.extents):
+            c = coords[..., k]
+            inside &= (c >= 0) & (c < extent)
+            flat *= extent
+            flat += np.clip(c, 0, extent - 1)
         if self.n == 0:
-            return rows
-        flat = np.ravel_multi_index(coords[inside].T, self.grid.extents)
+            return np.full(inside.shape, -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self._keys, flat), self.n - 1)
-        rows[inside] = np.where(self._keys[pos] == flat, self._order[pos], -1)
-        return rows
+        return np.where(inside & (self._keys[pos] == flat), self._order[pos], -1)
 
     def with_feats(self, feats: np.ndarray) -> "SparseVoxelSet":
         """Same occupancy, new per-voxel features."""

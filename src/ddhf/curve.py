@@ -20,31 +20,37 @@ _ONE = np.uint64(1)
 
 
 def _axes_to_transpose(x: np.ndarray, bits: int) -> np.ndarray:
-    """Skilling's AxesToTranspose, vectorized over rows of x (n, d) uint64."""
-    x = x.copy()
+    """Skilling's AxesToTranspose, vectorized over rows of x (n, d) uint64.
+
+    Each per-row branch of the transform is an np.where select between its
+    two outcomes over whole columns; integer xor and and are exact, so this
+    is the same map as the row-by-row loop.
+    """
     d = x.shape[1]
+    cols = [x[:, i].copy() for i in range(d)]
+    x0 = cols[0]
+    zero = np.uint64(0)
     q = _ONE << np.uint64(bits - 1)
     while q > _ONE:
         p = q - _ONE
         for i in range(d):
-            has = (x[:, i] & q) != 0
-            x[has, 0] ^= p
-            t = (x[~has, 0] ^ x[~has, i]) & p
-            x[~has, 0] ^= t
-            x[~has, i] ^= t
+            has = (cols[i] & q) != 0
+            if i == 0:  # the swap of column 0 with itself is no change
+                x0 ^= np.where(has, p, zero)
+                continue
+            t = np.where(has, zero, (x0 ^ cols[i]) & p)
+            x0 ^= np.where(has, p, t)
+            cols[i] ^= t
         q >>= _ONE
     # Gray encode
     for i in range(1, d):
-        x[:, i] ^= x[:, i - 1]
+        cols[i] ^= cols[i - 1]
     t = np.zeros(x.shape[0], dtype=np.uint64)
     q = _ONE << np.uint64(bits - 1)
     while q > _ONE:
-        mask = (x[:, d - 1] & q) != 0
-        t[mask] ^= q - _ONE
+        t ^= np.where((cols[d - 1] & q) != 0, q - _ONE, zero)
         q >>= _ONE
-    for i in range(d):
-        x[:, i] ^= t
-    return x
+    return np.stack([c ^ t for c in cols], axis=1)
 
 
 def _interleave(x: np.ndarray, bits: int) -> np.ndarray:

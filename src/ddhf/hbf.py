@@ -32,12 +32,24 @@ N_DIRECTIONS = 4
 
 def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0.
-    The map covers the grid's x/y footprint, rows = y cells, cols = x."""
-    acc = np.full((v.grid.ny, v.grid.nx, v.channels), -np.inf, dtype=np.float32)
+    The map covers the grid's x/y footprint, rows = y cells, cols = x.
+
+    Voxels are stably sorted by pillar and each pillar's run is reduced with
+    np.maximum in voxel order, the order `np.maximum.at` visits them, so a
+    pillar holding both signed zeros keeps the same one. A non-finite max
+    reads 0, as an empty pillar does.
+    """
+    ny, nx, c = v.grid.ny, v.grid.nx, v.channels
+    acc = np.zeros((ny * nx, c), dtype=np.float32)
     if v.n:
-        np.maximum.at(acc, (v.coords[:, 1], v.coords[:, 0]), v.feats)
-    acc[~np.isfinite(acc)] = 0.0
-    return bev_map_for_grid(v.grid, acc)
+        pillar = v.coords[:, 1] * nx + v.coords[:, 0]
+        order = np.argsort(pillar, kind="stable")
+        pillar = pillar[order]
+        first = np.flatnonzero(np.diff(pillar, prepend=-1))
+        top = np.maximum.reduceat(v.feats[order], first)
+        top[~np.isfinite(top)] = 0.0
+        acc[pillar[first]] = top
+    return bev_map_for_grid(v.grid, acc.reshape(ny, nx, c))
 
 
 def _ss2d(

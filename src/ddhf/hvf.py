@@ -124,13 +124,14 @@ def sparse_down(
     uniq = np.unique(flat_out)
     out_coords = np.stack(np.unravel_index(uniq, grid_out.extents), axis=1).astype(np.int64)
 
-    feats = v.feats.astype(np.float64)
     acc = np.tile(bias.astype(np.float64), (out_coords.shape[0], 1))
-    for t in np.ndindex(3, 3, 3):
-        rows = v.rows_of(out_coords * 2 + np.array(t, dtype=np.int64) - 1)
-        hit = rows >= 0
-        if np.any(hit):
-            acc[hit] += feats[rows[hit]] @ kernel[t].astype(np.float64)
+    taps = list(np.ndindex(3, 3, 3))
+    # one lookup for all taps; each tap widens only the rows it gathers
+    rows = v.rows_of(out_coords * 2 + (np.array(taps, dtype=np.int64) - 1)[:, None])
+    for t, tap_rows in zip(taps, rows):
+        hit = np.flatnonzero(tap_rows >= 0)
+        if hit.size:
+            acc[hit] += v.feats[tap_rows[hit]].astype(np.float64) @ kernel[t].astype(np.float64)
     return SparseVoxelSet(out_coords, silu(acc), grid_out)
 
 
@@ -148,14 +149,18 @@ def sparse_up(
     if target.n == 0 or v_coarse.n == 0:
         return target
     parents = v_coarse.rows_of(target.coords // 2)
-    offsets = target.coords % 2  # p - 2q, in {0,1}^3
+    # p - 2q in {0,1}^3, as its kernel tap's position in np.ndindex(2, 2, 2)
+    tap = (target.coords % 2) @ np.array([4, 2, 1])
+    tap[parents < 0] = -1
     add = np.zeros(target.feats.shape, dtype=np.float64)
     cfeats = v_coarse.feats.astype(np.float64)
-    for t in np.ndindex(2, 2, 2):
-        sel = (parents >= 0) & np.all(offsets == t, axis=1)
-        if np.any(sel):
+    for k, t in enumerate(np.ndindex(2, 2, 2)):
+        sel = np.flatnonzero(tap == k)
+        if sel.size:
             add[sel] = cfeats[parents[sel]] @ kernel[t].astype(np.float64)
-    return target.with_feats(target.feats.astype(np.float64) + add)
+    # the skip, in place: a float32 addend widens exactly and addition commutes
+    add += target.feats
+    return target.with_feats(add)
 
 
 # ---------------------------------------------------------------------------

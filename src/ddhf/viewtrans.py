@@ -129,21 +129,33 @@ def encode_images(images: list[np.ndarray], w: ImageEncoderWeights) -> ImageFeat
 # Projection and sampling
 # ---------------------------------------------------------------------------
 
-def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample grid (h, w, K) at fractional (v=row, u=col) with edge clamping."""
-    h, w = grid.shape[:2]
+def _corners(h: int, w: int, u: np.ndarray, v: np.ndarray):
+    """Flat indices of the four pixels around fractional (v=row, u=col) in
+    an (h, w) map, with edge clamping, and the column and row fractions."""
     u = np.clip(u, 0.0, w - 1.0)
     v = np.clip(v, 0.0, h - 1.0)
     u0 = np.floor(u).astype(np.int64)
     v0 = np.floor(v).astype(np.int64)
     u1 = np.minimum(u0 + 1, w - 1)
     v1 = np.minimum(v0 + 1, h - 1)
-    fu = (u - u0)[:, None]
-    fv = (v - v0)[:, None]
-    g = grid.reshape(h * w, -1).astype(np.float64)
-    top = g[v0 * w + u0] * (1 - fu) + g[v0 * w + u1] * fu
-    bot = g[v1 * w + u0] * (1 - fu) + g[v1 * w + u1] * fu
+    return (v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1), u - u0, v - v0
+
+
+def _blend(corner_values, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """The bilinear blend of four corner samples, widened to float64; fu and
+    fv broadcast against each sample."""
+    c00, c01, c10, c11 = (np.asarray(c, dtype=np.float64) for c in corner_values)
+    top = c00 * (1 - fu) + c01 * fu
+    bot = c10 * (1 - fu) + c11 * fu
     return top * (1 - fv) + bot * fv
+
+
+def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sample grid (h, w, K) at fractional (v=row, u=col) with edge clamping."""
+    h, w = grid.shape[:2]
+    corners, fu, fv = _corners(h, w, u, v)
+    g = grid.reshape(h * w, -1)
+    return _blend((g[c] for c in corners), fu[:, None], fv[:, None])
 
 
 def project_points(
@@ -176,6 +188,16 @@ def _index_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np
     return owner, np.arange(owner.size) + (starts - offsets)[owner]
 
 
+def _square_sum(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """(dx^2 + dy^2) + dz^2, computed in place in the given arrays."""
+    dx *= dx
+    dy *= dy
+    dz *= dz
+    dx += dy
+    dx += dz
+    return dx
+
+
 class _FpsBlocks:
     """Points cut into blocks of FPS_BLOCK contiguous indices, each with a box.
 
@@ -190,73 +212,98 @@ class _FpsBlocks:
         self.x, self.y, self.z = (np.ascontiguousarray(points[:, k]) for k in range(3))
         starts = np.arange(0, n, FPS_BLOCK)
         self.cuts = np.append(starts, n)
-        self.lo = np.minimum.reduceat(points, starts)
-        self.hi = np.maximum.reduceat(points, starts)
+        # box corners as per-axis columns, so the gap test gathers contiguous rows
+        self.lo = [np.minimum.reduceat(c, starts) for c in (self.x, self.y, self.z)]
+        self.hi = [np.maximum.reduceat(c, starts) for c in (self.x, self.y, self.z)]
         # blocks by box x-start, with the running max of box x-ends, so that a
         # query's reachable x-range is one window of this order
-        self.by_x = np.argsort(self.lo[:, 0], kind="stable")
-        self.lo_x = self.lo[self.by_x, 0]
-        self.hi_x_reach = np.maximum.accumulate(self.hi[self.by_x, 0])
+        self.by_x = np.argsort(self.lo[0], kind="stable")
+        self.lo_x = self.lo[0][self.by_x]
+        self.hi_x_reach = np.maximum.accumulate(self.hi[0][self.by_x])
+        # each axis as one row per block, the last padded with +inf, which is
+        # never within < m of a finite point
+        self.rows = []
+        for c in (self.x, self.y, self.z):
+            padded = np.full(starts.size * FPS_BLOCK, np.inf)
+            padded[:n] = c
+            self.rows.append(padded.reshape(-1, FPS_BLOCK))
 
     def sqdist(self, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
         """Squared distances between points a[i] (or point a) and b[i]."""
-        dx = self.x[b] - self.x[a]
-        dy = self.y[b] - self.y[a]
-        dz = self.z[b] - self.z[a]
-        dx *= dx
-        dy *= dy
-        dz *= dz
-        dx += dy
-        dx += dz
-        return dx
+        return _square_sum(*(c[b] - c[a] for c in (self.x, self.y, self.z)))
+
+    def _within_rows(
+        self, a: np.ndarray, blk: np.ndarray, m: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, point index, squared distance) of the points of block blk[i]
+        within < m of point a[i], each block met as one padded row, so the
+        pairs come out in (row, index) order."""
+        axes = zip((self.x, self.y, self.z), self.rows)
+        d = _square_sum(*(rows[blk] - c[a][:, None] for c, rows in axes))
+        row, col = np.nonzero(d < m)
+        return row, blk[row] * FPS_BLOCK + col, d[row, col]
 
     def near(
-        self, q: np.ndarray, t: np.ndarray, m: float, later_only: bool
+        self, q: np.ndarray, t: np.ndarray | None, m: float, later_only: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairs of a sorted query and a sorted target index set within < m.
 
-        Returns (position in q, position in t, squared distance). With
+        Returns (position in q, position in t, squared distance); t None
+        means every point, so a position in t is a point index. With
         later_only, q and t are the same set and only pairs whose target
         comes after its query are returned.
         """
-        lo, hi = self.lo, self.hi
         qb = q // FPS_BLOCK
         ub, ufirst, ucount = np.unique(qb, return_index=True, return_counts=True)
         # over-covers sqrt(m) by more than any rounding of a squared gap, the
         # subnormal range included, so the window drops no block the exact
         # gap test below keeps
         reach = np.sqrt(m) * (1 + 1e-6) + 1e-150
-        w0 = np.searchsorted(self.hi_x_reach, lo[ub, 0] - reach, "left")
-        w1 = np.searchsorted(self.lo_x, hi[ub, 0] + reach, "right")
+        w0 = np.searchsorted(self.hi_x_reach, self.lo[0][ub] - reach, "left")
+        w1 = np.searchsorted(self.lo_x, self.hi[0][ub] + reach, "right")
         uu, k = _index_ranges(w0, w1)
         vv = self.by_x[k]
         if later_only:
-            keep = vv >= ub[uu]
+            # t is q: keep target blocks at or after the query's that hold a query
+            holds_q = np.zeros(self.cuts.size, dtype=bool)
+            holds_q[ub] = True
+            keep = (vv >= ub[uu]) & holds_q[vv]
             uu, vv = uu[keep], vv[keep]
         u = ub[uu]
-        g = np.maximum(np.maximum(lo[vv] - hi[u], lo[u] - hi[vv]), 0.0)
-        g *= g
-        keep = (g[:, 0] + g[:, 1]) + g[:, 2] < m
+        gap = None
+        for lo, hi in zip(self.lo, self.hi):
+            g = np.maximum(np.maximum(lo[vv] - hi[u], lo[u] - hi[vv]), 0.0)
+            g *= g
+            gap = g if gap is None else gap + g
+        keep = gap < m
         uu, vv = uu[keep], vv[keep]
 
         q_start, q_stop = ufirst[uu], ufirst[uu] + ucount[uu]
-        t_start = np.searchsorted(t, self.cuts[vv])
-        t_stop = np.searchsorted(t, self.cuts[vv + 1])
-        done = np.cumsum(ucount[uu] * (t_stop - t_start))
+        if t is None:  # whole target blocks: one padded row per query point
+            per_pair = FPS_BLOCK
+        else:
+            t_start = np.searchsorted(t, self.cuts[vv])
+            t_stop = np.searchsorted(t, self.cuts[vv + 1])
+            per_pair = t_stop - t_start
+        done = np.cumsum(ucount[uu] * per_pair)
         parts = []
         i = 0
         while i < uu.size:
             base = done[i - 1] if i else 0
             j = max(int(np.searchsorted(done, base + FPS_PAIR_CHUNK, "right")), i + 1)
             owner, qpos = _index_ranges(q_start[i:j], q_stop[i:j])
-            owner, tpos = _index_ranges(t_start[i:j][owner], t_stop[i:j][owner])
-            qpos = qpos[owner]
-            if later_only:
-                keep = tpos > qpos
-                qpos, tpos = qpos[keep], tpos[keep]
-            d = self.sqdist(q[qpos], t[tpos])
-            keep = d < m
-            parts.append((qpos[keep], tpos[keep], d[keep]))
+            if t is None:
+                row, tpos, d = self._within_rows(q[qpos], vv[i:j][owner], m)
+                parts.append((qpos[row], tpos, d))
+            else:
+                owner, tpos = _index_ranges(t_start[i:j][owner], t_stop[i:j][owner])
+                qpos = qpos[owner]
+                if later_only:
+                    keep = tpos > qpos
+                    qpos, tpos = qpos[keep], tpos[keep]
+                d = self.sqdist(q[qpos], t[tpos])
+                keep = d < m
+                parts.append((qpos[keep], tpos[keep], d[keep]))
             i = j
         if not parts:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
@@ -267,24 +314,21 @@ def _first_fit(count: int, src: np.ndarray, dst: np.ndarray, quota: int) -> np.n
     """Greedy independent set in index order over count nodes, at most quota.
 
     Node i is taken unless an earlier taken node has an edge (src, dst) to
-    it; every edge has src < dst.
+    it; every edge has src < dst. A taken node blocks only later nodes, so
+    the walk visits just the nodes with an edge out, and the first quota
+    unblocked nodes are the ones a walk stopping at the quota takes.
     """
-    if src.size == 0:
-        return np.arange(min(quota, count))
-    order = np.argsort(src, kind="stable")
-    ptr = np.searchsorted(src[order], np.arange(count + 1)).tolist()
-    dst = dst[order].tolist()
     blocked = bytearray(count)
-    taken = []
-    for i in range(count):
-        if blocked[i]:
-            continue
-        taken.append(i)
-        if len(taken) == quota:
-            break
-        for j in dst[ptr[i] : ptr[i + 1]]:
-            blocked[j] = 1
-    return np.array(taken, dtype=np.int64)
+    if src.size:
+        order = np.argsort(src, kind="stable")
+        heads, first = np.unique(src[order], return_index=True)
+        stops = np.append(first[1:], src.size).tolist()
+        dst = dst[order].tolist()
+        for i, a, b in zip(heads.tolist(), first.tolist(), stops):
+            if not blocked[i]:
+                for j in dst[a:b]:
+                    blocked[j] = 1
+    return np.flatnonzero(np.frombuffer(blocked, dtype=np.uint8) == 0)[:quota]
 
 
 def fps(points: np.ndarray, n_target: int) -> np.ndarray:
@@ -300,7 +344,8 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
     lowered its distance below m; afterwards only points within < m of the
     level's picks get a new distance. So each level costs one neighbour
     search over index blocks (`_FpsBlocks`) instead of one pass over all
-    points per pick. Once m is 0 only duplicates of picks remain, and every
+    points per pick, plus one among its ties when it has more than one.
+    Once m is 0 only duplicates of picks remain, and every
     further pick is index 0, as argmax over all-zero distances gives.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -315,21 +360,21 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
             f"fps: points must be finite; row {int(np.argmax(bad))} is {points[bad][0]}"
         )
     blocks = _FpsBlocks(points)
-    everything = np.arange(n)
     chosen = np.zeros(n_target, dtype=np.int64)
-    dist = blocks.sqdist(0, everything)
+    dist = blocks.sqdist(0, np.arange(n))
     filled = 1
     while filled < n_target:
         m = dist.max()
         if m == 0:
             break
-        ties = np.flatnonzero(dist == m)
-        src, dst, _ = blocks.near(ties, ties, m, later_only=True)
-        picks = ties[_first_fit(ties.size, src, dst, n_target - filled)]
+        picks = np.flatnonzero(dist == m)
+        if picks.size > 1:  # a lone tie is the level's one pick
+            src, dst, _ = blocks.near(picks, picks, m, later_only=True)
+            picks = picks[_first_fit(picks.size, src, dst, n_target - filled)]
         chosen[filled : filled + picks.size] = picks
         filled += picks.size
         if filled < n_target:
-            _, near_idx, d = blocks.near(picks, everything, m, later_only=False)
+            _, near_idx, d = blocks.near(picks, None, m, later_only=False)
             lower = d < dist[near_idx]
             np.minimum.at(dist, near_idx[lower], d[lower])
     return chosen
@@ -347,16 +392,19 @@ def _best_camera(
     images: ImageFeatureSet,
     cameras: list[CameraModel],
     bins: DepthBinSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(semantic score, v_d, feature) of each center's highest-semantic camera.
+) -> tuple[np.ndarray, ...]:
+    """(semantic score, v_d, camera, feature-map u, feature-map v) of each
+    center's highest-semantic camera, the first one on ties.
 
-    A center no camera sees, in image and in depth range, keeps semantic
-    score -1, v_d 0 and a zero feature.
+    v_d is sampled only at the center's own depth bin, and only for a camera
+    that takes the lead. A center no camera sees, in image and in depth
+    range, keeps semantic score -1, v_d 0 and camera -1.
     """
     n = centers.shape[0]
     best_sem = np.full(n, -1.0)
     best_vd = np.zeros(n)
-    best_feat = np.zeros((n, images.feats[0].shape[2]), dtype=np.float64)
+    best_cam = np.full(n, -1)
+    best_u, best_v = np.zeros(n), np.zeros(n)
     for cam_idx, cam in enumerate(cameras):
         u, v, z = project_points(centers, cam)
         h_img, w_img = cam.image_size
@@ -365,18 +413,22 @@ def _best_camera(
         valid &= (kbin >= 0) & (kbin < bins.count)
         if not np.any(valid):
             continue
-        mu, mv = u[valid] / FEATURE_STRIDE, v[valid] / FEATURE_STRIDE
-        sem = bilinear_sample(images.sem[cam_idx][:, :, None], mu, mv)[:, 0]
-        depth_all = bilinear_sample(images.depth[cam_idx], mu, mv)
-        vd = np.take_along_axis(depth_all, kbin[valid][:, None], axis=1)[:, 0]
-        feat = bilinear_sample(images.feats[cam_idx], mu, mv)
-        sel = np.where(valid)[0]
+        sel = np.flatnonzero(valid)
+        mu, mv = u[sel] / FEATURE_STRIDE, v[sel] / FEATURE_STRIDE
+        h, w = images.sem[cam_idx].shape
+        corners, fu, fv = _corners(h, w, mu, mv)
+        sem = _blend((images.sem[cam_idx].ravel()[c] for c in corners), fu, fv)
         better = sem > best_sem[sel]
         upd = sel[better]
+        depth = images.depth[cam_idx].reshape(h * w, -1)
+        own_bin = kbin[upd]
+        best_vd[upd] = _blend(
+            (depth[c[better], own_bin] for c in corners), fu[better], fv[better]
+        )
         best_sem[upd] = sem[better]
-        best_vd[upd] = vd[better]
-        best_feat[upd] = feat[better]
-    return best_sem, best_vd, best_feat
+        best_cam[upd] = cam_idx
+        best_u[upd], best_v[upd] = mu[better], mv[better]
+    return best_sem, best_vd, best_cam, best_u, best_v
 
 
 def safs_select(
@@ -408,10 +460,15 @@ def safs_select(
     for lo in range(0, n, SAFS_CHUNK):
         cells = np.arange(lo, min(lo + SAFS_CHUNK, n))
         coords = np.stack(np.unravel_index(cells, grid.extents), axis=-1)
-        best_sem, best_vd, best_feat = _best_camera(grid.centers(coords), images, cameras, bins)
-        keep = (best_sem > s_thresh) & (best_vd > d_thresh)
+        sem, vd, cam, u, v = _best_camera(grid.centers(coords), images, cameras, bins)
+        keep = (sem > s_thresh) & (vd > d_thresh)
+        cam, u, v, vd = cam[keep], u[keep], v[keep], vd[keep]
+        feat = np.empty((cam.size, images.feats[0].shape[2]))
+        for cam_idx in range(len(cameras)):
+            rows = np.flatnonzero(cam == cam_idx)
+            feat[rows] = bilinear_sample(images.feats[cam_idx], u[rows], v[rows])
         kept_coords.append(coords[keep])
-        kept_feats.append((best_feat[keep] * best_vd[keep][:, None]).astype(np.float32))
+        kept_feats.append((feat * vd[:, None]).astype(np.float32))
     coords_k = np.concatenate(kept_coords)
     feats_k = np.concatenate(kept_feats)
     del kept_coords, kept_feats  # FPS below may need the room
@@ -439,13 +496,18 @@ def lss_splat(
     Each feature pixel contributes (feature * bin probability) at the 3D
     point unprojected through that bin's center depth; contributions landing
     in the same BEV cell are summed, conserving total feature mass in range.
+
+    The (cell, pixel, probability) of every contribution is listed camera by
+    camera, bin by bin, pixel by pixel, and one float64 bincount per channel
+    sums them from 0 in that order, the order a per-bin `np.add.at` visits.
     """
-    acc = np.zeros((bev.ny, bev.nx, images.feats[0].shape[2]), dtype=np.float64)
+    c_width = images.feats[0].shape[2]
     centers_d = bins.centers()
+    cells, pixels, probs = [], [], []
+    first = 0  # stacked pixel row of the camera's first pixel
     for cam_idx, cam in enumerate(cameras):
-        f = images.feats[cam_idx].astype(np.float64)  # (h, w, C)
-        p = images.depth[cam_idx].astype(np.float64)  # (h, w, D)
-        h, w, c_width = f.shape
+        h, w, _ = images.feats[cam_idx].shape
+        p = images.depth[cam_idx].reshape(h * w, bins.count)
         jj, ii = np.meshgrid(np.arange(w), np.arange(h))
         u = (jj.ravel() * FEATURE_STRIDE).astype(np.float64)
         v = (ii.ravel() * FEATURE_STRIDE).astype(np.float64)
@@ -458,9 +520,15 @@ def lss_splat(
             pts_world = cam.cam_to_world(pts_cam)
             cx = np.floor((pts_world[:, 0] - bev.origin[0]) / bev.voxel_size[0]).astype(np.int64)
             cy = np.floor((pts_world[:, 1] - bev.origin[1]) / bev.voxel_size[1]).astype(np.int64)
-            ok = (cx >= 0) & (cx < bev.nx) & (cy >= 0) & (cy < bev.ny)
-            if not np.any(ok):
-                continue
-            contrib = f.reshape(-1, c_width)[ok] * p.reshape(-1, bins.count)[ok, kbin : kbin + 1]
-            np.add.at(acc, (cy[ok], cx[ok]), contrib)
+            ok = np.flatnonzero((cx >= 0) & (cx < bev.nx) & (cy >= 0) & (cy < bev.ny))
+            cells.append(cy[ok] * bev.nx + cx[ok])
+            pixels.append(first + ok)
+            probs.append(p[ok, kbin].astype(np.float64))
+        first += h * w
+    cell, pixel, prob = (np.concatenate(a) for a in (cells, pixels, probs))
+    feats = np.concatenate([f.reshape(-1, c_width) for f in images.feats]).T
+    acc = np.empty((bev.ny, bev.nx, c_width))
+    for ch in range(c_width):
+        weights = feats[ch][pixel].astype(np.float64) * prob
+        acc[..., ch] = np.bincount(cell, weights, bev.ny * bev.nx).reshape(bev.ny, bev.nx)
     return bev_map_for_grid(bev, acc)
