@@ -62,10 +62,8 @@ class SceneSpec:
     noise_sigma: float = 0.02
 
     def __post_init__(self):
-        for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} must be ascending")
+        # single-field bounds live in _SPEC; the cross-field rules follow
+        check_record({k: v for k, v in vars(self).items() if k in _SPEC}, _SPEC, "spec.")
         ranges = (self.x_range, self.y_range, self.z_range)
         for i, obj in enumerate(self.objects):
             for axis, (lo, hi) in enumerate(ranges):
@@ -78,13 +76,6 @@ class SceneSpec:
         for cam in self.cameras:
             if tuple(cam.image_size) != tuple(self.image_size):
                 raise ValueError("camera image_size must match scene image_size")
-        if self.n_clutter < 0:
-            raise ValueError("n_clutter must be >= 0")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        h, w = self.image_size
-        if h < 8 or w < 8 or h % 4 or w % 4:
-            raise ValueError("image size must be multiples of 4, at least 8")
 
 
 def default_cameras(
@@ -306,16 +297,22 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-_RANGE = (numbers(2, is_real), "a list of 2 finite numbers", False)
+_RANGE = (
+    lambda v: numbers(2, is_real)(v) and v[0] < v[1], "a list of 2 ascending finite numbers", False
+)
 _SPEC = {  # spec key -> (check, what it must be, required)
     "seed": (is_int, "an integer", True),
     "x_range": _RANGE,
     "y_range": _RANGE,
     "z_range": _RANGE,
     "objects": (lambda v: isinstance(v, tuple), "a list", False),
-    "image_size": (numbers(2, is_int), "a list of 2 integers", False),
-    "n_clutter": (is_int, "an integer", False),
-    "noise_sigma": (is_real, "a finite number", False),
+    "image_size": (
+        numbers(2, lambda n: is_int(n) and n >= 8 and n % 4 == 0),
+        "a list of 2 integers, each a multiple of 4 and at least 8",
+        False,
+    ),
+    "n_clutter": (lambda v: is_int(v) and v >= 0, "an integer >= 0", False),
+    "noise_sigma": (lambda v: is_real(v) and v >= 0.0, "a finite number >= 0", False),
 }
 _OBJECT = {**BOX, "density": (lambda v: is_real(v) and v > 0, "a finite number > 0", False)}
 

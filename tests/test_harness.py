@@ -216,6 +216,35 @@ def test_cli_gen_scene_rejects_unknown_key(tmp_path, capsys, content, key):
     assert err.startswith("error:") and f"{key} is not a known key" in err
 
 
+# each case breaks one bounded scene spec field; the rest stay at their defaults
+SPEC_BOUND_CASES = [
+    ("x_range", [5.0, -5.0]),
+    ("y_range", [0.0, 0.0]),
+    ("z_range", [3.0, -5.0]),
+    ("image_size", [10, 16]),
+    ("image_size", [64, 4]),
+    ("n_clutter", -1),
+    ("noise_sigma", -0.1),
+]
+SPEC_BOUND_IDS = [f"{field}={value}".replace(" ", "") for field, value in SPEC_BOUND_CASES]
+
+
+@pytest.mark.parametrize("field, value", SPEC_BOUND_CASES, ids=SPEC_BOUND_IDS)
+def test_scene_spec_bound_names_its_field(field, value):
+    with pytest.raises(ValueError) as info:
+        SceneSpec(seed=3, **{field: tuple(value) if isinstance(value, list) else value})
+    assert str(info.value).startswith(f"spec.{field} must be "), info.value
+
+
+@pytest.mark.parametrize("field, value", SPEC_BOUND_CASES, ids=SPEC_BOUND_IDS)
+def test_cli_gen_scene_bound_names_its_field(tmp_path, capsys, field, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"seed": 3, field: value}))
+    assert main(["gen-scene", "--spec", str(spec_path), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec.{field} must be "), err
+
+
 @pytest.mark.parametrize(
     "change",
     [{"class": -1}, {"size": [4.0, 0.0, 1.5]}, {"density": 0.0}, {"center": [99.0, 0.0, 0.0]}],
