@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .core import GridSpec, is_int, is_real
 from .hvf import STRIDES
-from .jsonio import check_record, dump, load, numbers
+from .jsonio import RANGE, check_record, dump, load, numbers
 from .viewtrans import DepthBinSpec
 
 WEIGHTS_MODES = ("seeded", "passthrough")
@@ -89,9 +89,6 @@ def _divisible(v) -> bool:
     return v[0] % STRIDES[-1] == 0 and v[1] % STRIDES[-1] == 0
 
 
-_RANGE = (
-    lambda v: numbers(2, is_real)(v) and v[0] < v[1], "a list of 2 ascending finite numbers", False
-)
 _CELLS = (
     lambda v: numbers(3, lambda n: is_int(n) and n > 0)(v) and _divisible(v),
     f"a list of 3 positive integers, x and y divisible by {STRIDES[-1]}",
@@ -100,9 +97,9 @@ _CELLS = (
 _FRACTION = (lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)", False)
 _FIELDS = {  # config key -> (check, what it must be, required)
     "global_seed": (is_int, "an integer", False),
-    "x_range": _RANGE,
-    "y_range": _RANGE,
-    "z_range": _RANGE,
+    "x_range": RANGE,
+    "y_range": RANGE,
+    "z_range": RANGE,
     "lidar_cells": _CELLS,
     "image_cells": _CELLS,
     "channels": (lambda v: is_int(v) and v >= 4 and v % 4 == 0, "a positive multiple of 4", False),

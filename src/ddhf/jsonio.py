@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_real
+
 
 def _render(obj) -> str:
     if isinstance(obj, dict):
@@ -47,6 +49,12 @@ def load(path: str | Path):
 def numbers(length: int, ok):
     """Check for a JSON list (a tuple once read) of `length` values passing `ok`."""
     return lambda v: isinstance(v, tuple) and len(v) == length and all(ok(x) for x in v)
+
+
+# a world range [lo, hi], as a config and a scene spec give one per axis
+RANGE = (
+    lambda v: numbers(2, is_real)(v) and v[0] < v[1], "a list of 2 ascending finite numbers", False
+)
 
 
 def check_record(data, table: dict, where: str) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CameraModel, is_int, is_real, load_tensor, named_draws, save_tensor
 from .evalmetrics import BOX, box_record
-from .jsonio import check_record, dump, load, numbers
+from .jsonio import RANGE, check_record, dump, load, numbers
 
 DEFAULT_IMAGE_SIZE = (64, 96)
 DEFAULT_FOCAL = 48.0
@@ -297,14 +297,11 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-_RANGE = (
-    lambda v: numbers(2, is_real)(v) and v[0] < v[1], "a list of 2 ascending finite numbers", False
-)
 _SPEC = {  # spec key -> (check, what it must be, required)
     "seed": (is_int, "an integer", True),
-    "x_range": _RANGE,
-    "y_range": _RANGE,
-    "z_range": _RANGE,
+    "x_range": RANGE,
+    "y_range": RANGE,
+    "z_range": RANGE,
     "objects": (lambda v: isinstance(v, tuple), "a list", False),
     "image_size": (
         numbers(2, lambda n: is_int(n) and n >= 8 and n % 4 == 0),
