@@ -50,6 +50,7 @@ from .viewtrans import (
 
 PASSTHROUGH_GAIN = 0.1
 MAX_INTENSITY = 255.0  # 8-bit reflectance
+MAX_PIXEL = 1.0  # pixels lie in [0, 1], the range scene.render_images writes
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,9 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
     """Checks `run_pipeline`'s inputs and returns the points as float32.
 
     Points must be a finite (n, 4) array of x, y, z, intensity with each
-    intensity in the 8-bit reflectance range [0, 255], and each image a
-    finite (h, w, 3) array whose (h, w) is its camera's image_size. Each
-    error names the bad input.
+    intensity in the 8-bit reflectance range [0, 255], and each image an
+    (h, w, 3) array whose (h, w) is its camera's image_size, with every
+    pixel in [0, 1]. Each error names the bad input.
     """
     if len(images) != len(cameras):
         raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
@@ -188,8 +189,16 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
         want = (*cam.image_size, 3)
         if shape != want:
             raise ValueError(f"image {i}: expected shape {want} from camera {i}, got {shape}")
-        if not np.all(np.isfinite(image)):
+        pixels = np.asarray(image)
+        if not np.all(np.isfinite(pixels)):
             raise ValueError(f"image {i}: pixels must be finite")
+        bad = (pixels < 0.0) | (pixels > MAX_PIXEL)
+        if bad.any():
+            row, col, channel = np.unravel_index(int(np.argmax(bad)), shape)
+            raise ValueError(
+                f"image {i}: pixel (row {row}, col {col}) channel {channel} value"
+                f" {pixels[row, col, channel]:g} is outside [0, {MAX_PIXEL:g}]"
+            )
     return pts
 
 

@@ -39,14 +39,10 @@ class SceneObject:
     density: float = 40.0  # surface points per square meter
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
-        if len(self.center) != 3 or len(self.size) != 3:
-            raise ValueError("center and size must have three components")
-        if any(s <= 0.0 for s in self.size):
-            raise ValueError(f"box size must be positive, got {self.size}")
-        if self.density <= 0.0:
-            raise ValueError(f"point density must be > 0, got {self.density}")
+        # single-field bounds live in _OBJECT, the table spec-file objects are read with
+        record = {"class": self.class_id, **vars(self)}
+        del record["class_id"]
+        check_record(record, _OBJECT, "object.")
 
 
 @dataclass(frozen=True)

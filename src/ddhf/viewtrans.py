@@ -211,7 +211,6 @@ class _FpsBlocks:
         # per-axis buffers; (dx^2 + dy^2) + dz^2 matches an axis-1 sum bit for bit
         self.x, self.y, self.z = (np.ascontiguousarray(points[:, k]) for k in range(3))
         starts = np.arange(0, n, FPS_BLOCK)
-        self.cuts = np.append(starts, n)
         # box corners as per-axis columns, so the gap test gathers contiguous rows
         self.lo = [np.minimum.reduceat(c, starts) for c in (self.x, self.y, self.z)]
         self.hi = [np.maximum.reduceat(c, starts) for c in (self.x, self.y, self.z)]
@@ -228,30 +227,15 @@ class _FpsBlocks:
             padded[:n] = c
             self.rows.append(padded.reshape(-1, FPS_BLOCK))
 
-    def sqdist(self, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
-        """Squared distances between points a[i] (or point a) and b[i]."""
-        return _square_sum(*(c[b] - c[a] for c in (self.x, self.y, self.z)))
-
-    def _within_rows(
-        self, a: np.ndarray, blk: np.ndarray, m: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, point index, squared distance) of the points of block blk[i]
-        within < m of point a[i], each block met as one padded row, so the
-        pairs come out in (row, index) order."""
-        axes = zip((self.x, self.y, self.z), self.rows)
-        d = _square_sum(*(rows[blk] - c[a][:, None] for c, rows in axes))
-        row, col = np.nonzero(d < m)
-        return row, blk[row] * FPS_BLOCK + col, d[row, col]
-
     def near(
-        self, q: np.ndarray, t: np.ndarray | None, m: float, later_only: bool
+        self, q: np.ndarray, m: float, bound: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pairs of a sorted query and a sorted target index set within < m.
+        """(position in q, point index, squared distance) of every point
+        within < m of a point of the sorted query set q and < bound[index].
 
-        Returns (position in q, position in t, squared distance); t None
-        means every point, so a position in t is a point index. With
-        later_only, q and t are the same set and only pairs whose target
-        comes after its query are returned.
+        Each candidate block is met as one padded row of FPS_BLOCK distances
+        per query point, FPS_PAIR_CHUNK pairs at a time. The bound is applied
+        inside each batch, so only the pairs that pass it are held.
         """
         qb = q // FPS_BLOCK
         ub, ufirst, ucount = np.unique(qb, return_index=True, return_counts=True)
@@ -263,12 +247,6 @@ class _FpsBlocks:
         w1 = np.searchsorted(self.lo_x, self.hi[0][ub] + reach, "right")
         uu, k = _index_ranges(w0, w1)
         vv = self.by_x[k]
-        if later_only:
-            # t is q: keep target blocks at or after the query's that hold a query
-            holds_q = np.zeros(self.cuts.size, dtype=bool)
-            holds_q[ub] = True
-            keep = (vv >= ub[uu]) & holds_q[vv]
-            uu, vv = uu[keep], vv[keep]
         u = ub[uu]
         gap = None
         for lo, hi in zip(self.lo, self.hi):
@@ -279,31 +257,21 @@ class _FpsBlocks:
         uu, vv = uu[keep], vv[keep]
 
         q_start, q_stop = ufirst[uu], ufirst[uu] + ucount[uu]
-        if t is None:  # whole target blocks: one padded row per query point
-            per_pair = FPS_BLOCK
-        else:
-            t_start = np.searchsorted(t, self.cuts[vv])
-            t_stop = np.searchsorted(t, self.cuts[vv + 1])
-            per_pair = t_stop - t_start
-        done = np.cumsum(ucount[uu] * per_pair)
+        done = np.cumsum(ucount[uu]) * FPS_BLOCK
         parts = []
         i = 0
         while i < uu.size:
             base = done[i - 1] if i else 0
             j = max(int(np.searchsorted(done, base + FPS_PAIR_CHUNK, "right")), i + 1)
             owner, qpos = _index_ranges(q_start[i:j], q_stop[i:j])
-            if t is None:
-                row, tpos, d = self._within_rows(q[qpos], vv[i:j][owner], m)
-                parts.append((qpos[row], tpos, d))
-            else:
-                owner, tpos = _index_ranges(t_start[i:j][owner], t_stop[i:j][owner])
-                qpos = qpos[owner]
-                if later_only:
-                    keep = tpos > qpos
-                    qpos, tpos = qpos[keep], tpos[keep]
-                d = self.sqdist(q[qpos], t[tpos])
-                keep = d < m
-                parts.append((qpos[keep], tpos[keep], d[keep]))
+            blk = vv[i:j][owner]
+            axes = zip((self.x, self.y, self.z), self.rows)
+            d = _square_sum(*(rows[blk] - c[q[qpos]][:, None] for c, rows in axes))
+            row, col = np.nonzero(d < m)
+            idx = blk[row] * FPS_BLOCK + col
+            d = d[row, col]
+            keep = d < bound[idx]
+            parts.append((qpos[row[keep]], idx[keep], d[keep]))
             i = j
         if not parts:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
@@ -339,12 +307,13 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
     far (squared distance (dx^2 + dy^2) + dz^2), the lowest index on ties.
 
     The picks come in levels of equal max distance m. Within a level the
-    greedy loop takes the points at distance m in ascending index order,
-    skipping any within < m of an earlier pick of the level, since that pick
-    lowered its distance below m; afterwards only points within < m of the
-    level's picks get a new distance. So each level costs one neighbour
-    search over index blocks (`_FpsBlocks`) instead of one pass over all
-    points per pick, plus one among its ties when it has more than one.
+    greedy loop takes the ties (the points at distance m) in ascending index
+    order, skipping any within < m of an earlier pick of the level, since
+    that pick lowered its distance below m; afterwards only points within
+    < m of the level's picks get a new distance. So each level costs one
+    neighbour search over index blocks (`_FpsBlocks`) from all its ties,
+    instead of one pass over all points per pick: its pairs between ties
+    are the skip edges, and its pairs from taken ties the distance updates.
     Once m is 0 only duplicates of picks remain, and every
     further pick is index 0, as argmax over all-zero distances gives.
     """
@@ -361,22 +330,25 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
         )
     blocks = _FpsBlocks(points)
     chosen = np.zeros(n_target, dtype=np.int64)
-    dist = blocks.sqdist(0, np.arange(n))
+    dist = _square_sum(*(c - c[0] for c in (blocks.x, blocks.y, blocks.z)))
     filled = 1
     while filled < n_target:
         m = dist.max()
         if m == 0:
             break
-        picks = np.flatnonzero(dist == m)
-        if picks.size > 1:  # a lone tie is the level's one pick
-            src, dst, _ = blocks.near(picks, picks, m, later_only=True)
-            picks = picks[_first_fit(picks.size, src, dst, n_target - filled)]
-        chosen[filled : filled + picks.size] = picks
-        filled += picks.size
-        if filled < n_target:
-            _, near_idx, d = blocks.near(picks, None, m, later_only=False)
-            lower = d < dist[near_idx]
-            np.minimum.at(dist, near_idx[lower], d[lower])
+        ties = np.flatnonzero(dist == m)
+        # every point within < m of a tie that the tie would move: since
+        # d < m = dist there, that includes every tie within < m of it
+        qpos, idx, d = blocks.near(ties, m, dist)
+        edge = (dist[idx] == m) & (idx > ties[qpos])
+        dst = np.searchsorted(ties, idx[edge])
+        taken = _first_fit(ties.size, qpos[edge], dst, n_target - filled)
+        chosen[filled : filled + taken.size] = ties[taken]
+        filled += taken.size
+        took = np.zeros(ties.size, dtype=bool)
+        took[taken] = True
+        keep = took[qpos]
+        np.minimum.at(dist, idx[keep], d[keep])
     return chosen
 
 

@@ -236,6 +236,24 @@ def test_scene_spec_bound_names_its_field(field, value):
     assert str(info.value).startswith(f"spec.{field} must be "), info.value
 
 
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("yaw", {"yaw": float("nan")}),  # every surface point would come out NaN
+        ("class", {"class_id": 1.5}),
+        ("class", {"class_id": -1}),
+        ("density", {"density": float("inf")}),
+        ("size", {"size": (4.0, 0.0, 1.5)}),
+        ("center", {"center": (0.0, 0.0)}),
+    ],
+    ids=["nan_yaw", "fractional_class", "negative_class", "inf_density", "zero_size", "short_center"],
+)
+def test_scene_object_bound_names_its_field(field, change):
+    args = {"class_id": 0, "center": (0.0, 0.0, 0.0), "size": (1.0, 1.0, 1.0), "yaw": 0.0}
+    with pytest.raises(ValueError, match=rf"^object\.{field} must be "):
+        SceneObject(**{**args, **change})
+
+
 @pytest.mark.parametrize("field, value", SPEC_BOUND_CASES, ids=SPEC_BOUND_IDS)
 def test_cli_gen_scene_bound_names_its_field(tmp_path, capsys, field, value):
     spec_path = tmp_path / "spec.json"
@@ -317,10 +335,16 @@ def test_pipeline_no_cameras(rng):
     assert isinstance(dets, list)
 
 
-def _inf_pixel(points, images):
-    bad = images[0].copy()
-    bad[2, 3, 1] = np.inf
-    return points, [bad] + images[1:]
+def _with_pixel(value):
+    def corrupt(points, images):
+        bad = images[0].copy()
+        bad[2, 3, 1] = value
+        return points, [bad] + images[1:]
+
+    return corrupt
+
+
+_PIXEL_OUTSIDE = r"image 0: pixel \(row 2, col 3\) channel 1 value {} is outside \[0, 1\]"
 
 
 def _with_intensity(value):
@@ -342,13 +366,20 @@ def _with_intensity(value):
         ),
         (lambda p, im: (p, [im[0][..., 0]] + im[1:]), r"image 0: expected shape"),
         (lambda p, im: (p, [im[0][:-1]] + im[1:]), r"image 0: expected shape"),
-        (_inf_pixel, r"image 0: pixels must be finite"),
+        (_with_pixel(np.inf), r"image 0: pixels must be finite"),
+        (_with_pixel(1e30), _PIXEL_OUTSIDE.format(r"1e\+30")),
+        (_with_pixel(-0.5), _PIXEL_OUTSIDE.format("-0.5")),
+        (
+            lambda p, im: (p, [(im[0] * 255).astype(np.uint8)] + im[1:]),
+            r"image 0: pixel \(row 0, col 0\) channel 0 value \d+ is outside \[0, 1\]",
+        ),
         (_with_intensity(1e30), r"points: row \d+ intensity 1e\+30 is outside \[0, 255\]"),
         (_with_intensity(-1e30), r"points: row \d+ intensity -1e\+30 is outside \[0, 255\]"),
         (_with_intensity(-1.0), r"points: row \d+ intensity -1 is outside \[0, 255\]"),
     ],
     ids=[
         "xyz_only_points", "nan_intensity", "grayscale_image", "short_image", "inf_pixel",
+        "huge_pixel", "negative_pixel", "uint8_image",
         "huge_intensity", "huge_negative_intensity", "negative_intensity",
     ],
 )

@@ -136,6 +136,11 @@ def test_fps_matches_oracle(rng):
     for size in (FPS_BLOCK - 1, FPS_BLOCK, FPS_BLOCK + 1):
         cases += [(sparse_lattice(rng, (3, 3, 8))[:size], size)]
         cases += [(rng.normal(size=(size, 3)), size // 2)]
+    # a shuffled lattice: ties within < m of each other lie in earlier and
+    # later blocks than the tie they are near
+    shuffled = sparse_lattice(rng, (5, 5, 4), keep=1.0)[rng.permutation(100)]
+    cases += [(shuffled, 100)]
+    assert any(below and above for below, above in tie_blocks_near(shuffled))
     for pts, k in cases:
         assert fps(pts, k).tolist() == list(oracles.fps(pts, k))
     assert fps(np.full((7, 3), 1.5), 7).tolist() == [0] * 7
@@ -158,6 +163,23 @@ def fps_levels(points, picks) -> list[tuple[int, int, int]]:
     return levels
 
 
+def tie_blocks_near(points):
+    """(earlier block, later block) of each tie of each full FPS level: does
+    a tie within < m of it lie in an earlier FPS_BLOCK, and in a later one."""
+    picks = oracles.fps(points, points.shape[0])
+    d = points[:, None, :] - points[None, :, :]
+    sq = (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+    block = np.arange(points.shape[0]) // FPS_BLOCK
+    out = []
+    for start, stop, _ in fps_levels(points, picks):
+        dist = sq[picks[:start]].min(axis=0)
+        ties = np.flatnonzero(dist == dist.max())
+        for t in ties:
+            near = ties[sq[t, ties] < dist.max()]
+            out.append((bool(np.any(block[near] < block[t])), bool(np.any(block[near] > block[t]))))
+    return out
+
+
 def test_fps_matches_oracle_on_safs_lattice():
     # SAFS's anisotropic dyadic lattice, with n_target once at the end of a
     # level and once inside the next, both after levels with a single tie
@@ -168,6 +190,18 @@ def test_fps_matches_oracle_on_safs_lattice():
     assert stop - start > 2 and any(ties == 1 for _, _, ties in levels[:-2])
     for k in (start, (start + stop) // 2):
         assert fps(pts, k).tolist() == want[:k].tolist()
+
+
+def test_fps_peak_memory():
+    # the default image grid's 36,864 cell centers trimmed to 18,000: 7.93 MB
+    # traced when this gate was set, bound that plus 0.5 MB. Each neighbour
+    # search drops pairs that would not lower a distance batch by batch; kept
+    # to the end of the search, they would take the peak to 9.8 MB
+    grid = PipelineConfig().image_grid()
+    cells = np.arange(int(np.prod(grid.extents)))
+    centers = grid.centers(np.stack(np.unravel_index(cells, grid.extents), axis=-1))
+    assert centers.shape[0] == 36_864
+    assert traced_peak(fps, centers, 18_000) < 8.43e6
 
 
 def test_fps_spreads_selection():
