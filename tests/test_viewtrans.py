@@ -164,19 +164,20 @@ def fps_levels(points, picks) -> list[tuple[int, int, int]]:
 
 
 def tie_blocks_near(points):
-    """(earlier block, later block) of each tie of each full FPS level: does
-    a tie within < m of it lie in an earlier FPS_BLOCK, and in a later one."""
+    """For each tie at the start of each FPS level: whether a tie within < m
+    of it lies in an earlier FPS_BLOCK, and whether one lies in a later one."""
     picks = oracles.fps(points, points.shape[0])
     d = points[:, None, :] - points[None, :, :]
     sq = (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
     block = np.arange(points.shape[0]) // FPS_BLOCK
     out = []
-    for start, stop, _ in fps_levels(points, picks):
+    for start, _, _ in fps_levels(points, picks):
         dist = sq[picks[:start]].min(axis=0)
-        ties = np.flatnonzero(dist == dist.max())
+        m = dist.max()
+        ties = np.flatnonzero(dist == m)
         for t in ties:
-            near = ties[sq[t, ties] < dist.max()]
-            out.append((bool(np.any(block[near] < block[t])), bool(np.any(block[near] > block[t]))))
+            near = block[ties[sq[t, ties] < m]]
+            out.append((bool(np.any(near < block[t])), bool(np.any(near > block[t]))))
     return out
 
 
