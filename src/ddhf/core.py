@@ -25,6 +25,7 @@ _FNV_PRIME = 0x100000001B3
 
 VOXEL_FEATURE_DIM = 5  # (dx, dy, dz offsets from center, mean intensity, count)
 VOXEL_COUNT_CHANNEL = 4  # the point count's column of a voxelized feature
+ORTHONORMAL_TOL = 1e-6  # max |R R^T - I|; a 9-digit JSON rotation is off by ~1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,14 @@ class CameraModel:
             raise ValueError("CameraModel: intrinsics and extrinsics must be finite")
         if not (k[0, 0] > 0 and k[1, 1] > 0):
             raise ValueError(f"CameraModel: focal lengths must be > 0, got {k[0, 0]}, {k[1, 1]}")
+        rot = e[:3, :3]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+            off = np.max(np.abs(rot @ rot.T - np.eye(3)))
+        if not off <= ORTHONORMAL_TOL:
+            raise ValueError(
+                "CameraModel: the extrinsics rotation block must be orthonormal,"
+                f" max |R R^T - I| is {off:.3g} > {ORTHONORMAL_TOL:g}"
+            )
         size = self.image_size
         if not (
             isinstance(size, (tuple, list))
@@ -249,7 +258,7 @@ class SparseVoxelSet:
             inside &= (c >= 0) & (c < extent)
             flat *= extent
             flat += np.clip(c, 0, extent - 1)
-        if self.n == 0:
+        if self.n == 0:  # the general path would read _keys[-1] of an empty table
             return np.full(inside.shape, -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self._keys, flat), self.n - 1)
         return np.where(inside & (self._keys[pos] == flat), self._order[pos], -1)
@@ -276,12 +285,8 @@ def voxelize(points: np.ndarray, grid: GridSpec) -> SparseVoxelSet:
     independent of input point order.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 4)
-    if points.shape[0] == 0:
-        return empty_voxel_set(grid, VOXEL_FEATURE_DIM)
     idx, mask = grid.point_coords(points[:, :3])
     idx, pts = idx[mask], points[mask]
-    if idx.shape[0] == 0:
-        return empty_voxel_set(grid, VOXEL_FEATURE_DIM)
 
     flat = np.ravel_multi_index(idx.T, grid.extents)
     uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)

@@ -90,8 +90,6 @@ def hilbert_order(coords: np.ndarray, extents: tuple[int, int, int]) -> np.ndarr
     """Rows of integer cells (n, 3) in the order the Hilbert curve covering a
     grid of `extents` visits them: a permutation whose entry k is the row at
     position k. The sort is stable, so rows on one cell keep their order."""
-    if coords.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     keys = hilbert_index(coords[:, 0], coords[:, 1], coords[:, 2], bits_for_extents(extents))
     return np.argsort(keys, kind="stable")
 

@@ -288,8 +288,6 @@ def voxel_pool(v: SparseVoxelSet, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     out = np.zeros((n, v.channels), dtype=np.float64)
-    if v.n == 0:
-        return out.astype(np.float32)
     cells, _ = v.grid.point_coords(points)
     counts = np.zeros(n, dtype=np.int64)
     for off in _NEIGHBOR_OFFSETS:
@@ -378,7 +376,7 @@ def decode(
 ) -> list[DetectionBox]:
     """Full decoder stack, every layer the weights hold: one output box per
     input query, no suppression."""
-    if not queries:
+    if not queries:  # np.stack below needs at least one query
         return []
     feats = np.stack([q.feature for q in queries]).astype(np.float32)
     rows = np.array([q.pos[0] for q in queries], dtype=np.int64)

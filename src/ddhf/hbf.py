@@ -41,14 +41,13 @@ def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     """
     ny, nx, c = v.grid.ny, v.grid.nx, v.channels
     acc = np.zeros((ny * nx, c), dtype=np.float32)
-    if v.n:
-        pillar = v.coords[:, 1] * nx + v.coords[:, 0]
-        order = np.argsort(pillar, kind="stable")
-        pillar = pillar[order]
-        first = np.flatnonzero(np.diff(pillar, prepend=-1))
-        top = np.maximum.reduceat(v.feats[order], first)
-        top[~np.isfinite(top)] = 0.0
-        acc[pillar[first]] = top
+    pillar = v.coords[:, 1] * nx + v.coords[:, 0]
+    order = np.argsort(pillar, kind="stable")
+    pillar = pillar[order]
+    first = np.flatnonzero(np.diff(pillar, prepend=-1))
+    top = np.maximum.reduceat(v.feats[order], first)
+    top[~np.isfinite(top)] = 0.0
+    acc[pillar[first]] = top
     return bev_map_for_grid(v.grid, acc.reshape(ny, nx, c))
 
 

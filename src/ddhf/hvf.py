@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridSpec, SparseVoxelSet, empty_voxel_set, init_param, zeroed
+from .core import GridSpec, SparseVoxelSet, init_param, zeroed
 from .curve import hilbert_order, hilbert_sort
 from .ops import silu
 from .ssm import SsmBlockWeights, bidirectional_block, init_ssm_block
@@ -116,9 +116,6 @@ def sparse_down(
     SiLU(sum of kernel-weighted features + bias). kernel: (3,3,3,Cin,Cout).
     """
     grid_out = coarser_grid(v.grid)
-    cout = kernel.shape[4]
-    if v.n == 0:
-        return empty_voxel_set(grid_out, cout)
     half = v.coords // 2
     flat_out = np.ravel_multi_index(half.T, grid_out.extents)
     uniq = np.unique(flat_out)
@@ -146,20 +143,18 @@ def sparse_up(
     """
     if coarser_grid(target.grid).extents != v_coarse.grid.extents:
         raise ValueError("sparse_up: target occupancy does not match the coarse grid")
-    if target.n == 0 or v_coarse.n == 0:
-        return target
     parents = v_coarse.rows_of(target.coords // 2)
     # p - 2q in {0,1}^3, as its kernel tap's position in np.ndindex(2, 2, 2)
     tap = (target.coords % 2) @ np.array([4, 2, 1])
     tap[parents < 0] = -1
-    add = np.zeros(target.feats.shape, dtype=np.float64)
+    # the skip first: a float32 feature widens exactly and addition commutes,
+    # and a voxel without a parent keeps its feature's bits, -0.0 included
+    add = target.feats.astype(np.float64)
     cfeats = v_coarse.feats.astype(np.float64)
     for k, t in enumerate(np.ndindex(2, 2, 2)):
         sel = np.flatnonzero(tap == k)
         if sel.size:
-            add[sel] = cfeats[parents[sel]] @ kernel[t].astype(np.float64)
-    # the skip, in place: a float32 addend widens exactly and addition commutes
-    add += target.feats
+            add[sel] += cfeats[parents[sel]] @ kernel[t].astype(np.float64)
     return target.with_feats(add)
 
 
@@ -225,8 +220,6 @@ def init_hvf(name: str, c: int, d_state: int, global_seed: int) -> HvfWeights:
 
 def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights) -> SparseVoxelSet:
     """Intra-modal block: scan the voxel features in Hilbert order."""
-    if v.n == 0:
-        return v
     perm = hilbert_sort(v)
     seq = bidirectional_block(v.feats[perm], w)
     feats = np.empty_like(seq)
@@ -239,8 +232,6 @@ def cv_mamba(
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Cross-modal block: one scan over the merged two-modality sequence."""
     seq = cv_merge(v_lidar, v_image)
-    if seq.n == 0:
-        return v_lidar, v_image
     return cv_split(replace(seq, feats=bidirectional_block(seq.feats, w)))
 
 

@@ -44,9 +44,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return _softmax_in_place(np.array(x), axis)
 
 
-def layer_norm(
-    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize over the last axis, then apply elementwise scale and shift.
 
     d = x - mean is taken once, in place in a float64 copy of x, and the
@@ -56,16 +54,15 @@ def layer_norm(
     d = x.astype(np.float64)
     d -= d.mean(axis=-1, keepdims=True)
     var = np.sum(d * d, axis=-1, keepdims=True) / x.shape[-1]
-    d /= np.sqrt(var + eps)
+    d /= np.sqrt(var + 1e-5)  # the usual LayerNorm epsilon
     d *= scale
     d += shift
     return d.astype(np.float32)
 
 
-def conv2d(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, stride: int = 1
-) -> np.ndarray:
-    """2-D convolution on (H, W, Cin) with kernel (kh, kw, Cin, Cout), same padding.
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
+    """2-D convolution on (H, W, Cin) with kernel (kh, kw, Cin, Cout) and
+    bias (Cout,), same padding.
 
     Padding is (k-1)//2 per side, so odd kernels keep spatial size at stride 1.
     Each tap widens its input patch into one reused float64 buffer and takes
@@ -84,8 +81,7 @@ def conv2d(
             patch64[...] = xp[di : di + ho * stride : stride, dj : dj + wo * stride : stride]
             out += np.matmul(patch64, kernel[di, dj].astype(np.float64), out=prod)
     del patch64, prod
-    if bias is not None:
-        out += bias
+    out += bias
     return out.astype(np.float32)
 
 

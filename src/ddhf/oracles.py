@@ -46,6 +46,10 @@ def _phi(z: float) -> float:
 # Dense-unrolled selective scan
 # ---------------------------------------------------------------------------
 
+FLUSH_EVERY = 32  # steps between flushes of ssm_dense's shrinking products
+FLUSH_BELOW = 1e-200
+
+
 def ssm_dense(
     x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, delta: np.ndarray
 ) -> np.ndarray:
@@ -53,6 +57,11 @@ def ssm_dense(
 
     Explicit products and sums, no carried scan state. Float64 output.
     x (n, C); a (C, ds); b, c (n, ds); delta (n, C).
+
+    When every Abar is <= 1 the products only shrink with age, so every
+    FLUSH_EVERY steps those below FLUSH_BELOW are set to zero (running on
+    through float64 subnormals would cost about 4x), and the leading
+    history rows that are all zero are no longer summed.
     """
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -71,10 +80,16 @@ def ssm_dense(
 
     out = np.zeros((n, cw))
     prods = np.empty((n, cw, ds))  # prods[j] = prod_{k=j+1..i} abar_k
+    flush = bool(np.all(abar <= 1.0))
+    live = 0  # rows before it are all zero
     for i in range(n):
-        prods[:i] *= abar[i]
+        prods[live:i] *= abar[i]
         prods[i] = 1.0
-        s = (prods[: i + 1] * bx[: i + 1]).sum(axis=0)
+        if flush and i % FLUSH_EVERY == 0:
+            rows = prods[live:i]
+            rows[rows < FLUSH_BELOW] = 0.0
+            live += int(np.argmax(np.append(rows.any(axis=(1, 2)), True)))
+        s = (prods[live : i + 1] * bx[live : i + 1]).sum(axis=0)
         out[i] = (s * c[i]).sum(axis=-1) + x[i]
     return out
 

@@ -1,8 +1,9 @@
 """End-to-end runner: point cloud + camera images -> detection boxes.
 
-Stage order: voxelize -> lidar embed -> image encode -> semantic voxel
-selection + BEV splat -> dual-branch voxel fusion -> BEV fusion -> query
-generation -> decoder. Each stage is timed.
+Stage order, with the seven `StageLog` names: voxelize (and LiDAR embed)
+-> image_branch (image encode, semantic voxel selection, BEV splat) ->
+height_compress (LiDAR voxels to a BEV map) -> voxel_fusion (dual-branch)
+-> bev_fusion -> queries (query generation) -> decode. Each stage is timed.
 
 Two weight modes exist. "seeded" draws every parameter from the
 name-keyed deterministic initializer. "passthrough" identity-configures all
@@ -242,6 +243,8 @@ def run_pipeline(
     log.add("voxelize", time.perf_counter() - t)
 
     t = time.perf_counter()
+    # without a camera there is no feature map: safs_select and lss_splat
+    # read the channel width from images.feats[0]
     if cameras:
         img_feats = encode_images(list(images), weights.encoder)
         v_img = safs_select(

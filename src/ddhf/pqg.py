@@ -185,7 +185,7 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     softmax weights in place, so they are the one array of that size it
     holds.
     """
-    if not q_easy:
+    if not q_easy:  # np.stack, and a softmax over zero tokens, need one query
         return b.with_data(conv_block(b.data, w.conv))
     k_classes = w.emb_w.shape[0] - b.channels
     onehot = np.zeros((len(q_easy), k_classes), dtype=np.float32)

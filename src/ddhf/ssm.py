@@ -288,8 +288,6 @@ def bidirectional_block(seq: np.ndarray, w: SsmBlockWeights) -> np.ndarray:
     into float32 buffers, so no whole-sequence float64 temporary exists.
     """
     n, c_width = seq.shape
-    if n == 0:
-        return seq.astype(np.float32)
     d_state = w.a.shape[1]
     x = np.empty((n, c_width), dtype=np.float32)
     params = ScanParams(

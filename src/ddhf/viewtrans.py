@@ -19,7 +19,6 @@ from .core import (
     GridSpec,
     SparseVoxelSet,
     bev_map_for_grid,
-    empty_voxel_set,
     init_param,
 )
 from .ops import conv2d, sigmoid, silu, softmax
@@ -48,8 +47,11 @@ class DepthBinSpec:
         return (self.d_max - self.d_min) / self.count
 
     def bin_of(self, depth: np.ndarray) -> np.ndarray:
-        """Bin index per depth; values outside [d_min, d_max) fall out of range."""
-        return np.floor((np.asarray(depth) - self.d_min) / self.width).astype(np.int64)
+        """Bin index per depth; a depth outside [d_min, d_max) gets -1
+        below it or when NaN, and count above it."""
+        k = np.floor((np.asarray(depth) - self.d_min) / self.width)
+        # range-tested as floats: a NaN or a value past int64 has no defined cast
+        return np.where(k >= 0, np.minimum(k, self.count), -1).astype(np.int64)
 
     def centers(self) -> np.ndarray:
         return self.d_min + (np.arange(self.count, dtype=np.float64) + 0.5) * self.width
@@ -444,8 +446,6 @@ def safs_select(
     coords_k = np.concatenate(kept_coords)
     feats_k = np.concatenate(kept_feats)
     del kept_coords, kept_feats  # FPS below may need the room
-    if coords_k.shape[0] == 0:
-        return empty_voxel_set(grid, images.feats[0].shape[2])
     if coords_k.shape[0] > cap:
         pick = fps(grid.centers(coords_k), cap)
         pick = np.sort(pick)  # keep grid order for deterministic downstream sorts
@@ -490,10 +490,11 @@ def lss_splat(
         for kbin in range(bins.count):
             pts_cam = rays * centers_d[kbin]
             pts_world = cam.cam_to_world(pts_cam)
-            cx = np.floor((pts_world[:, 0] - bev.origin[0]) / bev.voxel_size[0]).astype(np.int64)
-            cy = np.floor((pts_world[:, 1] - bev.origin[1]) / bev.voxel_size[1]).astype(np.int64)
+            cx = np.floor((pts_world[:, 0] - bev.origin[0]) / bev.voxel_size[0])
+            cy = np.floor((pts_world[:, 1] - bev.origin[1]) / bev.voxel_size[1])
+            # range-tested as floats: a NaN or a value past int64 has no defined cast
             ok = np.flatnonzero((cx >= 0) & (cx < bev.nx) & (cy >= 0) & (cy < bev.ny))
-            cells.append(cy[ok] * bev.nx + cx[ok])
+            cells.append((cy[ok] * bev.nx + cx[ok]).astype(np.int64))
             pixels.append(first + ok)
             probs.append(p[ok, kbin].astype(np.float64))
         first += h * w

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -121,11 +122,17 @@ def test_voxelize_single_point_feature_layout():
     assert np.allclose(vox.feats[0], [0.5, 0.0, -0.5, 0.75, 1.0])
 
 
-def test_voxelize_empty_input():
+@pytest.mark.parametrize(
+    "points",
+    [np.zeros((0, 4)), np.array([[-0.5, 1.0, 1.0, 9.0], [1.0, 4.0, 1.0, 9.0], [2.0, 2.0, 7.5, 9.0]])],
+    ids=["no_points", "all_outside"],
+)
+def test_voxelize_empty_input(points):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(4, 4, 4))
-    vox = voxelize(np.zeros((0, 4)), grid)
+    vox = voxelize(points, grid)
     assert vox.n == 0
-    assert vox.feats.shape == (0, 5)
+    assert vox.coords.shape == (0, 3)
+    assert vox.feats.shape == (0, 5) and vox.feats.dtype == np.float32
 
 
 def test_sparse_voxel_set_validation():
@@ -235,6 +242,12 @@ def _with(array, index, value):
     return out
 
 
+def _rotation_times(scale):
+    extr = np.eye(4)
+    extr[:3, :3] *= scale
+    return extr
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -248,11 +261,25 @@ def _with(array, index, value):
         ({"image_size": (64.0, 96)}, "image_size"),
         ({"image_size": (True, 96)}, "image_size"),
         ({"image_size": "ab"}, "image_size"),
+        ({"extrinsics": _rotation_times(1e30)}, "orthonormal"),
+        ({"extrinsics": _rotation_times(1e300)}, "orthonormal"),  # R R^T overflows
+        ({"extrinsics": _rotation_times(0.0)}, "orthonormal"),
+        ({"extrinsics": _rotation_times(1.0 + 1e-6)}, "orthonormal"),
+        ({"extrinsics": _with(np.eye(4), (0, 1), 0.01)}, "orthonormal"),
     ],
 )
 def test_camera_rejects_bad_geometry(change, message):
     with pytest.raises(ValueError, match=message):
         CameraModel(**_camera_args(**change))
+
+
+def test_camera_accepts_rotation_at_json_precision():
+    # cameras.json stores 9 significant digits, about 1e-9 off orthonormal
+    angle = 0.7
+    rot = [[math.cos(angle), -math.sin(angle), 0.0], [math.sin(angle), math.cos(angle), 0.0]]
+    extr = np.eye(4)
+    extr[:2, :3] = [[float(format(v, ".9g")) for v in row] for row in rot]
+    CameraModel(**_camera_args(extrinsics=extr))
 
 
 def test_camera_accepts_integer_like_size():

@@ -9,6 +9,7 @@ from ddhf.curve import (
     bits_for_extents,
     cross_merge_2d,
     hilbert_index,
+    hilbert_order,
     hilbert_sort,
     scan_orders_2d,
 )
@@ -58,6 +59,11 @@ def test_hilbert_sort_matches_key_sort(rng):
     keys = [oracles.hilbert_index(*coords[i], 3) for i in range(60)]
     want = sorted(range(60), key=lambda i: (keys[i], i))
     assert order.tolist() == want
+
+
+def test_hilbert_order_empty():
+    order = hilbert_order(np.zeros((0, 3), dtype=np.int64), (8, 8, 8))
+    assert order.shape == (0,) and order.dtype == np.int64
 
 
 def test_scan_orders_2d_shapes_and_content():

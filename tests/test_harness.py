@@ -24,7 +24,7 @@ from ddhf.config import (
     load_config,
     save_config,
 )
-from ddhf.core import load_tensor, save_tensor
+from ddhf.core import CameraModel, load_tensor, save_tensor
 from ddhf.hvf import STRIDES
 from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, peak_rss_mb, run_pipeline
 from ddhf.scene import SceneObject, SceneSpec, save_spec
@@ -477,6 +477,24 @@ def test_run_pipeline_accepts_full_intensity():
     assert all(np.isfinite(d.score) for d in dets)
 
 
+@pytest.mark.parametrize("change", ["focal", "shift"])
+def test_run_pipeline_extreme_camera_without_warning(change):
+    # a 1e-30 focal length or a 1e300 translation sends points past every
+    # depth bin and BEV cell; they drop out without an undefined int64 cast
+    # (the suite turns RuntimeWarning into an error)
+    from ddhf.scene import gen_points, render_images
+
+    cameras = list(TINY_SCENE.cameras)
+    intr, extr = cameras[0].intrinsics.copy(), cameras[0].extrinsics.copy()
+    if change == "focal":
+        intr[0, 0] = intr[1, 1] = 1e-30
+    else:
+        extr[:3, 3] = 1e300
+    cameras[0] = CameraModel(intr, extr, cameras[0].image_size)
+    dets, _ = run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), cameras, TINY)
+    assert len(dets) > 0 and all(0.0 <= d.score <= 1.0 for d in dets)
+
+
 @st.composite
 def scene_runs(draw):
     """(spec arguments, weights mode, with cameras) for a TINY run: 0-4
@@ -867,6 +885,23 @@ def test_cli_run_rejects_unknown_camera_key(tmp_path, capsys, path, key):
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cameras.json" in err and f"{key} is not a known key" in err
+
+
+@pytest.mark.parametrize("scale", [1e30, 0.0])
+def test_cli_run_rejects_non_orthonormal_camera(tmp_path, capsys, scale):
+    scene_dir, cfg_path = _tiny_scene_dir(tmp_path)
+    meta = json.loads((scene_dir / "cameras.json").read_text())
+    extr = meta["cameras"][1]["extrinsics"]
+    for row in extr[:3]:
+        row[:3] = [v * scale for v in row[:3]]
+    (scene_dir / "cameras.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main([
+        "run", "--scene", str(scene_dir), "--config", str(cfg_path),
+        "--out", str(tmp_path / "det.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cameras.json: camera 1: " in err and "orthonormal" in err
 
 
 def test_cli_run_seed_changes_weights(tmp_path, capsys):

@@ -86,6 +86,15 @@ def test_cv_mamba_identity_exact(rng):
     assert np.array_equal(out_i.feats, vi.feats)
 
 
+def test_cv_mamba_two_empty_sets():
+    # the merged sequence is empty; each set comes back empty on its own grid
+    out_l, out_i = cv_mamba(
+        empty_voxel_set(LIDAR_GRID, 4), empty_voxel_set(IMAGE_GRID, 4), init_ssm_block("cv", 4, 3, 21)
+    )
+    for out, grid in ((out_l, LIDAR_GRID), (out_i, IMAGE_GRID)):
+        assert out.n == 0 and out.grid == grid and out.feats.shape == (0, 4)
+
+
 def test_iv_mamba_identity_and_empty(rng):
     w = init_ssm_block("iv", 4, 3, 22).identity_configured()
     vl, _ = paired_sets(rng)
@@ -146,10 +155,11 @@ def test_sparse_down_matches_dense_conv(rng):
 
 
 def test_sparse_down_empty(rng):
-    kernel = rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)
-    out = sparse_down(empty_voxel_set(LIDAR_GRID, 4), kernel, np.zeros(4, dtype=np.float32))
+    kernel = rng.normal(size=(3, 3, 3, 4, 6)).astype(np.float32)
+    out = sparse_down(empty_voxel_set(LIDAR_GRID, 4), kernel, np.zeros(6, dtype=np.float32))
     assert out.n == 0
     assert out.grid.extents == (4, 4, 2)
+    assert out.channels == 6 and out.feats.dtype == np.float32
 
 
 def test_sparse_up_zero_kernel_keeps_target(rng):
@@ -160,6 +170,17 @@ def test_sparse_up_zero_kernel_keeps_target(rng):
     out = sparse_up(coarse, vl, np.zeros((2, 2, 2, 4, 4), dtype=np.float32))
     assert np.array_equal(out.feats, vl.feats)
     assert np.array_equal(out.coords, vl.coords)
+
+
+def test_sparse_up_empty_coarse_keeps_target_bits(rng):
+    vl, _ = paired_sets(rng)
+    feats = vl.feats.copy()
+    feats[0, 0] = -0.0  # a voxel without a parent keeps even the sign of a zero
+    vl = vl.with_feats(feats)
+    coarse = empty_voxel_set(coarser_grid(LIDAR_GRID), 4)
+    out = sparse_up(coarse, vl, rng.normal(size=(2, 2, 2, 4, 4)).astype(np.float32))
+    assert np.array_equal(out.coords, vl.coords)
+    assert out.feats.tobytes() == vl.feats.tobytes()
 
 
 def test_sparse_up_adds_parent_contribution(rng):

@@ -128,6 +128,7 @@ def _set(path, value):
         (_set(("cameras", 0), [1, 2]), "camera 0"),
         (_set(("cameras", 1), {"intrinsics": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}), "camera 1"),
         (_set(("cameras",), 5), '.*"cameras" list'),
+        (_set(("cameras", 2, "extrinsics", 1, 1), 0.5), "camera 2: .*orthonormal"),
     ],
 )
 def test_load_scene_rejects_bad_cameras(tmp_path, corrupt, message):

@@ -208,6 +208,11 @@ def test_bidirectional_block_palindrome(rng):
     assert np.allclose(out, out[::-1], atol=1e-6)
 
 
+def test_bidirectional_block_empty_sequence():
+    out = bidirectional_block(np.zeros((0, 6), dtype=np.float32), init_ssm_block("blk", 6, 4, 3))
+    assert out.shape == (0, 6) and out.dtype == np.float32
+
+
 def test_bidirectional_block_deterministic(rng):
     w = init_ssm_block("blk", 8, 4, 5)
     seq = rng.normal(size=(33, 8)).astype(np.float32)

@@ -47,6 +47,10 @@ def test_depth_bins_basics():
     assert bins.width == 0.5
     assert bins.bin_of(np.array([1.0, 1.49, 4.99])).tolist() == [0, 0, 7]
     assert bins.bin_of(np.array([0.5, 5.0])).tolist() == [-1, 8]
+    # past int64 or not finite: out of range, with no cast of an unrepresentable float
+    assert bins.bin_of(np.array([1e300, np.inf, -1e300, -np.inf, np.nan])).tolist() == [
+        8, 8, -1, -1, -1
+    ]
     centers = bins.centers()
     assert centers[0] == 1.25 and centers[-1] == 4.75
     with pytest.raises(ValueError):
@@ -305,6 +309,20 @@ def test_lss_splat_delta_case():
     want = np.zeros((8, 8, c), dtype=np.float32)
     want[4, 2] = [1.0, 2.0, 3.0]
     assert np.allclose(out.data, want, atol=1e-6)
+
+
+@pytest.mark.parametrize("focal, shift", [(1e-30, 0.0), (12.0, 1e300)], ids=["focal", "shift"])
+def test_lss_splat_far_cells_stay_out_of_range(rng, focal, shift):
+    # a near-zero focal length spreads every ray (no pixel sits on the
+    # principal point's column) past int64 cells, and a huge translation
+    # moves every point there; neither may reach the int64 cast
+    images = make_feature_set(rng, [(2, 3)], depth_bins=8, channels=4)
+    extr = np.eye(4)
+    extr[:3, 3] = shift
+    cam = make_camera(extrinsics=extr, focal=focal, image_size=(8, 12))
+    bev = GridSpec(origin=(-4.0, -4.0, 0.0), voxel_size=(0.5, 0.5, 1.0), extents=(16, 16, 1))
+    out = lss_splat(images, [cam], DepthBinSpec(1.0, 9.0, 8), bev)
+    assert not out.data.any()
 
 
 def test_lss_splat_matches_oracle(rng):
