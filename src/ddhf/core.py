@@ -26,6 +26,11 @@ _FNV_PRIME = 0x100000001B3
 VOXEL_FEATURE_DIM = 5  # (dx, dy, dz offsets from center, mean intensity, count)
 VOXEL_COUNT_CHANNEL = 4  # the point count's column of a voxelized feature
 ORTHONORMAL_TOL = 1e-6  # max |R R^T - I|; a 9-digit JSON rotation is off by ~1e-9
+# Largest |focal length|, |principal point| and |translation| a camera may
+# have. A finite float32 point lands within 6e38 + 1e100 of a camera's origin,
+# so a projection f * x / z + c at depth z > 1e-9 stays below 1e210, far
+# inside float64; a 1e308 focal length or translation would overflow to inf.
+CAMERA_MAX = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +180,16 @@ class CameraModel:
             raise ValueError("CameraModel: intrinsics and extrinsics must be finite")
         if not (k[0, 0] > 0 and k[1, 1] > 0):
             raise ValueError(f"CameraModel: focal lengths must be > 0, got {k[0, 0]}, {k[1, 1]}")
+        bounded = {
+            "focal length": k[[0, 1], [0, 1]],
+            "principal point": k[:2, 2],
+            "translation": e[:3, 3],
+        }
+        for name, values in bounded.items():
+            if np.max(np.abs(values)) > CAMERA_MAX:
+                raise ValueError(
+                    f"CameraModel: {name} {values.tolist()} exceeds {CAMERA_MAX:g} in magnitude"
+                )
         rot = e[:3, :3]
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
             off = np.max(np.abs(rot @ rot.T - np.eye(3)))

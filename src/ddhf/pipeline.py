@@ -25,6 +25,7 @@ from .config import PipelineConfig
 from .core import (
     VOXEL_COUNT_CHANNEL,
     VOXEL_FEATURE_DIM,
+    CameraModel,
     bev_map_for_grid,
     empty_voxel_set,
     init_param,
@@ -166,7 +167,8 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
     Points must be a finite (n, 4) array of x, y, z, intensity with each
     intensity in the 8-bit reflectance range [0, 255], and each image an
     (h, w, 3) array whose (h, w) is its camera's image_size, with every
-    pixel in [0, 1]. Each error names the bad input.
+    pixel in [0, 1]; each camera must be a CameraModel. Each error names the
+    bad input.
     """
     if len(images) != len(cameras):
         raise ValueError(f"{len(images)} images for {len(cameras)} cameras")
@@ -186,6 +188,8 @@ def validate_inputs(points: np.ndarray, images: list[np.ndarray], cameras: list)
             f"points: row {row} intensity {pts[row, 3]:g} is outside [0, {MAX_INTENSITY:g}]"
         )
     for i, (image, cam) in enumerate(zip(images, cameras)):
+        if not isinstance(cam, CameraModel):
+            raise ValueError(f"camera {i}: expected a CameraModel, got {type(cam).__name__}")
         shape = np.shape(image)
         want = (*cam.image_size, 3)
         if shape != want:

@@ -67,7 +67,9 @@ def _zoh(a, inv_a, b, delta, e: np.ndarray, bbar: np.ndarray) -> None:
     """The closed form, unchecked, into buffers of the dtype it runs in:
     e = expm1(delta*a), then bbar = e * (1/a) * b. Abar is e + 1. It divides
     by a, so the scan first checks that every a is strictly negative and
-    every delta positive."""
+    every delta positive. delta may be e itself, already broadcast along
+    d_state: the scan gathers each block's delta rows into e and
+    discretizes there in place."""
     np.multiply(delta, a, out=e)
     np.expm1(e, out=e)
     np.multiply(e, inv_a, out=bbar)
@@ -97,8 +99,9 @@ def _row_table(rows, n_src: int, params: ScanParams) -> np.ndarray:
 
 
 def _gather(p: np.ndarray, rows: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """Each stream's parameter rows: (k, G, .) from shared or per-stream p."""
-    return p[rows] if p.ndim == 2 else p[rows, streams]
+    """Each stream's float32 parameter rows: (k, G, .) from shared or
+    per-stream p."""
+    return (p[rows] if p.ndim == 2 else p[rows, streams]).astype(np.float32, copy=False)
 
 
 def _scan(
@@ -109,19 +112,25 @@ def _scan(
 
     Every buffer, a, 1/a and the carried state h are float32. Counting a
     block in stream-steps keeps its buffers the size of a lone stream's, so
-    a G-stream call holds no more memory than one stream. Each block gathers
-    its rows of x, b, c and delta, takes e = expm1(delta*a) into one
-    (m, G, C, d_state) buffer and Bbar*x into another, hs. Each step adds an
-    increment, d = e_i*h + (Bbar*x)_i and h_i = h + d, in place over e_i and
-    hs[i] (the previous block's last state before its first step):
-    multiplying h by Abar = e + 1 would round 1 - Abar to float32 spacing
-    near 1 and lose it over thousands of steps. One batched matmul reads hs
-    out, one (C, d_state) @ (d_state,) product per step and stream; the
-    residual x is added and the block's rows written. The a and delta
-    checks and 1/a are taken once per call, and no temporary outlives its
-    block. Each step's arithmetic is the same at every block size and stream
-    count, so every size and grouping gives the same bits. Returns float32
-    (n, G, C), or (N, C) without a row table.
+    a G-stream call holds no more memory than one stream. The call holds
+    two (m, G, C, d_state) buffers, e and hs, one (m, G, C, 1) readout
+    buffer, and the per-step (e_i, hs[i]) views, built once and reused by
+    every block. Each block gathers its delta rows into e, broadcast along
+    d_state, and `_zoh` discretizes there in place: e = expm1(delta*a), hs
+    = Bbar. Its gathered b rows and its x rows, repeated along d_state into
+    one contiguous array, multiply into hs to give Bbar*x. Each step adds
+    an increment, d = e_i*h + (Bbar*x)_i and h_i = h + d, in place over e_i
+    and hs[i] (the previous block's last state before its first step),
+    through three ufunc calls with positional outputs: multiplying h by
+    Abar = e + 1 would round 1 - Abar to float32 spacing near 1 and lose it
+    over thousands of steps. One batched matmul reads hs out into the
+    readout buffer with the gathered c rows, one (C, d_state) @ (d_state,)
+    product per step and stream, and the residual x is added straight into
+    the block's output rows. The a and delta checks and 1/a are taken once
+    per call, and no temporary outlives its block. Each step's arithmetic
+    is the same at every block size and stream count, so every size and
+    grouping gives the same bits. Returns float32 (n, G, C), or (N, C)
+    without a row table.
     """
     table = _row_table(rows, x.shape[0], params)
     n, g = table.shape
@@ -137,30 +146,29 @@ def _scan(
     m = min(per_block, n)
     streams = np.arange(g)
     f32 = np.float32
-    xs, delta = np.empty((m, g, c_width), f32), np.empty((m, g, c_width, 1), f32)
-    b, c = np.empty((m, g, 1, d_state), f32), np.empty((m, g, d_state, 1), f32)
     e, hs = np.empty((m, g, c_width, d_state), f32), np.empty((m, g, c_width, d_state), f32)
+    y = np.empty((m, g, c_width, 1), f32)
+    steps = list(zip(e, hs))
     h = np.zeros((g, c_width, d_state), f32)
     out = np.empty((n, g, c_width), f32)
+    mul, add = np.multiply, np.add
     for lo in range(0, n, per_block):
         k = min(per_block, n - lo)
         r = table[lo : lo + k]
-        xs[:k] = x[r]
-        delta[:k, :, :, 0] = _gather(params.delta, r, streams)
-        b[:k, :, 0] = _gather(params.b, r, streams)
-        c[:k, :, :, 0] = _gather(params.c, r, streams)
-        _zoh(a, inv_a, b[:k], delta[:k], e[:k], hs[:k])
-        hs[:k] *= xs[:k, :, :, None]
+        xs = x[r].astype(f32, copy=False)
+        e_k, hs_k = e[:k], hs[:k]
+        e_k[...] = _gather(params.delta, r, streams)[..., None]
+        _zoh(a, inv_a, _gather(params.b, r, streams)[:, :, None], e_k, e_k, hs_k)
+        hs_k *= np.repeat(xs[..., None], d_state, axis=3)
         prev = h
-        for e_i, h_i in zip(e[:k], hs[:k]):
-            e_i *= prev
-            e_i += h_i
-            np.add(prev, e_i, out=h_i)
+        for e_i, h_i in steps[:k]:
+            mul(e_i, prev, e_i)
+            add(e_i, h_i, e_i)
+            add(prev, e_i, h_i)
             prev = h_i
         h[...] = prev
-        y = np.matmul(hs[:k], c[:k])[..., 0]
-        y += xs[:k]
-        out[lo : lo + k] = y
+        np.matmul(hs_k, _gather(params.c, r, streams)[..., None], out=y[:k])
+        add(y[:k, :, :, 0], xs, out[lo : lo + k])
     return out[:, 0] if rows is None else out
 
 

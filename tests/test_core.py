@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ddhf import oracles
 from ddhf.core import (
+    CAMERA_MAX,
     CameraModel,
     FeatureMap,
     GridSpec,
@@ -266,11 +267,21 @@ def _rotation_times(scale):
         ({"extrinsics": _rotation_times(0.0)}, "orthonormal"),
         ({"extrinsics": _rotation_times(1.0 + 1e-6)}, "orthonormal"),
         ({"extrinsics": _with(np.eye(4), (0, 1), 0.01)}, "orthonormal"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (0, 0), 1e308)}, "focal length"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (1, 1), 1.01e100)}, "focal length"),
+        ({"intrinsics": _with(_camera_args()["intrinsics"], (0, 2), -1e308)}, "principal point"),
+        ({"extrinsics": _with(np.eye(4), (2, 3), 1e308)}, "translation"),
+        ({"extrinsics": _with(np.eye(4), (0, 3), -1.01e100)}, "translation"),
     ],
 )
 def test_camera_rejects_bad_geometry(change, message):
     with pytest.raises(ValueError, match=message):
         CameraModel(**_camera_args(**change))
+
+
+def test_camera_accepts_geometry_at_the_bound():
+    intr = _with(_with(_camera_args()["intrinsics"], (0, 0), CAMERA_MAX), (1, 2), -CAMERA_MAX)
+    CameraModel(**_camera_args(intrinsics=intr, extrinsics=_with(np.eye(4), (1, 3), CAMERA_MAX)))
 
 
 def test_camera_accepts_rotation_at_json_precision():

@@ -24,9 +24,15 @@ from ddhf.config import (
     load_config,
     save_config,
 )
-from ddhf.core import CameraModel, load_tensor, save_tensor
+from ddhf.core import CAMERA_MAX, CameraModel, load_tensor, save_tensor
 from ddhf.hvf import STRIDES
-from ddhf.pipeline import detections_to_dicts, init_pipeline_weights, peak_rss_mb, run_pipeline
+from ddhf.pipeline import (
+    detections_to_dicts,
+    init_pipeline_weights,
+    peak_rss_mb,
+    run_pipeline,
+    validate_inputs,
+)
 from ddhf.scene import SceneObject, SceneSpec, save_spec
 
 TINY = PipelineConfig(
@@ -336,10 +342,10 @@ def test_pipeline_no_cameras(rng):
 
 
 def _with_pixel(value):
-    def corrupt(points, images):
+    def corrupt(points, images, cameras):
         bad = images[0].copy()
         bad[2, 3, 1] = value
-        return points, [bad] + images[1:]
+        return points, [bad] + images[1:], cameras
 
     return corrupt
 
@@ -348,10 +354,10 @@ _PIXEL_OUTSIDE = r"image 0: pixel \(row 2, col 3\) channel 1 value {} is outside
 
 
 def _with_intensity(value):
-    def corrupt(points, images):
+    def corrupt(points, images, cameras):
         bad = points.copy()
         bad[len(bad) // 2, 3] = value
-        return bad, images
+        return bad, images, cameras
 
     return corrupt
 
@@ -359,36 +365,42 @@ def _with_intensity(value):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda p, im: (p[:, :3], im), r"points: expected shape \(n, 4\)"),
+        (lambda p, im, cams: (p[:, :3], im, cams), r"points: expected shape \(n, 4\)"),
         (
-            lambda p, im: (np.vstack([p, [[1.0, 1.0, 0.0, np.nan]]]), im),
+            lambda p, im, cams: (np.vstack([p, [[1.0, 1.0, 0.0, np.nan]]]), im, cams),
             r"points: row \d+ is not finite",
         ),
-        (lambda p, im: (p, [im[0][..., 0]] + im[1:]), r"image 0: expected shape"),
-        (lambda p, im: (p, [im[0][:-1]] + im[1:]), r"image 0: expected shape"),
+        (lambda p, im, cams: (p, [im[0][..., 0]] + im[1:], cams), r"image 0: expected shape"),
+        (lambda p, im, cams: (p, [im[0][:-1]] + im[1:], cams), r"image 0: expected shape"),
         (_with_pixel(np.inf), r"image 0: pixels must be finite"),
         (_with_pixel(1e30), _PIXEL_OUTSIDE.format(r"1e\+30")),
         (_with_pixel(-0.5), _PIXEL_OUTSIDE.format("-0.5")),
         (
-            lambda p, im: (p, [(im[0] * 255).astype(np.uint8)] + im[1:]),
+            lambda p, im, cams: (p, [(im[0] * 255).astype(np.uint8)] + im[1:], cams),
             r"image 0: pixel \(row 0, col 0\) channel 0 value \d+ is outside \[0, 1\]",
         ),
         (_with_intensity(1e30), r"points: row \d+ intensity 1e\+30 is outside \[0, 255\]"),
         (_with_intensity(-1e30), r"points: row \d+ intensity -1e\+30 is outside \[0, 255\]"),
         (_with_intensity(-1.0), r"points: row \d+ intensity -1 is outside \[0, 255\]"),
+        (
+            lambda p, im, cams: (p, im, cams[:1] + [dataclasses.asdict(cams[1])] + cams[2:]),
+            r"camera 1: expected a CameraModel, got dict",
+        ),
     ],
     ids=[
         "xyz_only_points", "nan_intensity", "grayscale_image", "short_image", "inf_pixel",
         "huge_pixel", "negative_pixel", "uint8_image",
-        "huge_intensity", "huge_negative_intensity", "negative_intensity",
+        "huge_intensity", "huge_negative_intensity", "negative_intensity", "dict_camera",
     ],
 )
 def test_run_pipeline_rejects_bad_input(corrupt, message):
     from ddhf.scene import gen_points, render_images
 
-    points, images = corrupt(gen_points(TINY_SCENE), render_images(TINY_SCENE))
+    points, images, cameras = corrupt(
+        gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras)
+    )
     with pytest.raises(ValueError, match=message):
-        run_pipeline(points, images, list(TINY_SCENE.cameras), TINY)
+        run_pipeline(points, images, cameras, TINY)
 
 
 @pytest.mark.parametrize(
@@ -479,9 +491,10 @@ def test_run_pipeline_accepts_full_intensity():
 
 @pytest.mark.parametrize("change", ["focal", "shift"])
 def test_run_pipeline_extreme_camera_without_warning(change):
-    # a 1e-30 focal length or a 1e300 translation sends points past every
-    # depth bin and BEV cell; they drop out without an undefined int64 cast
-    # (the suite turns RuntimeWarning into an error)
+    # a 1e-30 focal length or the largest translation a camera may have
+    # sends points past every depth bin and BEV cell; they drop out without
+    # an undefined int64 cast or an overflow (the suite turns RuntimeWarning
+    # into an error)
     from ddhf.scene import gen_points, render_images
 
     cameras = list(TINY_SCENE.cameras)
@@ -489,7 +502,7 @@ def test_run_pipeline_extreme_camera_without_warning(change):
     if change == "focal":
         intr[0, 0] = intr[1, 1] = 1e-30
     else:
-        extr[:3, 3] = 1e300
+        extr[:3, 3] = CAMERA_MAX
     cameras[0] = CameraModel(intr, extr, cameras[0].image_size)
     dets, _ = run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), cameras, TINY)
     assert len(dets) > 0 and all(0.0 <= d.score <= 1.0 for d in dets)
@@ -497,9 +510,12 @@ def test_run_pipeline_extreme_camera_without_warning(change):
 
 @st.composite
 def scene_runs(draw):
-    """(spec arguments, weights mode, with cameras) for a TINY run: 0-4
-    objects of classes 0-11, 0.01-8 m boxes of 0.5-100 points/m^2, centers
-    up to 5% of the world range past either end, 0-5000 clutter points."""
+    """(spec arguments, weights mode, cameras) for a TINY run: 0-4 objects
+    of classes 0-11, 0.01-8 m boxes of 0.5-100 points/m^2, centers up to 5%
+    of the world range past either end, 0-5000 clutter points. cameras is
+    None for a run without cameras or "unchanged" for the scene's own
+    cameras and images, each about a quarter of the time, or else a
+    camera_changes() change."""
     coord = lambda lo, hi: st.floats(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
     objects = draw(st.lists(st.builds(
         SceneObject,
@@ -515,26 +531,105 @@ def scene_runs(draw):
         n_clutter=draw(st.integers(0, 5000)),
         noise_sigma=draw(st.floats(0.0, 0.5)),
     )
-    return spec_args, draw(st.sampled_from(("seeded", "passthrough"))), draw(st.booleans())
+    mode = draw(st.sampled_from(("seeded", "passthrough")))
+    cameras = draw(st.sampled_from((None, "unchanged", "changed", "changed")))
+    return spec_args, mode, draw(camera_changes()) if cameras == "changed" else cameras
 
 
-@settings(max_examples=25, deadline=None)
+@st.composite
+def camera_changes(draw):
+    """A change to one camera and its image in one or more of five parts:
+    focal-length and principal-point scales from 1e-30 to 1e308, a
+    translation offset of up to 1e308 per axis, rotation noise of 1e-9 to
+    1e-5 per entry (around the 1e-6 orthonormal tolerance) and a pixel
+    scale that may take pixels past 1. The other parts stay unchanged, so
+    that changed cameras also reach the pipeline. The range's ends, scales
+    either side of CAMERA_MAX and realistic scales of 0.5-2 (shifts of
+    0.5-2 m) are each drawn about as often as the rest of the range."""
+    powers = lambda lo, hi: st.floats(lo, hi).map(lambda exp: 10.0**exp)
+    bounds = st.sampled_from((1e308, 10 * CAMERA_MAX, CAMERA_MAX / 100, 1e-30))
+    scale = bounds | st.floats(0.5, 2.0) | powers(-30.0, 308.0)
+    offset = st.builds(operator.mul, st.sampled_from((1.0, -1.0)), scale)
+    parts = {
+        "focal": scale,
+        "principal": scale,
+        "shift": st.tuples(offset, offset, offset),
+        "noise": st.builds(
+            lambda amplitude, unit: [amplitude * u for u in unit],
+            powers(-9.0, -5.0),
+            st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        ),
+        "pixels": st.floats(0.0, 2.0),
+    }
+    change = {
+        "camera": draw(st.integers(0, 3)),
+        "focal": 1.0,
+        "principal": 1.0,
+        "shift": (0.0, 0.0, 0.0),
+        "noise": [0.0] * 9,
+        "pixels": 1.0,
+    }
+    for part in sorted(draw(st.sets(st.sampled_from(sorted(parts)), min_size=1))):
+        change[part] = draw(parts[part])
+    return change
+
+
+def changed_camera(cam: CameraModel, change: dict) -> CameraModel:
+    """cam with change's scales, offset and noise applied in Python floats,
+    which overflow to inf without a numpy warning."""
+    intr, extr = cam.intrinsics.tolist(), cam.extrinsics.tolist()
+    for axis in (0, 1):
+        intr[axis][axis] *= change["focal"]
+        intr[axis][2] *= change["principal"]
+    for row in range(3):
+        for col in range(3):
+            extr[row][col] += change["noise"][3 * row + col]
+        extr[row][3] += change["shift"][row]
+    return CameraModel(np.array(intr), np.array(extr), cam.image_size)
+
+
+@settings(max_examples=100, deadline=None)
 @given(scene_runs())
 def test_random_scenes_run_or_reject(run):
     # a spec either fails its own checks with ValueError (here: an object
-    # center outside the world range) or runs to finite, scored detections
+    # center outside the world range), a changed camera or its image fails
+    # CameraModel's or validate_inputs' checks with a ValueError that names
+    # it, or the run gives finite, scored detections with no RuntimeWarning
+    # (the suite turns one into an error). Images are rendered with the
+    # unchanged cameras.
     from ddhf.scene import gen_points, render_images
 
-    spec_args, mode, with_cameras = run
+    spec_args, mode, change = run
     try:
         spec = SceneSpec(**spec_args)
     except ValueError:
         event("spec rejected")
         return
+    with_cameras = change is not None
     cameras = list(spec.cameras) if with_cameras else []
     images = render_images(spec) if with_cameras else []
     cfg = dataclasses.replace(TINY, weights_mode=mode)
     points = gen_points(spec)
+    if change == "unchanged":
+        event("ran with the scene's cameras")
+    elif with_cameras:
+        i = change["camera"] % len(cameras)
+        try:
+            cameras[i] = changed_camera(cameras[i], change)
+        except ValueError as exc:
+            assert str(exc).startswith("CameraModel: "), exc
+            event("camera rejected")
+            return
+        images[i] = images[i] * np.float32(change["pixels"])
+        try:
+            validate_inputs(points, images, cameras)
+        except ValueError as exc:
+            assert str(exc).startswith(f"image {i}: pixel "), exc
+            event("image rejected")
+            return
+        event("ran with a changed camera")
+    else:
+        event("ran without cameras")
     dets, _ = run_pipeline(points, images, cameras, cfg)
     for d in dets:
         assert np.all(np.isfinite(d.center)) and np.all(np.isfinite(d.size))
@@ -887,21 +982,45 @@ def test_cli_run_rejects_unknown_camera_key(tmp_path, capsys, path, key):
     assert err.startswith("error:") and "cameras.json" in err and f"{key} is not a known key" in err
 
 
-@pytest.mark.parametrize("scale", [1e30, 0.0])
-def test_cli_run_rejects_non_orthonormal_camera(tmp_path, capsys, scale):
+def _run_with_edited_cameras(tmp_path, capsys, edit):
+    """Exit code and stderr of `ddhf run` on TINY_SCENE once edit(cameras)
+    has changed the camera records of its cameras.json."""
     scene_dir, cfg_path = _tiny_scene_dir(tmp_path)
     meta = json.loads((scene_dir / "cameras.json").read_text())
-    extr = meta["cameras"][1]["extrinsics"]
-    for row in extr[:3]:
-        row[:3] = [v * scale for v in row[:3]]
+    edit(meta["cameras"])
     (scene_dir / "cameras.json").write_text(json.dumps(meta))
     capsys.readouterr()
-    assert main([
+    code = main([
         "run", "--scene", str(scene_dir), "--config", str(cfg_path),
         "--out", str(tmp_path / "det.json"),
-    ]) == 2
-    err = capsys.readouterr().err
+    ])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e30, 0.0])
+def test_cli_run_rejects_non_orthonormal_camera(tmp_path, capsys, scale):
+    def edit(cameras):
+        for row in cameras[1]["extrinsics"][:3]:
+            row[:3] = [v * scale for v in row[:3]]
+
+    code, err = _run_with_edited_cameras(tmp_path, capsys, edit)
+    assert code == 2
     assert err.startswith("error:") and "cameras.json: camera 1: " in err and "orthonormal" in err
+
+
+@pytest.mark.parametrize(
+    "key, row, col, name",
+    [("intrinsics", 0, 0, "focal length"), ("extrinsics", 2, 3, "translation")],
+    ids=["focal", "translation"],
+)
+def test_cli_run_rejects_camera_past_bound(tmp_path, capsys, key, row, col, name):
+    # a 1e308 focal length or translation would overflow a projection
+    def edit(cameras):
+        cameras[2][key][row][col] = 1e308
+
+    code, err = _run_with_edited_cameras(tmp_path, capsys, edit)
+    assert code == 2
+    assert err.startswith("error:") and "cameras.json: camera 2: " in err and name in err
 
 
 def test_cli_run_seed_changes_weights(tmp_path, capsys):

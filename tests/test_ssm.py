@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddhf import oracles, ssm
+from ddhf.curve import scan_orders_2d
 from ddhf.ops import layer_norm
 from ddhf.ssm import (
     DELTA_FLOOR,
@@ -170,9 +171,20 @@ def test_selective_scan_peak_memory(rng):
     # 4 B = 34 MB for e and Bbar*x), nor a whole-sequence float64 output
     # (2.1 MB): only the float32 output (1.0 MB) and one block's float32
     # buffers (2 * 64 * 32 * 16 * 4 B = 0.26 MB) with their temporaries,
-    # 0.44 MB over the output in all; float64 block buffers read 0.80 MB
+    # the repeated x among them, 0.50 MB over the output in all; float64
+    # block buffers read 0.80 MB
     x, a, params = _random_case(rng, 8192, 32, 16)
     assert traced_peak(selective_scan, x, a, params) < x.nbytes + 0.6e6
+    # a G-stream block holds 64 stream-steps, so the bidirectional block's
+    # two-stream table and the BEV scans' four-stream one read 0.43 MB over
+    # their (n, G, C) output; blocks of 64 steps per stream would hold G
+    # times the buffers
+    steps = np.arange(8192)
+    two = np.stack([steps, steps[::-1]], axis=1)
+    four = np.stack(scan_orders_2d(64, 128).all(), axis=1)
+    for rows in (two, four):
+        out_bytes = rows.size * x.shape[1] * 4
+        assert traced_peak(selective_scan, x, a, params, rows) < out_bytes + 0.6e6, rows.shape
 
 
 def test_bidirectional_block_peak_memory(rng):

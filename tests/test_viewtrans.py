@@ -3,7 +3,7 @@ import pytest
 
 from ddhf import oracles, viewtrans
 from ddhf.config import PipelineConfig
-from ddhf.core import CameraModel, GridSpec
+from ddhf.core import CAMERA_MAX, CameraModel, GridSpec
 from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 from ddhf.viewtrans import (
     FEATURE_STRIDE,
@@ -311,7 +311,9 @@ def test_lss_splat_delta_case():
     assert np.allclose(out.data, want, atol=1e-6)
 
 
-@pytest.mark.parametrize("focal, shift", [(1e-30, 0.0), (12.0, 1e300)], ids=["focal", "shift"])
+@pytest.mark.parametrize(
+    "focal, shift", [(1e-30, 0.0), (12.0, CAMERA_MAX)], ids=["focal", "shift"]
+)
 def test_lss_splat_far_cells_stay_out_of_range(rng, focal, shift):
     # a near-zero focal length spreads every ray (no pixel sits on the
     # principal point's column) past int64 cells, and a huge translation
