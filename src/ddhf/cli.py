@@ -15,6 +15,8 @@ from .core import is_real, load_tensor, save_tensor
 from .evalmetrics import BOX, eval_detections
 from .pipeline import detections_to_dicts, run_pipeline
 from .scene import gen_scene, load_scene, load_spec
+from .viewtrans import FEATURE_STRIDE
+
 
 def _cmd_gen_scene(args) -> int:
     spec = load_spec(args.spec)
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     splat = osub.add_parser("splat", help="scalar depth-bin BEV splat")
     splat.add_argument("--inputs", required=True, help="directory of named .bin inputs")
-    splat.add_argument("--stride", type=int, default=4)
+    splat.add_argument("--stride", type=int, default=FEATURE_STRIDE)
     splat.add_argument("--origin", required=True, help="x0,y0")
     splat.add_argument("--cell", required=True, help="dx,dy")
     splat.add_argument("--nx", type=int, required=True)

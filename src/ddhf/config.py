@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import GridSpec, is_int, is_real
-from .hvf import STRIDES
+from .curve import MAX_BITS
+from .hvf import IMAGE_LIFT, STRIDES, image_extents
 from .jsonio import RANGE, check_record, dump, load, numbers
 from .viewtrans import DepthBinSpec
 
@@ -27,7 +28,7 @@ class PipelineConfig:
     x_range: tuple[float, float] = (-54.0, 54.0)
     y_range: tuple[float, float] = (-54.0, 54.0)
     z_range: tuple[float, float] = (-5.0, 3.0)
-    # cells per axis; image branch doubles the lidar z resolution
+    # cells per axis; image_cells must be hvf.image_extents(lidar_cells)
     lidar_cells: tuple[int, int, int] = (48, 48, 8)
     image_cells: tuple[int, int, int] = (48, 48, 16)
     channels: int = 32
@@ -52,11 +53,11 @@ class PipelineConfig:
             # the checker reads a JSON list as a tuple; from Python, pass the tuple
             if val is not given[key]:
                 raise ValueError(f"config.{key} must be a tuple, got {given[key]!r}")
-        lc, ic = self.lidar_cells, self.image_cells
-        want = (lc[0], lc[1], 2 * lc[2])
-        if ic != want:
+        want = image_extents(self.lidar_cells)
+        if self.image_cells != want:
             raise ValueError(
-                f"config.image_cells must be {want} (lidar_cells x/y, twice its z), got {ic}"
+                f"config.image_cells must be {want} (lidar_cells times {IMAGE_LIFT}),"
+                f" got {self.image_cells}"
             )
         if not self.depth_max > self.depth_min:
             raise ValueError(
@@ -89,9 +90,10 @@ def _divisible(v) -> bool:
     return v[0] % STRIDES[-1] == 0 and v[1] % STRIDES[-1] == 0
 
 
+# at most 2**MAX_BITS cells per axis: the Hilbert order's bits per axis
 _CELLS = (
-    lambda v: numbers(3, lambda n: is_int(n) and n > 0)(v) and _divisible(v),
-    f"a list of 3 positive integers, x and y divisible by {STRIDES[-1]}",
+    lambda v: numbers(3, lambda n: is_int(n) and 0 < n <= 2**MAX_BITS)(v) and _divisible(v),
+    f"a list of 3 integers in [1, {2**MAX_BITS}], x and y divisible by {STRIDES[-1]}",
     False,
 )
 _FRACTION = (lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)", False)

@@ -25,10 +25,11 @@ _FNV_PRIME = 0x100000001B3
 
 VOXEL_FEATURE_DIM = 5  # (dx, dy, dz offsets from center, mean intensity, count)
 VOXEL_COUNT_CHANNEL = 4  # the point count's column of a voxelized feature
-ORTHONORMAL_TOL = 1e-6  # max |R R^T - I|; a 9-digit JSON rotation is off by ~1e-9
+ORTHONORMAL_TOL = 1e-6  # max |R R^T - I|; a 9-digit JSON rotation is off by about a billionth
+MIN_DEPTH = 1e-9  # a camera sees a point only at a camera-frame depth above this
 # Largest |focal length|, |principal point| and |translation| a camera may
 # have. A finite float32 point lands within 6e38 + 1e100 of a camera's origin,
-# so a projection f * x / z + c at depth z > 1e-9 stays below 1e210, far
+# so a projection f * x / z + c at depth z > MIN_DEPTH stays below 1e210, far
 # inside float64; a 1e308 focal length or translation would overflow to inf.
 CAMERA_MAX = 1e100
 
@@ -220,6 +221,23 @@ class CameraModel:
         t = self.extrinsics[:3, 3]
         return (points.astype(np.float64) - t) @ rot
 
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pixel (u, v) = (f * x / z + c) and camera-frame depth z of world
+        points (n, 3); u and v are meaningful only where z > MIN_DEPTH."""
+        cam = self.world_to_cam(points)
+        z = cam[:, 2]
+        safe_z = np.where(z > MIN_DEPTH, z, 1.0)
+        k = self.intrinsics
+        u = k[0, 0] * cam[:, 0] / safe_z + k[0, 2]
+        v = k[1, 1] * cam[:, 1] / safe_z + k[1, 2]
+        return u, v, z
+
+    def pixel_rays(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Camera-frame rays (n, 3) through float64 pixels (u, v) at unit
+        depth: the points `project` maps to (u, v) at z = 1."""
+        k = self.intrinsics
+        return np.stack([(u - k[0, 2]) / k[0, 0], (v - k[1, 2]) / k[1, 1], np.ones_like(u)], axis=1)
+
 
 # ---------------------------------------------------------------------------
 # Sparse voxel container
@@ -281,9 +299,6 @@ class SparseVoxelSet:
     def with_feats(self, feats: np.ndarray) -> "SparseVoxelSet":
         """Same occupancy, new per-voxel features."""
         return SparseVoxelSet(self.coords, feats, self.grid)
-
-    def centers(self) -> np.ndarray:
-        return self.grid.centers(self.coords)
 
 
 def empty_voxel_set(grid: GridSpec, channels: int) -> SparseVoxelSet:

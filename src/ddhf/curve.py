@@ -100,6 +100,9 @@ def hilbert_sort(v: SparseVoxelSet) -> np.ndarray:
     return hilbert_order(v.coords, v.grid.extents)
 
 
+N_DIRECTIONS = 4  # scan orders of a BEV map, the fields of ScanSet2D
+
+
 @dataclass(frozen=True)
 class ScanSet2D:
     """Four flattening orders of an H x W map (permutations of [0, H*W))."""
@@ -124,10 +127,10 @@ def scan_orders_2d(h: int, w: int) -> ScanSet2D:
 def cross_merge_2d(
     outputs: tuple[np.ndarray, ...], scans: ScanSet2D, h: int, w: int
 ) -> np.ndarray:
-    """Scatter four scanned sequences back to 2D via each scan's inverse; sum."""
+    """Scatter N_DIRECTIONS scanned sequences back to 2D via each scan's inverse; sum."""
     perms = scans.all()
-    if len(outputs) != 4:
-        raise ValueError("cross_merge_2d: expected exactly 4 sequences")
+    if len(outputs) != N_DIRECTIONS:
+        raise ValueError(f"cross_merge_2d: expected exactly {N_DIRECTIONS} sequences")
     c = outputs[0].shape[1]
     acc = np.zeros((h * w, c), dtype=np.float64)
     for seq, perm in zip(outputs, perms):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, bev_map_for_grid, init_param, zeroed
-from .curve import ScanSet2D, cross_merge_2d, scan_orders_2d
+from .curve import N_DIRECTIONS, ScanSet2D, cross_merge_2d, scan_orders_2d
 from .ops import ConvBlock, conv_block, init_conv_block, layer_norm, silu
 from .ssm import (
     ScanParams,
@@ -27,17 +27,15 @@ from .ssm import (
     softplus_delta,
 )
 
-N_DIRECTIONS = 4
-
 
 def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     """Channelwise max over each BEV pillar's occupied voxels; empty pillars 0.
     The map covers the grid's x/y footprint, rows = y cells, cols = x.
 
     Voxels are stably sorted by pillar and each pillar's run is reduced with
-    np.maximum in voxel order, the order `np.maximum.at` visits them, so a
-    pillar holding both signed zeros keeps the same one. A non-finite max
-    reads 0, as an empty pillar does.
+    np.maximum in voxel order, so which signed zero a pillar holding both
+    keeps depends only on that order. A non-finite feature reaches the map
+    and is rejected there with a ValueError.
     """
     ny, nx, c = v.grid.ny, v.grid.nx, v.channels
     acc = np.zeros((ny * nx, c), dtype=np.float32)
@@ -45,31 +43,26 @@ def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
     order = np.argsort(pillar, kind="stable")
     pillar = pillar[order]
     first = np.flatnonzero(np.diff(pillar, prepend=-1))
-    top = np.maximum.reduceat(v.feats[order], first)
-    top[~np.isfinite(top)] = 0.0
-    acc[pillar[first]] = top
+    acc[pillar[first]] = np.maximum.reduceat(v.feats[order], first)
     return bev_map_for_grid(v.grid, acc.reshape(ny, nx, c))
 
 
 def _ss2d(
-    x: np.ndarray,
-    a: np.ndarray,
-    params: ScanParams,
-    norm_scale: np.ndarray,
-    norm_shift: np.ndarray,
-    scans: ScanSet2D,
+    x: np.ndarray, w: SsmBlockWeights | CbBranchWeights, params: ScanParams, scans: ScanSet2D
 ) -> np.ndarray:
-    """Four-direction scan of x (H, W, C) as one four-stream scan: stream k
-    visits the cells in scan order k and reads params, row-major (H*W, .)
-    maps shared by every direction or (H*W, 4, .) with one slice per
-    direction. Each direction is LayerNormed with its own affine, scattered
-    back and summed. The norm runs per direction: one call over the whole
-    (H*W, 4, C) output would hold a float64 copy of it and that copy's
-    square at once."""
-    h, w, c = x.shape
-    ys = selective_scan(x.reshape(h * w, c), a, params, np.stack(scans.all(), axis=1))
-    outs = tuple(layer_norm(ys[:, k], norm_scale[k], norm_shift[k]) for k in range(N_DIRECTIONS))
-    return cross_merge_2d(outs, scans, h, w)
+    """Scan of x (H, W, C) in D = N_DIRECTIONS directions as one D-stream
+    scan: stream k visits the cells in scan order k and reads params,
+    row-major (H*W, .) maps shared by every direction or (H*W, D, .) with
+    one slice per direction. Each direction is LayerNormed with its own row
+    of w's `norm_scale` and `norm_shift`, scattered back and summed. The
+    norm runs per direction: one call over the whole (H*W, D, C) output
+    would hold a float64 copy of it and that copy's square at once."""
+    h, wd, c = x.shape
+    ys = selective_scan(x.reshape(h * wd, c), w.a, params, np.stack(scans.all(), axis=1))
+    outs = tuple(
+        layer_norm(ys[:, k], w.norm_scale[k], w.norm_shift[k]) for k in range(N_DIRECTIONS)
+    )
+    return cross_merge_2d(outs, scans, h, wd)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,7 @@ def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
     x = (x_in @ w.in_w + w.in_b).astype(np.float32)
     maps = generate_scan_params(x, w)
     params = ScanParams(*(m.reshape(h * wd, -1) for m in (maps.b, maps.c, maps.delta)))
-    merged = _ss2d(x, w.a, params, w.norm_scale, w.norm_shift, scan_orders_2d(h, wd))
+    merged = _ss2d(x, w, params, scan_orders_2d(h, wd))
     gated = merged * silu(x_in @ w.y_w + w.y_b)
     return b.with_data(x_in + gated @ w.out_w + w.out_b)
 
@@ -100,6 +93,18 @@ def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
 # ---------------------------------------------------------------------------
 # Cross-modal BEV block
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CbBranchWeights:
+    """One modality's scan weights in the cross-modal block, under the
+    field names `SsmBlockWeights` uses."""
+
+    a: np.ndarray  # (C, d_state)
+    in_w: np.ndarray  # (C, C)
+    in_b: np.ndarray
+    norm_scale: np.ndarray  # (N_DIRECTIONS, C)
+    norm_shift: np.ndarray
+
 
 @dataclass(frozen=True)
 class CbMambaWeights:
@@ -118,19 +123,11 @@ class CbMambaWeights:
     t2_b: np.ndarray
     gate_w: np.ndarray  # (T_channels, C)
     gate_b: np.ndarray
-    a_img: np.ndarray  # (C, d_state)
-    a_lid: np.ndarray
-    in_w_img: np.ndarray
-    in_b_img: np.ndarray
-    in_w_lid: np.ndarray
-    in_b_lid: np.ndarray
-    norm_scale_img: np.ndarray  # (4, C)
-    norm_shift_img: np.ndarray
-    norm_scale_lid: np.ndarray
-    norm_shift_lid: np.ndarray
+    img: CbBranchWeights
+    lid: CbBranchWeights
 
     def __post_init__(self):
-        c, d_state = self.a_img.shape
+        c, d_state = self.img.a.shape
         budget = 2 * N_DIRECTIONS * (2 * d_state + c)
         if self.t2_w.shape[1] != budget:
             raise ValueError(
@@ -142,6 +139,13 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     hidden = 2 * c
     t_ch = 2 * N_DIRECTIONS * (2 * d_state + c)
+    branch = lambda m: CbBranchWeights(
+        a=s4d_real_a(c, d_state),
+        in_w=p(f"in_proj_{m}.weight", (c, c)),
+        in_b=p(f"in_proj_{m}.bias", (c,)),
+        norm_scale=np.ones((N_DIRECTIONS, c), dtype=np.float32),
+        norm_shift=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
+    )
     return CbMambaWeights(
         t1_w=p("t1.weight", (2 * c, hidden)),
         t1_b=p("t1.bias", (hidden,)),
@@ -151,24 +155,16 @@ def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaW
         t2_b=p("t2.bias", (t_ch,)),
         gate_w=p("gate.weight", (t_ch, c)),
         gate_b=p("gate.bias", (c,)),
-        a_img=s4d_real_a(c, d_state),
-        a_lid=s4d_real_a(c, d_state),
-        in_w_img=p("in_proj_img.weight", (c, c)),
-        in_b_img=p("in_proj_img.bias", (c,)),
-        in_w_lid=p("in_proj_lid.weight", (c, c)),
-        in_b_lid=p("in_proj_lid.bias", (c,)),
-        norm_scale_img=np.ones((N_DIRECTIONS, c), dtype=np.float32),
-        norm_shift_img=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
-        norm_scale_lid=np.ones((N_DIRECTIONS, c), dtype=np.float32),
-        norm_shift_lid=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
+        img=branch("img"),
+        lid=branch("lid"),
     )
 
 
 def _modality_params(t_m: np.ndarray, c: int, d_state: int) -> ScanParams:
     """One modality's scan parameters from its float32 generator half t_m
-    (H, W, 4 * (2 * d_state + C)): b and c are (H*W, 4, d_state) views of
-    t_m, one slice per direction, and delta is the (H*W, 4, C) view with
-    softplus_delta written back over it."""
+    (H, W, D * (2 * d_state + C)), D = N_DIRECTIONS: b and c are
+    (H*W, D, d_state) views of t_m, one slice per direction, and delta is
+    the (H*W, D, C) view with softplus_delta written back over it."""
     h, w, _ = t_m.shape
     per_dir = t_m.reshape(h * w, N_DIRECTIONS, 2 * d_state + c)
     delta = per_dir[:, :, 2 * d_state :]
@@ -208,16 +204,13 @@ def cb_mamba(
     half = w.t2_w.shape[1] // 2
     scans = scan_orders_2d(h, wd)
     ss = []
-    for m, (b, in_w, in_b, a, n_scale, n_shift) in enumerate((
-        (b_img, w.in_w_img, w.in_b_img, w.a_img, w.norm_scale_img, w.norm_shift_img),
-        (b_lidar, w.in_w_lid, w.in_b_lid, w.a_lid, w.norm_scale_lid, w.norm_shift_lid),
-    )):
+    for m, (b, bw) in enumerate(((b_img, w.img), (b_lidar, w.lid))):
         cols = slice(m * half, (m + 1) * half)
         t_m = t1 @ w.t2_w[:, cols]
         t_m += w.t2_b[cols]
-        x = (b.data @ in_w + in_b).astype(np.float32)
-        params = _modality_params(t_m, c, a.shape[1])
-        ss.append(_ss2d(x, a, params, n_scale, n_shift, scans))
+        x = (b.data @ bw.in_w + bw.in_b).astype(np.float32)
+        params = _modality_params(t_m, c, bw.a.shape[1])
+        ss.append(_ss2d(x, bw, params, scans))
         del t_m, params  # free this modality's (B, C, Δ) before the next is built
     ss_img, ss_lid = ss
 

@@ -25,6 +25,12 @@ TAG_IMAGE = 1
 
 STRIDES = (1, 2, 4)  # voxel size of each scale over the input's; sparse_down doubles it
 N_SCALES = len(STRIDES)
+IMAGE_LIFT = (1, 1, 2)  # image-grid cells per LiDAR cell on x, y, z: z resolution doubled
+
+
+def image_extents(lidar_extents: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The image grid's cells per axis for a LiDAR grid's."""
+    return tuple(int(n) * k for n, k in zip(lidar_extents, IMAGE_LIFT))
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,7 @@ class MergedSequence:
     """
 
     feats: np.ndarray  # (n, C) in sequence order
-    lifted: np.ndarray  # (n, 3) shared-frame coords (LiDAR z doubled)
+    lifted: np.ndarray  # (n, 3) shared-frame coords (LiDAR coords times IMAGE_LIFT)
     tags: np.ndarray  # (n,) TAG_LIDAR / TAG_IMAGE
     orig_idx: np.ndarray  # (n,) row in the source set
     lidar: SparseVoxelSet
@@ -51,21 +57,17 @@ class MergedSequence:
         return self.feats.shape[0]
 
 
-def _check_aligned(lidar_grid: GridSpec, image_grid: GridSpec) -> None:
-    if (
-        lidar_grid.nx != image_grid.nx
-        or lidar_grid.ny != image_grid.ny
-        or image_grid.nz != 2 * lidar_grid.nz
-    ):
-        raise ValueError(
-            "cv_merge: grids must align in x,y with image z extent = 2x LiDAR's"
-        )
-
-
 def cv_merge(v_lidar: SparseVoxelSet, v_image: SparseVoxelSet) -> MergedSequence:
-    """Interleave both sets in Hilbert order over the lifted coordinate frame."""
-    _check_aligned(v_lidar.grid, v_image.grid)
-    lifted_l = v_lidar.coords * np.array([1, 1, 2], dtype=np.int64)
+    """Interleave both sets in Hilbert order over the lifted coordinate frame:
+    LiDAR coords times IMAGE_LIFT, which must map the LiDAR grid onto the
+    image grid."""
+    lidar_ext, image_ext = tuple(v_lidar.grid.extents), tuple(v_image.grid.extents)
+    if image_ext != image_extents(lidar_ext):
+        raise ValueError(
+            f"cv_merge: image grid extents must be the LiDAR grid's {lidar_ext}"
+            f" times {IMAGE_LIFT}, got {image_ext}"
+        )
+    lifted_l = v_lidar.coords * np.array(IMAGE_LIFT, dtype=np.int64)
     lifted = np.concatenate([lifted_l, v_image.coords], axis=0)
     tags = np.concatenate(
         [

@@ -369,7 +369,7 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
     """Scalar transcription of the cross-modal block with joint parameters."""
     h, wd, cw = img.shape
     n = h * wd
-    ds = w.a_img.shape[1]
+    ds = w.img.a.shape[1]
     flat_img = img.reshape(n, cw)
     flat_lid = lid.reshape(n, cw)
     f_comb = np.concatenate([flat_img, flat_lid], axis=1)
@@ -396,12 +396,12 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
             dirs.append((bmap, cmap, dtmap))
         split.append(dirs)
 
-    a_img = [[float(w.a_img[ch, s]) for s in range(ds)] for ch in range(cw)]
-    a_lid = [[float(w.a_lid[ch, s]) for s in range(ds)] for ch in range(cw)]
-    x_img = _linear_rows(flat_img, w.in_w_img, w.in_b_img)
-    x_lid = _linear_rows(flat_lid, w.in_w_lid, w.in_b_lid)
-    ss_img = _ss2d_scalar(x_img, a_img, split[0], w.norm_scale_img, w.norm_shift_img, h, wd)
-    ss_lid = _ss2d_scalar(x_lid, a_lid, split[1], w.norm_scale_lid, w.norm_shift_lid, h, wd)
+    a_img = [[float(w.img.a[ch, s]) for s in range(ds)] for ch in range(cw)]
+    a_lid = [[float(w.lid.a[ch, s]) for s in range(ds)] for ch in range(cw)]
+    x_img = _linear_rows(flat_img, w.img.in_w, w.img.in_b)
+    x_lid = _linear_rows(flat_lid, w.lid.in_w, w.lid.in_b)
+    ss_img = _ss2d_scalar(x_img, a_img, split[0], w.img.norm_scale, w.img.norm_shift, h, wd)
+    ss_lid = _ss2d_scalar(x_lid, a_lid, split[1], w.lid.norm_scale, w.lid.norm_shift, h, wd)
 
     gate_lin = _linear_rows(np.array(t), w.gate_w, w.gate_b)
     out = np.zeros((n, cw))

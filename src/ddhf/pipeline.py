@@ -101,7 +101,11 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
         zeroed(base.hbf, "proj_img_w", "proj_img_b", "proj_lid_w", "proj_lid_b"),
         ib_img=base.hbf.ib_img.identity_configured(),
         ib_lid=base.hbf.ib_lid.identity_configured(),
-        cb=zeroed(base.hbf.cb, "gate_w", "gate_b", "in_w_img", "in_b_img", "in_w_lid", "in_b_lid"),
+        cb=replace(
+            zeroed(base.hbf.cb, "gate_w", "gate_b"),
+            img=zeroed(base.hbf.cb.img, "in_w", "in_b"),
+            lid=zeroed(base.hbf.cb.lid, "in_w", "in_b"),
+        ),
         backbone=base.hbf.backbone.identity_configured(),
     )
     hbf.proj_lid_w[0, 0] = 1.0

@@ -188,13 +188,10 @@ def render_images(spec: SceneSpec) -> list[np.ndarray]:
     for cam in spec.cameras:
         img = np.full((h, w, 3), BACKGROUND, dtype=np.float64)
         for obj in spec.objects:
-            pt = np.asarray(obj.center, dtype=np.float64)[None, :]
-            cam_pt = cam.world_to_cam(pt)[0]
-            z = cam_pt[2]
+            center = np.asarray(obj.center, dtype=np.float64)[None, :]
+            (u,), (v,), (z,) = cam.project(center)
             if z < 0.5:
                 continue
-            u = cam.intrinsics[0, 0] * cam_pt[0] / z + cam.intrinsics[0, 2]
-            v = cam.intrinsics[1, 1] * cam_pt[1] / z + cam.intrinsics[1, 2]
             radius = cam.intrinsics[0, 0] * 0.5 * max(obj.size[0], obj.size[1]) / z
             radius = min(max(radius, 1.0), 30.0)
             if u < -3 * radius or u > w - 1 + 3 * radius:

@@ -208,7 +208,7 @@ class SsmBlockWeights:
     """Weights of one bidirectional selective-scan block (shared fwd/bwd)."""
 
     a: np.ndarray  # (C, d_state), strictly negative
-    norm_scale: np.ndarray  # (C,); (4, C), one per direction, in hbf.ib_mamba
+    norm_scale: np.ndarray  # (C,); (N_DIRECTIONS, C), one per direction, in hbf.ib_mamba
     norm_shift: np.ndarray
     in_w: np.ndarray  # (C, C)
     in_b: np.ndarray  # (C,)

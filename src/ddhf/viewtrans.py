@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MIN_DEPTH,
     CameraModel,
     FeatureMap,
     GridSpec,
@@ -74,10 +75,6 @@ class ImageFeatureSet:
             if np.any(sm < 0) or np.any(sm > 1):
                 raise ValueError("ImageFeatureSet: semantic scores must lie in [0, 1]")
 
-    @property
-    def cameras(self) -> int:
-        return len(self.feats)
-
 
 @dataclass(frozen=True)
 class ImageEncoderWeights:
@@ -128,7 +125,7 @@ def encode_images(images: list[np.ndarray], w: ImageEncoderWeights) -> ImageFeat
 
 
 # ---------------------------------------------------------------------------
-# Projection and sampling
+# Bilinear sampling
 # ---------------------------------------------------------------------------
 
 def _corners(h: int, w: int, u: np.ndarray, v: np.ndarray):
@@ -158,20 +155,6 @@ def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     corners, fu, fv = _corners(h, w, u, v)
     g = grid.reshape(h * w, -1)
     return _blend((g[c] for c in corners), fu[:, None], fv[:, None])
-
-
-def project_points(
-    points: np.ndarray, camera: CameraModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pinhole projection to pixel (u, v) plus camera-frame depth; u,v valid only
-    where depth > 0."""
-    cam = camera.world_to_cam(points)
-    z = cam[:, 2]
-    safe_z = np.where(z > 1e-9, z, 1.0)
-    k = camera.intrinsics
-    u = k[0, 0] * cam[:, 0] / safe_z + k[0, 2]
-    v = k[1, 1] * cam[:, 1] / safe_z + k[1, 2]
-    return u, v, z
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +363,9 @@ def _best_camera(
     best_cam = np.full(n, -1)
     best_u, best_v = np.zeros(n), np.zeros(n)
     for cam_idx, cam in enumerate(cameras):
-        u, v, z = project_points(centers, cam)
+        u, v, z = cam.project(centers)
         h_img, w_img = cam.image_size
-        valid = (z > 1e-9) & (u >= 0) & (u <= w_img - 1) & (v >= 0) & (v <= h_img - 1)
+        valid = (z > MIN_DEPTH) & (u >= 0) & (u <= w_img - 1) & (v >= 0) & (v <= h_img - 1)
         kbin = bins.bin_of(z)
         valid &= (kbin >= 0) & (kbin < bins.count)
         if not np.any(valid):
@@ -471,7 +454,8 @@ def lss_splat(
 
     The (cell, pixel, probability) of every contribution is listed camera by
     camera, bin by bin, pixel by pixel, and one float64 bincount per channel
-    sums them from 0 in that order, the order a per-bin `np.add.at` visits.
+    sums them from 0 in that order. Each pixel's ray comes from
+    `CameraModel.pixel_rays`.
     """
     c_width = images.feats[0].shape[2]
     centers_d = bins.centers()
@@ -483,10 +467,7 @@ def lss_splat(
         jj, ii = np.meshgrid(np.arange(w), np.arange(h))
         u = (jj.ravel() * FEATURE_STRIDE).astype(np.float64)
         v = (ii.ravel() * FEATURE_STRIDE).astype(np.float64)
-        k = cam.intrinsics
-        rays = np.stack(
-            [(u - k[0, 2]) / k[0, 0], (v - k[1, 2]) / k[1, 1], np.ones_like(u)], axis=1
-        )
+        rays = cam.pixel_rays(u, v)
         for kbin in range(bins.count):
             pts_cam = rays * centers_d[kbin]
             pts_world = cam.cam_to_world(pts_cam)

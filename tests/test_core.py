@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ddhf import oracles
 from ddhf.core import (
     CAMERA_MAX,
+    MIN_DEPTH,
     CameraModel,
     FeatureMap,
     GridSpec,
@@ -211,7 +212,7 @@ def test_bev_map_for_grid_wraps_data(rng):
         bev_map_for_grid(grid, np.zeros((6, 3, 5), dtype=np.float32))  # x/y swapped
 
 
-def test_camera_world_cam_roundtrip(rng):
+def _turned_camera() -> CameraModel:
     angle = 0.7
     rot = np.array(
         [
@@ -224,10 +225,33 @@ def test_camera_world_cam_roundtrip(rng):
     extr[:3, :3] = rot
     extr[:3, 3] = [1.0, -2.0, 0.5]
     intr = np.array([[48.0, 0.0, 48.0], [0.0, 48.0, 32.0], [0.0, 0.0, 1.0]])
-    cam = CameraModel(intrinsics=intr, extrinsics=extr, image_size=(64, 96))
+    return CameraModel(intrinsics=intr, extrinsics=extr, image_size=(64, 96))
+
+
+def test_camera_world_cam_roundtrip(rng):
+    cam = _turned_camera()
     pts = rng.normal(size=(50, 3))
     back = cam.cam_to_world(cam.world_to_cam(pts))
     assert np.allclose(back, pts, atol=1e-9)
+
+
+def test_camera_pixel_rays_project_back_to_their_pixels(rng):
+    cam = _turned_camera()
+    u, v = rng.uniform(0, 95, size=50), rng.uniform(0, 63, size=50)
+    rays = cam.pixel_rays(u, v)
+    assert np.all(rays[:, 2] == 1.0)
+    depth = rng.uniform(1.0, 50.0, size=50)
+    pu, pv, z = cam.project(cam.cam_to_world(rays * depth[:, None]))
+    assert np.allclose(pu, u, atol=1e-9) and np.allclose(pv, v, atol=1e-9)
+    assert np.allclose(z, depth, atol=1e-9)
+
+
+def test_camera_project_at_or_behind_min_depth_is_finite():
+    # a point at depth <= MIN_DEPTH divides by 1, not by its depth
+    cam = CameraModel(**_camera_args())
+    u, v, z = cam.project(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, MIN_DEPTH], [1.0, 2.0, -3.0]]))
+    assert z.tolist() == [0.0, MIN_DEPTH, -3.0]
+    assert u.tolist() == [48.0 * 1.0 + 48.0] * 3 and v.tolist() == [48.0 * 2.0 + 32.0] * 3
 
 
 def _camera_args(**change):

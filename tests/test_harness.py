@@ -79,6 +79,8 @@ def test_config_strides_is_not_a_field():
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(lidar_cells=(16, 16, 4), image_cells=(16, 16, 4))  # z not doubled
+    # 2**20 cells per axis is the most the Hilbert order indexes
+    PipelineConfig(lidar_cells=(16, 16, 2**19), image_cells=(16, 16, 2**20))
     with pytest.raises(TypeError):  # not a field: voxel fusion fixes the strides
         PipelineConfig(strides=(1, 2, 8))
     with pytest.raises(ValueError):
@@ -125,8 +127,10 @@ BOUND_CASES = [
     ("lidar_cells", (0, 48, 8)),
     ("lidar_cells", (48, 48, -8)),
     ("lidar_cells", (46, 48, 8)),  # x not divisible by the coarsest stride
+    ("lidar_cells", (48, 48, 2**20 + 1)),  # past the Hilbert order's 20 bits per axis
     ("image_cells", (48, 48, 0)),
     ("image_cells", (48, 50, 16)),
+    ("image_cells", (48, 48, 2**21)),
     ("channels", 30),
     ("channels", 0),
     ("d_state", 0),
@@ -511,16 +515,19 @@ def test_run_pipeline_extreme_camera_without_warning(change):
 @st.composite
 def scene_runs(draw):
     """(spec arguments, weights mode, cameras) for a TINY run: 0-4 objects
-    of classes 0-11, 0.01-8 m boxes of 0.5-100 points/m^2, centers up to 5%
-    of the world range past either end, 0-5000 clutter points. cameras is
-    None for a run without cameras or "unchanged" for the scene's own
-    cameras and images, each about a quarter of the time, or else a
-    camera_changes() change."""
-    coord = lambda lo, hi: st.floats(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
+    of classes 0-11, 0.01-8 m boxes of 0.5-100 points/m^2, 0-5000 clutter
+    points. Most centers lie inside the world range; about one in four is
+    drawn from a range 5% wider at either end, so that some specs are
+    rejected. cameras is None for a run without cameras or "unchanged" for
+    the scene's own cameras and images, each about a quarter of the time,
+    or else a camera_changes() change."""
+    inside = lambda lo, hi: st.floats(lo, hi)
+    wider = lambda lo, hi: st.floats(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
+    center = lambda coord: st.tuples(coord(-54.0, 54.0), coord(-54.0, 54.0), coord(-5.0, 3.0))
     objects = draw(st.lists(st.builds(
         SceneObject,
         class_id=st.integers(0, 11),
-        center=st.tuples(coord(-54.0, 54.0), coord(-54.0, 54.0), coord(-5.0, 3.0)),
+        center=st.sampled_from([inside] * 3 + [wider]).flatmap(center),
         size=st.tuples(*[st.floats(0.01, 8.0)] * 3),
         yaw=st.floats(-10.0, 10.0),
         density=st.floats(0.5, 100.0),

@@ -71,6 +71,16 @@ def test_height_compress_empty():
     assert not np.any(out.data)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_height_compress_rejects_non_finite_feature(value):
+    # the pillar max carries the value into the map, which rejects it; it
+    # does not read 0 as an empty pillar does (oracles.height_compress has no
+    # such rule either)
+    v = SparseVoxelSet(np.array([[3, 4, 1]]), np.array([[1.0, value]], dtype=np.float32), GRID)
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse_height_compress(v)
+
+
 def test_ib_mamba_identity(rng):
     w = init_ib_mamba("ib", 4, 3, 41).identity_configured()
     b = bev_map(rng)
@@ -126,9 +136,8 @@ def test_cb_gate_zeroed_uses_lidar_path_plus_skip(rng):
     assert np.all(y_lid == 1.0)
     # the image scan path is weighted by zero, so perturbing its private input
     # projection (which feeds nothing else) cannot move the output
-    w2 = dataclasses.replace(
-        w, in_w_img=rng.normal(size=w.in_w_img.shape).astype(np.float32)
-    )
+    noisy = rng.normal(size=w.img.in_w.shape).astype(np.float32)
+    w2 = dataclasses.replace(w, img=dataclasses.replace(w.img, in_w=noisy))
     out2 = cb_mamba(img, lid, w2)
     assert np.array_equal(out2.data, out.data)
 
@@ -198,7 +207,11 @@ def identity_hbf(c, d_state, seed):
         proj_lid_w=proj,
         ib_img=w.ib_img.identity_configured(),
         ib_lid=w.ib_lid.identity_configured(),
-        cb=zeroed(w.cb, "gate_w", "gate_b", "in_w_lid", "in_b_lid", "in_w_img", "in_b_img"),
+        cb=dataclasses.replace(
+            zeroed(w.cb, "gate_w", "gate_b"),
+            img=zeroed(w.cb.img, "in_w", "in_b"),
+            lid=zeroed(w.cb.lid, "in_w", "in_b"),
+        ),
         backbone=w.backbone.identity_configured(),
     )
 

@@ -1,9 +1,12 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no package definition goes unread.
 
-No linter ships with the toolchain, so deleting code can leave an import
-behind unnoticed. This parses every package and test module with `ast` and
-reports each imported name the module never reads. Package `__init__.py`
-files are skipped: their imports are the package's re-exports.
+No linter ships with the toolchain, so deleting code can leave an import or
+a whole function behind unnoticed. This parses every package and test
+module with `ast` and reports each imported name the module never reads,
+and each module-level function or class of `src/ddhf` that no module of
+`src`, `tests`, `scripts` or `perfbench` reads outside the definition
+itself. Package `__init__.py` files are skipped: their imports are the
+package's re-exports.
 """
 
 import ast
@@ -14,6 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for d in ("src/ddhf", "tests") for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"
+)
+OTHER_READERS = sorted(
+    p for d in ("tests", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")
 )
 
 
@@ -57,3 +63,56 @@ def test_module_uses_every_import(path):
 def test_checker_flags_an_unused_import():
     src = "import math\nimport os.path\nfrom a import b as c, d\n\ndef f(x: 'd') -> int:\n    return os.sep\n"
     assert unused_imports(src) == ["math (line 1)", "c (line 3)"]
+
+
+def read_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every name and attribute a module reads, and of each
+    part of a dotted-name string such as "hbf.ib_mamba" (the benchmark
+    tracer names the functions it wraps that way)."""
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                reads += [(part, node.lineno) for part in parts]
+    return reads
+
+
+def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """`module: name` of each module-level function or class of the package
+    that neither a package module nor another module reads outside the
+    definition's own lines. Each map goes from a module's name to its source."""
+    reads = {name: read_names(ast.parse(src)) for name, src in {**package, **others}.items()}
+    unread = []
+    for module, src in package.items():
+        for node in ast.parse(src).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (reader == module and line in inside)
+                for reader, found in reads.items()
+                for name, line in found
+            ):
+                unread.append(f"{module}: {node.name}")
+    return unread
+
+
+def test_every_package_definition_is_read():
+    text = lambda p: p.read_text(encoding="utf-8")
+    package = {p.stem: text(p) for p in MODULES if p.parent.name == "ddhf"}
+    others = {str(p.relative_to(ROOT)): text(p) for p in OTHER_READERS}
+    assert unread_definitions(package, others) == []
+
+
+def test_checker_flags_an_unread_definition():
+    package = {
+        "m": "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Lone:\n    pass\n\ndef traced():\n    pass\n"
+    }
+    others = {"t": "from m import used\nused()\nLAYERS = {'m.traced': None}\n"}
+    assert unread_definitions(package, others) == ["m: recursive", "m: Lone"]
