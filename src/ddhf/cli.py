@@ -12,6 +12,7 @@ import numpy as np
 from . import jsonio, oracles
 from .config import PipelineConfig, load_config
 from .core import is_real, load_tensor, save_tensor
+from .curve import MAX_BITS
 from .evalmetrics import BOX, eval_detections
 from .pipeline import detections_to_dicts, run_pipeline
 from .scene import gen_scene, load_scene, load_spec
@@ -85,6 +86,14 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _check_count(flag: str, value: int, most: int | None = None) -> None:
+    """The bound the oracle's library twin enforces, named by its flag:
+    at least 1 and, if given, at most `most`."""
+    if value < 1 or (most is not None and value > most):
+        bound = ">= 1" if most is None else f"in [1, {most}]"
+        raise ValueError(f"--{flag} must be {bound}, got {value}")
+
+
 def _cmd_oracle(args) -> int:
     cmd = args.oracle_cmd
     if cmd == "ssm-dense":
@@ -99,6 +108,7 @@ def _cmd_oracle(args) -> int:
         print(f"ssm-dense: {out.shape} -> {args.out}")
     elif cmd == "nms":
         heat = load_tensor(args.heat)
+        _check_count("k", args.k)
         pos, classes, scores = oracles.nms_topk(heat, args.k)
         jsonio.dump(
             {
@@ -110,7 +120,8 @@ def _cmd_oracle(args) -> int:
         )
         print(f"nms: {pos.shape[0]} picks -> {args.out}")
     elif cmd == "fps":
-        pts = load_tensor(args.points)
+        pts = load_tensor(args.points).reshape(-1, 3)
+        _check_count("n", args.n, len(pts))
         idx = oracles.fps(pts, args.n)
         jsonio.dump({"indices": idx.tolist()}, args.out)
         print(f"fps: {idx.size} picks -> {args.out}")
@@ -123,6 +134,7 @@ def _cmd_oracle(args) -> int:
         save_tensor(args.out, oracles.height_compress(coords, feats, extents))
         print(f"height-compress: {extents} -> {args.out}")
     elif cmd == "hilbert-walk":
+        _check_count("bits", args.bits, MAX_BITS)
         lines = [
             f"{h} {x} {y} {z} {step}"
             for h, x, y, z, step in oracles.hilbert_walk(args.bits)

@@ -10,6 +10,7 @@ are fixed by its three-scale U shape (`hvf.STRIDES`), not a setting;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,10 +91,18 @@ def _divisible(v) -> bool:
     return v[0] % STRIDES[-1] == 0 and v[1] % STRIDES[-1] == 0
 
 
+# SAFS visits every cell of the image grid, the largest grid a frame walks;
+# 2**24 cells is 455x the default image grid's 36,864. The LiDAR grid, half
+# the image grid's cells, then gives HBF at most 2**23 pillars.
+MAX_GRID_CELLS = 2**24
+
 # at most 2**MAX_BITS cells per axis: the Hilbert order's bits per axis
 _CELLS = (
-    lambda v: numbers(3, lambda n: is_int(n) and 0 < n <= 2**MAX_BITS)(v) and _divisible(v),
-    f"a list of 3 integers in [1, {2**MAX_BITS}], x and y divisible by {STRIDES[-1]}",
+    lambda v: numbers(3, lambda n: is_int(n) and 0 < n <= 2**MAX_BITS)(v)
+    and _divisible(v)
+    and math.prod(v) <= MAX_GRID_CELLS,
+    f"a list of 3 integers in [1, {2**MAX_BITS}], x and y divisible by {STRIDES[-1]},"
+    f" at most {MAX_GRID_CELLS} cells in all",
     False,
 )
 _FRACTION = (lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)", False)

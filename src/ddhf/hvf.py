@@ -165,58 +165,54 @@ def sparse_up(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class HvfBranchWeights:
+    """One modality's layers: an intra-modal block per scale and the sparse
+    down and up convolutions between scales."""
+
+    iv: tuple[SsmBlockWeights, ...]  # one per scale
+    down: tuple[tuple[np.ndarray, np.ndarray], ...]  # (kernel, bias) per step
+    up: tuple[np.ndarray, ...]  # kernel per step
+
+    def identity_configured(self) -> "HvfBranchWeights":
+        """Identity scan blocks and zero upsample kernels."""
+        return replace(zeroed(self, "up"), iv=tuple(w.identity_configured() for w in self.iv))
+
+
+@dataclass(frozen=True)
 class HvfWeights:
-    iv_lidar: tuple[SsmBlockWeights, ...]  # one per scale
-    iv_image: tuple[SsmBlockWeights, ...]
-    cv: tuple[SsmBlockWeights, ...]
-    down_lidar: tuple[tuple[np.ndarray, np.ndarray], ...]  # (kernel, bias) per step
-    down_image: tuple[tuple[np.ndarray, np.ndarray], ...]
-    up_lidar: tuple[np.ndarray, ...]
-    up_image: tuple[np.ndarray, ...]
+    lidar: HvfBranchWeights
+    image: HvfBranchWeights
+    cv: tuple[SsmBlockWeights, ...]  # one per scale
 
     def __post_init__(self):
-        if not (
-            len(self.iv_lidar) == len(self.iv_image) == len(self.cv) == N_SCALES
-        ):
+        if not (len(self.lidar.iv) == len(self.image.iv) == len(self.cv) == N_SCALES):
             raise ValueError(f"HvfWeights: expected {N_SCALES} scales")
 
     def identity_configured(self) -> "HvfWeights":
         """Identity scan blocks and zero upsample kernels: features pass through."""
-        return replace(
-            zeroed(self, "up_lidar", "up_image"),
-            iv_lidar=tuple(w.identity_configured() for w in self.iv_lidar),
-            iv_image=tuple(w.identity_configured() for w in self.iv_image),
-            cv=tuple(w.identity_configured() for w in self.cv),
+        return HvfWeights(
+            self.lidar.identity_configured(),
+            self.image.identity_configured(),
+            tuple(w.identity_configured() for w in self.cv),
         )
 
 
 def init_hvf(name: str, c: int, d_state: int, global_seed: int) -> HvfWeights:
     p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
-    down = lambda branch, s: (
-        p(f"down_{branch}{s}.weight", (3, 3, 3, c, c)),
-        p(f"down_{branch}{s}.bias", (c,)),
+    block = lambda suffix: init_ssm_block(f"{name}.{suffix}", c, d_state, global_seed)
+    steps = range(N_SCALES - 1)
+    branch = lambda m: HvfBranchWeights(
+        iv=tuple(block(f"iv_{m}{s}") for s in range(N_SCALES)),
+        down=tuple(
+            (p(f"down_{m}{s}.weight", (3, 3, 3, c, c)), p(f"down_{m}{s}.bias", (c,)))
+            for s in steps
+        ),
+        up=tuple(p(f"up_{m}{s}.weight", (2, 2, 2, c, c)) for s in steps),
     )
     return HvfWeights(
-        iv_lidar=tuple(
-            init_ssm_block(f"{name}.iv_lidar{s}", c, d_state, global_seed)
-            for s in range(N_SCALES)
-        ),
-        iv_image=tuple(
-            init_ssm_block(f"{name}.iv_image{s}", c, d_state, global_seed)
-            for s in range(N_SCALES)
-        ),
-        cv=tuple(
-            init_ssm_block(f"{name}.cv{s}", c, d_state, global_seed)
-            for s in range(N_SCALES)
-        ),
-        down_lidar=tuple(down("lidar", s) for s in range(N_SCALES - 1)),
-        down_image=tuple(down("image", s) for s in range(N_SCALES - 1)),
-        up_lidar=tuple(
-            p(f"up_lidar{s}.weight", (2, 2, 2, c, c)) for s in range(N_SCALES - 1)
-        ),
-        up_image=tuple(
-            p(f"up_image{s}.weight", (2, 2, 2, c, c)) for s in range(N_SCALES - 1)
-        ),
+        lidar=branch("lidar"),
+        image=branch("image"),
+        cv=tuple(block(f"cv{s}") for s in range(N_SCALES)),
     )
 
 
@@ -242,18 +238,14 @@ def hvf_forward(
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Three scales of IV + CV blocks with downsampling between scales, then
     upsampling back to stride 1 against the recorded skip occupancies."""
+    branches = (w.lidar, w.image)  # LiDAR first at every step
+    vs = (v_lidar, v_image)
     skips: list[tuple[SparseVoxelSet, SparseVoxelSet]] = []
-    vl, vi = v_lidar, v_image
     for s in range(N_SCALES):
-        vl = iv_mamba(vl, w.iv_lidar[s])
-        vi = iv_mamba(vi, w.iv_image[s])
-        vl, vi = cv_mamba(vl, vi, w.cv[s])
-        skips.append((vl, vi))
+        vs = cv_mamba(*(iv_mamba(v, b.iv[s]) for v, b in zip(vs, branches)), w.cv[s])
+        skips.append(vs)
         if s < N_SCALES - 1:
-            vl = sparse_down(vl, *w.down_lidar[s])
-            vi = sparse_down(vi, *w.down_image[s])
+            vs = tuple(sparse_down(v, *b.down[s]) for v, b in zip(vs, branches))
     for s in range(N_SCALES - 2, -1, -1):
-        skip_l, skip_i = skips[s]
-        vl = sparse_up(vl, skip_l, w.up_lidar[s])
-        vi = sparse_up(vi, skip_i, w.up_image[s])
-    return vl, vi
+        vs = tuple(sparse_up(v, skip, b.up[s]) for v, skip, b in zip(vs, skips[s], branches))
+    return vs

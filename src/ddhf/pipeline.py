@@ -217,7 +217,7 @@ def validate_weights(weights: PipelineWeights, cfg: PipelineConfig) -> None:
     differs."""
     built = {
         "channels": weights.lidar_embed_w.shape[1],
-        "d_state": weights.hvf.iv_lidar[0].a.shape[1],
+        "d_state": weights.hvf.cv[0].a.shape[1],
         "k_classes": weights.decoder.head.cls_w.shape[1],
         "depth_count": weights.encoder.depth_w.shape[1],
         "n_bev": len(weights.decoder.deform),

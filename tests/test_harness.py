@@ -25,6 +25,7 @@ from ddhf.config import (
     save_config,
 )
 from ddhf.core import CAMERA_MAX, CameraModel, load_tensor, save_tensor
+from ddhf.curve import MAX_BITS
 from ddhf.hvf import STRIDES
 from ddhf.pipeline import (
     detections_to_dicts,
@@ -79,8 +80,9 @@ def test_config_strides_is_not_a_field():
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(lidar_cells=(16, 16, 4), image_cells=(16, 16, 4))  # z not doubled
-    # 2**20 cells per axis is the most the Hilbert order indexes
-    PipelineConfig(lidar_cells=(16, 16, 2**19), image_cells=(16, 16, 2**20))
+    # 2**20 cells per axis is the most the Hilbert order indexes, and 2**24
+    # cells in all (4 * 4 * 2**20) the most a grid may hold
+    PipelineConfig(lidar_cells=(4, 4, 2**19), image_cells=(4, 4, 2**20))
     with pytest.raises(TypeError):  # not a field: voxel fusion fixes the strides
         PipelineConfig(strides=(1, 2, 8))
     with pytest.raises(ValueError):
@@ -131,6 +133,8 @@ BOUND_CASES = [
     ("image_cells", (48, 48, 0)),
     ("image_cells", (48, 50, 16)),
     ("image_cells", (48, 48, 2**21)),
+    ("lidar_cells", (2**20, 2**20, 2**19)),  # each axis in bounds, 2**59 cells in all
+    ("image_cells", (2**20, 2**20, 2**20)),
     ("channels", 30),
     ("channels", 0),
     ("d_state", 0),
@@ -1102,6 +1106,44 @@ def test_cli_oracle_nms(tmp_path, capsys):
     result = jsonio.load(out_path)
     assert result["positions"][0] == [2, 2]
     assert result["scores"][0] == pytest.approx(0.9, abs=1e-6)
+
+
+def _oracle_count_args(tmp_path, cmd: str, flag: str, value: int) -> list[str]:
+    """`ddhf oracle` arguments running `cmd` on five points or a 1x4x4 heatmap."""
+    save_tensor(tmp_path / "pts.bin", np.arange(15, dtype=np.float32).reshape(5, 3))
+    save_tensor(tmp_path / "heat.bin", np.zeros((1, 4, 4), dtype=np.float32))
+    inputs = {
+        "fps": ["--points", str(tmp_path / "pts.bin"), "--out", str(tmp_path / "o.json")],
+        "nms": ["--heat", str(tmp_path / "heat.bin"), "--out", str(tmp_path / "o.json")],
+        "hilbert-walk": [],
+    }
+    return ["oracle", cmd, *inputs[cmd], flag, str(value)]
+
+
+# the bounds of the library twins: viewtrans.fps, pqg.nms_topk, curve.hilbert_index
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [
+        ("fps", "--n", 0),
+        ("fps", "--n", 6),  # past the five points
+        ("nms", "--k", 0),
+        ("nms", "--k", -3),
+        ("hilbert-walk", "--bits", 0),
+        ("hilbert-walk", "--bits", MAX_BITS + 1),
+    ],
+)
+def test_cli_oracle_count_out_of_bounds_names_its_flag(tmp_path, capsys, cmd, flag, value):
+    assert main(_oracle_count_args(tmp_path, cmd, flag, value)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+
+
+@pytest.mark.parametrize("cmd, flag, value", [("fps", "--n", 1), ("fps", "--n", 5), ("nms", "--k", 1)])
+def test_cli_oracle_count_at_its_bound_runs(tmp_path, capsys, cmd, flag, value):
+    assert main(_oracle_count_args(tmp_path, cmd, flag, value)) == 0
+    capsys.readouterr()
+    if cmd == "fps":  # distinct picks, the first point first
+        indices = jsonio.load(tmp_path / "o.json")["indices"]
+        assert indices[0] == 0 and len(set(indices)) == len(indices) == value
 
 
 def test_cli_oracle_unknown_name_exits_through_argparse(capsys):

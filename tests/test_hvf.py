@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,15 @@ def test_hvf_identity_configuration_with_filled_zero_tensors(rng):
     out_l, out_i = hvf_forward(vl, vi, w)
     assert np.array_equal(out_l.feats, vl.feats)
     assert np.array_equal(out_i.feats, vi.feats)
+
+
+@pytest.mark.parametrize("branch", ["lidar", "image"])
+def test_hvf_weights_reject_a_branch_with_another_scale_count(branch):
+    w = init_hvf("hvf", 4, 3, 31)
+    own = getattr(w, branch)
+    for iv in (own.iv[:-1], own.iv + own.iv[:1]):
+        with pytest.raises(ValueError, match="3 scales"):
+            replace(w, **{branch: replace(own, iv=iv)})
 
 
 def test_hvf_empty_image_branch(rng):

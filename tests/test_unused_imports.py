@@ -1,12 +1,14 @@
-"""No module imports a name it never uses, and no package definition goes unread.
+"""No module imports a name it never uses, and no package definition or
+dataclass field goes unread.
 
-No linter ships with the toolchain, so deleting code can leave an import or
-a whole function behind unnoticed. This parses every package and test
-module with `ast` and reports each imported name the module never reads,
-and each module-level function or class of `src/ddhf` that no module of
+No linter ships with the toolchain, so deleting code can leave an import, a
+whole function or a field behind unnoticed. This parses every package and
+test module with `ast` and reports each imported name the module never
+reads, each module-level function or class of `src/ddhf` that no module of
 `src`, `tests`, `scripts` or `perfbench` reads outside the definition
-itself. Package `__init__.py` files are skipped: their imports are the
-package's re-exports.
+itself, and each dataclass field of `src/ddhf` that none of them reads as
+an attribute or names in a string. Package `__init__.py` files are skipped:
+their imports are the package's re-exports.
 """
 
 import ast
@@ -102,11 +104,15 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
     return unread
 
 
-def test_every_package_definition_is_read():
+def package_and_others() -> tuple[dict[str, str], dict[str, str]]:
+    """The sources of the package modules and of every other reader."""
     text = lambda p: p.read_text(encoding="utf-8")
     package = {p.stem: text(p) for p in MODULES if p.parent.name == "ddhf"}
-    others = {str(p.relative_to(ROOT)): text(p) for p in OTHER_READERS}
-    assert unread_definitions(package, others) == []
+    return package, {str(p.relative_to(ROOT)): text(p) for p in OTHER_READERS}
+
+
+def test_every_package_definition_is_read():
+    assert unread_definitions(*package_and_others()) == []
 
 
 def test_checker_flags_an_unread_definition():
@@ -116,3 +122,59 @@ def test_checker_flags_an_unread_definition():
     }
     others = {"t": "from m import used\nused()\nLAYERS = {'m.traced': None}\n"}
     assert unread_definitions(package, others) == ["m: recursive", "m: Lone"]
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated `@dataclass`, `@dataclass(...)` or `@dataclasses.dataclass`."""
+    decs = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "attr", getattr(d, "id", None)) == "dataclass" for d in decs)
+
+
+def field_reads(tree: ast.Module) -> set[str]:
+    """Every attribute a module reads, and every identifier, or part of a
+    dotted name, it writes as a string (a field named to `getattr`,
+    `zeroed` or a config key table)."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                reads |= set(parts)
+    return reads
+
+
+def unread_fields(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """`module: Class.field` of each dataclass field of the package that no
+    module, of the package or another, reads as an attribute or names in a
+    string. Each map goes from a module's name to its source."""
+    reads = set().union(*(field_reads(ast.parse(src)) for src in {**package, **others}.values()))
+    return [
+        f"{module}: {node.name}.{item.target.id}"
+        for module, src in package.items()
+        for node in ast.parse(src).body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in reads
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(*package_and_others()) == []
+
+
+def test_checker_flags_an_unread_field():
+    package = {
+        "m": "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass P:\n    read: int\n    named: int\n"
+        "    lone: int\n    built: int\n\n"
+        "@dataclasses.dataclass\nclass Q:\n    traced: int\n    unread: int = 0\n\n"
+        "class Plain:\n    x: int\n"
+    }
+    others = {
+        "t": "from m import P, Q\np = P(1, 2, 3, built=4)\np.read\ngetattr(p, 'named')\n"
+        "LAYERS = {'m.traced': None}\nQ(traced=1)\n"
+    }
+    assert unread_fields(package, others) == ["m: P.lone", "m: P.built", "m: Q.unread"]
