@@ -12,7 +12,6 @@ import numpy as np
 from . import jsonio, oracles
 from .config import PipelineConfig, load_config
 from .core import is_real, load_tensor, save_tensor
-from .curve import MAX_BITS
 from .evalmetrics import BOX, eval_detections
 from .pipeline import detections_to_dicts, run_pipeline
 from .scene import gen_scene, load_scene, load_spec
@@ -134,7 +133,7 @@ def _cmd_oracle(args) -> int:
         save_tensor(args.out, oracles.height_compress(coords, feats, extents))
         print(f"height-compress: {extents} -> {args.out}")
     elif cmd == "hilbert-walk":
-        _check_count("bits", args.bits, MAX_BITS)
+        _check_count("bits", args.bits, oracles.WALK_MAX_BITS)
         lines = [
             f"{h} {x} {y} {z} {step}"
             for h, x, y, z, step in oracles.hilbert_walk(args.bits)

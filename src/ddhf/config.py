@@ -87,8 +87,10 @@ def _int(least: int):
 
 
 def _divisible(v) -> bool:
-    # the voxel fusion stage downsamples x/y to its coarsest stride
-    return v[0] % STRIDES[-1] == 0 and v[1] % STRIDES[-1] == 0
+    # voxel fusion halves every axis down to its coarsest stride, and its
+    # cross-modal merge needs the image grid to stay the LiDAR grid times
+    # IMAGE_LIFT at each scale: an odd halving on z breaks that
+    return all(n % STRIDES[-1] == 0 for n in v)
 
 
 # SAFS visits every cell of the image grid, the largest grid a frame walks;
@@ -101,7 +103,7 @@ _CELLS = (
     lambda v: numbers(3, lambda n: is_int(n) and 0 < n <= 2**MAX_BITS)(v)
     and _divisible(v)
     and math.prod(v) <= MAX_GRID_CELLS,
-    f"a list of 3 integers in [1, {2**MAX_BITS}], x and y divisible by {STRIDES[-1]},"
+    f"a list of 3 integers in [1, {2**MAX_BITS}], each divisible by {STRIDES[-1]},"
     f" at most {MAX_GRID_CELLS} cells in all",
     False,
 )

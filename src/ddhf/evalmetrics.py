@@ -84,8 +84,6 @@ def _ranked_matches(dets, gts, threshold: float) -> list[bool]:
 def _average_precision(flags: list[bool], n_gt: int) -> float:
     if n_gt == 0:
         raise ValueError("AP undefined without ground truth")
-    if not flags:
-        return 0.0
     tp = np.cumsum(np.asarray(flags, dtype=np.float64))
     ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
     precision = tp / ranks

@@ -129,8 +129,7 @@ def sparse_down(
     rows = v.rows_of(out_coords * 2 + (np.array(taps, dtype=np.int64) - 1)[:, None])
     for t, tap_rows in zip(taps, rows):
         hit = np.flatnonzero(tap_rows >= 0)
-        if hit.size:
-            acc[hit] += v.feats[tap_rows[hit]].astype(np.float64) @ kernel[t].astype(np.float64)
+        acc[hit] += v.feats[tap_rows[hit]].astype(np.float64) @ kernel[t].astype(np.float64)
     return SparseVoxelSet(out_coords, silu(acc), grid_out)
 
 
@@ -155,8 +154,7 @@ def sparse_up(
     cfeats = v_coarse.feats.astype(np.float64)
     for k, t in enumerate(np.ndindex(2, 2, 2)):
         sel = np.flatnonzero(tap == k)
-        if sel.size:
-            add[sel] += cfeats[parents[sel]] @ kernel[t].astype(np.float64)
+        add[sel] += cfeats[parents[sel]] @ kernel[t].astype(np.float64)
     return target.with_feats(add)
 
 
@@ -187,6 +185,13 @@ class HvfWeights:
     def __post_init__(self):
         if not (len(self.lidar.iv) == len(self.image.iv) == len(self.cv) == N_SCALES):
             raise ValueError(f"HvfWeights: expected {N_SCALES} scales")
+        for name in ("lidar", "image"):
+            branch = getattr(self, name)
+            if not len(branch.down) == len(branch.up) == N_SCALES - 1:
+                raise ValueError(
+                    f"HvfWeights: the {name} branch needs {N_SCALES - 1} down and up"
+                    f" convolutions, got {len(branch.down)} and {len(branch.up)}"
+                )
 
     def identity_configured(self) -> "HvfWeights":
         """Identity scan blocks and zero upsample kernels: features pass through."""

@@ -450,8 +450,15 @@ def hilbert_index(x: int, y: int, z: int, bits: int) -> int:
     return h
 
 
+# the walk holds all 8**bits cells: 6 bits is 262,144 cells and about a
+# second, and each further bit multiplies time and memory by about 8
+WALK_MAX_BITS = 6
+
+
 def hilbert_walk(bits: int) -> list[tuple[int, int, int, int, int]]:
     """(index, x, y, z, L1 step from previous cell) for every cell, in curve order."""
+    if not 1 <= bits <= WALK_MAX_BITS:
+        raise ValueError(f"hilbert_walk: bits must be in [1, {WALK_MAX_BITS}], got {bits}")
     side = 1 << bits
     cells = {}
     for x in range(side):

@@ -134,8 +134,7 @@ def build_mask(p_easy: np.ndarray, h: int, w: int, kernel: int = 3) -> QueryMask
         raise ValueError("build_mask: kernel must be odd and >= 1")
     ind = np.zeros((h, w), dtype=np.float32)
     p_easy = np.asarray(p_easy, dtype=np.int64).reshape(-1, 2)
-    if p_easy.shape[0]:
-        ind[p_easy[:, 0], p_easy[:, 1]] = 1.0
+    ind[p_easy[:, 0], p_easy[:, 1]] = 1.0
     dilated = max_pool2d_same(ind, kernel)
     return QueryMask((1.0 - dilated).astype(np.uint8))
 

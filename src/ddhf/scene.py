@@ -155,8 +155,6 @@ def sample_object_points(obj: SceneObject, seed: int, index: int) -> np.ndarray:
 
 def _clutter_points(spec: SceneSpec) -> np.ndarray:
     n = spec.n_clutter
-    if n == 0:
-        return np.zeros((0, 4), dtype=np.float32)
     u = named_draws("scene.clutter", spec.seed, 4 * n).reshape(4, n)
     x = spec.x_range[0] + u[0] * (spec.x_range[1] - spec.x_range[0])
     y = spec.y_range[0] + u[1] * (spec.y_range[1] - spec.y_range[0])

@@ -272,15 +272,14 @@ def _first_fit(count: int, src: np.ndarray, dst: np.ndarray, quota: int) -> np.n
     unblocked nodes are the ones a walk stopping at the quota takes.
     """
     blocked = bytearray(count)
-    if src.size:
-        order = np.argsort(src, kind="stable")
-        heads, first = np.unique(src[order], return_index=True)
-        stops = np.append(first[1:], src.size).tolist()
-        dst = dst[order].tolist()
-        for i, a, b in zip(heads.tolist(), first.tolist(), stops):
-            if not blocked[i]:
-                for j in dst[a:b]:
-                    blocked[j] = 1
+    order = np.argsort(src, kind="stable")
+    heads, first = np.unique(src[order], return_index=True)
+    stops = np.append(first[1:], src.size).tolist()
+    dst = dst[order].tolist()
+    for i, a, b in zip(heads.tolist(), first.tolist(), stops):
+        if not blocked[i]:
+            for j in dst[a:b]:
+                blocked[j] = 1
     return np.flatnonzero(np.frombuffer(blocked, dtype=np.uint8) == 0)[:quota]
 
 
@@ -368,8 +367,6 @@ def _best_camera(
         valid = (z > MIN_DEPTH) & (u >= 0) & (u <= w_img - 1) & (v >= 0) & (v <= h_img - 1)
         kbin = bins.bin_of(z)
         valid &= (kbin >= 0) & (kbin < bins.count)
-        if not np.any(valid):
-            continue
         sel = np.flatnonzero(valid)
         mu, mv = u[sel] / FEATURE_STRIDE, v[sel] / FEATURE_STRIDE
         h, w = images.sem[cam_idx].shape

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -45,18 +47,53 @@ def sparse_lattice(rng, extents, keep: float = 0.9) -> np.ndarray:
     return ((cells + 0.5) * (2.25, 2.25, 0.5))[rng.random(cells.shape[0]) < keep]
 
 
-def run_at_blas_threads(code: str, threads: int) -> list[str]:
-    """Runs `code` in a fresh interpreter with OPENBLAS_NUM_THREADS=threads
-    (read only at numpy import, so an in-process switch would not reach it),
-    with src/ and tests/ importable; returns its stdout lines."""
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+TESTS = Path(__file__).resolve().parent
+PINS_PATH = TESTS / "pins.json"
+# every pinned digest, by table and entry; scripts/repin.py rewrites the file
+PINS = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+
+
+def sha256_hashes(outputs: dict) -> dict:
+    """SHA-256 of each output array's bytes, in C order."""
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        for name, out in outputs.items()
+    }
+
+
+def recorded(module, name: str, fn, *args) -> tuple:
+    """fn(*args) and a copy of every result `module.name` returns meanwhile,
+    in call order, captured by wrapping the module global its callers read."""
+    seen = []
+    orig = getattr(module, name)
+
+    def record(*a):
+        out = orig(*a)
+        seen.append(out.copy())
+        return out
+
+    setattr(module, name, record)
+    try:
+        return fn(*args), seen
+    finally:
+        setattr(module, name, orig)
+
+
+def hashes_at_blas_threads(call, threads: int, *args) -> dict:
+    """call(*args), a test module's function that returns a dict of strings,
+    run in a fresh interpreter with OPENBLAS_NUM_THREADS=threads (read only
+    at numpy import, so an in-process switch would not reach it)."""
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
+    code = (
+        f"import json\nfrom {call.__module__} import {call.__name__} as call\n"
+        f"print(json.dumps(call(*{args!r})))\n"
+    )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
     )
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()
+    return json.loads(run.stdout)
 
 
 @pytest.fixture

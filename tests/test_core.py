@@ -146,6 +146,8 @@ def test_sparse_voxel_set_validation():
         SparseVoxelSet(np.array([[0, 0, 4]], dtype=np.int64), feats[:1], grid)
     with pytest.raises(ValueError):
         SparseVoxelSet(np.array([[1, 1, 1], [1, 1, 1]], dtype=np.int64), feats, grid)
+    with pytest.raises(ValueError, match="feats must be"):  # (n, C), but one row short
+        SparseVoxelSet(coords, feats[:1], grid)
 
 
 def test_rows_of_matches_dict_lookup(rng):

@@ -29,6 +29,13 @@ def test_hilbert_bijective_and_adjacent(bits):
     assert len(seen) == n
 
 
+def test_hilbert_walk_rejects_bits_past_its_bound():
+    # checked before any cell is built: the walk never runs past its bound
+    for bits in (0, oracles.WALK_MAX_BITS + 1):
+        with pytest.raises(ValueError, match=r"hilbert_walk: bits must be in \[1, 6\]"):
+            oracles.hilbert_walk(bits)
+
+
 def test_hilbert_index_vectorized_matches_scalar(rng):
     bits = 4
     coords = rng.integers(0, 1 << bits, size=(200, 3))
@@ -67,14 +74,15 @@ def test_hilbert_order_empty():
 
 
 def test_scan_orders_2d_shapes_and_content():
-    scans = scan_orders_2d(2, 3)
-    base = np.arange(6)
-    assert scans.row_fwd.tolist() == base.tolist()
-    assert scans.row_rev.tolist() == base[::-1].tolist()
-    col = base.reshape(2, 3).T.ravel()
-    assert scans.col_fwd.tolist() == col.tolist()
-    assert scans.col_rev.tolist() == col[::-1].tolist()
-    assert len(scans.all()) == 4
+    for h, w in ((2, 3), (1, 5)):  # a one-row map is a valid map
+        scans = scan_orders_2d(h, w)
+        base = np.arange(h * w)
+        assert scans.row_fwd.tolist() == base.tolist()
+        assert scans.row_rev.tolist() == base[::-1].tolist()
+        col = base.reshape(h, w).T.ravel()
+        assert scans.col_fwd.tolist() == col.tolist()
+        assert scans.col_rev.tolist() == col[::-1].tolist()
+        assert len(scans.all()) == 4
 
 
 def test_cross_merge_2d_matches_reference(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import operator
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_at_blas_threads, traced_peak
+from conftest import PINS, hashes_at_blas_threads, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from ddhf.config import (
 from ddhf.core import CAMERA_MAX, CameraModel, load_tensor, save_tensor
 from ddhf.curve import MAX_BITS
 from ddhf.hvf import STRIDES
+from ddhf.oracles import WALK_MAX_BITS
 from ddhf.pipeline import (
     detections_to_dicts,
     init_pipeline_weights,
@@ -83,6 +85,9 @@ def test_config_validation():
     # 2**20 cells per axis is the most the Hilbert order indexes, and 2**24
     # cells in all (4 * 4 * 2**20) the most a grid may hold
     PipelineConfig(lidar_cells=(4, 4, 2**19), image_cells=(4, 4, 2**20))
+    PipelineConfig(lidar_cells=(2048, 1024, 4), image_cells=(2048, 1024, 8))  # 2**24 image cells
+    with pytest.raises(ValueError, match=r"^config\.image_cells must be .* at most 16777216"):
+        PipelineConfig(lidar_cells=(2048, 2048, 4), image_cells=(2048, 2048, 8))  # 2**25
     with pytest.raises(TypeError):  # not a field: voxel fusion fixes the strides
         PipelineConfig(strides=(1, 2, 8))
     with pytest.raises(ValueError):
@@ -129,6 +134,7 @@ BOUND_CASES = [
     ("lidar_cells", (0, 48, 8)),
     ("lidar_cells", (48, 48, -8)),
     ("lidar_cells", (46, 48, 8)),  # x not divisible by the coarsest stride
+    ("lidar_cells", (48, 48, 6)),  # nor z: the merge at stride 4 would fail
     ("lidar_cells", (48, 48, 2**20 + 1)),  # past the Hilbert order's 20 bits per axis
     ("image_cells", (48, 48, 0)),
     ("image_cells", (48, 50, 16)),
@@ -465,26 +471,37 @@ def nonzero_weights_digest(weights) -> str:
     return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
-WEIGHT_VALUE_DIGESTS = {
-    "tiny_seeded": (TINY, "seeded",
-                    "aa41a619c440a28d98ac5df8a6f4a323a2072d5ab020b4797718a6b35702fe1a"),
-    "tiny_passthrough": (TINY, "passthrough",
-                         "5b976d71438fdb7fd51a83d3b480583c333e99a7751a44ec9a05534f0a454c5c"),
-    "default_seeded": (PipelineConfig(), "seeded",
-                       "f1a0baac6855e88edfa9f8a4b319ae55c663c04f0551fccade29d502fcc7e7ee"),
-    "default_passthrough": (PipelineConfig(), "passthrough",
-                            "167976e236e220392271e8b4d88f34048eed75bd5848710d58b5d82b414a1023"),
+WEIGHT_CASES = {  # PINS["weights"] entry -> (config, weights mode)
+    "tiny_seeded": (TINY, "seeded"),
+    "tiny_passthrough": (TINY, "passthrough"),
+    "default_seeded": (PipelineConfig(), "seeded"),
+    "default_passthrough": (PipelineConfig(), "passthrough"),
 }
 
 
-@pytest.mark.parametrize(
-    "cfg, mode, digest", list(WEIGHT_VALUE_DIGESTS.values()), ids=list(WEIGHT_VALUE_DIGESTS)
-)
-def test_weight_values_pinned(cfg, mode, digest):
+def weight_digest(cfg, mode) -> str:
     from ddhf.pipeline import build_weights
 
-    weights = build_weights(dataclasses.replace(cfg, weights_mode=mode))
-    assert nonzero_weights_digest(weights) == digest
+    return nonzero_weights_digest(build_weights(dataclasses.replace(cfg, weights_mode=mode)))
+
+
+def weight_digests() -> dict:
+    return {case: weight_digest(*args) for case, args in WEIGHT_CASES.items()}
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_CASES))
+def test_weight_values_pinned(case):
+    assert weight_digest(*WEIGHT_CASES[case]) == PINS["weights"][case]
+
+
+@pytest.mark.parametrize("mode", ["seeded", "passthrough"])
+def test_one_class_config_runs_a_frame(mode):
+    from ddhf.scene import gen_points, render_images
+
+    cfg = dataclasses.replace(TINY, k_classes=1, weights_mode=mode)
+    points, images = gen_points(TINY_SCENE), render_images(TINY_SCENE)
+    dets, _ = run_pipeline(points, images, list(TINY_SCENE.cameras), cfg)
+    assert dets and {d.class_id for d in dets} == {0}
 
 
 def test_run_pipeline_accepts_full_intensity():
@@ -666,22 +683,19 @@ GOLDEN_SCENE = SceneSpec(
 )
 
 
-# SHA-256 of json.dumps(detections_to_dicts(dets), sort_keys=True). A change
-# that keeps behaviour keeps these; one that changes numerics on purpose
-# updates them and says why in CHANGES.md.
-GOLDEN_DIGESTS = {
-    "tiny_seeded": (TINY, TINY_SCENE, "seeded",
-                    "4b66309c71878bee04d967d7127c98e78c0ae81a27a3aed41164a5b2dea71501"),
-    "tiny_passthrough": (TINY, TINY_SCENE, "passthrough",
-                         "6298dadd04a29fd992b26e8b8b007e0070751bc1dc497993c69921ee93aff361"),
-    "default_seeded": (PipelineConfig(), GOLDEN_SCENE, "seeded",
-                       "192b8de4e0c6b1f16ce66633e9c54ccbbc051c76b6cc246806d1d95072ae2a5c"),
-    "default_passthrough": (PipelineConfig(), GOLDEN_SCENE, "passthrough",
-                            "2081d5ff9c3344b7159724738910ac3bc30051b7ea6f594122a4b5838b597f47"),
+GOLDEN_CASES = {  # PINS["golden"] entry -> (config, scene, weights mode)
+    "tiny_seeded": (TINY, TINY_SCENE, "seeded"),
+    "tiny_passthrough": (TINY, TINY_SCENE, "passthrough"),
+    "default_seeded": (PipelineConfig(), GOLDEN_SCENE, "seeded"),
+    "default_passthrough": (PipelineConfig(), GOLDEN_SCENE, "passthrough"),
 }
 
 
 def detection_digest(cfg, spec, mode):
+    """SHA-256 of json.dumps(detections_to_dicts(dets), sort_keys=True). A
+    change that keeps behaviour keeps the pinned ones; one that changes
+    numerics on purpose re-pins through scripts/repin.py and says why in
+    CHANGES.md."""
     from ddhf.scene import gen_points, render_images
 
     cfg = dataclasses.replace(cfg, weights_mode=mode)
@@ -690,25 +704,32 @@ def detection_digest(cfg, spec, mode):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "cfg, spec, mode, digest", list(GOLDEN_DIGESTS.values()), ids=list(GOLDEN_DIGESTS)
-)
-def test_golden_detection_digest(cfg, spec, mode, digest):
-    assert detection_digest(cfg, spec, mode) == digest
+def golden_digests(cases=tuple(GOLDEN_CASES)) -> dict:
+    return {case: detection_digest(*GOLDEN_CASES[case]) for case in cases}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_detection_digest(case):
+    assert detection_digest(*GOLDEN_CASES[case]) == PINS["golden"][case]
 
 
 def test_golden_digest_one_blas_thread():
     # the in-process digests run at the default BLAS thread count; the seeded
     # ones must not change when OpenBLAS runs on one thread or on four
     cases = ("tiny_seeded", "default_seeded")
-    code = (
-        "import test_harness as h\n"
-        f"for case in {cases!r}:\n"
-        "    print(case, h.detection_digest(*h.GOLDEN_DIGESTS[case][:3]))\n"
-    )
+    want = {case: PINS["golden"][case] for case in cases}
     for threads in (1, 4):
-        got = dict(line.split() for line in run_at_blas_threads(code, threads))
-        assert got == {case: GOLDEN_DIGESTS[case][3] for case in cases}, threads
+        assert hashes_at_blas_threads(golden_digests, threads, cases) == want, threads
+
+
+def test_repin_script_recomputes_every_pinned_table():
+    # a table that only pins.json holds would never be re-pinned, and one
+    # that only the script holds would be written but never read
+    path = Path(__file__).resolve().parent.parent / "scripts" / "repin.py"
+    spec = importlib.util.spec_from_file_location("repin", path)
+    repin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(repin)
+    assert set(repin.TABLES) == set(PINS)
 
 
 def camera_less_detections(cfg, spec, mode, weights=None) -> str:
@@ -1120,7 +1141,7 @@ def _oracle_count_args(tmp_path, cmd: str, flag: str, value: int) -> list[str]:
     return ["oracle", cmd, *inputs[cmd], flag, str(value)]
 
 
-# the bounds of the library twins: viewtrans.fps, pqg.nms_topk, curve.hilbert_index
+# the bounds of the library twins: viewtrans.fps, pqg.nms_topk, oracles.hilbert_walk
 @pytest.mark.parametrize(
     "cmd, flag, value",
     [
@@ -1129,6 +1150,7 @@ def _oracle_count_args(tmp_path, cmd: str, flag: str, value: int) -> list[str]:
         ("nms", "--k", 0),
         ("nms", "--k", -3),
         ("hilbert-walk", "--bits", 0),
+        ("hilbert-walk", "--bits", WALK_MAX_BITS + 1),  # never run: 8x the bound's cells
         ("hilbert-walk", "--bits", MAX_BITS + 1),
     ],
 )

@@ -239,6 +239,19 @@ def test_hvf_weights_reject_a_branch_with_another_scale_count(branch):
             replace(w, **{branch: replace(own, iv=iv)})
 
 
+@pytest.mark.parametrize("branch", ["lidar", "image"])
+@pytest.mark.parametrize("steps", [(1, 0), (1, 2), (2, 1), (3, 3)])
+def test_hvf_weights_reject_a_branch_with_another_step_count(branch, steps):
+    # hvf_forward indexes down and up once per step between scales; a short
+    # tuple would fail there with a bare IndexError
+    w = init_hvf("hvf", 4, 3, 31)
+    own = getattr(w, branch)
+    n_down, n_up = steps
+    cut = replace(own, down=(own.down * 2)[:n_down], up=(own.up * 2)[:n_up])
+    with pytest.raises(ValueError, match=f"the {branch} branch needs 2 down and up"):
+        replace(w, **{branch: cut})
+
+
 def test_hvf_empty_image_branch(rng):
     w = init_hvf("hvf", 4, 3, 31)
     vl, _ = paired_sets(rng)

@@ -33,6 +33,13 @@ def heat(data):
     return Heatmap(np.asarray(data, dtype=np.float32))
 
 
+def test_heatmap_rejects_values_outside_unit_range():
+    heat([[[0.0, 1.0]]])
+    for bad in (-0.5, 1.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            heat([[[0.5, bad]]])
+
+
 def test_heatmap_head_zero_weights(rng):
     c, k = 4, 3
     w = HeatmapHeadWeights(

@@ -158,6 +158,12 @@ def test_spec_rejects_out_of_range_object():
         SceneSpec(seed=1, objects=(SceneObject(0, (99.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0),))
 
 
+def test_spec_accepts_objects_on_the_world_range_ends():
+    ends = ((54.0, 54.0, 3.0), (-54.0, -54.0, -5.0))
+    objects = tuple(SceneObject(0, c, (1.0, 1.0, 1.0), 0.0) for c in ends)
+    assert SceneSpec(seed=1, objects=objects).objects == objects
+
+
 def det(x, y, cls, score):
     return {"center": [x, y, 0.0], "class": cls, "score": score}
 

@@ -1,8 +1,6 @@
-import hashlib
-
 import numpy as np
 import pytest
-from conftest import fill_zero_tensors, run_at_blas_threads, traced_peak
+from conftest import PINS, fill_zero_tensors, hashes_at_blas_threads, sha256_hashes, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,10 +255,6 @@ def scan_hash_block_input() -> tuple[np.ndarray, SsmBlockWeights]:
     return np.random.default_rng(3000).normal(size=(3000, 32)).astype(np.float32), w
 
 
-def sha256_hex(out: np.ndarray) -> str:
-    return hashlib.sha256(out.tobytes()).hexdigest()
-
-
 def scan_hashes() -> dict:
     """SHA-256 of the float32 output bytes of one seeded bidirectional block
     (C=32, d_state=16, n=3000) and of its forward scan at three block sizes."""
@@ -270,21 +264,13 @@ def scan_hashes() -> dict:
     outs = {"block": bidirectional_block(seq, w)}
     for chunk in (1, 64, seq.shape[0]):
         outs[f"scan_chunk_{chunk}"] = selective_scan_chunked(x, w.a, params, chunk)
-    return {name: sha256_hex(out) for name, out in outs.items()}
-
-
-# Unlike the golden detection digests, these change when any scan output
-# moves by one float32 ulp; a change meant to keep the scan's bits keeps them.
-SCAN_HASHES = {
-    "block": "53816445c60c811162e8c7af4b24c30d460140435e21faf2859ac2502c0c91fb",
-    "scan_chunk_1": "cfc54d2f89bb12dbb465766ff2d7d849a8038780becc957365791d1131d1a91d",
-    "scan_chunk_64": "cfc54d2f89bb12dbb465766ff2d7d849a8038780becc957365791d1131d1a91d",
-    "scan_chunk_3000": "cfc54d2f89bb12dbb465766ff2d7d849a8038780becc957365791d1131d1a91d",
-}
+    return sha256_hashes(outs)
 
 
 def test_scan_output_hashes():
-    assert scan_hashes() == SCAN_HASHES
+    # unlike the golden detection digests, these change when any scan output
+    # moves by one float32 ulp; a change meant to keep the scan's bits keeps them
+    assert scan_hashes() == PINS["scan"]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 3000])
@@ -292,15 +278,14 @@ def test_bidirectional_block_any_row_chunk(monkeypatch, rows):
     # every step the row chunks cut is row-wise, so each chunk size keeps the
     # pinned bits (3000 is the whole sequence)
     monkeypatch.setattr(ssm, "ROW_CHUNK", rows)
-    assert sha256_hex(bidirectional_block(*scan_hash_block_input())) == SCAN_HASHES["block"]
+    block = bidirectional_block(*scan_hash_block_input())
+    assert sha256_hashes({"block": block})["block"] == PINS["scan"]["block"]
 
 
 def test_scan_output_hashes_blas_threads():
     # the batched readout matmul must give the same bits at any BLAS thread count
-    code = "import test_ssm as t\nfor k, v in t.scan_hashes().items():\n    print(k, v)\n"
     for threads in (1, 4):
-        got = dict(line.split() for line in run_at_blas_threads(code, threads))
-        assert got == SCAN_HASHES, threads
+        assert hashes_at_blas_threads(scan_hashes, threads) == PINS["scan"], threads
 
 
 @settings(max_examples=20, deadline=None)

@@ -9,8 +9,6 @@ when any output moves by one ulp or one index. A change meant to keep the
 stages' bits keeps them at any BLAS thread count.
 """
 
-import hashlib
-
 import numpy as np
 
 from ddhf import viewtrans
@@ -21,29 +19,11 @@ from ddhf.hbf import sparse_height_compress
 from ddhf.hvf import sparse_down, sparse_up
 from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 
-from conftest import random_voxel_set, run_at_blas_threads
+from conftest import PINS, hashes_at_blas_threads, random_voxel_set, recorded, sha256_hashes
 from test_viewtrans import make_feature_set
 
 N_VOXELS = 12_000  # about 28% of the lidar grid, so most pillars hold several
 N_KEYS = 20_000
-
-
-def with_fps_picks(fn, *args) -> tuple:
-    """fn(*args) and the picks of every `viewtrans.fps` call it makes, in
-    call order, captured by wrapping the module global its callers read."""
-    seen = []
-    orig = viewtrans.fps
-
-    def record(points, n_target):
-        out = orig(points, n_target)
-        seen.append(out.copy())
-        return out
-
-    viewtrans.fps = record
-    try:
-        return fn(*args), seen
-    finally:
-        viewtrans.fps = orig
 
 
 def stage_outputs() -> dict:
@@ -58,7 +38,7 @@ def stage_outputs() -> dict:
     images = make_feature_set(rng, [(h, w)] * len(cameras), cfg.depth_count, c)
     bins = cfg.depth_bins()
     args = (cfg.image_grid(), images, cameras, bins, cfg.d_thresh, cfg.s_thresh, cfg.safs_cap)
-    v_img, (outs["fps_picks"],) = with_fps_picks(viewtrans.safs_select, *args)
+    v_img, (outs["fps_picks"],) = recorded(viewtrans, "fps", viewtrans.safs_select, *args)
     outs.update(safs_coords=v_img.coords, safs_feats=v_img.feats)
     outs["lss_splat"] = viewtrans.lss_splat(images, cameras, bins, cfg.lidar_grid()).data
 
@@ -86,32 +66,13 @@ def stage_outputs() -> dict:
 
 def stage_hashes() -> dict:
     """SHA-256 of each pinned output's bytes."""
-    return {
-        name: hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
-        for name, out in stage_outputs().items()
-    }
-
-
-STAGE_HASHES = {
-    "fps_picks": "0f548b4d58ad967c2b586dfc097105a60f626764aa1643141d56f2b48c83d098",
-    "safs_coords": "e6187cc5bff0f531899ee59ad13d6731f7e185155dc1f87396c15f5616d9e5fd",
-    "safs_feats": "d0eaf4e5759a75c80c8f70fffcd4289e193d0932a031d4448b3145f6642fc463",
-    "lss_splat": "febb4d1dd0be66f56f076330f3d929225f01b09f373fd413b22ed06b62e9ed89",
-    "sparse_height_compress": "6439200e4d10ef74cd3b2332a1d26d77c7120b5b2a8e306fdc497b9ff74b55c8",
-    "sparse_down_coords": "1cb6fa313d7ec17bc35180660b6d6a775dd591288be962695986783ba4cd3247",
-    "sparse_down_feats": "76e8503a73e149bebff8e201e56f212f93b6dcf988c9788d2dc6ea8554fce6af",
-    "sparse_up": "5274b85fb97e8082021ef0d30cee484810ac5e128f826efe524e7b76181a0f0b",
-    "hilbert_index_b6": "23acf7c25b4f33a2c056389a22bf007fcb488b81b153822a2b6a38c3786c2dec",
-    "hilbert_index_b20": "f01fb5066351857052cc1d903abd6a8579c93690fa774dc5a622be10a0986d63",
-}
+    return sha256_hashes(stage_outputs())
 
 
 def test_stage_hashes():
-    assert stage_hashes() == STAGE_HASHES
+    assert stage_hashes() == PINS["stage"]
 
 
 def test_stage_hashes_blas_threads():
-    code = "import test_stage_hashes as t\nfor k, v in t.stage_hashes().items():\n    print(k, v)\n"
     for threads in (1, 2):
-        got = dict(line.split() for line in run_at_blas_threads(code, threads))
-        assert got == STAGE_HASHES, threads
+        assert hashes_at_blas_threads(stage_hashes, threads) == PINS["stage"], threads
