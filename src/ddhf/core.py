@@ -153,7 +153,7 @@ class GridSpec:
         return o + (coords.astype(np.float64) + 0.5) * s
 
     def point_coords(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integer cell indices for points (n, 3) plus an in-range mask."""
+        """Integer cell indices for points (n, >= 3) plus an in-range mask."""
         o = np.asarray(self.origin, dtype=np.float64)
         s = np.asarray(self.voxel_size, dtype=np.float64)
         idx = np.floor((points[:, :3].astype(np.float64) - o) / s).astype(np.int64)
@@ -315,7 +315,7 @@ def voxelize(points: np.ndarray, grid: GridSpec) -> SparseVoxelSet:
     independent of input point order.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 4)
-    idx, mask = grid.point_coords(points[:, :3])
+    idx, mask = grid.point_coords(points)
     idx, pts = idx[mask], points[mask]
 
     flat = np.ravel_multi_index(idx.T, grid.extents)

@@ -12,12 +12,12 @@ import numpy as np
 from .core import is_real
 
 
-def _render(obj) -> str:
+def dumps(obj) -> str:
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = (f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -34,12 +34,8 @@ def _render(obj) -> str:
     raise TypeError(f"json dump: unsupported type {type(obj)}")
 
 
-def dumps(obj) -> str:
-    return _render(obj)
-
-
 def dump(obj, path: str | Path) -> None:
-    Path(path).write_text(_render(obj) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
 
 
 def load(path: str | Path):

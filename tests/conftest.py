@@ -79,16 +79,13 @@ def recorded(module, name: str, fn, *args) -> tuple:
         setattr(module, name, orig)
 
 
-def hashes_at_blas_threads(call, threads: int, *args) -> dict:
-    """call(*args), a test module's function that returns a dict of strings,
-    run in a fresh interpreter with OPENBLAS_NUM_THREADS=threads (read only
-    at numpy import, so an in-process switch would not reach it)."""
-    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
+def pins_at_blas_threads(threads: int) -> dict:
+    """Every table of scripts/repin.py's TABLES, recomputed in a fresh
+    interpreter with OPENBLAS_NUM_THREADS=threads (read only at numpy
+    import, so an in-process switch would not reach it)."""
+    path = [str(TESTS.parent / "scripts"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
-    code = (
-        f"import json\nfrom {call.__module__} import {call.__name__} as call\n"
-        f"print(json.dumps(call(*{args!r})))\n"
-    )
+    code = "import json, repin\nprint(json.dumps(repin.recompute_pins()))\n"
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
     )

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import operator
 import os
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import PINS, hashes_at_blas_threads, traced_peak
+from conftest import PINS, pins_at_blas_threads, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -108,7 +107,6 @@ def test_config_validation():
         ({"lidar_cells": [48, 48]}, "lidar_cells"),
         ({"image_cells": [48, 48, 16.0]}, "image_cells"),
         ({"x_range": [-54, "54"]}, "x_range"),
-        ({"strides": "124"}, "strides"),
         ({"weights_mode": ["seeded"]}, "weights_mode"),
         ([1, 2], "JSON object"),
         ({"strides": [1, 2, 4]}, "strides"),  # once the one legal value, now unknown
@@ -345,14 +343,6 @@ def test_peak_rss_mb_is_the_bench_unit():
     got = peak_rss_mb()
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert before <= got <= after
-
-
-def test_pipeline_no_cameras(rng):
-    from ddhf.scene import gen_points
-
-    points = gen_points(TINY_SCENE)
-    dets, _ = run_pipeline(points, [], [], TINY)
-    assert isinstance(dets, list)
 
 
 def _with_pixel(value):
@@ -704,8 +694,8 @@ def detection_digest(cfg, spec, mode):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def golden_digests(cases=tuple(GOLDEN_CASES)) -> dict:
-    return {case: detection_digest(*GOLDEN_CASES[case]) for case in cases}
+def golden_digests() -> dict:
+    return {case: detection_digest(*spec) for case, spec in GOLDEN_CASES.items()}
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
@@ -713,23 +703,11 @@ def test_golden_detection_digest(case):
     assert detection_digest(*GOLDEN_CASES[case]) == PINS["golden"][case]
 
 
-def test_golden_digest_one_blas_thread():
-    # the in-process digests run at the default BLAS thread count; the seeded
-    # ones must not change when OpenBLAS runs on one thread or on four
-    cases = ("tiny_seeded", "default_seeded")
-    want = {case: PINS["golden"][case] for case in cases}
-    for threads in (1, 4):
-        assert hashes_at_blas_threads(golden_digests, threads, cases) == want, threads
-
-
-def test_repin_script_recomputes_every_pinned_table():
-    # a table that only pins.json holds would never be re-pinned, and one
-    # that only the script holds would be written but never read
-    path = Path(__file__).resolve().parent.parent / "scripts" / "repin.py"
-    spec = importlib.util.spec_from_file_location("repin", path)
-    repin = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(repin)
-    assert set(repin.TABLES) == set(PINS)
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_every_pin_holds_at_blas_threads(threads):
+    # the in-process pin tests run at the default BLAS thread count; every
+    # table of scripts/repin.py must give the same bits at any other count
+    assert pins_at_blas_threads(threads) == PINS
 
 
 def camera_less_detections(cfg, spec, mode, weights=None) -> str:

@@ -26,7 +26,7 @@ from ddhf.decoder import (
 from ddhf.hbf import cb_mamba, init_cb_mamba
 from ddhf.pqg import collect, hia, init_hia
 
-from conftest import PINS, hashes_at_blas_threads, random_voxel_set, recorded, sha256_hashes
+from conftest import PINS, random_voxel_set, recorded, sha256_hashes
 
 SIDE = 48  # BEV cells per side, as the default config
 N_EASY = 100
@@ -105,13 +105,6 @@ def layer_hashes() -> dict:
 
 def test_layer_hashes():
     assert layer_hashes() == PINS["layer"]
-
-
-def test_layer_hashes_blas_threads():
-    # the kernel generators, the attention products and the stacked per-query
-    # matmuls must give the same bits at any BLAS thread count
-    for threads in (1, 4):
-        assert hashes_at_blas_threads(layer_hashes, threads) == PINS["layer"], threads
 
 
 @pytest.mark.parametrize("size", [1, N_QUERIES])

@@ -6,6 +6,7 @@ import pytest
 from ddhf import jsonio, oracles
 from ddhf.evalmetrics import THRESHOLDS, eval_detections
 from ddhf.scene import (
+    BACKGROUND,
     SceneObject,
     SceneSpec,
     gen_points,
@@ -73,6 +74,20 @@ def test_render_images_shapes_and_range():
     for img in images:
         assert img.shape == (64, 96, 3)
         assert img.min() >= 0 and img.max() <= 1
+
+
+@pytest.mark.parametrize(
+    "center, row", [((3.0, 0.0, 0.0), -1), ((1.5, 0.0, 3.0), 0)], ids=["bottom", "top"]
+)
+def test_render_images_tints_the_edge_under_an_object_just_off_image(center, row):
+    # camera 0 looks along +x from 2 m up: a unit object 3 m ahead on the
+    # ground projects to v = 63.5 (radius 8) and one 1.5 m ahead at 3 m up
+    # to v = -0.5 (radius 16), half a pixel past the bottom and top edges and
+    # well inside the 3-radius cull, so each blob still tints the edge row
+    spec = SceneSpec(seed=1, objects=(SceneObject(0, center, (1.0, 1.0, 1.0), 0.0),))
+    (v,) = spec.cameras[0].project(np.asarray([center]))[1]
+    assert not 0 <= v <= spec.image_size[0] - 1
+    assert render_images(spec)[0][row].max() > BACKGROUND + 0.5
 
 
 def test_scene_roundtrip_bytes(tmp_path):
@@ -193,6 +208,15 @@ def test_eval_distance_threshold_boundary():
     res2 = eval_detections([det(0.6, 0.0, 0, 0.9)], gts)
     assert res2.ap_at(0, 0.5) == 0.0
     assert res2.ap_at(0, 1.0) == 1.0
+
+
+def test_eval_default_thresholds():
+    # each class scores at 0.5, 1, 2 and 4 m; a detection 2.5 m off its
+    # ground truth misses at 2 m and hits at 4 m
+    res = eval_detections([det(2.5, 0.0, 0, 0.9)], [gt(0, 0, 0), gt(9, 9, 1)])
+    assert set(res.ap) == {(c, t) for c in (0, 1) for t in (0.5, 1.0, 2.0, 4.0)}
+    assert res.ap_at(0, 2.0) == 0.0
+    assert res.ap_at(0, 4.0) == 1.0
 
 
 def test_eval_greedy_takes_nearest_unmatched():

@@ -19,7 +19,7 @@ from ddhf.hbf import sparse_height_compress
 from ddhf.hvf import sparse_down, sparse_up
 from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 
-from conftest import PINS, hashes_at_blas_threads, random_voxel_set, recorded, sha256_hashes
+from conftest import PINS, random_voxel_set, recorded, sha256_hashes
 from test_viewtrans import make_feature_set
 
 N_VOXELS = 12_000  # about 28% of the lidar grid, so most pillars hold several
@@ -71,8 +71,3 @@ def stage_hashes() -> dict:
 
 def test_stage_hashes():
     assert stage_hashes() == PINS["stage"]
-
-
-def test_stage_hashes_blas_threads():
-    for threads in (1, 2):
-        assert hashes_at_blas_threads(stage_hashes, threads) == PINS["stage"], threads
