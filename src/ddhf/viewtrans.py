@@ -298,7 +298,10 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
     neighbour search over index blocks (`_FpsBlocks`) from all its ties,
     instead of one pass over all points per pick: its pairs between ties
     are the skip edges, and its pairs from taken ties the distance updates.
-    Once m is 0 only duplicates of picks remain, and every
+    A level with more ties than picks left is first searched from only as
+    many ties as picks left: if none of those is within < m of another,
+    the walk takes exactly them and ends. The last level updates no
+    distance. Once m is 0 only duplicates of picks remain, and every
     further pick is index 0, as argmax over all-zero distances gives.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -321,14 +324,25 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
         if m == 0:
             break
         ties = np.flatnonzero(dist == m)
+        quota = n_target - filled
+        if ties.size > quota:
+            # the walk takes the first quota ties unless one is within < m
+            # of an earlier one; then it ends, so no distance needs updating
+            head = ties[:quota]
+            qpos, idx, _ = blocks.near(head, m, dist)
+            if not np.any((dist[idx] == m) & (idx > head[qpos]) & (idx <= head[-1])):
+                chosen[filled:] = head
+                break
         # every point within < m of a tie that the tie would move: since
         # d < m = dist there, that includes every tie within < m of it
         qpos, idx, d = blocks.near(ties, m, dist)
         edge = (dist[idx] == m) & (idx > ties[qpos])
         dst = np.searchsorted(ties, idx[edge])
-        taken = _first_fit(ties.size, qpos[edge], dst, n_target - filled)
+        taken = _first_fit(ties.size, qpos[edge], dst, quota)
         chosen[filled : filled + taken.size] = ties[taken]
         filled += taken.size
+        if filled == n_target:
+            break
         took = np.zeros(ties.size, dtype=bool)
         took[taken] = True
         keep = took[qpos]
@@ -340,7 +354,8 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
 # Semantic-aware voxel selection
 # ---------------------------------------------------------------------------
 
-SAFS_CHUNK = 4096  # grid cells projected and sampled at once; any size gives the same bits
+# grid cells projected, or kept cells sampled, per step; any size gives the same bits
+SAFS_CHUNK = 4096
 
 
 def _best_camera(
@@ -402,35 +417,38 @@ def safs_select(
     voxels carry feature = sampled image feature * v_d. If more than `cap`
     survive, farthest point sampling over voxel centers trims the set.
 
-    Grid cells are projected, sampled and tested SAFS_CHUNK at a time, in
-    grid order, and only the survivors' float32 features are kept, so no
-    whole-grid float64 state exists. Every step is per cell, so any chunk
-    size gives the same bits.
+    Grid cells are projected and tested SAFS_CHUNK at a time, in grid
+    order, and each survivor keeps five numbers: its flat cell index, its
+    camera, its feature-map u and v, and v_d. FPS trims the survivors on
+    their centers. Features are then sampled only for the cells FPS keeps,
+    per camera and SAFS_CHUNK rows at a time, scaled by v_d and cast to
+    float32. So no whole-grid float64 state exists and no cell FPS drops
+    is sampled. Every step is per cell, so any chunk size gives the same
+    bits.
     """
     if not 0 <= d_thresh <= 1 or not 0 <= s_thresh <= 1:
         raise ValueError("safs_select: thresholds must lie in [0, 1]")
+    coords_of = lambda flat: np.stack(np.unravel_index(flat, grid.extents), axis=-1)
     n = int(np.prod(grid.extents))
-    kept_coords, kept_feats = [], []
+    survivors = []
     for lo in range(0, n, SAFS_CHUNK):
         cells = np.arange(lo, min(lo + SAFS_CHUNK, n))
-        coords = np.stack(np.unravel_index(cells, grid.extents), axis=-1)
-        sem, vd, cam, u, v = _best_camera(grid.centers(coords), images, cameras, bins)
+        sem, vd, cam, u, v = _best_camera(grid.centers(coords_of(cells)), images, cameras, bins)
         keep = (sem > s_thresh) & (vd > d_thresh)
-        cam, u, v, vd = cam[keep], u[keep], v[keep], vd[keep]
-        feat = np.empty((cam.size, images.feats[0].shape[2]))
-        for cam_idx in range(len(cameras)):
-            rows = np.flatnonzero(cam == cam_idx)
-            feat[rows] = bilinear_sample(images.feats[cam_idx], u[rows], v[rows])
-        kept_coords.append(coords[keep])
-        kept_feats.append((feat * vd[:, None]).astype(np.float32))
-    coords_k = np.concatenate(kept_coords)
-    feats_k = np.concatenate(kept_feats)
-    del kept_coords, kept_feats  # FPS below may need the room
-    if coords_k.shape[0] > cap:
-        pick = fps(grid.centers(coords_k), cap)
-        pick = np.sort(pick)  # keep grid order for deterministic downstream sorts
-        coords_k, feats_k = coords_k[pick], feats_k[pick]
-    return SparseVoxelSet(coords_k, feats_k, grid)
+        survivors.append((cells[keep], cam[keep], u[keep], v[keep], vd[keep]))
+    cell, cam, u, v, vd = (np.concatenate(col) for col in zip(*survivors))
+    del survivors  # the per-chunk copies; FPS below may need the room
+    if cell.size > cap:
+        # sorted, to keep grid order for deterministic downstream sorts
+        pick = np.sort(fps(grid.centers(coords_of(cell)), cap))
+        cell, cam, u, v, vd = (a[pick] for a in (cell, cam, u, v, vd))
+    feats = np.empty((cell.size, images.feats[0].shape[2]), dtype=np.float32)
+    for cam_idx in range(len(cameras)):
+        rows = np.flatnonzero(cam == cam_idx)
+        for lo in range(0, rows.size, SAFS_CHUNK):
+            r = rows[lo : lo + SAFS_CHUNK]
+            feats[r] = bilinear_sample(images.feats[cam_idx], u[r], v[r]) * vd[r, None]
+    return SparseVoxelSet(coords_of(cell), feats, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -150,11 +150,16 @@ def test_fps_matches_oracle(rng):
     assert fps(np.full((7, 3), 1.5), 7).tolist() == [0] * 7
 
 
+def square_dists(points) -> np.ndarray:
+    """Every pairwise squared distance, summed in fps's order."""
+    d = points[:, None, :] - points[None, :, :]
+    return (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+
+
 def fps_levels(points, picks) -> list[tuple[int, int, int]]:
     """(first pick, stop, ties) of each level of equal max distance m in an
     FPS pick order; ties counts the points at distance m when it starts."""
-    d = points[:, None, :] - points[None, :, :]
-    sq = (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+    sq = square_dists(points)
     dist = sq[picks[0]].copy()
     levels, k = [], 1
     while k < len(picks):
@@ -171,8 +176,7 @@ def tie_blocks_near(points):
     """For each tie at the start of each FPS level: whether a tie within < m
     of it lies in an earlier FPS_BLOCK, and whether one lies in a later one."""
     picks = oracles.fps(points, points.shape[0])
-    d = points[:, None, :] - points[None, :, :]
-    sq = (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+    sq = square_dists(points)
     block = np.arange(points.shape[0]) // FPS_BLOCK
     out = []
     for start, _, _ in fps_levels(points, picks):
@@ -195,6 +199,35 @@ def test_fps_matches_oracle_on_safs_lattice():
     assert stop - start > 2 and any(ties == 1 for _, _, ties in levels[:-2])
     for k in (start, (start + stop) // 2):
         assert fps(pts, k).tolist() == want[:k].tolist()
+
+
+def test_fps_searches_a_level_from_its_first_ties_when_the_walk_takes_them(monkeypatch):
+    # with fewer picks left than ties, a level is searched from only as many
+    # ties as picks left when the walk takes exactly those, and from all its
+    # ties otherwise; SAFS's lattice ends on a level where it takes them
+    pts = sparse_lattice(np.random.default_rng(5), (6, 6, 10))
+    want = oracles.fps(pts, pts.shape[0])
+    sq = square_dists(pts)
+    queries = []
+    near = viewtrans._FpsBlocks.near
+
+    def spy(self, q, m, bound):
+        queries.append(q.size)
+        return near(self, q, m, bound)
+
+    monkeypatch.setattr(viewtrans._FpsBlocks, "near", spy)
+    short = []
+    for start, stop, ties in fps_levels(pts, want):
+        dist = sq[want[:start]].min(axis=0)
+        first = np.flatnonzero(dist == dist.max())
+        # n_target early, midway and late in the level, with fewer picks left than ties
+        late = min(stop, start + ties - 1)
+        for k in sorted(k for k in {start + 1, (start + stop) // 2, late} if 0 < k - start < ties):
+            assert fps(pts, k).tolist() == want[:k].tolist()
+            takes_first = want[start:k].tolist() == first[: k - start].tolist()
+            assert queries[-1] == (k - start if takes_first else ties)
+            short.append(takes_first)
+    assert all(short[-3:]) and not all(short)
 
 
 def test_fps_peak_memory():
@@ -249,14 +282,18 @@ def brute_force_safs(grid, images, cameras, bins, d_thresh, s_thresh, cap):
     return rows
 
 
-def test_safs_matches_brute_force(rng, monkeypatch):
+def small_safs_args(rng, cap: int) -> tuple:
+    """An 8x8x4 grid seen by two cameras, at thresholds d 0.05 and s 0.3."""
     grid = GridSpec(origin=(-2.0, -2.0, 1.0), voxel_size=(0.5, 0.5, 0.5), extents=(8, 8, 4))
     shift = np.eye(4)
     shift[:3, 3] = [0.3, -0.2, 0.1]
     cameras = [make_camera(), make_camera(extrinsics=shift)]
     images = make_feature_set(rng, [(4, 6), (4, 6)], depth_bins=8)
-    bins = DepthBinSpec(0.5, 4.5, 8)
-    args = (grid, images, cameras, bins, 0.05, 0.3, 40)
+    return (grid, images, cameras, DepthBinSpec(0.5, 4.5, 8), 0.05, 0.3, cap)
+
+
+def test_safs_matches_brute_force(rng, monkeypatch):
+    args = small_safs_args(rng, 40)
     want = brute_force_safs(*args)
     whole = safs_select(*args)  # the 256 cells fit in one SAFS_CHUNK
     # chunk boundaries must not change a bit, whatever cells they cut apart
@@ -272,11 +309,29 @@ def test_safs_matches_brute_force(rng, monkeypatch):
         assert got.feats.tobytes() == whole.feats.tobytes()
 
 
+def test_safs_samples_features_only_for_the_cells_it_returns(rng, monkeypatch):
+    # FPS trims on cell centers alone, so no cell it drops is sampled
+    args = small_safs_args(rng, 40)
+    survivors = safs_select(*args[:-1], 10**6).n
+    sampled = []
+
+    def spy(grid, u, v):
+        sampled.append(u.size)
+        return bilinear_sample(grid, u, v)
+
+    monkeypatch.setattr(viewtrans, "bilinear_sample", spy)
+    out = safs_select(*args)
+    assert survivors > out.n == 40
+    assert sum(sampled) == out.n
+
+
 def test_safs_peak_memory(rng):
     # default image grid (36,864 cells), four cameras, 27,830 survivors that
     # FPS trims to the cap: a whole-grid float64 feature array alone would be
     # 9.4 MB, and the per-camera samples of every visible cell several times
-    # that (34 MB peak before the cells were chunked, 13 MB after)
+    # that (34 MB peak before the cells were chunked). With five scalars per
+    # survivor through FPS and only the 18,000 kept cells sampled, the peak
+    # is 12.1 MB, set by the 4096-row sampling batches (FPS: 7.3 MB)
     cfg = PipelineConfig()
     cameras = list(default_cameras())
     h, w = (s // FEATURE_STRIDE for s in DEFAULT_IMAGE_SIZE)
