@@ -253,9 +253,7 @@ class SparseVoxelSet:
 
     def __post_init__(self):
         coords = np.ascontiguousarray(self.coords, dtype=np.int64).reshape(-1, 3)
-        feats = np.ascontiguousarray(self.feats, dtype=np.float32)
-        if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:
-            raise ValueError("SparseVoxelSet: feats must be (n, C) matching coords")
+        feats = _voxel_feats(self.feats, coords.shape[0])
         if coords.shape[0] and (coords.min() < 0 or np.any(coords >= self.grid.extents)):
             raise ValueError("SparseVoxelSet: coords outside grid extents")
         flat = np.ravel_multi_index(coords.T, self.grid.extents)
@@ -263,8 +261,11 @@ class SparseVoxelSet:
         keys = flat[order]
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("SparseVoxelSet: duplicate coords")
-        coords.flags.writeable = False
-        feats.flags.writeable = False
+        for arr in (coords, keys, order):
+            arr.flags.writeable = False
+        self._fill(coords, feats, keys, order)
+
+    def _fill(self, coords, feats, keys, order) -> None:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "feats", feats)
         object.__setattr__(self, "_keys", keys)  # sorted flat cell indices
@@ -297,8 +298,21 @@ class SparseVoxelSet:
         return np.where(inside & (self._keys[pos] == flat), self._order[pos], -1)
 
     def with_feats(self, feats: np.ndarray) -> "SparseVoxelSet":
-        """Same occupancy, new per-voxel features."""
-        return SparseVoxelSet(self.coords, feats, self.grid)
+        """Same occupancy, new per-voxel features. The new set shares this
+        one's checked coords and sorted keys; only the features are checked."""
+        out = object.__new__(SparseVoxelSet)
+        object.__setattr__(out, "grid", self.grid)
+        out._fill(self.coords, _voxel_feats(feats, self.n), self._keys, self._order)
+        return out
+
+
+def _voxel_feats(feats, n: int) -> np.ndarray:
+    """feats as a read-only contiguous float32 (n, C) array."""
+    feats = np.ascontiguousarray(feats, dtype=np.float32)
+    if feats.ndim != 2 or feats.shape[0] != n:
+        raise ValueError("SparseVoxelSet: feats must be (n, C) matching coords")
+    feats.flags.writeable = False
+    return feats
 
 
 def empty_voxel_set(grid: GridSpec, channels: int) -> SparseVoxelSet:

@@ -149,13 +149,15 @@ def sparse_up(
     tap = (target.coords % 2) @ np.array([4, 2, 1])
     tap[parents < 0] = -1
     # the skip first: a float32 feature widens exactly and addition commutes,
-    # and a voxel without a parent keeps its feature's bits, -0.0 included
-    add = target.feats.astype(np.float64)
+    # and a voxel without a parent keeps its feature's bits, -0.0 included;
+    # each tap group's float64 sum is rounded to float32 as it is stored
+    out = target.feats.copy()
     cfeats = v_coarse.feats.astype(np.float64)
     for k, t in enumerate(np.ndindex(2, 2, 2)):
         sel = np.flatnonzero(tap == k)
-        add[sel] += cfeats[parents[sel]] @ kernel[t].astype(np.float64)
-    return target.with_feats(add)
+        k64 = kernel[t].astype(np.float64)
+        out[sel] = target.feats[sel].astype(np.float64) + cfeats[parents[sel]] @ k64
+    return target.with_feats(out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +224,9 @@ def init_hvf(name: str, c: int, d_state: int, global_seed: int) -> HvfWeights:
 
 
 def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights) -> SparseVoxelSet:
-    """Intra-modal block: scan the voxel features in Hilbert order."""
-    perm = hilbert_sort(v)
-    seq = bidirectional_block(v.feats[perm], w)
-    feats = np.empty_like(seq)
-    feats[perm] = seq
-    return v.with_feats(feats)
+    """Intra-modal block: scan the voxel features in Hilbert order, read in
+    place through the order."""
+    return v.with_feats(bidirectional_block(v.feats, w, hilbert_sort(v)))
 
 
 def cv_mamba(

@@ -168,6 +168,24 @@ def test_rows_of_matches_dict_lookup(rng):
     assert np.all(empty_voxel_set(grid, 2).rows_of(query) == -1)
 
 
+def test_with_feats_shares_the_checked_occupancy(rng):
+    # with_feats hands over the source set's sorted keys instead of sorting
+    # and checking them again; the features are still checked
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(5, 6, 4))
+    flat = rng.choice(5 * 6 * 4, size=30, replace=False)
+    coords = np.stack(np.unravel_index(flat, grid.extents), axis=1)
+    v = SparseVoxelSet(coords, np.zeros((30, 2)), grid)
+    new = v.with_feats(rng.normal(size=(30, 3)))
+    assert new.coords is v.coords and new.grid is v.grid
+    assert new._keys is v._keys and new._order is v._order
+    assert new.feats.dtype == np.float32 and new.feats.shape == (30, 3)
+    assert not new.feats.flags.writeable
+    assert np.array_equal(new.rows_of(v.coords), np.arange(30))
+    for bad in (np.zeros((29, 3)), np.zeros((31, 3)), np.zeros(30)):
+        with pytest.raises(ValueError, match="feats must be"):
+            v.with_feats(bad)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Weights:
     w: np.ndarray

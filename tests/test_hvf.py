@@ -12,6 +12,7 @@ from ddhf.hvf import (
     cv_merge,
     cv_split,
     hvf_forward,
+    image_extents,
     init_hvf,
     iv_mamba,
     sparse_down,
@@ -19,7 +20,7 @@ from ddhf.hvf import (
 )
 from ddhf.ssm import init_ssm_block
 
-from conftest import fill_zero_tensors, random_voxel_set
+from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 
 LIDAR_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(8, 8, 4))
 IMAGE_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 8))
@@ -103,6 +104,43 @@ def test_iv_mamba_identity_and_empty(rng):
     assert np.array_equal(iv_mamba(vl, w).feats, vl.feats)
     empty = empty_voxel_set(LIDAR_GRID, 4)
     assert iv_mamba(empty, w).n == 0
+
+
+def _peak_case(n_lidar: int, n_image: int):
+    """Voxel sets on the default-config grids, C = 32, and a d_state = 16 block."""
+    lidar = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (48, 48, 8))
+    image = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), image_extents(lidar.extents))
+    rng = np.random.default_rng(8000)
+    vl, vi = random_voxel_set(rng, lidar, n_lidar, 32), random_voxel_set(rng, image, n_image, 32)
+    return vl, vi, init_ssm_block("peak", 32, 16, 3)
+
+
+def _scan_bytes(n: int, c: int, d_state: int) -> int:
+    """The float32 x, B, C and Delta a block's scan reads, and its (n, C) output."""
+    return n * 4 * (3 * c + 2 * d_state)
+
+
+def test_iv_mamba_peak_memory():
+    # the block reads its Hilbert order in place and its scan sums both
+    # directions into one (n, C) buffer: no permuted copy of the features,
+    # no (n, 2, C) scan output and no scatter buffer (3 * 1.02 MB here).
+    # 5.25 MB measured; the slack holds one ROW_CHUNK's projection
+    # temporaries, two float64 (2048, 32) layer-norm buffers among them
+    # (1.05 MB). The copies read 7.54 MB
+    _, vi, w = _peak_case(0, 8000)
+    assert traced_peak(iv_mamba, vi, w) < _scan_bytes(vi.n, 32, 16) + 1.4e6
+
+
+def test_cv_mamba_peak_memory():
+    # the merged sequence (features, int64 lifted coords, tags and source
+    # rows) stays as it is; the scan's (n, 2, C) output is summed into one
+    # (n, C) buffer (1.28 MB less here). 7.47 MB measured; the slack holds
+    # the scan's block buffers (0.26 MB) and its row table. The two-stream
+    # output read 9.44 MB
+    vl, vi, w = _peak_case(2000, 8000)
+    n = vl.n + vi.n
+    merged = n * (4 * 32 + 3 * 8 + 8 + 8)
+    assert traced_peak(cv_mamba, vl, vi, w) < merged + _scan_bytes(n, 32, 16) + 1.0e6
 
 
 def test_coarser_grid_shapes():

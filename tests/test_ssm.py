@@ -186,13 +186,14 @@ def test_selective_scan_peak_memory(rng):
 
 
 def test_bidirectional_block_peak_memory(rng):
-    # x, B, C, Delta and both scan outputs are float32 (12.3 MB at this size);
-    # one whole-sequence float64 (n, C) temporary adds 4.9 MB (28.9 MB peak
-    # before the rows were chunked, 13.8 MB after). The scan's float32 block
-    # buffers give 13.46 MB; float64 ones read 13.83 MB
+    # x, B, C, Delta and the scan's one (n, C) sum of both directions are
+    # float32 (9.85 MB at this size); one whole-sequence float64 (n, C)
+    # temporary adds 4.9 MB (28.9 MB peak before the rows were chunked,
+    # 13.8 MB after). 10.74 MB measured; the scan's (n, 2, C) per-direction
+    # output read 13.51 MB, and float64 block buffers 13.83 MB
     w = init_ssm_block("peak", 32, 16, 3)
     seq = rng.normal(size=(19240, 32)).astype(np.float32)
-    assert traced_peak(bidirectional_block, seq, w) < 13.65e6
+    assert traced_peak(bidirectional_block, seq, w) < 11.0e6
 
 
 def test_identity_configured_block_is_identity(rng):
@@ -353,6 +354,95 @@ def test_stream_scan_rejects_bad_row_table(rng, rows, per_stream_width):
         )
     with pytest.raises(ValueError, match="row table"):
         selective_scan(x, a, params, rows)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float32).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 33, 64, 101])
+def test_summed_streams_match_per_stream_sum(n):
+    # the summed scan must give, per source row, the bits of adding its
+    # two per-stream outputs: n = 1 to 31 fits in one 32-step block of a
+    # two-stream call, and at odd n both streams read the middle row at
+    # the same step; every third x row is -0.0
+    rng = np.random.default_rng(n)
+    x, a, params = _random_case(rng, n, 8, 4)
+    x[::3] = -0.0
+    steps = np.arange(n)
+    both = np.stack([steps, steps[::-1]], axis=1)
+    per_stream = selective_scan(x, a, params, both)
+    want = per_stream[:, 0] + per_stream[::-1, 1]
+    for block in (1, 2, 7, 64, both.size):
+        got = selective_scan_chunked(x, a, params, block, both, sum_streams=True)
+        assert got.shape == x.shape and _bits(got) == _bits(want), block
+
+
+def test_summed_streams_leave_unread_rows_at_negative_zero(rng):
+    # stream 0 reads rows 0-19 forward and stream 1 rows 30 down to 11, so
+    # rows 11-19 hold both outputs, rows 0-10 and 20-30 one, and rows 31-39,
+    # which no stream reads, the accumulator's -0.0: a scan output is never
+    # -0.0 (its readout sums start at +0.0), so that is where it shows
+    n = 40
+    x, a, params = _random_case(rng, n, 6, 3)
+    table = np.stack([np.arange(20), np.arange(30, 10, -1)], axis=1)
+    per_stream = selective_scan(x, a, params, table)
+    want = np.full((n, 6), -0.0, dtype=np.float32)
+    for i, (r0, r1) in enumerate(table):
+        want[r0] = want[r0] + per_stream[i, 0]
+        want[r1] = want[r1] + per_stream[i, 1]
+    got = selective_scan_chunked(x, a, params, 8, table, sum_streams=True)
+    assert _bits(got) == _bits(want)
+    assert np.all(np.signbit(got[31:])) and not np.any(got[31:])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[0, 3], [1, 2], [0, 1]]),
+        np.array([[0, 3], [1, 3], [2, 3]]),
+        np.array([[0, 3], [2, 2], [1, 1]]),
+        np.stack([np.arange(4)] * 3, axis=1),
+    ],
+    ids=["repeat-in-stream-0", "repeat-in-stream-1", "out-of-order", "three-streams"],
+)
+def test_summed_streams_reject_a_table_that_is_not_one_or_two_runs(rng, table):
+    # each stream adds a block's rows through one slice, so it must read
+    # consecutive rows, which never repeats one; three addends would take
+    # their order from the block size
+    x, a, params = _random_case(rng, 4, 3, 2)
+    with pytest.raises(ValueError, match="sum_streams takes one or two streams"):
+        selective_scan_chunked(x, a, params, 64, table, sum_streams=True)
+
+
+@pytest.mark.parametrize(
+    "n, row_chunk",
+    [(0, ssm.ROW_CHUNK), (1, ssm.ROW_CHUNK), (300, ssm.ROW_CHUNK),
+     (2 * ssm.ROW_CHUNK + 300, ssm.ROW_CHUNK), (3 * 64 + 10, 64)],
+    ids=["empty", "one-row", "one-chunk", "folded-300-row-tail", "folded-10-row-tail"],
+)
+def test_bidirectional_block_order_reads_in_place(monkeypatch, n, row_chunk):
+    # scanning feats through `order` must give the bits of scanning the
+    # permuted copy feats[order], written back at order; the chunk cases
+    # cross ROW_CHUNK boundaries and end in a tail under MIN_ROW_CHUNK rows
+    monkeypatch.setattr(ssm, "ROW_CHUNK", row_chunk)
+    monkeypatch.setattr(ssm, "MIN_ROW_CHUNK", min(ssm.MIN_ROW_CHUNK, row_chunk // 4))
+    rng = np.random.default_rng(n)
+    w = init_ssm_block("order", 8, 4, 11)
+    feats = rng.normal(size=(n, 8)).astype(np.float32)
+    order = rng.permutation(n)
+    want = np.empty_like(feats)
+    want[order] = bidirectional_block(feats[order], w)
+    assert _bits(bidirectional_block(feats, w, order)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "order", [[0, 1, 1], [0, 1], [0, 1, 3]], ids=["repeat", "short", "past-end"]
+)
+def test_bidirectional_block_rejects_an_order_that_is_not_a_permutation(rng, order):
+    feats = rng.normal(size=(3, 4)).astype(np.float32)
+    with pytest.raises(ValueError, match="order must be a permutation"):
+        bidirectional_block(feats, init_ssm_block("order", 4, 2, 1), np.array(order))
 
 
 def test_bidirectional_block_one_row_tail(monkeypatch):
