@@ -5,7 +5,10 @@ bidirectional scan blocks over Hilbert-ordered sequences, fused by a
 cross-modal block over the merged two-modality sequence, and carried through
 a three-scale U shape (strides 1, 2, 4) built from sparse stride-2
 convolutions with skip additions on the way back up. LiDAR z indices are
-doubled before merging so both modalities share one coordinate frame.
+doubled before merging so both modalities share one coordinate frame. The
+merged sequence is only an order: `cv_merge` returns the Hilbert order of
+the stacked rows [LiDAR; image], which the cross-modal block reads in place
+and splits back into two slices.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from .curve import hilbert_order, hilbert_sort
 from .ops import silu
 from .ssm import SsmBlockWeights, bidirectional_block, init_ssm_block
 
-TAG_LIDAR = 0
-TAG_IMAGE = 1
-
 STRIDES = (1, 2, 4)  # voxel size of each scale over the input's; sparse_down doubles it
 N_SCALES = len(STRIDES)
 IMAGE_LIFT = (1, 1, 2)  # image-grid cells per LiDAR cell on x, y, z: z resolution doubled
@@ -34,66 +34,23 @@ def image_extents(lidar_extents: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Merge and split
+# Merged sequence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MergedSequence:
-    """Both modalities' voxels as one curve-ordered sequence.
-
-    Coincident lifted coords stay distinct elements (LiDAR sorts first);
-    tags plus original indices make the split exact.
-    """
-
-    feats: np.ndarray  # (n, C) in sequence order
-    lifted: np.ndarray  # (n, 3) shared-frame coords (LiDAR coords times IMAGE_LIFT)
-    tags: np.ndarray  # (n,) TAG_LIDAR / TAG_IMAGE
-    orig_idx: np.ndarray  # (n,) row in the source set
-    lidar: SparseVoxelSet
-    image: SparseVoxelSet
-
-    @property
-    def n(self) -> int:
-        return self.feats.shape[0]
-
-
-def cv_merge(v_lidar: SparseVoxelSet, v_image: SparseVoxelSet) -> MergedSequence:
-    """Interleave both sets in Hilbert order over the lifted coordinate frame:
-    LiDAR coords times IMAGE_LIFT, which must map the LiDAR grid onto the
-    image grid."""
+def cv_merge(v_lidar: SparseVoxelSet, v_image: SparseVoxelSet) -> np.ndarray:
+    """Both sets as one sequence over their stacked rows [LiDAR; image]: a
+    permutation whose entry k is the stacked row at position k, in Hilbert
+    order over the lifted coordinate frame (LiDAR coords times IMAGE_LIFT,
+    which must map the LiDAR grid onto the image grid). The order is stable,
+    so LiDAR goes first on a shared cell."""
     lidar_ext, image_ext = tuple(v_lidar.grid.extents), tuple(v_image.grid.extents)
     if image_ext != image_extents(lidar_ext):
         raise ValueError(
             f"cv_merge: image grid extents must be the LiDAR grid's {lidar_ext}"
             f" times {IMAGE_LIFT}, got {image_ext}"
         )
-    lifted_l = v_lidar.coords * np.array(IMAGE_LIFT, dtype=np.int64)
-    lifted = np.concatenate([lifted_l, v_image.coords], axis=0)
-    tags = np.concatenate(
-        [
-            np.full(v_lidar.n, TAG_LIDAR, dtype=np.int64),
-            np.full(v_image.n, TAG_IMAGE, dtype=np.int64),
-        ]
-    )
-    orig = np.concatenate(
-        [np.arange(v_lidar.n, dtype=np.int64), np.arange(v_image.n, dtype=np.int64)]
-    )
-    feats = np.concatenate([v_lidar.feats, v_image.feats], axis=0)
-    # stable over [LiDAR; image], so LiDAR goes first on a shared cell
-    order = hilbert_order(lifted, v_image.grid.extents)
-    return MergedSequence(
-        feats[order], lifted[order], tags[order], orig[order], v_lidar, v_image
-    )
-
-
-def cv_split(seq: MergedSequence) -> tuple[SparseVoxelSet, SparseVoxelSet]:
-    """Exact inverse of cv_merge: original coords and grids, sequence features."""
-    is_l = seq.tags == TAG_LIDAR
-    feats_l = np.zeros_like(seq.lidar.feats)
-    feats_i = np.zeros_like(seq.image.feats)
-    feats_l[seq.orig_idx[is_l]] = seq.feats[is_l]
-    feats_i[seq.orig_idx[~is_l]] = seq.feats[~is_l]
-    return seq.lidar.with_feats(feats_l), seq.image.with_feats(feats_i)
+    lifted = np.concatenate([v_lidar.coords * np.array(IMAGE_LIFT, dtype=np.int64), v_image.coords])
+    return hilbert_order(lifted, image_ext)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +189,11 @@ def iv_mamba(v: SparseVoxelSet, w: SsmBlockWeights) -> SparseVoxelSet:
 def cv_mamba(
     v_lidar: SparseVoxelSet, v_image: SparseVoxelSet, w: SsmBlockWeights
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
-    """Cross-modal block: one scan over the merged two-modality sequence."""
-    seq = cv_merge(v_lidar, v_image)
-    return cv_split(replace(seq, feats=bidirectional_block(seq.feats, w)))
+    """Cross-modal block: one scan over the merged two-modality sequence,
+    read in place through cv_merge's order over the stacked rows."""
+    feats = np.concatenate([v_lidar.feats, v_image.feats])
+    out = bidirectional_block(feats, w, cv_merge(v_lidar, v_image))
+    return v_lidar.with_feats(out[: v_lidar.n]), v_image.with_feats(out[v_lidar.n :])
 
 
 def hvf_forward(

@@ -15,7 +15,7 @@ from ddhf.curve import cross_merge_2d, hilbert_index, scan_orders_2d
 from ddhf.decoder import GridFeatures, MixWeights, mmvfm_mix, voxel_pool
 from ddhf.evalmetrics import eval_detections
 from ddhf.hbf import cb_mamba, hbf_forward, init_cb_mamba, sparse_height_compress
-from ddhf.hvf import TAG_IMAGE, TAG_LIDAR, cv_mamba, cv_merge, cv_split, hvf_forward
+from ddhf.hvf import cv_mamba, cv_merge, hvf_forward
 from ddhf.jsonio import dumps
 from ddhf.pipeline import build_weights, detections_to_dicts, run_pipeline
 from ddhf.pqg import Heatmap, build_mask, nms_topk, pqg_forward
@@ -185,8 +185,11 @@ def test_criterion_4_gate_identity():
 
 
 def test_criterion_5_merge_split_roundtrip():
-    # coords, tags, and identity-configured cross-modal features come back
-    # exactly on 100 random pairs, coincident lifted coordinates included
+    # the merged order is a permutation of the stacked rows [LiDAR; image]
+    # that visits their lifted cells (LiDAR z doubled) in Hilbert order,
+    # LiDAR first on a shared cell, and coords and identity-configured
+    # cross-modal features come back exactly on 100 random pairs, coincident
+    # lifted coordinates included
     rng = np.random.default_rng(1005)
     lidar_grid = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0),
                           extents=(8, 8, 4))
@@ -209,20 +212,19 @@ def test_criterion_5_merge_split_roundtrip():
         feats_i = rng.normal(size=(coords_i.shape[0], 4)).astype(np.float32)
         vi = SparseVoxelSet(coords_i, feats_i, image_grid)
 
-        merged = cv_merge(vl, vi)
-        is_lid = merged.tags == TAG_LIDAR
-        assert int(is_lid.sum()) == vl.n
-        assert int((merged.tags == TAG_IMAGE).sum()) == vi.n
-        order_l = np.argsort(merged.orig_idx[is_lid])
-        assert np.array_equal(merged.lifted[is_lid][order_l], vl.coords * lift)
-
-        back_l, back_i = cv_split(merged)
-        assert np.array_equal(back_l.coords, vl.coords)
-        assert np.array_equal(back_i.coords, vi.coords)
-        assert np.array_equal(back_l.feats, vl.feats)
-        assert np.array_equal(back_i.feats, vi.feats)
+        order = cv_merge(vl, vi)
+        assert np.array_equal(np.sort(order), np.arange(vl.n + vi.n))
+        # 3 bits cover the 8-cell image grid
+        lifted = np.concatenate([vl.coords * lift, vi.coords])[order]
+        keys = hilbert_index(lifted[:, 0], lifted[:, 1], lifted[:, 2], 3)
+        assert np.all(keys[1:] >= keys[:-1])
+        tie = keys[1:] == keys[:-1]
+        assert np.all(order[:-1][tie] < vl.n) and np.all(order[1:][tie] >= vl.n)
+        assert int(tie.sum()) >= n_co
 
         out_l, out_i = cv_mamba(vl, vi, w_identity)
+        assert np.array_equal(out_l.coords, vl.coords)
+        assert np.array_equal(out_i.coords, vi.coords)
         assert np.array_equal(out_l.feats, vl.feats)
         assert np.array_equal(out_i.feats, vi.feats)
 

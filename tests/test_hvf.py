@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from ddhf.core import GridSpec, SparseVoxelSet, empty_voxel_set
+from ddhf.curve import hilbert_index
 from ddhf.hvf import (
-    TAG_IMAGE,
-    TAG_LIDAR,
     coarser_grid,
     cv_mamba,
     cv_merge,
-    cv_split,
     hvf_forward,
     image_extents,
     init_hvf,
@@ -18,7 +16,7 @@ from ddhf.hvf import (
     sparse_down,
     sparse_up,
 )
-from ddhf.ssm import init_ssm_block
+from ddhf.ssm import bidirectional_block, init_ssm_block
 
 from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 
@@ -26,21 +24,24 @@ LIDAR_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent
 IMAGE_GRID = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 0.5), extents=(8, 8, 8))
 
 
-def paired_sets(rng, n_lidar=24, n_image=30, channels=4, coincident=0):
-    vl = random_voxel_set(rng, LIDAR_GRID, n_lidar, channels)
-    vi = random_voxel_set(rng, IMAGE_GRID, n_image, channels)
+def paired_sets(
+    rng, n_lidar=24, n_image=30, channels=4, coincident=0, grids=(LIDAR_GRID, IMAGE_GRID)
+):
+    lidar_grid, image_grid = grids
+    vl = random_voxel_set(rng, lidar_grid, n_lidar, channels)
+    vi = random_voxel_set(rng, image_grid, n_image, channels)
     if coincident:
         # plant image voxels exactly at lifted LiDAR coords
         lift = vl.coords[:coincident] * np.array([1, 1, 2])
         coords = np.concatenate([lift, vi.coords])
         _, keep = np.unique(
-            np.ravel_multi_index(coords.T, IMAGE_GRID.extents), return_index=True
+            np.ravel_multi_index(coords.T, image_grid.extents), return_index=True
         )
         keep.sort()
         feats = np.concatenate(
             [rng.normal(size=(coincident, channels)).astype(np.float32), vi.feats]
         )
-        vi = SparseVoxelSet(coords[keep], feats[keep], IMAGE_GRID)
+        vi = SparseVoxelSet(coords[keep], feats[keep], image_grid)
     return vl, vi
 
 
@@ -55,30 +56,27 @@ def test_merge_tie_breaks_lidar_first(rng):
         np.array([[2.0]], dtype=np.float32),
         IMAGE_GRID,
     )
-    seq = cv_merge(vl, vi)
-    assert seq.n == 2
-    assert np.array_equal(seq.lifted[0], seq.lifted[1])
-    assert seq.tags.tolist() == [TAG_LIDAR, TAG_IMAGE]
+    assert cv_merge(vl, vi).tolist() == [0, 1]  # stacked rows: LiDAR 0, image 1
+
+
+def lifted_keys(vl, vi):
+    """Hilbert keys of the stacked rows [LiDAR coords with z doubled; image
+    coords]; 3 bits cover the 8-cell image grid."""
+    return hilbert_index(*np.concatenate([vl.coords * np.array([1, 1, 2]), vi.coords]).T, 3)
 
 
 def test_merge_lifts_lidar_z(rng):
-    vl, vi = paired_sets(rng)
-    seq = cv_merge(vl, vi)
-    is_l = seq.tags == TAG_LIDAR
-    lifted_l = seq.lifted[is_l]
-    src = vl.coords[seq.orig_idx[is_l]]
-    assert np.array_equal(lifted_l, src * np.array([1, 1, 2]))
-
-
-@pytest.mark.parametrize("coincident", [0, 5])
-def test_merge_split_roundtrip(rng, coincident):
-    for _ in range(20):
+    # the order visits the stacked rows by their lifted cells' keys, LiDAR
+    # first on a shared cell
+    for coincident in (0, 5):
         vl, vi = paired_sets(rng, coincident=coincident)
-        back_l, back_i = cv_split(cv_merge(vl, vi))
-        assert np.array_equal(back_l.coords, vl.coords)
-        assert np.array_equal(back_i.coords, vi.coords)
-        assert np.array_equal(back_l.feats, vl.feats)
-        assert np.array_equal(back_i.feats, vi.feats)
+        order = cv_merge(vl, vi)
+        assert np.array_equal(np.sort(order), np.arange(vl.n + vi.n))
+        keys = lifted_keys(vl, vi)[order]
+        tie = keys[1:] == keys[:-1]
+        assert np.all(keys[1:] >= keys[:-1])
+        assert np.all(order[:-1][tie] < vl.n) and np.all(order[1:][tie] >= vl.n)
+        assert tie.sum() >= coincident
 
 
 def test_cv_mamba_identity_exact(rng):
@@ -87,6 +85,33 @@ def test_cv_mamba_identity_exact(rng):
     out_l, out_i = cv_mamba(vl, vi, w)
     assert np.array_equal(out_l.feats, vl.feats)
     assert np.array_equal(out_i.feats, vi.feats)
+
+
+def test_cv_mamba_scans_the_lifted_sequence(rng):
+    # seeded weights: each row's output is the scan of the sequence sorted by
+    # lifted keys (LiDAR first on a tie), written back to its own set and row
+    w = init_ssm_block("cv", 4, 3, 21)
+    vl, vi = paired_sets(rng, coincident=5)
+    seq = np.lexsort((np.arange(vl.n + vi.n), lifted_keys(vl, vi)))
+    want = np.empty((vl.n + vi.n, 4), dtype=np.float32)
+    want[seq] = bidirectional_block(np.concatenate([vl.feats, vi.feats])[seq], w)
+    out_l, out_i = cv_mamba(vl, vi, w)
+    assert out_l.feats.tobytes() == want[: vl.n].tobytes()
+    assert out_i.feats.tobytes() == want[vl.n :].tobytes()
+
+
+def test_cv_mamba_permutes_with_its_inputs(rng):
+    # seeded weights: permuting the rows of both sets permutes the output
+    # rows the same way, bit for bit, shared cells included. Identity
+    # weights cannot see a wrong split offset or a wrong order
+    w = init_ssm_block("cv", 4, 3, 21)
+    for _ in range(10):
+        vl, vi = paired_sets(rng, coincident=5)
+        out = cv_mamba(vl, vi, w)
+        perms = rng.permutation(vl.n), rng.permutation(vi.n)
+        moved = [SparseVoxelSet(v.coords[p], v.feats[p], v.grid) for v, p in zip((vl, vi), perms)]
+        for got, base, p in zip(cv_mamba(*moved, w), out, perms):
+            assert got.feats.tobytes() == base.feats[p].tobytes()
 
 
 def test_cv_mamba_two_empty_sets():
@@ -132,15 +157,16 @@ def test_iv_mamba_peak_memory():
 
 
 def test_cv_mamba_peak_memory():
-    # the merged sequence (features, int64 lifted coords, tags and source
-    # rows) stays as it is; the scan's (n, 2, C) output is summed into one
-    # (n, C) buffer (1.28 MB less here). 7.47 MB measured; the slack holds
-    # the scan's block buffers (0.26 MB) and its row table. The two-stream
-    # output read 9.44 MB
+    # the block holds the stacked (n, C) features and cv_merge's int64 order
+    # and reads the sequence through the order in place: no permuted copy of
+    # the features, no lifted coords, tags or source rows, no split buffers.
+    # 7.32 MB measured; the slack holds the scan's block buffers (0.26 MB),
+    # its row table and one ROW_CHUNK's projection temporaries. The merged
+    # sequence object read 7.48 MB
     vl, vi, w = _peak_case(2000, 8000)
     n = vl.n + vi.n
-    merged = n * (4 * 32 + 3 * 8 + 8 + 8)
-    assert traced_peak(cv_mamba, vl, vi, w) < merged + _scan_bytes(n, 32, 16) + 1.0e6
+    held = n * (4 * 32 + 8)
+    assert traced_peak(cv_mamba, vl, vi, w) < held + _scan_bytes(n, 32, 16) + 1.0e6
 
 
 def test_coarser_grid_shapes():

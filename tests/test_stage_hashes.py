@@ -1,12 +1,14 @@
-"""Pinned output bits of the camera-to-voxel index and gather stages.
+"""Pinned output bits of the camera-to-voxel index and gather stages and of
+the HVF encoder.
 
 SAFS (cells and features), the picks of its FPS trim, the LSS splat, the
-pillar max, both sparse convolutions and the Hilbert keys are hashed here on
-seeded default-config inputs. The golden digests cannot see these stages
-(passthrough zeroes the image projection and the seeded digests sit on the
-box rails) and their oracle tests compare at 1e-5, so these hashes change
-when any output moves by one ulp or one index. A change meant to keep the
-stages' bits keeps them at any BLAS thread count.
+pillar max, both sparse convolutions, the Hilbert keys and the HVF encoder
+are hashed here on seeded default-config inputs. The golden digests cannot
+see these stages (passthrough zeroes the image projection and the seeded
+digests sit on the box rails), the oracle tests compare at 1e-5 and
+hvf_forward's tests run identity weights, so these hashes change when any
+output moves by one ulp or one index. A change meant to keep the stages' bits keeps them at
+any BLAS thread count.
 """
 
 import numpy as np
@@ -16,14 +18,17 @@ from ddhf.config import PipelineConfig
 from ddhf.core import init_param
 from ddhf.curve import bits_for_extents, hilbert_index
 from ddhf.hbf import sparse_height_compress
-from ddhf.hvf import sparse_down, sparse_up
+from ddhf.hvf import hvf_forward, init_hvf, sparse_down, sparse_up
 from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 
 from conftest import PINS, random_voxel_set, recorded, sha256_hashes
+from test_hvf import paired_sets
 from test_viewtrans import make_feature_set
 
 N_VOXELS = 12_000  # about 28% of the lidar grid, so most pillars hold several
 N_KEYS = 20_000
+# HVF inputs: LiDAR voxels, image voxels and image voxels on lifted LiDAR cells
+N_HVF = (1_500, 4_700, 300)
 
 
 def stage_outputs() -> dict:
@@ -61,6 +66,10 @@ def stage_outputs() -> dict:
     for bits in (bits_for_extents(cfg.image_cells), 20):
         xyz = rng.integers(0, 1 << bits, size=(3, N_KEYS))
         outs[f"hilbert_index_b{bits}"] = hilbert_index(*xyz, bits)
+
+    vl, vi = paired_sets(rng, *N_HVF[:2], c, N_HVF[2], (cfg.lidar_grid(), cfg.image_grid()))
+    hvf = hvf_forward(vl, vi, init_hvf("stage_hash.hvf", c, cfg.d_state, 7))
+    outs.update(hvf_lidar=hvf[0].feats, hvf_image=hvf[1].feats)
     return outs
 
 

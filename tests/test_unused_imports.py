@@ -6,8 +6,9 @@ whole function or a field behind unnoticed. This parses every package and
 test module with `ast` and reports each imported name the module never
 reads, each module-level function or class of `src/ddhf` that no module of
 `src`, `tests`, `scripts` or `perfbench` reads outside the definition
-itself, and each dataclass field of `src/ddhf` that none of them reads as
-an attribute or names in a string. Package `__init__.py` files are skipped:
+itself, and each dataclass field of `src/ddhf` that no module of `src/ddhf`
+reads as an attribute or names in a string: a field only tests read is
+carried by the program for nothing. Package `__init__.py` files are skipped:
 their imports are the package's re-exports.
 """
 
@@ -145,11 +146,11 @@ def field_reads(tree: ast.Module) -> set[str]:
     return reads
 
 
-def unread_fields(package: dict[str, str], others: dict[str, str]) -> list[str]:
+def unread_fields(package: dict[str, str]) -> list[str]:
     """`module: Class.field` of each dataclass field of the package that no
-    module, of the package or another, reads as an attribute or names in a
-    string. Each map goes from a module's name to its source."""
-    reads = set().union(*(field_reads(ast.parse(src)) for src in {**package, **others}.values()))
+    package module reads as an attribute or names in a string. The map goes
+    from a module's name to its source."""
+    reads = set().union(*(field_reads(ast.parse(src)) for src in package.values()))
     return [
         f"{module}: {node.name}.{item.target.id}"
         for module, src in package.items()
@@ -162,7 +163,8 @@ def unread_fields(package: dict[str, str], others: dict[str, str]) -> list[str]:
 
 
 def test_every_dataclass_field_is_read():
-    assert unread_fields(*package_and_others()) == []
+    package, _ = package_and_others()
+    assert unread_fields(package) == []
 
 
 def test_checker_flags_an_unread_field():
@@ -170,11 +172,14 @@ def test_checker_flags_an_unread_field():
         "m": "import dataclasses\nfrom dataclasses import dataclass\n\n"
         "@dataclass(frozen=True)\nclass P:\n    read: int\n    named: int\n"
         "    lone: int\n    built: int\n\n"
-        "@dataclasses.dataclass\nclass Q:\n    traced: int\n    unread: int = 0\n\n"
-        "class Plain:\n    x: int\n"
+        "@dataclasses.dataclass\nclass Q:\n    traced: int\n    unread: int = 0\n"
+        "    tested: int = 0\n\nclass Plain:\n    x: int\n",
+        "r": "from m import P, Q\np = P(1, 2, 3, built=4)\np.read\ngetattr(p, 'named')\n"
+        "LAYERS = {'m.traced': None}\nQ(traced=1)\n",
     }
-    others = {
-        "t": "from m import P, Q\np = P(1, 2, 3, built=4)\np.read\ngetattr(p, 'named')\n"
-        "LAYERS = {'m.traced': None}\nQ(traced=1)\n"
-    }
-    assert unread_fields(package, others) == ["m: P.lone", "m: P.built", "m: Q.unread"]
+    # Q.tested is read only by a test module, which is not part of the package
+    test = "from m import Q\nQ(1).tested\n"
+    unread = ["m: P.lone", "m: P.built", "m: Q.unread", "m: Q.tested"]
+    assert unread_fields(package) == unread
+    # the same read in a package module counts
+    assert unread_fields({**package, "n": test}) == unread[:-1]
