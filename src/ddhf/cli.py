@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -78,10 +79,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated values, got {text!r}")
+def _parse_pair(flag: str, text: str) -> tuple[float, float]:
+    """Two finite comma-separated numbers; an error names the flag."""
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 2 or not all(math.isfinite(v) for v in parts):
+        raise ValueError(f"--{flag} must be two finite comma-separated numbers, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -93,20 +98,37 @@ def _check_count(flag: str, value: int, most: int | None = None) -> None:
         raise ValueError(f"--{flag} must be {bound}, got {value}")
 
 
+def _ssm_inputs(args) -> list[np.ndarray]:
+    """x, a, b, c and delta, held to selective_scan's domain: x (n, C),
+    a (C, d_state) strictly negative, b and c (n, d_state), delta (n, C)
+    positive."""
+    t = {name: load_tensor(getattr(args, name)) for name in ("x", "a", "b", "c", "delta")}
+    for name in ("x", "a"):
+        if t[name].ndim != 2:
+            raise ValueError(f"--{name} must be a 2-D tensor, got shape {t[name].shape}")
+    (n, cw), ds = t["x"].shape, t["a"].shape[1]
+    for name, shape in (("a", (cw, ds)), ("b", (n, ds)), ("c", (n, ds)), ("delta", (n, cw))):
+        if t[name].shape != shape:
+            raise ValueError(f"--{name} must have shape {shape}, got {t[name].shape}")
+    if not np.all(t["a"] < 0):
+        raise ValueError("--a must be strictly negative")
+    if not np.all(t["delta"] > 0):
+        raise ValueError("--delta must be positive")
+    return list(t.values())
+
+
 def _cmd_oracle(args) -> int:
     cmd = args.oracle_cmd
     if cmd == "ssm-dense":
-        out = oracles.ssm_dense(
-            load_tensor(args.x),
-            load_tensor(args.a),
-            load_tensor(args.b),
-            load_tensor(args.c),
-            load_tensor(args.delta),
-        )
+        out = oracles.ssm_dense(*_ssm_inputs(args))
         save_tensor(args.out, out.astype(np.float32))
         print(f"ssm-dense: {out.shape} -> {args.out}")
     elif cmd == "nms":
         heat = load_tensor(args.heat)
+        if heat.ndim != 3:
+            raise ValueError(f"--heat must be a (K, H, W) tensor, got shape {heat.shape}")
+        if not np.all((heat >= 0) & (heat <= 1)):
+            raise ValueError("--heat values must lie in [0, 1]")
         _check_count("k", args.k)
         pos, classes, scores = oracles.nms_topk(heat, args.k)
         jsonio.dump(
@@ -127,9 +149,19 @@ def _cmd_oracle(args) -> int:
     elif cmd == "height-compress":
         coords = load_tensor(args.coords).astype(np.int64)
         feats = load_tensor(args.feats)
-        extents = tuple(int(v) for v in args.extents.split(","))
+        try:
+            extents = tuple(int(v) for v in args.extents.split(","))
+        except ValueError:
+            extents = ()
         if len(extents) != 3:
-            raise ValueError("--extents must be nx,ny,nz")
+            raise ValueError(f"--extents must be three integers nx,ny,nz, got {args.extents!r}")
+        for e in extents:
+            _check_count("extents", e)
+        if not (coords.ndim == 2 and coords.shape[1] == 3
+                and np.all((coords >= 0) & (coords < extents))):
+            raise ValueError(f"--coords must be (n, 3) cells inside --extents {extents}")
+        if feats.ndim != 2 or len(feats) != len(coords):
+            raise ValueError(f"--feats must be (n, C), one row per --coords row, got {feats.shape}")
         save_tensor(args.out, oracles.height_compress(coords, feats, extents))
         print(f"height-compress: {extents} -> {args.out}")
     elif cmd == "hilbert-walk":
@@ -153,13 +185,18 @@ def _cmd_oracle(args) -> int:
         save_tensor(args.out, out)
         print(f"mix-scalar: ({out.size},) -> {args.out}")
     elif cmd == "splat":
+        origin, cell = _parse_pair("origin", args.origin), _parse_pair("cell", args.cell)
+        if min(cell) <= 0:
+            raise ValueError(f"--cell must be positive, got {args.cell!r}")
+        for flag in ("stride", "nx", "ny"):
+            _check_count(flag, getattr(args, flag))
         d = Path(args.inputs)
         t = lambda name: load_tensor(d / f"{name}.bin")
         out = oracles.lss_splat(
             t("feats"), t("depth"),
             t("intrinsics").astype(np.float64), t("extrinsics").astype(np.float64),
             args.stride, t("bins").astype(np.float64),
-            _parse_pair(args.origin), _parse_pair(args.cell), args.nx, args.ny,
+            origin, cell, args.nx, args.ny,
         )
         save_tensor(args.out, out)
         print(f"splat: {out.shape} -> {args.out}")

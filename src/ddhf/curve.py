@@ -8,7 +8,6 @@ BEV maps use four raster orders (row/column, forward/reverse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,40 +99,31 @@ def hilbert_sort(v: SparseVoxelSet) -> np.ndarray:
     return hilbert_order(v.coords, v.grid.extents)
 
 
-N_DIRECTIONS = 4  # scan orders of a BEV map, the fields of ScanSet2D
+N_DIRECTIONS = 4  # scan orders of a BEV map, the columns of scan_orders_2d's table
 
 
-@dataclass(frozen=True)
-class ScanSet2D:
-    """Four flattening orders of an H x W map (permutations of [0, H*W))."""
-
-    row_fwd: np.ndarray
-    row_rev: np.ndarray
-    col_fwd: np.ndarray
-    col_rev: np.ndarray
-
-    def all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.row_fwd, self.row_rev, self.col_fwd, self.col_rev
-
-
-def scan_orders_2d(h: int, w: int) -> ScanSet2D:
+def scan_orders_2d(h: int, w: int) -> np.ndarray:
+    """The four flattening orders of an H x W map as one int64 (H*W,
+    N_DIRECTIONS) row table: column k, a permutation of [0, H*W), is the
+    cell scan k visits at each step. The columns are row-fwd, row-rev,
+    col-fwd and col-rev."""
     if h < 1 or w < 1:
         raise ValueError("scan_orders_2d: H and W must be >= 1")
     row = np.arange(h * w, dtype=np.int64)
-    col = row.reshape(h, w).T.ravel().copy()
-    return ScanSet2D(row, row[::-1].copy(), col, col[::-1].copy())
+    col = row.reshape(h, w).T.ravel()
+    return np.stack([row, row[::-1], col, col[::-1]], axis=1)
 
 
 def cross_merge_2d(
-    outputs: tuple[np.ndarray, ...], scans: ScanSet2D, h: int, w: int
+    outputs: tuple[np.ndarray, ...], table: np.ndarray, h: int, w: int
 ) -> np.ndarray:
-    """Scatter N_DIRECTIONS scanned sequences back to 2D via each scan's inverse; sum."""
-    perms = scans.all()
+    """Scatter N_DIRECTIONS scanned sequences back to 2D, output k through
+    column k of the row table; sum."""
     if len(outputs) != N_DIRECTIONS:
         raise ValueError(f"cross_merge_2d: expected exactly {N_DIRECTIONS} sequences")
     c = outputs[0].shape[1]
     acc = np.zeros((h * w, c), dtype=np.float64)
-    for seq, perm in zip(outputs, perms):
+    for seq, perm in zip(outputs, table.T, strict=True):
         if seq.shape != (h * w, c):
             raise ValueError("cross_merge_2d: sequence shape mismatch")
         acc[perm] += seq  # perm is a permutation: each cell gets one addition

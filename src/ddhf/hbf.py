@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, bev_map_for_grid, init_param, zeroed
-from .curve import N_DIRECTIONS, ScanSet2D, cross_merge_2d, scan_orders_2d
+from .curve import N_DIRECTIONS, cross_merge_2d, scan_orders_2d
 from .ops import ConvBlock, conv_block, init_conv_block, layer_norm, silu
 from .ssm import (
     ScanParams,
@@ -48,17 +48,18 @@ def sparse_height_compress(v: SparseVoxelSet) -> FeatureMap:
 
 
 def _ss2d(
-    x: np.ndarray, w: SsmBlockWeights | CbBranchWeights, params: ScanParams, scans: ScanSet2D
+    x: np.ndarray, w: SsmBlockWeights | CbBranchWeights, params: ScanParams, scans: np.ndarray
 ) -> np.ndarray:
     """Scan of x (H, W, C) in D = N_DIRECTIONS directions as one D-stream
-    scan: stream k visits the cells in scan order k and reads params,
-    row-major (H*W, .) maps shared by every direction or (H*W, D, .) with
-    one slice per direction. Each direction is LayerNormed with its own row
-    of w's `norm_scale` and `norm_shift`, scattered back and summed. The
-    norm runs per direction: one call over the whole (H*W, D, C) output
-    would hold a float64 copy of it and that copy's square at once."""
+    scan: stream k visits the cells in column k of the `scan_orders_2d`
+    table `scans` and reads params, row-major (H*W, .) maps shared by
+    every direction or (H*W, D, .) with one slice per direction. Each
+    direction is LayerNormed with its own row of w's `norm_scale` and
+    `norm_shift`, scattered back and summed. The norm runs per direction:
+    one call over the whole (H*W, D, C) output would hold a float64 copy
+    of it and that copy's square at once."""
     h, wd, c = x.shape
-    ys = selective_scan(x.reshape(h * wd, c), w.a, params, np.stack(scans.all(), axis=1))
+    ys = selective_scan(x.reshape(h * wd, c), w.a, params, scans)
     outs = tuple(
         layer_norm(ys[:, k], w.norm_scale[k], w.norm_shift[k]) for k in range(N_DIRECTIONS)
     )

@@ -21,11 +21,11 @@ batch axis the same way, arXiv 2401.10166). The parameters are shared
 (N, .) or per stream (N, G, .). Each stream does the same elementwise
 arithmetic and the same per-step readout matmul as a lone scan, so its
 output has the same bits; without a row table a call is one forward stream.
-A call whose one or two streams each read consecutive rows, up or down,
-can instead sum its streams' outputs into their source rows of one (N, C)
+A summed call takes no row table: it runs two streams, forward over rows
+0..N-1 and backward over N-1..0, and sums their outputs into one (N, C)
 buffer, as bidirectional Mamba sums its forward and backward outputs (Vim,
 arXiv 2401.09417); the sum has the bits of adding the two per-stream
-outputs, and the (n, 2, C) output is never held. The
+outputs, and the (N, 2, C) output is never held. The
 bidirectional block scans that way, and it reads its sequence through a
 row order in place and writes its output rows back through it, so a
 Hilbert-ordered voxel block builds neither a permuted copy of its input
@@ -107,12 +107,6 @@ def _row_table(rows, n_src: int, params: ScanParams) -> np.ndarray:
     return rows
 
 
-def _run_direction(rows: np.ndarray) -> int:
-    """1 or -1 where a stream's rows are consecutive going up or down, else 0."""
-    steps = np.arange(len(rows))
-    return next((d for d in (1, -1) if np.array_equal(rows, rows[:1] + d * steps)), 0)
-
-
 def _gather(p: np.ndarray, rows: np.ndarray, streams: np.ndarray) -> np.ndarray:
     """Each stream's float32 parameter rows: (k, G, .) from shared or
     per-stream p."""
@@ -152,28 +146,26 @@ def _scan(
     grouping gives the same bits. Returns float32 (n, G, C), or (N, C)
     without a row table.
 
-    With `sum_streams`, the (n, G, C) output is never built: the residual
-    goes into the readout buffer, and each stream in turn adds its block's
-    rows into their source rows of one (N, C) float32 accumulator, which
-    is returned. The accumulator starts at -0.0, the additive identity, so
-    a source row that both streams read holds their two outputs' float32
-    sum, -0.0 included, whichever stream reaches it first; a row no stream
-    reads stays -0.0. It takes one or two streams, each reading a run of
-    consecutive rows, going up or down, and rejects any other table. A
-    run never reads a row twice, and a block of it is one slice of the
-    accumulator, so each stream adds its block with one slice add; a
-    fancy-index add per block and stream made a bidirectional block of
-    18,000 rows about 5 ms slower (2-vCPU Xeon VM). A third stream would give a row three addends,
-    whose order, and so whose bits, would hang on the block size.
+    With `sum_streams` there is no row table to pass: the call runs stream
+    0 over rows 0..N-1 and stream 1 over N-1..0, and the (N, 2, C) output
+    is never built. The residual goes into the readout buffer, and the
+    block at step lo adds stream 0's rows into out[lo:lo+k], then stream
+    1's, reversed, into out[N-lo-k:N-lo], of one (N, C) float32
+    accumulator, which is returned. It starts at -0.0, the additive
+    identity, so each row holds its two outputs' float32 sum, -0.0
+    included, whichever stream reaches it first. One slice add per block
+    and stream replaced a fancy-index add that made a bidirectional block
+    of 18,000 rows about 5 ms slower (2-vCPU Xeon VM).
     """
+    if sum_streams:
+        if rows is not None:
+            raise ValueError(
+                "selective_scan: sum_streams takes no rows; it scans rows 0..N-1 and N-1..0"
+            )
+        steps = np.arange(x.shape[0])
+        rows = np.stack([steps, steps[::-1]], axis=1)
     table = _row_table(rows, x.shape[0], params)
     n, g = table.shape
-    runs = [_run_direction(col) for col in table.T] if sum_streams else []
-    if sum_streams and (g > 2 or 0 in runs):
-        raise ValueError(
-            "selective_scan: sum_streams takes one or two streams, each reading"
-            " consecutive rows up or down"
-        )
     c_width = x.shape[1]
     a = np.asarray(a, dtype=np.float32)
     if np.any(a >= 0):
@@ -213,12 +205,11 @@ def _scan(
         np.matmul(hs_k, _gather(params.c, r, streams)[..., None], out=y[:k])
         if sum_streams:
             y_k = add(y[:k, :, :, 0], xs, y[:k, :, :, 0])
-            for s, d in enumerate(runs):
-                first = r[0, s] if d > 0 else r[-1, s]  # the block's lowest row
-                out[first : first + k] += y_k[::d, s]
+            out[lo : lo + k] += y_k[:, 0]
+            out[n - lo - k : n - lo] += y_k[::-1, 1]
         else:
             add(y[:k, :, :, 0], xs, out[lo : lo + k])
-    return out[:, 0] if rows is None and not sum_streams else out
+    return out[:, 0] if rows is None else out
 
 
 def selective_scan(
@@ -243,9 +234,9 @@ def selective_scan_chunked(
     sum_streams: bool = False,
 ) -> np.ndarray:
     """selective_scan streaming `chunk` stream-steps at a time; bit-identical
-    to it. With `sum_streams` it returns, per source row, the float32 sum of
-    the outputs of the one or two streams that read it, in an (N, C) array;
-    each stream must read consecutive rows, up or down (`_scan`)."""
+    to it. With `sum_streams`, and no `rows`, it returns the (N, C) float32
+    sum, per row, of a forward scan over rows 0..N-1 and a backward scan
+    over N-1..0 (`_scan`)."""
     if chunk < 1:
         raise ValueError("selective_scan_chunked: chunk must be >= 1")
     return _scan(x, a, params, chunk, rows, sum_streams)
@@ -349,9 +340,9 @@ def bidirectional_block(
     output rows are the ones bidirectional_block(feats[order], w) returns,
     written back at order, bit for bit.
 
-    Both directions run as one two-stream scan whose row table reads
-    position i and position n-1-i at step i, and which sums the two
-    streams' outputs per position into one (n, C) buffer (`sum_streams`).
+    Both directions run as one two-stream scan that reads position i and
+    position n-1-i at step i, and which sums the two streams' outputs per
+    position into one (n, C) buffer (`sum_streams`).
     Layer norm, in_proj, the (B, C, Delta) generation, the gate and
     out_proj run over chunks of positions (`_row_chunks`) into float32
     buffers, each reading its feats rows through `order`, so neither a
@@ -376,11 +367,8 @@ def bidirectional_block(
         part = generate_scan_params(x[pos], w)
         params.b[pos], params.c[pos], params.delta[pos] = part.b, part.c, part.delta
     u = part = None  # the last chunk's temporaries are not held through the scan
-    steps = np.arange(n)
     # the chunked name keeps voxel-block scans apart from BEV scans in traces
-    both = selective_scan_chunked(
-        x, w.a, params, SCAN_BLOCK, np.stack([steps, steps[::-1]], axis=1), sum_streams=True
-    )
+    both = selective_scan_chunked(x, w.a, params, SCAN_BLOCK, sum_streams=True)
     del x, params  # only the summed scan output is read from here on
     out = np.empty((n, c_width), dtype=np.float32)
     for pos, rows in chunks:

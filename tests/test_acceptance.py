@@ -130,7 +130,7 @@ def test_criterion_3_oracle_batch():
         scans = scan_orders_2d(h, w)
         seqs = [rng.normal(size=(h * w, c)).astype(np.float32) for _ in range(4)]
         got = cross_merge_2d(seqs, scans, h, w)
-        want = oracles.cross_merge(seqs, [p.tolist() for p in scans.all()], h, w)
+        want = oracles.cross_merge(seqs, scans.T.tolist(), h, w)
         assert np.max(np.abs(got - want)) < 1e-5
 
     for _ in range(100):  # mmvfm_mix: 1e-5

@@ -1137,6 +1137,91 @@ def test_cli_oracle_count_out_of_bounds_names_its_flag(tmp_path, capsys, cmd, fl
     assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
 
 
+# a small valid run of each oracle: its tensors (for `splat`, the files of its
+# --inputs directory; otherwise each passed by its own flag) and its other flags
+_ORACLE_INPUTS = {
+    "ssm-dense": (
+        {"x": np.ones((4, 3)), "a": np.full((3, 2), -0.5), "b": np.ones((4, 2)),
+         "c": np.ones((4, 2)), "delta": np.full((4, 3), 0.1)},
+        {},
+    ),
+    "nms": ({"heat": np.zeros((1, 4, 4))}, {"k": "2"}),
+    "height-compress": (
+        {"coords": np.array([[0, 0, 0], [3, 3, 1]]), "feats": np.ones((2, 3))},
+        {"extents": "4,4,2"},
+    ),
+    "splat": (
+        {"feats": np.ones((2, 3, 4)), "depth": np.full((2, 3, 8), 0.125),
+         "intrinsics": np.array([[12.0, 0, 6], [0, 12, 4], [0, 0, 1]]),
+         "extrinsics": np.eye(4), "bins": np.linspace(1.5, 8.5, 8)},
+        {"origin": "-4,-4", "cell": "0.5,0.5", "nx": "16", "ny": "16"},
+    ),
+}
+
+
+def _oracle_run_args(tmp_path, cmd: str, flag: str | None = None, value=None) -> list[str]:
+    """`ddhf oracle` arguments running `cmd` on `_ORACLE_INPUTS`, with `flag`
+    given `value`: its text, or for a tensor flag the tensor its file holds."""
+    tensors, options = _ORACLE_INPUTS[cmd]
+    name = flag and flag.removeprefix("--")
+    args = ["oracle", cmd, "--out", str(tmp_path / "o.out")]
+    for key, arr in tensors.items():
+        save_tensor(tmp_path / f"{key}.bin", value if key == name else arr)
+        if cmd != "splat":
+            args.append(f"--{key}={tmp_path / f'{key}.bin'}")
+    if cmd == "splat":
+        args.append(f"--inputs={tmp_path}")
+    args += [f"--{key}={value if key == name else text}" for key, text in options.items()]
+    if name is not None and name not in tensors and name not in options:
+        args.append(f"{flag}={value}")
+    return args
+
+
+@pytest.mark.parametrize("cmd", sorted(_ORACLE_INPUTS))
+def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
+    assert main(_oracle_run_args(tmp_path, cmd)) == 0
+    capsys.readouterr()
+
+
+# each input held to its library twin's domain: selective_scan (a < 0,
+# delta > 0, matching shapes), pqg.Heatmap ((K, H, W) in [0, 1]),
+# SparseVoxelSet and GridSpec (cells inside positive extents), and the
+# finite origin, positive cell sizes and counts of viewtrans.lss_splat's grid
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [
+        ("ssm-dense", "--a", np.full((3, 2), 1.0)),
+        ("ssm-dense", "--delta", np.full((4, 3), -1.0)),
+        ("ssm-dense", "--b", np.ones((5, 2))),
+        ("nms", "--heat", np.zeros((4, 4))),
+        ("nms", "--heat", np.full((1, 4, 4), 1.5)),
+        ("height-compress", "--extents", "4,0,2"),
+        ("height-compress", "--extents", "4,x,2"),
+        ("height-compress", "--coords", np.array([[0, 0, 0], [4, 3, 1]])),
+        ("height-compress", "--coords", np.array([[0, 0, 0], [-1, 3, 1]])),
+        ("height-compress", "--feats", np.ones((3, 3))),
+        ("splat", "--cell", "0,1"),
+        ("splat", "--cell", "0.5,-1"),
+        ("splat", "--cell", "a,1"),
+        ("splat", "--origin", "nan,0"),
+        ("splat", "--origin", "inf,0"),
+        ("splat", "--nx", "-1"),
+        ("splat", "--ny", "0"),
+        ("splat", "--stride", "0"),
+    ],
+    ids=[
+        "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
+        "nms-heat-above-1", "hc-zero-extent", "hc-extent-not-int", "hc-coord-past-extent",
+        "hc-coord-negative", "hc-feats-rows", "splat-cell-zero", "splat-cell-negative",
+        "splat-cell-not-number", "splat-origin-nan", "splat-origin-inf", "splat-nx-negative",
+        "splat-ny-zero", "splat-stride-zero",
+    ],
+)
+def test_cli_oracle_bad_input_names_its_flag(tmp_path, capsys, cmd, flag, value):
+    assert main(_oracle_run_args(tmp_path, cmd, flag, value)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
 @pytest.mark.parametrize("cmd, flag, value", [("fps", "--n", 1), ("fps", "--n", 5), ("nms", "--k", 1)])
 def test_cli_oracle_count_at_its_bound_runs(tmp_path, capsys, cmd, flag, value):
     assert main(_oracle_count_args(tmp_path, cmd, flag, value)) == 0
