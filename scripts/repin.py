@@ -28,6 +28,7 @@ import test_harness
 import test_layer_hashes
 import test_ssm
 import test_stage_hashes
+import test_tracing
 from conftest import PINS, PINS_PATH
 
 TABLES = {  # pins.json table -> the function that recomputes it
@@ -36,6 +37,7 @@ TABLES = {  # pins.json table -> the function that recomputes it
     "layer": test_layer_hashes.layer_hashes,
     "stage": test_stage_hashes.stage_hashes,
     "scan": test_ssm.scan_hashes,
+    "bench": test_tracing.bench_references,
 }
 
 

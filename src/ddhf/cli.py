@@ -98,18 +98,33 @@ def _check_count(flag: str, value: int, most: int | None = None) -> None:
         raise ValueError(f"--{flag} must be {bound}, got {value}")
 
 
+def _check_shape(what: str, t: np.ndarray, shape: tuple) -> None:
+    """t has `shape`, in which a str names a free axis; an error names
+    `what`, the tensor's flag or --inputs file."""
+    if t.ndim != len(shape) or any(
+        isinstance(want, int) and got != want for got, want in zip(t.shape, shape)
+    ):
+        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{what} must have shape ({text}), got {t.shape}")
+
+
+def _input_file(args, name: str, shape: tuple) -> np.ndarray:
+    """The tensor `name`.bin of the --inputs directory, checked to `shape`."""
+    t = load_tensor(Path(args.inputs) / f"{name}.bin")
+    _check_shape(f"--inputs {name}.bin", t, shape)
+    return t
+
+
 def _ssm_inputs(args) -> list[np.ndarray]:
     """x, a, b, c and delta, held to selective_scan's domain: x (n, C),
     a (C, d_state) strictly negative, b and c (n, d_state), delta (n, C)
     positive."""
     t = {name: load_tensor(getattr(args, name)) for name in ("x", "a", "b", "c", "delta")}
-    for name in ("x", "a"):
-        if t[name].ndim != 2:
-            raise ValueError(f"--{name} must be a 2-D tensor, got shape {t[name].shape}")
+    _check_shape("--x", t["x"], ("n", "C"))
+    _check_shape("--a", t["a"], (t["x"].shape[1], "d_state"))
     (n, cw), ds = t["x"].shape, t["a"].shape[1]
-    for name, shape in (("a", (cw, ds)), ("b", (n, ds)), ("c", (n, ds)), ("delta", (n, cw))):
-        if t[name].shape != shape:
-            raise ValueError(f"--{name} must have shape {shape}, got {t[name].shape}")
+    for name, shape in (("b", (n, ds)), ("c", (n, ds)), ("delta", (n, cw))):
+        _check_shape(f"--{name}", t[name], shape)
     if not np.all(t["a"] < 0):
         raise ValueError("--a must be strictly negative")
     if not np.all(t["delta"] > 0):
@@ -125,8 +140,7 @@ def _cmd_oracle(args) -> int:
         print(f"ssm-dense: {out.shape} -> {args.out}")
     elif cmd == "nms":
         heat = load_tensor(args.heat)
-        if heat.ndim != 3:
-            raise ValueError(f"--heat must be a (K, H, W) tensor, got shape {heat.shape}")
+        _check_shape("--heat", heat, ("K", "H", "W"))
         if not np.all((heat >= 0) & (heat <= 1)):
             raise ValueError("--heat values must lie in [0, 1]")
         _check_count("k", args.k)
@@ -141,14 +155,14 @@ def _cmd_oracle(args) -> int:
         )
         print(f"nms: {pos.shape[0]} picks -> {args.out}")
     elif cmd == "fps":
-        pts = load_tensor(args.points).reshape(-1, 3)
+        pts = load_tensor(args.points)
+        _check_shape("--points", pts, ("n", 3))
         _check_count("n", args.n, len(pts))
         idx = oracles.fps(pts, args.n)
         jsonio.dump({"indices": idx.tolist()}, args.out)
         print(f"fps: {idx.size} picks -> {args.out}")
     elif cmd == "height-compress":
-        coords = load_tensor(args.coords).astype(np.int64)
-        feats = load_tensor(args.feats)
+        coords, feats = load_tensor(args.coords), load_tensor(args.feats)
         try:
             extents = tuple(int(v) for v in args.extents.split(","))
         except ValueError:
@@ -157,12 +171,12 @@ def _cmd_oracle(args) -> int:
             raise ValueError(f"--extents must be three integers nx,ny,nz, got {args.extents!r}")
         for e in extents:
             _check_count("extents", e)
-        if not (coords.ndim == 2 and coords.shape[1] == 3
-                and np.all((coords >= 0) & (coords < extents))):
-            raise ValueError(f"--coords must be (n, 3) cells inside --extents {extents}")
-        if feats.ndim != 2 or len(feats) != len(coords):
-            raise ValueError(f"--feats must be (n, C), one row per --coords row, got {feats.shape}")
-        save_tensor(args.out, oracles.height_compress(coords, feats, extents))
+        _check_shape("--coords", coords, ("n", 3))
+        # integers like SparseVoxelSet's coords; NaN fails every comparison
+        if not np.all((coords >= 0) & (coords < extents) & (coords == np.floor(coords))):
+            raise ValueError(f"--coords must be integer cells inside --extents {extents}")
+        _check_shape("--feats", feats, (len(coords), "C"))
+        save_tensor(args.out, oracles.height_compress(coords.astype(np.int64), feats, extents))
         print(f"height-compress: {extents} -> {args.out}")
     elif cmd == "hilbert-walk":
         _check_count("bits", args.bits, oracles.WALK_MAX_BITS)
@@ -175,12 +189,19 @@ def _cmd_oracle(args) -> int:
         else:
             print("\n".join(lines))
     elif cmd == "mix-scalar":
-        d = Path(args.inputs)
-        t = lambda name: load_tensor(d / f"{name}.bin")
+        q = _input_file(args, "q", ("C",))
+        (c,) = q.shape
+        feats = _input_file(args, "feats", ("G", c))
+        g = len(feats)
+        if g % 4:  # as decoder.GridFeatures requires
+            raise ValueError(f"--inputs feats.bin must have G rows divisible by 4, got {g}")
+        gq = g // 4
+        shapes = {
+            "offsets": (g, 3), "off_w": (3, c), "off_b": (c,), "cw": (c, c * c), "cb": (c * c,),
+            "sw": (c, g * gq), "sb": (g * gq,), "down_w": (c * gq, c), "down_b": (c,),
+        }
         out = oracles.mmvfm_mix(
-            t("q"), t("feats"), t("offsets"),
-            t("off_w"), t("off_b"), t("cw"), t("cb"),
-            t("sw"), t("sb"), t("down_w"), t("down_b"),
+            q, feats, *(_input_file(args, name, shape) for name, shape in shapes.items())
         )
         save_tensor(args.out, out)
         print(f"mix-scalar: ({out.size},) -> {args.out}")
@@ -190,12 +211,13 @@ def _cmd_oracle(args) -> int:
             raise ValueError(f"--cell must be positive, got {args.cell!r}")
         for flag in ("stride", "nx", "ny"):
             _check_count(flag, getattr(args, flag))
-        d = Path(args.inputs)
-        t = lambda name: load_tensor(d / f"{name}.bin")
+        feats = _input_file(args, "feats", ("h", "w", "C"))
+        depth = _input_file(args, "depth", (*feats.shape[:2], "D"))
         out = oracles.lss_splat(
-            t("feats"), t("depth"),
-            t("intrinsics").astype(np.float64), t("extrinsics").astype(np.float64),
-            args.stride, t("bins").astype(np.float64),
+            feats, depth,
+            _input_file(args, "intrinsics", (3, 3)).astype(np.float64),
+            _input_file(args, "extrinsics", (4, 4)).astype(np.float64),
+            args.stride, _input_file(args, "bins", depth.shape[2:]).astype(np.float64),
             origin, cell, args.nx, args.ny,
         )
         save_tensor(args.out, out)

@@ -4,7 +4,8 @@ Two sparse branches (LiDAR, image) are encoded per scale by intra-modal
 bidirectional scan blocks over Hilbert-ordered sequences, fused by a
 cross-modal block over the merged two-modality sequence, and carried through
 a three-scale U shape (strides 1, 2, 4) built from sparse stride-2
-convolutions with skip additions on the way back up. LiDAR z indices are
+convolutions with skip additions on the way back up; each transposed conv
+scatters through the parent rows its down conv returned. LiDAR z indices are
 doubled before merging so both modalities share one coordinate frame. The
 merged sequence is only an order: `cv_merge` returns the Hilbert order of
 the stacked rows [LiDAR; image], which the cross-modal block reads in place
@@ -67,17 +68,17 @@ def coarser_grid(grid: GridSpec) -> GridSpec:
 
 def sparse_down(
     v: SparseVoxelSet, kernel: np.ndarray, bias: np.ndarray
-) -> SparseVoxelSet:
-    """Stride-2 sparse 3x3x3 convolution.
+) -> tuple[SparseVoxelSet, np.ndarray]:
+    """Stride-2 sparse 3x3x3 convolution: the output set, and each input
+    voxel's parent (the output row of its cell floor(p/2)) for sparse_up.
 
     Output occupancy is the floor-halved input occupancy; each output voxel
     at q gathers input voxels at 2q + t for t in {-1,0,1}^3 and applies
     SiLU(sum of kernel-weighted features + bias). kernel: (3,3,3,Cin,Cout).
     """
     grid_out = coarser_grid(v.grid)
-    half = v.coords // 2
-    flat_out = np.ravel_multi_index(half.T, grid_out.extents)
-    uniq = np.unique(flat_out)
+    flat_out = np.ravel_multi_index((v.coords // 2).T, grid_out.extents)
+    uniq, parents = np.unique(flat_out, return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq, grid_out.extents), axis=1).astype(np.int64)
 
     acc = np.tile(bias.astype(np.float64), (out_coords.shape[0], 1))
@@ -87,28 +88,24 @@ def sparse_down(
     for t, tap_rows in zip(taps, rows):
         hit = np.flatnonzero(tap_rows >= 0)
         acc[hit] += v.feats[tap_rows[hit]].astype(np.float64) @ kernel[t].astype(np.float64)
-    return SparseVoxelSet(out_coords, silu(acc), grid_out)
+    return SparseVoxelSet(out_coords, silu(acc), grid_out), parents
 
 
 def sparse_up(
-    v_coarse: SparseVoxelSet, target: SparseVoxelSet, kernel: np.ndarray
+    v_coarse: SparseVoxelSet, target: SparseVoxelSet, parents: np.ndarray, kernel: np.ndarray
 ) -> SparseVoxelSet:
-    """Transposed stride-2 conv scattered onto a recorded finer occupancy.
-
-    Each fine voxel p receives its single parent q = floor(p/2) weighted by
-    kernel[p - 2q]; the result is added to target's features (skip path).
-    kernel: (2,2,2,Cin,Cout) with Cout == target channel width.
+    """Transposed stride-2 conv onto the set sparse_down took (target),
+    through the parent rows it returned: each fine voxel p receives its
+    parent q = floor(p/2) weighted by kernel[p - 2q], added to target's
+    features (skip path). kernel: (2,2,2,Cin,Cout), Cout == target's width.
     """
-    if coarser_grid(target.grid).extents != v_coarse.grid.extents:
-        raise ValueError("sparse_up: target occupancy does not match the coarse grid")
-    parents = v_coarse.rows_of(target.coords // 2)
+    if parents.shape != (target.n,):
+        raise ValueError(f"sparse_up: parents must have shape ({target.n},), got {parents.shape}")
     # p - 2q in {0,1}^3, as its kernel tap's position in np.ndindex(2, 2, 2)
     tap = (target.coords % 2) @ np.array([4, 2, 1])
-    tap[parents < 0] = -1
-    # the skip first: a float32 feature widens exactly and addition commutes,
-    # and a voxel without a parent keeps its feature's bits, -0.0 included;
-    # each tap group's float64 sum is rounded to float32 as it is stored
-    out = target.feats.copy()
+    # each row is in one tap group, the skip first (a float32 feature widens
+    # exactly and addition commutes), rounded to float32 as it is stored
+    out = np.empty_like(target.feats)
     cfeats = v_coarse.feats.astype(np.float64)
     for k, t in enumerate(np.ndindex(2, 2, 2)):
         sel = np.flatnonzero(tap == k)
@@ -200,15 +197,16 @@ def hvf_forward(
     v_lidar: SparseVoxelSet, v_image: SparseVoxelSet, w: HvfWeights
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Three scales of IV + CV blocks with downsampling between scales, then
-    upsampling back to stride 1 against the recorded skip occupancies."""
+    upsampling back to stride 1 onto the recorded skip sets."""
     branches = (w.lidar, w.image)  # LiDAR first at every step
     vs = (v_lidar, v_image)
-    skips: list[tuple[SparseVoxelSet, SparseVoxelSet]] = []
+    skips = []  # per step and branch: (the set sparse_down took, its parents)
     for s in range(N_SCALES):
         vs = cv_mamba(*(iv_mamba(v, b.iv[s]) for v, b in zip(vs, branches)), w.cv[s])
-        skips.append(vs)
         if s < N_SCALES - 1:
-            vs = tuple(sparse_down(v, *b.down[s]) for v, b in zip(vs, branches))
+            downs = [sparse_down(v, *b.down[s]) for v, b in zip(vs, branches)]
+            skips.append([(v, parents) for v, (_, parents) in zip(vs, downs)])
+            vs = tuple(coarse for coarse, _ in downs)
     for s in range(N_SCALES - 2, -1, -1):
-        vs = tuple(sparse_up(v, skip, b.up[s]) for v, skip, b in zip(vs, skips[s], branches))
+        vs = tuple(sparse_up(v, *skip, b.up[s]) for v, skip, b in zip(vs, skips[s], branches))
     return vs

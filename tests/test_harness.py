@@ -1137,9 +1137,11 @@ def test_cli_oracle_count_out_of_bounds_names_its_flag(tmp_path, capsys, cmd, fl
     assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
 
 
-# a small valid run of each oracle: its tensors (for `splat`, the files of its
-# --inputs directory; otherwise each passed by its own flag) and its other flags
+# a small valid run of each oracle: its tensors (for `_INPUT_DIRS`, the files
+# of its --inputs directory; otherwise each passed by its own flag) and its
+# other flags
 _ORACLE_INPUTS = {
+    "fps": ({"points": np.arange(15).reshape(5, 3)}, {"n": "2"}),
     "ssm-dense": (
         {"x": np.ones((4, 3)), "a": np.full((3, 2), -0.5), "b": np.ones((4, 2)),
          "c": np.ones((4, 2)), "delta": np.full((4, 3), 0.1)},
@@ -1156,25 +1158,30 @@ _ORACLE_INPUTS = {
          "extrinsics": np.eye(4), "bins": np.linspace(1.5, 8.5, 8)},
         {"origin": "-4,-4", "cell": "0.5,0.5", "nx": "16", "ny": "16"},
     ),
+    "mix-scalar": (  # C = 2 channels, a lattice of G = 4 points
+        {"q": np.ones(2), "feats": np.ones((4, 2)), "offsets": np.ones((4, 3)),
+         "off_w": np.ones((3, 2)), "off_b": np.ones(2), "cw": np.ones((2, 4)), "cb": np.ones(4),
+         "sw": np.ones((2, 4)), "sb": np.ones(4), "down_w": np.ones((2, 2)), "down_b": np.ones(2)},
+        {},
+    ),
 }
+_INPUT_DIRS = ("mix-scalar", "splat")
 
 
-def _oracle_run_args(tmp_path, cmd: str, flag: str | None = None, value=None) -> list[str]:
-    """`ddhf oracle` arguments running `cmd` on `_ORACLE_INPUTS`, with `flag`
-    given `value`: its text, or for a tensor flag the tensor its file holds."""
+def _oracle_run_args(tmp_path, cmd: str, **changed) -> list[str]:
+    """`ddhf oracle` arguments running `cmd` on `_ORACLE_INPUTS`, with each
+    tensor or flag named in `changed` given its value there: for a tensor,
+    the tensor its file holds; otherwise the flag's text."""
     tensors, options = _ORACLE_INPUTS[cmd]
-    name = flag and flag.removeprefix("--")
     args = ["oracle", cmd, "--out", str(tmp_path / "o.out")]
     for key, arr in tensors.items():
-        save_tensor(tmp_path / f"{key}.bin", value if key == name else arr)
-        if cmd != "splat":
+        save_tensor(tmp_path / f"{key}.bin", changed.get(key, arr))
+        if cmd not in _INPUT_DIRS:
             args.append(f"--{key}={tmp_path / f'{key}.bin'}")
-    if cmd == "splat":
+    if cmd in _INPUT_DIRS:
         args.append(f"--inputs={tmp_path}")
-    args += [f"--{key}={value if key == name else text}" for key, text in options.items()]
-    if name is not None and name not in tensors and name not in options:
-        args.append(f"{flag}={value}")
-    return args
+    flags = {**options, **changed}
+    return args + [f"--{key}={text}" for key, text in flags.items() if key not in tensors]
 
 
 @pytest.mark.parametrize("cmd", sorted(_ORACLE_INPUTS))
@@ -1183,13 +1190,16 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
     capsys.readouterr()
 
 
-# each input held to its library twin's domain: selective_scan (a < 0,
-# delta > 0, matching shapes), pqg.Heatmap ((K, H, W) in [0, 1]),
-# SparseVoxelSet and GridSpec (cells inside positive extents), and the
-# finite origin, positive cell sizes and counts of viewtrans.lss_splat's grid
+# each input held to its library twin's domain: viewtrans.fps ((n, 3)
+# points), selective_scan (a < 0, delta > 0, matching shapes), pqg.Heatmap
+# ((K, H, W) in [0, 1]), SparseVoxelSet and GridSpec (integer cells inside
+# positive extents), and the finite origin, positive cell sizes and counts of
+# viewtrans.lss_splat's grid
 @pytest.mark.parametrize(
     "cmd, flag, value",
     [
+        ("fps", "--points", np.arange(7)),
+        ("fps", "--points", np.ones((3, 4))),
         ("ssm-dense", "--a", np.full((3, 2), 1.0)),
         ("ssm-dense", "--delta", np.full((4, 3), -1.0)),
         ("ssm-dense", "--b", np.ones((5, 2))),
@@ -1199,6 +1209,7 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
         ("height-compress", "--extents", "4,x,2"),
         ("height-compress", "--coords", np.array([[0, 0, 0], [4, 3, 1]])),
         ("height-compress", "--coords", np.array([[0, 0, 0], [-1, 3, 1]])),
+        ("height-compress", "--coords", np.array([[1.7, 2.9, 0], [3, 3, 1]])),
         ("height-compress", "--feats", np.ones((3, 3))),
         ("splat", "--cell", "0,1"),
         ("splat", "--cell", "0.5,-1"),
@@ -1210,16 +1221,38 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
         ("splat", "--stride", "0"),
     ],
     ids=[
-        "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
+        "fps-points-7-values", "fps-points-4-columns", "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
         "nms-heat-above-1", "hc-zero-extent", "hc-extent-not-int", "hc-coord-past-extent",
-        "hc-coord-negative", "hc-feats-rows", "splat-cell-zero", "splat-cell-negative",
+        "hc-coord-negative", "hc-coord-fractional", "hc-feats-rows", "splat-cell-zero", "splat-cell-negative",
         "splat-cell-not-number", "splat-origin-nan", "splat-origin-inf", "splat-nx-negative",
         "splat-ny-zero", "splat-stride-zero",
     ],
 )
 def test_cli_oracle_bad_input_names_its_flag(tmp_path, capsys, cmd, flag, value):
-    assert main(_oracle_run_args(tmp_path, cmd, flag, value)) == 2
+    assert main(_oracle_run_args(tmp_path, cmd, **{flag.removeprefix("--"): value})) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+# each --inputs file held to the shape its oracle reads; the lattice size G
+# of mix-scalar to decoder.GridFeatures' rule (divisible by 4)
+@pytest.mark.parametrize(
+    "cmd, named, changed",
+    [
+        ("splat", "depth", {"depth": np.ones((2, 3))}),
+        ("splat", "intrinsics", {"intrinsics": np.array([12.0, 12, 6])}),
+        ("splat", "bins", {"depth": np.full((2, 3, 9), 0.1)}),  # 9 depth bins, 8 centres
+        ("splat", "depth", {"depth": np.full((1, 3, 8), 0.125)}),  # feats has 2 rows
+        ("mix-scalar", "feats", {"feats": np.ones((4, 3))}),  # one column wider than q
+        ("mix-scalar", "feats",  # G = 6, every other file sized to it
+         {"feats": np.ones((6, 2)), "offsets": np.ones((6, 3)), "sw": np.ones((2, 6)),
+          "sb": np.ones(6)}),
+    ],
+    ids=["splat-depth-2d", "splat-intrinsics-1d", "splat-bins-count", "splat-depth-rows",
+         "mix-feats-columns", "mix-lattice-6"],
+)
+def test_cli_oracle_bad_inputs_file_names_it(tmp_path, capsys, cmd, named, changed):
+    assert main(_oracle_run_args(tmp_path, cmd, **changed)) == 2
+    assert capsys.readouterr().err.startswith(f"error: --inputs {named}.bin ")
 
 
 @pytest.mark.parametrize("cmd, flag, value", [("fps", "--n", 1), ("fps", "--n", 5), ("nms", "--k", 1)])

@@ -180,7 +180,7 @@ def test_sparse_down_occupancy_rule(rng):
     vl, _ = paired_sets(rng, n_lidar=30)
     kernel = rng.normal(size=(3, 3, 3, 4, 6)).astype(np.float32)
     bias = rng.normal(size=6).astype(np.float32)
-    out = sparse_down(vl, kernel, bias)
+    out, _ = sparse_down(vl, kernel, bias)
     want = {tuple(c) for c in (vl.coords // 2)}
     assert {tuple(c) for c in out.coords} == want
     assert out.channels == 6
@@ -213,7 +213,7 @@ def test_sparse_down_matches_dense_conv(rng):
     v = random_voxel_set(rng, grid, 90, 4)
     kernel = rng.normal(size=(3, 3, 3, 4, 5)).astype(np.float32)
     bias = rng.normal(size=5).astype(np.float32)
-    got = sparse_down(v, kernel, bias)
+    got, _ = sparse_down(v, kernel, bias)
     want = dense_down_reference(v, kernel, bias)
     assert got.n == len(want)
     for coord, feat in zip(got.coords, got.feats):
@@ -222,31 +222,37 @@ def test_sparse_down_matches_dense_conv(rng):
 
 def test_sparse_down_empty(rng):
     kernel = rng.normal(size=(3, 3, 3, 4, 6)).astype(np.float32)
-    out = sparse_down(empty_voxel_set(LIDAR_GRID, 4), kernel, np.zeros(6, dtype=np.float32))
+    out, _ = sparse_down(empty_voxel_set(LIDAR_GRID, 4), kernel, np.zeros(6, dtype=np.float32))
     assert out.n == 0
     assert out.grid.extents == (4, 4, 2)
     assert out.channels == 6 and out.feats.dtype == np.float32
 
 
+@pytest.mark.parametrize(
+    "grid, n",
+    [
+        (LIDAR_GRID, 30),
+        (GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extents=(7, 5, 3)), 60),
+        (LIDAR_GRID, 0),
+    ],
+    ids=["random", "odd-extents", "empty"],
+)
+def test_sparse_down_parents_are_each_voxels_coarse_row(rng, grid, n):
+    v = random_voxel_set(rng, grid, n, 4)
+    kernel = rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32)
+    coarse, parents = sparse_down(v, kernel, np.zeros(4, dtype=np.float32))
+    assert np.array_equal(parents, coarse.rows_of(v.coords // 2))
+    assert parents.shape == (v.n,) and np.all(parents >= 0)
+
+
 def test_sparse_up_zero_kernel_keeps_target(rng):
     vl, _ = paired_sets(rng)
-    coarse = sparse_down(
+    coarse, parents = sparse_down(
         vl, rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32), np.zeros(4, dtype=np.float32)
     )
-    out = sparse_up(coarse, vl, np.zeros((2, 2, 2, 4, 4), dtype=np.float32))
+    out = sparse_up(coarse, vl, parents, np.zeros((2, 2, 2, 4, 4), dtype=np.float32))
     assert np.array_equal(out.feats, vl.feats)
     assert np.array_equal(out.coords, vl.coords)
-
-
-def test_sparse_up_empty_coarse_keeps_target_bits(rng):
-    vl, _ = paired_sets(rng)
-    feats = vl.feats.copy()
-    feats[0, 0] = -0.0  # a voxel without a parent keeps even the sign of a zero
-    vl = vl.with_feats(feats)
-    coarse = empty_voxel_set(coarser_grid(LIDAR_GRID), 4)
-    out = sparse_up(coarse, vl, rng.normal(size=(2, 2, 2, 4, 4)).astype(np.float32))
-    assert np.array_equal(out.coords, vl.coords)
-    assert out.feats.tobytes() == vl.feats.tobytes()
 
 
 def test_sparse_up_adds_parent_contribution(rng):
@@ -254,26 +260,24 @@ def test_sparse_up_adds_parent_contribution(rng):
     coarse_grid = coarser_grid(LIDAR_GRID)
     cf = rng.normal(size=(1, 4)).astype(np.float32)
     coarse = SparseVoxelSet(np.array([[1, 2, 0]], dtype=np.int64), cf, coarse_grid)
-    fine_coords = np.array([[2, 4, 0], [3, 5, 1], [0, 0, 0]], dtype=np.int64)
-    fine_feats = rng.normal(size=(3, 4)).astype(np.float32)
+    fine_coords = np.array([[2, 4, 0], [3, 5, 1]], dtype=np.int64)
+    fine_feats = rng.normal(size=(2, 4)).astype(np.float32)
     fine = SparseVoxelSet(fine_coords, fine_feats, LIDAR_GRID)
     kernel = rng.normal(size=(2, 2, 2, 4, 4)).astype(np.float32)
-    out = sparse_up(coarse, fine, kernel)
+    out = sparse_up(coarse, fine, np.zeros(2, dtype=np.int64), kernel)
     want0 = fine_feats[0] + cf[0] @ kernel[0, 0, 0]  # offset (0,0,0)
     want1 = fine_feats[1] + cf[0] @ kernel[1, 1, 1]  # offset (1,1,1)
     assert np.allclose(out.feats[0], want0, atol=1e-5)
     assert np.allclose(out.feats[1], want1, atol=1e-5)
-    assert np.array_equal(out.feats[2], fine_feats[2])  # parent (0,0,0) unoccupied
 
 
-def test_sparse_up_rejects_mismatched_grids(rng):
+def test_sparse_up_rejects_parents_of_another_length(rng):
     vl, _ = paired_sets(rng)
-    wrong = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(2.0, 2.0, 2.0), extents=(2, 2, 2))
-    coarse = SparseVoxelSet(
-        np.array([[0, 0, 0]], dtype=np.int64), np.zeros((1, 4), dtype=np.float32), wrong
+    coarse, parents = sparse_down(
+        vl, rng.normal(size=(3, 3, 3, 4, 4)).astype(np.float32), np.zeros(4, dtype=np.float32)
     )
-    with pytest.raises(ValueError):
-        sparse_up(coarse, vl, np.zeros((2, 2, 2, 4, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="parents"):
+        sparse_up(coarse, vl, parents[1:], np.zeros((2, 2, 2, 4, 4), dtype=np.float32))
 
 
 def test_hvf_identity_configuration(rng):

@@ -58,10 +58,10 @@ def stage_outputs() -> dict:
 
     down_k = init_param("stage_hash.down.weight", (3, 3, 3, c, c), 7)
     down_b = rng.normal(size=c).astype(np.float32)
-    coarse = sparse_down(v, down_k, down_b)
+    coarse, parents = sparse_down(v, down_k, down_b)
     outs.update(sparse_down_coords=coarse.coords, sparse_down_feats=coarse.feats)
     up_k = init_param("stage_hash.up.weight", (2, 2, 2, c, c), 7)
-    outs["sparse_up"] = sparse_up(coarse, v, up_k).feats
+    outs["sparse_up"] = sparse_up(coarse, v, parents, up_k).feats
 
     for bits in (bits_for_extents(cfg.image_cells), 20):
         xyz = rng.integers(0, 1 << bits, size=(3, N_KEYS))
