@@ -157,6 +157,8 @@ def _cmd_oracle(args) -> int:
     elif cmd == "fps":
         pts = load_tensor(args.points)
         _check_shape("--points", pts, ("n", 3))
+        if not len(pts) or not np.all(np.isfinite(pts)):  # as viewtrans.fps requires
+            raise ValueError("--points must hold at least one point, all finite")
         _check_count("n", args.n, len(pts))
         idx = oracles.fps(pts, args.n)
         jsonio.dump({"indices": idx.tolist()}, args.out)

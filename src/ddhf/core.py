@@ -156,7 +156,10 @@ class GridSpec:
         """Integer cell indices for points (n, >= 3) plus an in-range mask."""
         o = np.asarray(self.origin, dtype=np.float64)
         s = np.asarray(self.voxel_size, dtype=np.float64)
-        idx = np.floor((points[:, :3].astype(np.float64) - o) / s).astype(np.int64)
+        idx = np.floor((points[:, :3].astype(np.float64) - o) / s)
+        # clamped as floats: a value past int64 has no defined cast, and a
+        # clamped cell stays outside the grid with its +-1 neighbours
+        idx = np.clip(idx, -(2.0**62), 2.0**62).astype(np.int64)
         ext = np.asarray(self.extents, dtype=np.int64)
         mask = np.all((idx >= 0) & (idx < ext), axis=1)
         return idx, mask

@@ -1,6 +1,7 @@
 """Progressive decoder.
 
-Queries are refined by deformable-attention layers over the fused BEV map,
+Queries, one `pqg.Queries` record of easy and hard queries together, are
+refined as one batch by deformable-attention layers over the fused BEV map,
 then by voxel layers that pool box-lattice features from both sparse
 branches and mix them with query-generated channel and spatial kernels,
 and finally read out as scored boxes by a small detection head.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
 from .ops import AttentionWeights, attention, init_attn, sigmoid, silu, softmax
-from .pqg import Query
+from .pqg import Queries
 from .viewtrans import bilinear_sample
 
 N_SAMPLE_POINTS = 4
@@ -368,7 +369,7 @@ def detection_head(
 
 
 def decode(
-    queries: list[Query],
+    queries: Queries,
     b_out: FeatureMap,
     v_lidar: SparseVoxelSet,
     v_img: SparseVoxelSet,
@@ -376,11 +377,9 @@ def decode(
 ) -> list[DetectionBox]:
     """Full decoder stack, every layer the weights hold: one output box per
     input query, no suppression."""
-    if not queries:  # np.stack below needs at least one query
+    if not len(queries):  # attention's softmax needs at least one query
         return []
-    feats = np.stack([q.feature for q in queries]).astype(np.float32)
-    rows = np.array([q.pos[0] for q in queries], dtype=np.int64)
-    cols = np.array([q.pos[1] for q in queries], dtype=np.int64)
+    feats, (rows, cols) = queries.feats, queries.pos.T
     for layer in w.deform:
         feats = deformable_layer(feats, rows, cols, b_out, layer)
     for layer in w.mmvfm:

@@ -30,18 +30,14 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of float x along axis, written over x: each in-place ufunc
-    gives the bits of its out-of-place form."""
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of float x along axis, written over x and returned: each
+    in-place ufunc gives the bits of its out-of-place form. Callers pass an
+    array they own, such as a fresh astype(np.float64)."""
     x -= np.max(x, axis=axis, keepdims=True)
     np.exp(x, out=x)
     x /= np.sum(x, axis=axis, keepdims=True)
     return x
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of float x along axis; one copy of x is its one whole temporary."""
-    return _softmax_in_place(np.array(x), axis)
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -105,16 +101,15 @@ def conv_block(x: np.ndarray, w: ConvBlock) -> np.ndarray:
     return x + conv2d(silu(conv2d(x, ka, ba)), kb, bb)
 
 
-def max_pool2d_same(x: np.ndarray, k: int = 3) -> np.ndarray:
-    """Max pool an (H, W) map with a k x k window, stride 1, same padding."""
-    p = (k - 1) // 2
-    xp = np.pad(x, ((p, p), (p, p)), constant_values=-np.inf)
-    stack = [
-        xp[di : di + x.shape[0], dj : dj + x.shape[1]]
-        for di in range(k)
-        for dj in range(k)
-    ]
-    return np.max(np.stack(stack), axis=0)
+def max_pool2d_same(x: np.ndarray) -> np.ndarray:
+    """Max pool the last two axes of x (..., H, W) with a 3 x 3 window,
+    stride 1, same padding; leading axes pool independently."""
+    h, w = x.shape[-2:]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], constant_values=-np.inf)
+    return np.max(
+        np.stack([xp[..., di : di + h, dj : dj + w] for di in range(3) for dj in range(3)]),
+        axis=0,
+    )
 
 
 def sinusoidal_encoding(pos: np.ndarray, dim: int) -> np.ndarray:
@@ -170,13 +165,12 @@ def attention(x: np.ndarray, w: AttentionWeights, ctx: np.ndarray | None = None)
     ctx (m, C), or to itself when ctx is None, and adds the o-projection.
 
     The (n, m) float64 logits are scaled and turned into softmax weights in
-    place, so they are the one (n, m) array it holds, with the bits of
-    `softmax` on the scaled logits. Both products run whole: a float64 gemm
-    cut into row pieces of 1 or 7 rows gives some rows other bits (measured
-    at K = 32 and K = 100)."""
+    place by `softmax`, so they are the one (n, m) array it holds. Both
+    products run whole: a float64 gemm cut into row pieces of 1 or 7 rows
+    gives some rows other bits (measured at K = 32 and K = 100)."""
     ctx = x if ctx is None else ctx
     q, k, v = x @ w.q_w + w.q_b, ctx @ w.k_w + w.k_b, ctx @ w.v_w + w.v_b
     logits = q.astype(np.float64) @ k.astype(np.float64).T
     logits *= 1.0 / np.sqrt(q.shape[-1])
-    out = (_softmax_in_place(logits) @ v.astype(np.float64)).astype(np.float32)
+    out = (softmax(logits) @ v.astype(np.float64)).astype(np.float32)
     return (x + out @ w.o_w + w.o_b).astype(np.float32, copy=False)

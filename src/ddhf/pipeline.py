@@ -41,7 +41,7 @@ from .decoder import (
 from .evalmetrics import box_record
 from .hbf import HbfWeights, hbf_forward, init_hbf, sparse_height_compress
 from .hvf import HvfWeights, hvf_forward, init_hvf
-from .pqg import HeatmapHeadWeights, PqgWeights, init_pqg, pqg_forward
+from .pqg import HeatmapHeadWeights, PqgWeights, Queries, init_pqg, pqg_forward
 from .viewtrans import (
     ImageEncoderWeights,
     encode_images,
@@ -283,7 +283,12 @@ def run_pipeline(
     log.add("queries", time.perf_counter() - t)
 
     t = time.perf_counter()
-    dets = decode(q_easy + q_hard, b_act, vl, vi, weights.decoder)
+    queries = Queries(
+        np.concatenate([q_easy.pos, q_hard.pos]),
+        np.concatenate([q_easy.classes, q_hard.classes]),
+        np.concatenate([q_easy.feats, q_hard.feats]),
+    )
+    dets = decode(queries, b_act, vl, vi, weights.decoder)
     log.add("decode", time.perf_counter() - t)
     return dets, log
 

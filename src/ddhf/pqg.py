@@ -4,7 +4,9 @@ Stage one reads easy object candidates off a class heatmap with pooling NMS
 and top-k. Their dilated neighborhoods are masked out, the map is re-excited
 by attention against the easy queries (hard instance activation), and stage
 two extracts the remaining candidates from the masked second heatmap, so no
-hard query can land next to an easy one.
+hard query can land next to an easy one. Each stage's queries leave as one
+`Queries` record of arrays (cells, classes, feature rows), the form HIA and
+the decoder read.
 """
 
 from __future__ import annotations
@@ -42,21 +44,16 @@ class Heatmap:
 
 
 @dataclass(frozen=True)
-class Query:
-    pos: tuple[int, int]  # (row, col)
-    class_id: int
-    feature: np.ndarray  # (C,)
+class Queries:
+    """m queries as arrays: map cells pos (m, 2) int64 as (row, col),
+    classes (m,) int64 and feats (m, C) float32, the map rows at pos."""
 
+    pos: np.ndarray
+    classes: np.ndarray
+    feats: np.ndarray
 
-@dataclass(frozen=True)
-class QueryMask:
-    """Binary (H, W) map; 0 marks cells suppressed for stage two."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not np.all((self.data == 0) | (self.data == 1)):
-            raise ValueError("QueryMask: mask must be binary")
+    def __len__(self) -> int:
+        return len(self.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +98,8 @@ def nms_topk(h: Heatmap, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError("nms_topk: k must be >= 1")
-    kc, hh, ww = h.data.shape
-    keep = np.zeros((kc, hh, ww), dtype=bool)
-    for c in range(kc):
-        keep[c] = h.data[c] == max_pool2d_same(h.data[c], 3)
+    _, hh, ww = h.data.shape
+    keep = h.data == max_pool2d_same(h.data)
     flat_idx = np.where(keep.reshape(-1))[0]
     scores = h.data.reshape(-1)[flat_idx]
     order = np.lexsort((flat_idx, -scores.astype(np.float64)))[: min(k, flat_idx.size)]
@@ -118,25 +113,24 @@ def nms_topk(h: Heatmap, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def collect(b: FeatureMap, positions: np.ndarray, classes: np.ndarray) -> list[Query]:
-    """Read the map's feature vector at each position and build queries."""
-    out = []
-    for (r, c), cls in zip(positions, classes):
-        if not (0 <= r < b.h and 0 <= c < b.w):
-            raise ValueError(f"collect: position ({r}, {c}) outside map")
-        out.append(Query((int(r), int(c)), int(cls), b.data[r, c].copy()))
-    return out
+def collect(b: FeatureMap, positions: np.ndarray, classes: np.ndarray) -> Queries:
+    """The queries at map cells positions (m, 2) of classes (m,), with the
+    map's feature rows there."""
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    outside = np.any((pos < 0) | (pos >= (b.h, b.w)), axis=1)
+    if outside.any():
+        r, c = pos[np.argmax(outside)]
+        raise ValueError(f"collect: position ({r}, {c}) outside map")
+    return Queries(pos, np.asarray(classes, dtype=np.int64), b.data[pos[:, 0], pos[:, 1]])
 
 
-def build_mask(p_easy: np.ndarray, h: int, w: int, kernel: int = 3) -> QueryMask:
-    """Complement of the kernel-dilated indicator of easy positions."""
-    if kernel < 1 or kernel % 2 == 0:
-        raise ValueError("build_mask: kernel must be odd and >= 1")
+def build_mask(p_easy: np.ndarray, h: int, w: int) -> np.ndarray:
+    """uint8 (h, w) map: 0 on the 3x3 neighborhood of each easy position,
+    1 elsewhere."""
     ind = np.zeros((h, w), dtype=np.float32)
     p_easy = np.asarray(p_easy, dtype=np.int64).reshape(-1, 2)
     ind[p_easy[:, 0], p_easy[:, 1]] = 1.0
-    dilated = max_pool2d_same(ind, kernel)
-    return QueryMask((1.0 - dilated).astype(np.uint8))
+    return (1.0 - max_pool2d_same(ind)).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def init_hia(name: str, c: int, k_classes: int, global_seed: int) -> HiaWeights:
     )
 
 
-def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
+def hia(q_easy: Queries, b: FeatureMap, w: HiaWeights) -> FeatureMap:
     """Activate the map against easy queries.
 
     Easy queries, embedded with one-hot class and sinusoidal position codes,
@@ -184,18 +178,12 @@ def hia(q_easy: list[Query], b: FeatureMap, w: HiaWeights) -> FeatureMap:
     softmax weights in place, so they are the one array of that size it
     holds.
     """
-    if not q_easy:  # np.stack, and a softmax over zero tokens, need one query
+    if not len(q_easy):  # a softmax over zero tokens has no max
         return b.with_data(conv_block(b.data, w.conv))
-    k_classes = w.emb_w.shape[0] - b.channels
-    onehot = np.zeros((len(q_easy), k_classes), dtype=np.float32)
-    rows = np.array([q.pos[0] for q in q_easy], dtype=np.float64)
-    cols = np.array([q.pos[1] for q in q_easy], dtype=np.float64)
-    for i, q in enumerate(q_easy):
-        onehot[i, q.class_id] = 1.0
+    onehot = np.eye(w.emb_w.shape[0] - b.channels, dtype=np.float32)[q_easy.classes]
+    rows, cols = q_easy.pos.T.astype(np.float64)
     pe = posenc_2d(rows, cols, b.channels)
-    tokens = np.stack([q.feature for q in q_easy]) + (
-        np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b
-    )
+    tokens = q_easy.feats + (np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b)
     tokens = attention(tokens, w.self_attn)
     x = attention(b.data.reshape(-1, b.channels), w.cross_attn, tokens)
     return b.with_data(conv_block(x.reshape(b.data.shape), w.conv))
@@ -222,7 +210,7 @@ def init_pqg(name: str, c: int, k_classes: int, global_seed: int) -> PqgWeights:
 
 def pqg_forward(
     b_out: FeatureMap, w: PqgWeights, k_easy: int, k_hard: int
-) -> tuple[list[Query], list[Query], FeatureMap]:
+) -> tuple[Queries, Queries, FeatureMap]:
     """Stage 1: heatmap -> NMS top-k easy queries. Stage 2: mask easy regions,
     re-activate the map with HIA, and extract hard queries from the product
     of the second heatmap and the mask. Zero-score (fully masked) candidates
@@ -234,10 +222,10 @@ def pqg_forward(
     mask = build_mask(pos_e, b_out.h, b_out.w)
     b_act = hia(q_easy, b_out, w.hia)
     h2 = heatmap_head(b_act, w.head_hard)
-    masked = Heatmap(h2.data * mask.data[None, :, :].astype(np.float32))
+    masked = Heatmap(h2.data * mask[None, :, :].astype(np.float32))
     pos_h, cls_h, sc_h = nms_topk(masked, k_hard)
     live = sc_h > 0
     pos_h, cls_h = pos_h[live], cls_h[live]
-    assert np.all(mask.data[pos_h[:, 0], pos_h[:, 1]] == 1)
+    assert np.all(mask[pos_h[:, 0], pos_h[:, 1]] == 1)
     q_hard = collect(b_act, pos_h, cls_h)
     return q_easy, q_hard, b_act

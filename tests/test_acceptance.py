@@ -241,8 +241,8 @@ def test_criterion_6_pqg_mask_law():
         h2 = (0.01 + 0.99 * rng.uniform(size=(kc, h, w))).astype(np.float32)
         k = int(rng.integers(1, 8))
         pos_e, _, _ = nms_topk(Heatmap(h1), k)
-        mask = build_mask(pos_e, h, w, kernel=3)
-        masked = Heatmap(h2 * mask.data[None, :, :].astype(np.float32))
+        mask = build_mask(pos_e, h, w)
+        masked = Heatmap(h2 * mask[None, :, :].astype(np.float32))
         pos_h, _, sc_h = nms_topk(masked, k)
         pos_h = pos_h[sc_h > 0]
         n_hard_total += len(pos_h)
@@ -295,9 +295,7 @@ def test_criterion_7_identity_end_to_end():
     b_out = hbf_forward(b_lid, b_img, vl, vi, weights.hbf)
     q_easy, _, _ = pqg_forward(b_out, weights.pqg, cfg.k_easy, cfg.k_hard)
 
-    centers = b_out.cell_centers(
-        np.array([q.pos[0] for q in q_easy]), np.array([q.pos[1] for q in q_easy])
-    )
+    centers = b_out.cell_centers(*q_easy.pos.T)
     hits = 0
     for x, y in planted:
         dist = np.hypot(centers[:, 0] - x, centers[:, 1] - y)

@@ -22,7 +22,7 @@ from ddhf.decoder import (
     voxel_pool,
 )
 from ddhf.ops import AttentionWeights
-from ddhf.pqg import Query
+from ddhf.pqg import Queries
 
 from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 from test_ops import sigmoid_ref
@@ -47,15 +47,13 @@ def zero_box_head(c):
 
 
 def make_queries(rng, fm, n, c=4):
-    rows = rng.integers(0, fm.h, size=n)
-    cols = rng.integers(0, fm.w, size=n)
-    queries = []
-    for r, cc in zip(rows, cols):
-        queries.append(
-            Query((int(r), int(cc)), int(rng.integers(0, 3)), rng.normal(size=c).astype(np.float32))
-        )
+    pos = np.stack([rng.integers(0, fm.h, size=n), rng.integers(0, fm.w, size=n)], axis=1)
+    classes, feats = np.zeros(n, dtype=np.int64), np.zeros((n, c), dtype=np.float32)
+    for i in range(n):  # per query, in the order the draws were first taken
+        classes[i] = rng.integers(0, 3)
+        feats[i] = rng.normal(size=c)
         rng.uniform()  # once the query's score: later draws keep their values
-    return queries
+    return Queries(pos, classes, feats)
 
 
 def test_deformable_zero_generators_sample_own_cell(rng):
@@ -509,7 +507,8 @@ def test_decode_empty_queries(rng):
     c = 4
     w = init_decoder("dec", c, 3, 3, 1, 17)
     fm = bev_map(rng, c=c)
-    assert decode([], fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c), w) == []
+    queries = make_queries(rng, fm, 0, c)
+    assert decode(queries, fm, empty_voxel_set(GRID, c), empty_voxel_set(GRID, c), w) == []
 
 
 def test_decode_runs_every_layer_the_weights_hold(rng):
@@ -518,9 +517,7 @@ def test_decode_runs_every_layer_the_weights_hold(rng):
     fm = bev_map(rng, c=c)
     queries = make_queries(rng, fm, 3, c)
     v_lid, v_img = empty_voxel_set(GRID, c), empty_voxel_set(GRID, c)
-    feats = np.stack([q.feature for q in queries])
-    rows = np.array([q.pos[0] for q in queries])
-    cols = np.array([q.pos[1] for q in queries])
+    feats, (rows, cols) = queries.feats, queries.pos.T
     for layer in w.deform:
         feats = deformable_layer(feats, rows, cols, fm, layer)
     feats = mmvfm_layer(feats, rows, cols, v_lid, v_img, fm, w.box, w.mmvfm[0])

@@ -407,6 +407,20 @@ def test_run_pipeline_rejects_bad_input(corrupt, message):
         run_pipeline(points, images, cameras, TINY)
 
 
+def test_run_pipeline_drops_far_points():
+    # finite float32 points far outside the grid pass validate_inputs; their
+    # cells lie past int64, whose cast would warn (an error in this suite),
+    # and they must drop out like any other point outside the grid
+    from ddhf.scene import gen_points, render_images
+
+    points, images = gen_points(TINY_SCENE), render_images(TINY_SCENE)
+    cameras = list(TINY_SCENE.cameras)
+    far = np.array([[1e30, 0, 0, 1], [0, -1e30, 0, 1], [0, 0, -3e38, 1], [-3e38, 1e30, 0, 1]])
+    want, _ = run_pipeline(points, images, cameras, TINY)
+    got, _ = run_pipeline(np.vstack([points, far]), images, cameras, TINY)
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1190,16 +1204,18 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
     capsys.readouterr()
 
 
-# each input held to its library twin's domain: viewtrans.fps ((n, 3)
-# points), selective_scan (a < 0, delta > 0, matching shapes), pqg.Heatmap
-# ((K, H, W) in [0, 1]), SparseVoxelSet and GridSpec (integer cells inside
-# positive extents), and the finite origin, positive cell sizes and counts of
-# viewtrans.lss_splat's grid
+# each input held to its library twin's domain: viewtrans.fps (at least one
+# finite (n, 3) point), selective_scan (a < 0, delta > 0, matching shapes),
+# pqg.Heatmap ((K, H, W) in [0, 1]), SparseVoxelSet and GridSpec (integer
+# cells inside positive extents), and the finite origin, positive cell sizes
+# and counts of viewtrans.lss_splat's grid
 @pytest.mark.parametrize(
     "cmd, flag, value",
     [
         ("fps", "--points", np.arange(7)),
         ("fps", "--points", np.ones((3, 4))),
+        ("fps", "--points", np.zeros((0, 3))),
+        ("fps", "--points", np.array([[0.0, 0, 0], [1, np.nan, 0]])),
         ("ssm-dense", "--a", np.full((3, 2), 1.0)),
         ("ssm-dense", "--delta", np.full((4, 3), -1.0)),
         ("ssm-dense", "--b", np.ones((5, 2))),
@@ -1221,7 +1237,8 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
         ("splat", "--stride", "0"),
     ],
     ids=[
-        "fps-points-7-values", "fps-points-4-columns", "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
+        "fps-points-7-values", "fps-points-4-columns", "fps-points-empty", "fps-points-nan",
+        "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
         "nms-heat-above-1", "hc-zero-extent", "hc-extent-not-int", "hc-coord-past-extent",
         "hc-coord-negative", "hc-coord-fractional", "hc-feats-rows", "splat-cell-zero", "splat-cell-negative",
         "splat-cell-not-number", "splat-origin-nan", "splat-origin-inf", "splat-nx-negative",

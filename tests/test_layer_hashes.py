@@ -59,7 +59,7 @@ def layer_outputs(c: int) -> dict:
     rng.uniform(size=N_EASY)  # once the queries' scores: later draws keep their values
     q_easy = collect(b, pos, classes)
     out, (outs["hia_self_softmax"], outs["hia_cross_softmax"]) = recorded(
-        ops, "_softmax_in_place", hia, q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)
+        ops, "softmax", hia, q_easy, b, init_hia("layer_hash.hia", c, K_CLASSES, 7)
     )
     outs["hia"] = out.data
 
@@ -87,11 +87,11 @@ def layer_outputs(c: int) -> dict:
     feats = rng.normal(size=(N_QUERIES, c)).astype(np.float32)
     rows, cols = rng.integers(0, SIDE, size=(2, N_QUERIES))
     _, (outs["mmvfm_lid_softmax"], outs["mmvfm_img_softmax"]) = recorded(
-        ops, "_softmax_in_place",
+        ops, "softmax",
         mmvfm_layer, feats, rows, cols, vox, img_vox, fm, dec_w.box, dec_w.mmvfm[0],
     )
     _, (outs["head_softmax"],) = recorded(
-        ops, "_softmax_in_place", detection_head, feats, rows, cols, fm, dec_w.head
+        ops, "softmax", detection_head, feats, rows, cols, fm, dec_w.head
     )
     return outs
 

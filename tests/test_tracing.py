@@ -51,6 +51,9 @@ def test_tracer_records_every_layer_of_a_camera_frame(monkeypatch):
     for name, counter in tracing.LAYERS.items():
         if counter is not None:
             assert all(s.counts for s in tracer.spans if s.name == name), name
+    # decode returns one box per query, easy and hard together
+    (pqg_span,) = [s for s in tracer.spans if s.name == "pqg.pqg_forward"]
+    assert pqg_span.counts["easy"] + pqg_span.counts["hard"] == len(dets)
     assert pipeline.run_pipeline.__name__ == "run_pipeline"  # the original is back
 
 
