@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import jsonio, oracles
 from .config import PipelineConfig, load_config
@@ -79,151 +76,85 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_pair(flag: str, text: str) -> tuple[float, float]:
-    """Two finite comma-separated numbers; an error names the flag."""
+def _inputs(*names: str) -> dict[str, str]:
+    """Each parameter read from the --inputs directory, from its own file."""
+    return {name: f"--inputs {name}.bin" for name in names}
+
+
+# each subcommand's oracle and, in call order, the source of each of its
+# parameters: a flag, or a file of the --inputs directory
+_ORACLES = {
+    "ssm-dense": (oracles.ssm_dense, {p: f"--{p}" for p in ("x", "a", "b", "c", "delta")}),
+    "nms": (oracles.nms_topk, {"heat": "--heat", "k": "--k"}),
+    "fps": (oracles.fps, {"points": "--points", "n": "--n"}),
+    "height-compress": (
+        oracles.height_compress, {"coords": "--coords", "feats": "--feats", "extents": "--extents"}
+    ),
+    "hilbert-walk": (oracles.hilbert_walk, {"bits": "--bits"}),
+    "mix-scalar": (oracles.mmvfm_mix, _inputs(
+        "q", "feats", "offsets", "off_w", "off_b", "cw", "cb", "sw", "sb", "down_w", "down_b"
+    )),
+    "splat": (oracles.lss_splat, {
+        **_inputs("feats", "depth", "intrinsics", "extrinsics"), "stride": "--stride",
+        **_inputs("bins"), "origin": "--origin", "cell": "--cell", "nx": "--nx", "ny": "--ny",
+    }),
+}
+# flags of comma-separated numbers: their type and count
+_NUMBERS = {"--extents": (int, 3), "--origin": (float, 2), "--cell": (float, 2)}
+
+
+def _read(args, source: str):
+    """The value at `source`: a tensor file (a flag's or the --inputs
+    directory's), a count, or a flag's comma-separated numbers, whose text
+    must parse."""
+    if source.startswith("--inputs "):
+        return load_tensor(Path(args.inputs) / source.removeprefix("--inputs "))
+    value = getattr(args, source[2:])
+    if isinstance(value, int):
+        return value
+    if source not in _NUMBERS:
+        return load_tensor(value)
+    kind, count = _NUMBERS[source]
     try:
-        parts = [float(v) for v in text.split(",")]
+        values = tuple(kind(v) for v in value.split(","))
     except ValueError:
-        parts = []
-    if len(parts) != 2 or not all(math.isfinite(v) for v in parts):
-        raise ValueError(f"--{flag} must be two finite comma-separated numbers, got {text!r}")
-    return parts[0], parts[1]
-
-
-def _check_count(flag: str, value: int, most: int | None = None) -> None:
-    """The bound the oracle's library twin enforces, named by its flag:
-    at least 1 and, if given, at most `most`."""
-    if value < 1 or (most is not None and value > most):
-        bound = ">= 1" if most is None else f"in [1, {most}]"
-        raise ValueError(f"--{flag} must be {bound}, got {value}")
-
-
-def _check_shape(what: str, t: np.ndarray, shape: tuple) -> None:
-    """t has `shape`, in which a str names a free axis; an error names
-    `what`, the tensor's flag or --inputs file."""
-    if t.ndim != len(shape) or any(
-        isinstance(want, int) and got != want for got, want in zip(t.shape, shape)
-    ):
-        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
-        raise ValueError(f"{what} must have shape ({text}), got {t.shape}")
-
-
-def _input_file(args, name: str, shape: tuple) -> np.ndarray:
-    """The tensor `name`.bin of the --inputs directory, checked to `shape`."""
-    t = load_tensor(Path(args.inputs) / f"{name}.bin")
-    _check_shape(f"--inputs {name}.bin", t, shape)
-    return t
-
-
-def _ssm_inputs(args) -> list[np.ndarray]:
-    """x, a, b, c and delta, held to selective_scan's domain: x (n, C),
-    a (C, d_state) strictly negative, b and c (n, d_state), delta (n, C)
-    positive."""
-    t = {name: load_tensor(getattr(args, name)) for name in ("x", "a", "b", "c", "delta")}
-    _check_shape("--x", t["x"], ("n", "C"))
-    _check_shape("--a", t["a"], (t["x"].shape[1], "d_state"))
-    (n, cw), ds = t["x"].shape, t["a"].shape[1]
-    for name, shape in (("b", (n, ds)), ("c", (n, ds)), ("delta", (n, cw))):
-        _check_shape(f"--{name}", t[name], shape)
-    if not np.all(t["a"] < 0):
-        raise ValueError("--a must be strictly negative")
-    if not np.all(t["delta"] > 0):
-        raise ValueError("--delta must be positive")
-    return list(t.values())
+        values = ()
+    if len(values) != count:
+        raise ValueError(f"{source} must be {count} comma-separated {kind.__name__}s, got {value!r}")
+    return values
 
 
 def _cmd_oracle(args) -> int:
     cmd = args.oracle_cmd
-    if cmd == "ssm-dense":
-        out = oracles.ssm_dense(*_ssm_inputs(args))
-        save_tensor(args.out, out.astype(np.float32))
-        print(f"ssm-dense: {out.shape} -> {args.out}")
-    elif cmd == "nms":
-        heat = load_tensor(args.heat)
-        _check_shape("--heat", heat, ("K", "H", "W"))
-        if not np.all((heat >= 0) & (heat <= 1)):
-            raise ValueError("--heat values must lie in [0, 1]")
-        _check_count("k", args.k)
-        pos, classes, scores = oracles.nms_topk(heat, args.k)
-        jsonio.dump(
-            {
-                "positions": pos.tolist(),
-                "classes": classes.tolist(),
-                "scores": [float(s) for s in scores],
-            },
-            args.out,
-        )
-        print(f"nms: {pos.shape[0]} picks -> {args.out}")
-    elif cmd == "fps":
-        pts = load_tensor(args.points)
-        _check_shape("--points", pts, ("n", 3))
-        if not len(pts) or not np.all(np.isfinite(pts)):  # as viewtrans.fps requires
-            raise ValueError("--points must hold at least one point, all finite")
-        _check_count("n", args.n, len(pts))
-        idx = oracles.fps(pts, args.n)
-        jsonio.dump({"indices": idx.tolist()}, args.out)
-        print(f"fps: {idx.size} picks -> {args.out}")
-    elif cmd == "height-compress":
-        coords, feats = load_tensor(args.coords), load_tensor(args.feats)
-        try:
-            extents = tuple(int(v) for v in args.extents.split(","))
-        except ValueError:
-            extents = ()
-        if len(extents) != 3:
-            raise ValueError(f"--extents must be three integers nx,ny,nz, got {args.extents!r}")
-        for e in extents:
-            _check_count("extents", e)
-        _check_shape("--coords", coords, ("n", 3))
-        # integers like SparseVoxelSet's coords; NaN fails every comparison
-        if not np.all((coords >= 0) & (coords < extents) & (coords == np.floor(coords))):
-            raise ValueError(f"--coords must be integer cells inside --extents {extents}")
-        _check_shape("--feats", feats, (len(coords), "C"))
-        save_tensor(args.out, oracles.height_compress(coords.astype(np.int64), feats, extents))
-        print(f"height-compress: {extents} -> {args.out}")
-    elif cmd == "hilbert-walk":
-        _check_count("bits", args.bits, oracles.WALK_MAX_BITS)
-        lines = [
-            f"{h} {x} {y} {z} {step}"
-            for h, x, y, z, step in oracles.hilbert_walk(args.bits)
-        ]
+    oracle, sources = _ORACLES[cmd]
+    values = [_read(args, source) for source in sources.values()]
+    try:
+        out = oracle(*values)
+    except ValueError as exc:  # "<oracle>: <param> must ..." names the param's source
+        where, _, rule = str(exc).partition(" must ")
+        named = {f"{oracle.__name__}: {param}": source for param, source in sources.items()}
+        if where not in named:
+            raise
+        raise ValueError(f"{named[where]} must {rule}") from None
+    if cmd == "hilbert-walk":
+        text = "\n".join(" ".join(map(str, row)) for row in out)
         if args.out:
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
         else:
-            print("\n".join(lines))
-    elif cmd == "mix-scalar":
-        q = _input_file(args, "q", ("C",))
-        (c,) = q.shape
-        feats = _input_file(args, "feats", ("G", c))
-        g = len(feats)
-        if g % 4:  # as decoder.GridFeatures requires
-            raise ValueError(f"--inputs feats.bin must have G rows divisible by 4, got {g}")
-        gq = g // 4
-        shapes = {
-            "offsets": (g, 3), "off_w": (3, c), "off_b": (c,), "cw": (c, c * c), "cb": (c * c,),
-            "sw": (c, g * gq), "sb": (g * gq,), "down_w": (c * gq, c), "down_b": (c,),
-        }
-        out = oracles.mmvfm_mix(
-            q, feats, *(_input_file(args, name, shape) for name, shape in shapes.items())
-        )
+            print(text)
+        return 0
+    if cmd == "nms":
+        pos, classes, scores = out
+        picks = {"positions": pos.tolist(), "classes": classes.tolist()}
+        jsonio.dump({**picks, "scores": [float(s) for s in scores]}, args.out)
+        summary = f"{len(pos)} picks"
+    elif cmd == "fps":
+        jsonio.dump({"indices": out.tolist()}, args.out)
+        summary = f"{out.size} picks"
+    else:
         save_tensor(args.out, out)
-        print(f"mix-scalar: ({out.size},) -> {args.out}")
-    elif cmd == "splat":
-        origin, cell = _parse_pair("origin", args.origin), _parse_pair("cell", args.cell)
-        if min(cell) <= 0:
-            raise ValueError(f"--cell must be positive, got {args.cell!r}")
-        for flag in ("stride", "nx", "ny"):
-            _check_count(flag, getattr(args, flag))
-        feats = _input_file(args, "feats", ("h", "w", "C"))
-        depth = _input_file(args, "depth", (*feats.shape[:2], "D"))
-        out = oracles.lss_splat(
-            feats, depth,
-            _input_file(args, "intrinsics", (3, 3)).astype(np.float64),
-            _input_file(args, "extrinsics", (4, 4)).astype(np.float64),
-            args.stride, _input_file(args, "bins", depth.shape[2:]).astype(np.float64),
-            origin, cell, args.nx, args.ny,
-        )
-        save_tensor(args.out, out)
-        print(f"splat: {out.shape} -> {args.out}")
+        summary = str(out.shape)
+    print(f"{cmd}: {summary} -> {args.out}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Every function is a standalone straight-line computation; none call into
 the modules they check. Tests (and the `ddhf oracle` CLI) compare these
-against the main code paths.
+against the main code paths. The CLI's oracles hold their inputs to the
+domain of the code they check: ValueError("<oracle>: <param> must ...").
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def _phi(z: float) -> float:
     return math.expm1(z) / z
 
 
+def _check_shape(where: str, t, shape: tuple) -> np.ndarray:
+    """t as an array of `shape`, in which a str names a free axis; an error
+    names `where`, "<oracle>: <param>"."""
+    t = np.asarray(t)
+    if t.ndim != len(shape) or any(
+        isinstance(want, int) and got != want for got, want in zip(t.shape, shape)
+    ):
+        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{where} must have shape ({text}), got {t.shape}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Dense-unrolled selective scan
 # ---------------------------------------------------------------------------
@@ -56,20 +69,27 @@ def ssm_dense(
     """out_i = sum_{j<=i} C_i . (prod_{k=j+1..i} Abar_k) Bbar_j x_j + x_i.
 
     Explicit products and sums, no carried scan state. Float64 output.
-    x (n, C); a (C, ds); b, c (n, ds); delta (n, C).
+    x (n, C); a (C, ds) strictly negative; b, c (n, ds); delta (n, C)
+    positive, as `selective_scan` requires.
 
-    When every Abar is <= 1 the products only shrink with age, so every
-    FLUSH_EVERY steps those below FLUSH_BELOW are set to zero (running on
-    through float64 subnormals would cost about 4x), and the leading
-    history rows that are all zero are no longer summed.
+    The products only shrink with age, so every FLUSH_EVERY steps those
+    below FLUSH_BELOW are set to zero (running on through float64
+    subnormals would cost about 4x), and the leading history rows that are
+    all zero are no longer summed.
     """
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    n, cw = x.shape
-    ds = a.shape[1]
+    n, cw = _check_shape("ssm_dense: x", x, ("n", "C")).shape
+    ds = _check_shape("ssm_dense: a", a, (cw, "d_state")).shape[1]
+    for name, t, shape in (("b", b, (n, ds)), ("c", c, (n, ds)), ("delta", delta, (n, cw))):
+        _check_shape(f"ssm_dense: {name}", t, shape)
+    if not np.all(a < 0):
+        raise ValueError("ssm_dense: a must be strictly negative")
+    if not np.all(delta > 0):
+        raise ValueError("ssm_dense: delta must be positive")
 
     za = delta[:, :, None] * a[None, :, :]  # (n, C, ds)
     abar = np.exp(za)
@@ -80,12 +100,11 @@ def ssm_dense(
 
     out = np.zeros((n, cw))
     prods = np.empty((n, cw, ds))  # prods[j] = prod_{k=j+1..i} abar_k
-    flush = bool(np.all(abar <= 1.0))
     live = 0  # rows before it are all zero
     for i in range(n):
         prods[live:i] *= abar[i]
         prods[i] = 1.0
-        if flush and i % FLUSH_EVERY == 0:
+        if i % FLUSH_EVERY == 0:
             rows = prods[live:i]
             rows[rows < FLUSH_BELOW] = 0.0
             live += int(np.argmax(np.append(rows.any(axis=(1, 2)), True)))
@@ -109,7 +128,13 @@ def zoh_quadrature(a: float, b: float, delta: float, panels: int = 2048) -> tupl
 # ---------------------------------------------------------------------------
 
 def nms_topk(heat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells >= every in-bounds 3x3 neighbor, ranked by (score desc, flat asc)."""
+    """Cells >= every in-bounds 3x3 neighbor, ranked by (score desc, flat asc).
+    heat (K, H, W) in [0, 1], as `pqg.Heatmap` holds; k >= 1."""
+    heat = _check_shape("nms_topk: heat", heat, ("K", "H", "W"))
+    if not np.all((heat >= 0) & (heat <= 1)):
+        raise ValueError("nms_topk: heat must hold values in [0, 1]")
+    if k < 1:
+        raise ValueError(f"nms_topk: k must be >= 1, got {k}")
     kc, h, w = heat.shape
     cands = []
     for cls in range(kc):
@@ -136,22 +161,28 @@ def nms_topk(heat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 # Farthest point sampling
 # ---------------------------------------------------------------------------
 
-def fps(points: np.ndarray, n_target: int) -> np.ndarray:
-    pts = [tuple(float(v) for v in p) for p in np.asarray(points).reshape(-1, 3)]
-    n = len(pts)
+def fps(points: np.ndarray, n: int) -> np.ndarray:
+    """n greedy farthest picks of finite (N, 3) points, 1 <= n <= N, as
+    `viewtrans.fps` requires."""
+    points = _check_shape("fps: points", points, ("N", 3))
+    if not len(points) or not np.all(np.isfinite(points)):
+        raise ValueError("fps: points must hold at least one point, all finite")
+    if not 1 <= n <= len(points):
+        raise ValueError(f"fps: n must be in [1, {len(points)}], got {n}")
+    pts = [tuple(float(v) for v in p) for p in points]
     dist = []
     for p in pts:
         dx, dy, dz = p[0] - pts[0][0], p[1] - pts[0][1], p[2] - pts[0][2]
         dist.append(dx * dx + dy * dy + dz * dz)
     chosen = [0]
-    for _ in range(1, n_target):
+    for _ in range(1, n):
         best = 0
-        for i in range(1, n):
+        for i in range(1, len(pts)):
             if dist[i] > dist[best]:
                 best = i
         chosen.append(best)
         q = pts[best]
-        for i in range(n):
+        for i in range(len(pts)):
             dx, dy, dz = pts[i][0] - q[0], pts[i][1] - q[1], pts[i][2] - q[2]
             d = dx * dx + dy * dy + dz * dz
             if d < dist[i]:
@@ -166,7 +197,16 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
 def height_compress(
     coords: np.ndarray, feats: np.ndarray, extents: tuple[int, int, int]
 ) -> np.ndarray:
-    """(ny, nx, C) channelwise pillar max; empty pillars zero."""
+    """(ny, nx, C) channelwise pillar max; empty pillars zero. Positive
+    integer extents, integer (n, 3) coords inside them and one (n, C) feats
+    row per coord, as `GridSpec` and `SparseVoxelSet` hold."""
+    if len(extents) != 3 or min(extents) < 1:
+        raise ValueError(f"height_compress: extents must be three positive integers, got {extents}")
+    coords = _check_shape("height_compress: coords", coords, ("n", 3))
+    # NaN fails every comparison
+    if not np.all((coords >= 0) & (coords < extents) & (coords == np.floor(coords))):
+        raise ValueError(f"height_compress: coords must be integer cells inside {extents}")
+    _check_shape("height_compress: feats", feats, (len(coords), "C"))
     nx, ny = extents[0], extents[1]
     cw = feats.shape[1]
     out = np.zeros((ny, nx, cw), dtype=np.float32)
@@ -235,9 +275,22 @@ def mmvfm_mix(
     q: np.ndarray,
     feats: np.ndarray,
     offsets: np.ndarray,
-    off_w, off_b, cw_, cb_, sw_, sb_, down_w, down_b,
+    off_w, off_b, cw, cb, sw, sb, down_w, down_b,
 ) -> np.ndarray:
-    g, c = feats.shape
+    """q (C,) and feats (G, C), G divisible by 4 as `decoder.GridFeatures`
+    holds; the other tensors sized by C and G/4."""
+    (c,) = _check_shape("mmvfm_mix: q", q, ("C",)).shape
+    g = len(_check_shape("mmvfm_mix: feats", feats, ("G", c)))
+    if g % 4:
+        raise ValueError(f"mmvfm_mix: feats must have G rows divisible by 4, got {g}")
+    gq = g // 4
+    shapes = {
+        "offsets": (g, 3), "off_w": (3, c), "off_b": (c,), "cw": (c, c * c), "cb": (c * c,),
+        "sw": (c, g * gq), "sb": (g * gq,), "down_w": (c * gq, c), "down_b": (c,),
+    }
+    rest = (offsets, off_w, off_b, cw, cb, sw, sb, down_w, down_b)
+    for (name, shape), t in zip(shapes.items(), rest):
+        _check_shape(f"mmvfm_mix: {name}", t, shape)
     f = [[0.0] * c for _ in range(g)]
     for i in range(g):
         for ch in range(c):
@@ -248,21 +301,20 @@ def mmvfm_mix(
     ck = [[0.0] * c for _ in range(c)]
     for i in range(c):
         for j in range(c):
-            acc = float(cb_[i * c + j])
+            acc = float(cb[i * c + j])
             for ch in range(c):
-                acc += float(q[ch]) * float(cw_[ch, i * c + j])
+                acc += float(q[ch]) * float(cw[ch, i * c + j])
             ck[i][j] = acc
     f2 = [[0.0] * c for _ in range(g)]
     for i in range(g):
         for j in range(c):
             f2[i][j] = sum(f[i][ch] * ck[ch][j] for ch in range(c))
-    gq = g // 4
     sk = [[0.0] * gq for _ in range(g)]
     for i in range(g):
         for t in range(gq):
-            acc = float(sb_[i * gq + t])
+            acc = float(sb[i * gq + t])
             for ch in range(c):
-                acc += float(q[ch]) * float(sw_[ch, i * gq + t])
+                acc += float(q[ch]) * float(sw[ch, i * gq + t])
             sk[i][t] = acc
     mixed = [[0.0] * gq for _ in range(c)]
     for ch in range(c):
@@ -481,18 +533,32 @@ def hilbert_walk(bits: int) -> list[tuple[int, int, int, int, int]]:
 
 def lss_splat(
     feats: np.ndarray,
-    depth_probs: np.ndarray,
+    depth: np.ndarray,
     intrinsics: np.ndarray,
     extrinsics: np.ndarray,
     stride: int,
-    bin_centers: np.ndarray,
+    bins: np.ndarray,
     origin: tuple[float, float],
     cell: tuple[float, float],
     nx: int,
     ny: int,
 ) -> np.ndarray:
+    """(ny, nx, C) splat of feats (h, w, C) by depth (h, w, D) at bins (D,),
+    on viewtrans.lss_splat's grid: finite origin, positive cell, counts >= 1."""
+    if len(origin) != 2 or not all(math.isfinite(v) for v in origin):
+        raise ValueError(f"lss_splat: origin must be two finite numbers, got {origin}")
+    if len(cell) != 2 or not all(v > 0 for v in cell):
+        raise ValueError(f"lss_splat: cell must be two positive numbers, got {cell}")
+    for name, count in (("stride", stride), ("nx", nx), ("ny", ny)):
+        if count < 1:
+            raise ValueError(f"lss_splat: {name} must be >= 1, got {count}")
+    feats = _check_shape("lss_splat: feats", feats, ("h", "w", "C"))
+    depth = _check_shape("lss_splat: depth", depth, (*feats.shape[:2], "D"))
+    _check_shape("lss_splat: intrinsics", intrinsics, (3, 3))
+    _check_shape("lss_splat: extrinsics", extrinsics, (4, 4))
+    _check_shape("lss_splat: bins", bins, depth.shape[2:])
     h, w, cw = feats.shape
-    nbins = depth_probs.shape[2]
+    nbins = depth.shape[2]
     acc = np.zeros((ny, nx, cw), dtype=np.float64)
     fx, fy = float(intrinsics[0, 0]), float(intrinsics[1, 1])
     cx, cy = float(intrinsics[0, 2]), float(intrinsics[1, 2])
@@ -503,7 +569,7 @@ def lss_splat(
             u, v = float(j * stride), float(i * stride)
             ray = ((u - cx) / fx, (v - cy) / fy, 1.0)
             for k in range(nbins):
-                d = float(bin_centers[k])
+                d = float(bins[k])
                 cam = [ray[0] * d, ray[1] * d, d]
                 world = [
                     sum((cam[r] - float(trans[r])) * float(rot[r, ax]) for r in range(3))
@@ -512,7 +578,7 @@ def lss_splat(
                 gx = math.floor((world[0] - origin[0]) / cell[0])
                 gy = math.floor((world[1] - origin[1]) / cell[1])
                 if 0 <= gx < nx and 0 <= gy < ny:
-                    p = float(depth_probs[i, j, k])
+                    p = float(depth[i, j, k])
                     for ch in range(cw):
                         acc[gy, gx, ch] += float(feats[i, j, ch]) * p
     return acc.astype(np.float32)

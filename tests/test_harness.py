@@ -15,7 +15,7 @@ from conftest import PINS, pins_at_blas_threads, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ddhf import jsonio
+from ddhf import jsonio, oracles
 from ddhf.cli import main
 from ddhf.config import (
     PipelineConfig,
@@ -1279,6 +1279,45 @@ def test_cli_oracle_count_at_its_bound_runs(tmp_path, capsys, cmd, flag, value):
     if cmd == "fps":  # distinct picks, the first point first
         indices = jsonio.load(tmp_path / "o.json")["indices"]
         assert indices[0] == 0 and len(set(indices)) == len(indices) == value
+
+
+def _mix_args(g: int) -> tuple:
+    """mmvfm_mix's arguments, all ones, for C = 2 channels and a lattice of g points."""
+    c, gq = 2, g // 4
+    shapes = [(c,), (g, c), (g, 3), (3, c), (c,), (c, c * c), (c * c,), (c, g * gq), (g * gq,),
+              (c * gq, c), (c,)]
+    return tuple(np.ones(shape) for shape in shapes)
+
+
+_SPLAT_TENSORS = (  # feats, depth, intrinsics, extrinsics, stride, bins
+    np.ones((2, 3, 4)), np.full((2, 3, 8), 0.125),
+    np.array([[12.0, 0, 6], [0, 12, 4], [0, 0, 1]]), np.eye(4), 8, np.linspace(1.5, 8.5, 8),
+)
+
+
+# each oracle, called directly, holds its inputs to its library twin's domain
+@pytest.mark.parametrize(
+    "oracle, args, param",
+    [
+        ("fps", (np.array([[0.0, 0, 0], [1, np.nan, 0], [2, 0, 0]]), 2), "points"),
+        ("fps", (np.zeros((0, 3)), 1), "points"),
+        ("fps", (np.arange(6.0).reshape(2, 3), 5), "n"),
+        ("ssm_dense", (np.ones((4, 3)), np.full((3, 2), 0.5), np.ones((4, 2)),
+                       np.ones((4, 2)), np.full((4, 3), 0.1)), "a"),
+        ("nms_topk", (np.full((1, 4, 4), 5.0), 2), "heat"),
+        ("nms_topk", (np.zeros((1, 4, 4)), 0), "k"),
+        ("height_compress", (np.array([[1.7, 2.0, 0.0]]), np.ones((1, 3)), (4, 4, 2)), "coords"),
+        ("height_compress", (np.array([[-1, 0, 0]]), np.ones((1, 3)), (4, 4, 2)), "coords"),
+        ("mmvfm_mix", _mix_args(6), "feats"),
+        ("lss_splat", (*_SPLAT_TENSORS, (-4.0, -4.0), (0.0, 0.5), 16, 16), "cell"),
+    ],
+    ids=["fps-nan-row", "fps-empty", "fps-n-past-count", "ssm-a-positive", "nms-heat-5",
+         "nms-k-0", "hc-coord-fractional", "hc-coord-negative", "mix-lattice-6",
+         "splat-cell-0"],
+)
+def test_oracle_outside_its_twins_domain_raises(oracle, args, param):
+    with pytest.raises(ValueError, match=f"^{oracle}: {param} "):
+        getattr(oracles, oracle)(*args)
 
 
 def test_cli_oracle_unknown_name_exits_through_argparse(capsys):

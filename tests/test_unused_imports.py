@@ -2,14 +2,14 @@
 dataclass field goes unread.
 
 No linter ships with the toolchain, so deleting code can leave an import, a
-whole function or a field behind unnoticed. This parses every package and
-test module with `ast` and reports each imported name the module never
-reads, each module-level function or class of `src/ddhf` that no module of
-`src`, `tests`, `scripts` or `perfbench` reads outside the definition
-itself, and each dataclass field of `src/ddhf` that no module of `src/ddhf`
-reads as an attribute or names in a string: a field only tests read is
-carried by the program for nothing. Package `__init__.py` files are skipped:
-their imports are the package's re-exports.
+whole function or a field behind unnoticed. This parses every package,
+test and script module with `ast` and reports each imported name the
+module never reads, each module-level function or class of `src/ddhf` that
+no module of `src`, `tests`, `scripts` or `perfbench` reads outside the
+definition itself, and each dataclass field of `src/ddhf` that no module
+of `src/ddhf` reads as an attribute or names in a string: a field only
+tests read is carried by the program for nothing. Package `__init__.py`
+files are skipped: their imports are the package's re-exports.
 """
 
 import ast
@@ -19,7 +19,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for d in ("src/ddhf", "tests") for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"
+    p
+    for d in ("src/ddhf", "tests", "scripts")
+    for p in (ROOT / d).glob("*.py")
+    if p.name != "__init__.py"
 )
 OTHER_READERS = sorted(
     p for d in ("tests", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")
