@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +95,45 @@ def init_param(name: str, shape: tuple[int, ...], global_seed: int) -> np.ndarra
     return ((draws * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
 
 
+@dataclass(frozen=True)
+class Linear:
+    """One projection x @ w + b: weight w (in, out), as `init_param` stores
+    it, and bias b (out,)."""
+
+    w: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
+            raise ValueError(
+                f"Linear: weight must be (in, out) and bias (out,), got {self.w.shape}"
+                f" and {self.b.shape}"
+            )
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w + self.b
+
+
+def init_linear(name: str, fan_in: int, fan_out: int, global_seed: int) -> Linear:
+    """Projection with `init_param`'s `<name>.weight` and `<name>.bias`."""
+    return Linear(
+        init_param(f"{name}.weight", (fan_in, fan_out), global_seed),
+        init_param(f"{name}.bias", (fan_out,), global_seed),
+    )
+
+
 def zeroed(w, *names: str):
-    """Copy of the weights dataclass `w` with the named tensor fields zeroed
-    (same shapes and dtypes). A tuple-valued field is zeroed element by
-    element: np.zeros_like on a tuple would return one stacked array."""
+    """Copy of the weights dataclass `w` with the named fields zeroed (same
+    shapes and dtypes). A tuple or record field, such as a `Linear`, is
+    zeroed tensor by tensor: np.zeros_like on a tuple would return one
+    stacked array."""
 
     def zero(v):
-        return tuple(zero(x) for x in v) if isinstance(v, tuple) else np.zeros_like(v)
+        if isinstance(v, tuple):
+            return tuple(zero(x) for x in v)
+        if is_dataclass(v):
+            return replace(v, **{f.name: zero(getattr(v, f.name)) for f in fields(v)})
+        return np.zeros_like(v)
 
     return replace(w, **{n: zero(getattr(w, n)) for n in names})
 

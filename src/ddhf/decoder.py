@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FeatureMap, SparseVoxelSet, init_param, zeroed
+from .core import FeatureMap, Linear, SparseVoxelSet, init_linear, zeroed
 from .ops import AttentionWeights, attention, init_attn, sigmoid, silu, softmax
 from .pqg import Queries
 from .viewtrans import bilinear_sample
@@ -58,36 +58,25 @@ class GridFeatures:
 
 @dataclass(frozen=True)
 class DeformableLayerWeights:
-    off_w: np.ndarray  # (C, 2 * N_SAMPLE_POINTS)
-    off_b: np.ndarray
-    att_w: np.ndarray  # (C, N_SAMPLE_POINTS)
-    att_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-    ffn1_w: np.ndarray
-    ffn1_b: np.ndarray
-    ffn2_w: np.ndarray
-    ffn2_b: np.ndarray
+    offset: Linear  # (C, 2 * N_SAMPLE_POINTS)
+    attn: Linear  # (C, N_SAMPLE_POINTS)
+    out: Linear
+    ffn1: Linear
+    ffn2: Linear
 
 
 @dataclass(frozen=True)
 class BoxHeadWeights:
-    w1: np.ndarray  # (C, 2C)
-    b1: np.ndarray
-    w2: np.ndarray  # (2C, BOX_RAW_DIM)
-    b2: np.ndarray
+    fc1: Linear  # (C, 2C)
+    fc2: Linear  # (2C, BOX_RAW_DIM)
 
 
 @dataclass(frozen=True)
 class MixWeights:
-    off_w: np.ndarray  # (3, C) offset embedding
-    off_b: np.ndarray
-    cw: np.ndarray  # (C, C*C) channel-kernel generator
-    cb: np.ndarray
-    sw: np.ndarray  # (C, G*G//4) spatial-kernel generator
-    sb: np.ndarray
-    down_w: np.ndarray  # (C*G//4, C)
-    down_b: np.ndarray
+    offset_embed: Linear  # (3, C)
+    channel_kernel: Linear  # (C, C*C) channel-kernel generator
+    spatial_kernel: Linear  # (C, G*G//4) spatial-kernel generator
+    down: Linear  # (C*G//4, C)
 
 
 @dataclass(frozen=True)
@@ -96,19 +85,15 @@ class MmvfmLayerWeights:
     mix_img: MixWeights
     attn_lid: AttentionWeights
     attn_img: AttentionWeights
-    comb_w: np.ndarray  # (3C, C)
-    comb_b: np.ndarray
+    combine: Linear  # (3C, C)
 
 
 @dataclass(frozen=True)
 class DetectionHeadWeights:
     attn: AttentionWeights
-    ffn1_w: np.ndarray
-    ffn1_b: np.ndarray
-    ffn2_w: np.ndarray
-    ffn2_b: np.ndarray
-    cls_w: np.ndarray  # (C, K)
-    cls_b: np.ndarray
+    ffn1: Linear
+    ffn2: Linear
+    cls: Linear  # (C, K)
     box: BoxHeadWeights
 
 
@@ -125,61 +110,48 @@ class DecoderWeights:
         are left as-is."""
         return replace(
             self,
-            deform=tuple(zeroed(d, "out_w", "out_b", "ffn2_w", "ffn2_b") for d in self.deform),
+            deform=tuple(zeroed(d, "out", "ffn2") for d in self.deform),
             mmvfm=tuple(_keep_query(m) for m in self.mmvfm),
-            head=replace(
-                zeroed(self.head, "ffn2_w", "ffn2_b"), attn=self.head.attn.identity_configured()
-            ),
+            head=replace(zeroed(self.head, "ffn2"), attn=self.head.attn.identity_configured()),
         )
 
 
 def _keep_query(m: MmvfmLayerWeights) -> MmvfmLayerWeights:
     """The combine layer reads back the query block of [query | lidar | image]."""
-    m = zeroed(m, "comb_w", "comb_b")
-    c = m.comb_w.shape[1]
-    m.comb_w[:c] = np.eye(c, dtype=np.float32)
+    m = zeroed(m, "combine")
+    c = m.combine.w.shape[1]
+    m.combine.w[:c] = np.eye(c, dtype=np.float32)
     return m
 
 
 def _init_mix(name: str, c: int, seed: int) -> MixWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
     g = GRID_SIDE**3
     return MixWeights(
-        off_w=p("offset_embed.weight", (3, c)),
-        off_b=p("offset_embed.bias", (c,)),
-        cw=p("channel_kernel.weight", (c, c * c)),
-        cb=p("channel_kernel.bias", (c * c,)),
-        sw=p("spatial_kernel.weight", (c, g * (g // 4))),
-        sb=p("spatial_kernel.bias", (g * (g // 4),)),
-        down_w=p("down.weight", (c * (g // 4), c)),
-        down_b=p("down.bias", (c,)),
+        offset_embed=init_linear(f"{name}.offset_embed", 3, c, seed),
+        channel_kernel=init_linear(f"{name}.channel_kernel", c, c * c, seed),
+        spatial_kernel=init_linear(f"{name}.spatial_kernel", c, g * (g // 4), seed),
+        down=init_linear(f"{name}.down", c * (g // 4), c, seed),
     )
 
 
 def _init_box_head(name: str, c: int, seed: int) -> BoxHeadWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
     return BoxHeadWeights(
-        p("fc1.weight", (c, 2 * c)), p("fc1.bias", (2 * c,)),
-        p("fc2.weight", (2 * c, BOX_RAW_DIM)), p("fc2.bias", (BOX_RAW_DIM,)),
+        init_linear(f"{name}.fc1", c, 2 * c, seed),
+        init_linear(f"{name}.fc2", 2 * c, BOX_RAW_DIM, seed),
     )
 
 
 def init_decoder(
     name: str, c: int, k_classes: int, n_bev: int, m_vox: int, global_seed: int
 ) -> DecoderWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
+    linear = lambda suffix, *dims: init_linear(f"{name}.{suffix}", *dims, global_seed)
     deform = tuple(
         DeformableLayerWeights(
-            off_w=p(f"deform{i}.offset.weight", (c, 2 * N_SAMPLE_POINTS)),
-            off_b=p(f"deform{i}.offset.bias", (2 * N_SAMPLE_POINTS,)),
-            att_w=p(f"deform{i}.attn.weight", (c, N_SAMPLE_POINTS)),
-            att_b=p(f"deform{i}.attn.bias", (N_SAMPLE_POINTS,)),
-            out_w=p(f"deform{i}.out.weight", (c, c)),
-            out_b=p(f"deform{i}.out.bias", (c,)),
-            ffn1_w=p(f"deform{i}.ffn1.weight", (c, 2 * c)),
-            ffn1_b=p(f"deform{i}.ffn1.bias", (2 * c,)),
-            ffn2_w=p(f"deform{i}.ffn2.weight", (2 * c, c)),
-            ffn2_b=p(f"deform{i}.ffn2.bias", (c,)),
+            offset=linear(f"deform{i}.offset", c, 2 * N_SAMPLE_POINTS),
+            attn=linear(f"deform{i}.attn", c, N_SAMPLE_POINTS),
+            out=linear(f"deform{i}.out", c, c),
+            ffn1=linear(f"deform{i}.ffn1", c, 2 * c),
+            ffn2=linear(f"deform{i}.ffn2", 2 * c, c),
         )
         for i in range(n_bev)
     )
@@ -189,19 +161,15 @@ def init_decoder(
             mix_img=_init_mix(f"{name}.mmvfm{j}.mix_img", c, global_seed),
             attn_lid=init_attn(f"{name}.mmvfm{j}.attn_lid", c, global_seed),
             attn_img=init_attn(f"{name}.mmvfm{j}.attn_img", c, global_seed),
-            comb_w=p(f"mmvfm{j}.combine.weight", (3 * c, c)),
-            comb_b=p(f"mmvfm{j}.combine.bias", (c,)),
+            combine=linear(f"mmvfm{j}.combine", 3 * c, c),
         )
         for j in range(m_vox)
     )
     head = DetectionHeadWeights(
         attn=init_attn(f"{name}.head.attn", c, global_seed),
-        ffn1_w=p("head.ffn1.weight", (c, 2 * c)),
-        ffn1_b=p("head.ffn1.bias", (2 * c,)),
-        ffn2_w=p("head.ffn2.weight", (2 * c, c)),
-        ffn2_b=p("head.ffn2.bias", (c,)),
-        cls_w=p("head.cls.weight", (c, k_classes)),
-        cls_b=p("head.cls.bias", (k_classes,)),
+        ffn1=linear("head.ffn1", c, 2 * c),
+        ffn2=linear("head.ffn2", 2 * c, c),
+        cls=linear("head.cls", c, k_classes),
         box=_init_box_head(f"{name}.head.box", c, global_seed),
     )
     return DecoderWeights(deform, mmvfm, _init_box_head(f"{name}.box", c, global_seed), head)
@@ -217,8 +185,8 @@ def deformable_layer(
 ) -> np.ndarray:
     """Sample the map at 4 query-generated offsets around each query's cell,
     aggregate by softmax weights, and update features with two residuals."""
-    raw_off = (feats @ w.off_w + w.off_b).reshape(-1, N_SAMPLE_POINTS, 2)
-    logits = feats @ w.att_w + w.att_b
+    raw_off = w.offset(feats).reshape(-1, N_SAMPLE_POINTS, 2)
+    logits = w.attn(feats)
     weights = softmax(logits.astype(np.float64), axis=-1)
     m = feats.shape[0]
     agg = np.zeros((m, b.channels), dtype=np.float64)
@@ -226,8 +194,8 @@ def deformable_layer(
         u = cols.astype(np.float64) + raw_off[:, j, 0]
         v = rows.astype(np.float64) + raw_off[:, j, 1]
         agg += weights[:, j : j + 1] * bilinear_sample(b.data, u, v)
-    x = feats + (agg @ w.out_w + w.out_b)
-    x = x + (silu(x @ w.ffn1_w + w.ffn1_b) @ w.ffn2_w + w.ffn2_b)
+    x = feats + w.out(agg)
+    x = x + w.ffn2(silu(w.ffn1(x)))
     return x.astype(np.float32)
 
 
@@ -242,7 +210,7 @@ def box_readout(
     numpy runs per query the same BLAS gemv that a 1-D product runs. A 2-D
     (m, C) product would run gemm, which rounds differently in the last bits.
     """
-    raw = silu(feats[:, None, :] @ w.w1 + w.b1) @ w.w2 + w.b2
+    raw = w.fc2(silu(w.fc1(feats[:, None, :])))
     # keep exp(log-size) positive-finite and centers inside int64 cell math
     raw = np.clip(raw[:, 0], -BOX_RAW_CLIP, BOX_RAW_CLIP)
     centers = np.empty((raw.shape[0], 3))
@@ -317,17 +285,17 @@ def mmvfm_mix(q_feat: np.ndarray, grid: GridFeatures, w: MixWeights) -> np.ndarr
     """
     g, c = grid.feats.shape[-2:]
     batch = q_feat.shape[:-1]
-    ck = (q_feat @ w.cw + w.cb).reshape(-1, c, c)
-    sk = (q_feat @ w.sw + w.sb).reshape(-1, g, g // 4)
+    ck = w.channel_kernel(q_feat).reshape(-1, c, c)
+    sk = w.spatial_kernel(q_feat).reshape(-1, g, g // 4)
     feats = grid.feats.reshape(-1, g, c)
     offsets = grid.offsets.reshape(-1, g, 3)
     mixed = np.empty((ck.shape[0], c, g // 4))
     for lo in range(0, ck.shape[0], MIX_CHUNK):
         q = slice(lo, lo + MIX_CHUNK)
-        f = feats[q].astype(np.float64) + (offsets[q] @ w.off_w + w.off_b)
+        f = feats[q].astype(np.float64) + w.offset_embed(offsets[q])
         f = f @ ck[q].astype(np.float64)
         np.matmul(f.swapaxes(-1, -2), sk[q].astype(np.float64), out=mixed[q])
-    return (mixed.reshape(*batch, -1) @ w.down_w + w.down_b).astype(np.float32)
+    return w.down(mixed.reshape(*batch, -1)).astype(np.float32)
 
 
 def mmvfm_layer(
@@ -346,7 +314,7 @@ def mmvfm_layer(
         pooled = voxel_pool(vox, pts).reshape(*pts.shape[:2], vox.channels)
         mixed.append(attention(mmvfm_mix(feats, GridFeatures(pts, pooled, offsets), mw), attn))
     cat = np.concatenate([feats, *mixed], axis=1)
-    return (cat @ w.comb_w + w.comb_b).astype(np.float32)
+    return w.combine(cat).astype(np.float32)
 
 
 def detection_head(
@@ -355,8 +323,8 @@ def detection_head(
 ) -> list[DetectionBox]:
     """Self-attention + feed-forward, then class scores and box readout."""
     x = attention(feats, w.attn)
-    x = (x + silu(x @ w.ffn1_w + w.ffn1_b) @ w.ffn2_w + w.ffn2_b).astype(np.float32)
-    logits = x @ w.cls_w + w.cls_b
+    x = (x + silu(w.ffn1(x)) @ w.ffn2.w + w.ffn2.b).astype(np.float32)
+    logits = w.cls(x)
     cls = np.argmax(logits, axis=1)
     scores = sigmoid(logits[np.arange(len(cls)), cls].astype(np.float64))
     centers, sizes, yaws = box_readout(x, rows, cols, fm, w.box)

@@ -10,11 +10,11 @@ maps and whose outputs are blended by complementary gates summing to one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .core import FeatureMap, SparseVoxelSet, bev_map_for_grid, init_param, zeroed
+from .core import FeatureMap, Linear, SparseVoxelSet, bev_map_for_grid, init_linear, zeroed
 from .curve import N_DIRECTIONS, cross_merge_2d, scan_orders_2d
 from .ops import ConvBlock, conv_block, init_conv_block, layer_norm, silu
 from .ssm import (
@@ -83,12 +83,12 @@ def ib_mamba(b: FeatureMap, w: SsmBlockWeights) -> FeatureMap:
     """Four-direction scan block with gate modulation and residual add."""
     x_in = b.data
     h, wd, _ = x_in.shape
-    x = (x_in @ w.in_w + w.in_b).astype(np.float32)
+    x = w.in_proj(x_in).astype(np.float32)
     maps = generate_scan_params(x, w)
     params = ScanParams(*(m.reshape(h * wd, -1) for m in (maps.b, maps.c, maps.delta)))
     merged = _ss2d(x, w, params, scan_orders_2d(h, wd))
-    gated = merged * silu(x_in @ w.y_w + w.y_b)
-    return b.with_data(x_in + gated @ w.out_w + w.out_b)
+    gated = merged * silu(w.y_gate(x_in))
+    return b.with_data(x_in + gated @ w.out_proj.w + w.out_proj.b)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,7 @@ class CbBranchWeights:
     field names `SsmBlockWeights` uses."""
 
     a: np.ndarray  # (C, d_state)
-    in_w: np.ndarray  # (C, C)
-    in_b: np.ndarray
+    in_proj: Linear  # (C, C)
     norm_scale: np.ndarray  # (N_DIRECTIONS, C)
     norm_shift: np.ndarray
 
@@ -116,46 +115,39 @@ class CbMambaWeights:
     [B | C | delta] slices of widths d_state, d_state, C.
     """
 
-    t1_w: np.ndarray  # (2C, hidden)
-    t1_b: np.ndarray
+    t1: Linear  # (2C, hidden)
     bn_scale: np.ndarray  # folded batch-norm affine, (hidden,)
     bn_shift: np.ndarray
-    t2_w: np.ndarray  # (hidden, T_channels)
-    t2_b: np.ndarray
-    gate_w: np.ndarray  # (T_channels, C)
-    gate_b: np.ndarray
+    t2: Linear  # (hidden, T_channels)
+    gate: Linear  # (T_channels, C)
     img: CbBranchWeights
     lid: CbBranchWeights
 
     def __post_init__(self):
         c, d_state = self.img.a.shape
         budget = 2 * N_DIRECTIONS * (2 * d_state + c)
-        if self.t2_w.shape[1] != budget:
+        if self.t2.w.shape[1] != budget:
             raise ValueError(
-                f"CbMambaWeights: T width {self.t2_w.shape[1]} != split budget {budget}"
+                f"CbMambaWeights: T width {self.t2.w.shape[1]} != split budget {budget}"
             )
 
 
 def init_cb_mamba(name: str, c: int, d_state: int, global_seed: int) -> CbMambaWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
+    linear = lambda suffix, *dims: init_linear(f"{name}.{suffix}", *dims, global_seed)
     hidden = 2 * c
     t_ch = 2 * N_DIRECTIONS * (2 * d_state + c)
     branch = lambda m: CbBranchWeights(
         a=s4d_real_a(c, d_state),
-        in_w=p(f"in_proj_{m}.weight", (c, c)),
-        in_b=p(f"in_proj_{m}.bias", (c,)),
+        in_proj=linear(f"in_proj_{m}", c, c),
         norm_scale=np.ones((N_DIRECTIONS, c), dtype=np.float32),
         norm_shift=np.zeros((N_DIRECTIONS, c), dtype=np.float32),
     )
     return CbMambaWeights(
-        t1_w=p("t1.weight", (2 * c, hidden)),
-        t1_b=p("t1.bias", (hidden,)),
+        t1=linear("t1", 2 * c, hidden),
         bn_scale=np.ones(hidden, dtype=np.float32),
         bn_shift=np.zeros(hidden, dtype=np.float32),
-        t2_w=p("t2.weight", (hidden, t_ch)),
-        t2_b=p("t2.bias", (t_ch,)),
-        gate_w=p("gate.weight", (t_ch, c)),
-        gate_b=p("gate.bias", (c,)),
+        t2=linear("t2", hidden, t_ch),
+        gate=linear("gate", t_ch, c),
         img=branch("img"),
         lid=branch("lid"),
     )
@@ -186,7 +178,7 @@ def cb_mamba(
 
     The whole generator output T (H, W, T) lives only while the gate is
     read from it. Then one modality at a time, image first, its (B, C, Δ)
-    is generated again from its column half of t2_w, scanned and freed.
+    is generated again from its column half of t2, scanned and freed.
     numpy runs the generator as one gemm per map row, t1 being
     (H, W, 2C), and a column half of that gemm gives the full product's
     columns bit for bit, so the pieces keep the one-product bits.
@@ -195,21 +187,21 @@ def cb_mamba(
         raise ValueError("cb_mamba: input maps must share (H, W, C)")
     h, wd, c = b_img.data.shape
     f_comb = np.concatenate([b_img.data, b_lidar.data], axis=-1)
-    t1 = silu((f_comb @ w.t1_w + w.t1_b) * w.bn_scale + w.bn_shift)
+    t1 = silu(w.t1(f_comb) * w.bn_scale + w.bn_shift)
     del f_comb
-    t = t1 @ w.t2_w
-    t += w.t2_b
-    y_img = silu(t @ w.gate_w + w.gate_b).astype(np.float32)
+    t = t1 @ w.t2.w
+    t += w.t2.b
+    y_img = silu(w.gate(t)).astype(np.float32)
     del t
 
-    half = w.t2_w.shape[1] // 2
+    half = w.t2.w.shape[1] // 2
     scans = scan_orders_2d(h, wd)
     ss = []
     for m, (b, bw) in enumerate(((b_img, w.img), (b_lidar, w.lid))):
         cols = slice(m * half, (m + 1) * half)
-        t_m = t1 @ w.t2_w[:, cols]
-        t_m += w.t2_b[cols]
-        x = (b.data @ bw.in_w + bw.in_b).astype(np.float32)
+        t_m = t1 @ w.t2.w[:, cols]
+        t_m += w.t2.b[cols]
+        x = bw.in_proj(b.data).astype(np.float32)
         params = _modality_params(t_m, c, bw.a.shape[1])
         ss.append(_ss2d(x, bw, params, scans))
         del t_m, params  # free this modality's (B, C, Δ) before the next is built
@@ -255,10 +247,8 @@ def bev_backbone(b: FeatureMap, w: BevBackboneWeights) -> FeatureMap:
 
 @dataclass(frozen=True)
 class HbfWeights:
-    proj_img_w: np.ndarray  # (C_dense + C_vox, C)
-    proj_img_b: np.ndarray
-    proj_lid_w: np.ndarray
-    proj_lid_b: np.ndarray
+    proj_img: Linear  # (C_dense + C_vox, C)
+    proj_lid: Linear
     ib_img: SsmBlockWeights
     ib_lid: SsmBlockWeights
     cb: CbMambaWeights
@@ -266,12 +256,9 @@ class HbfWeights:
 
 
 def init_hbf(name: str, c: int, d_state: int, global_seed: int) -> HbfWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, global_seed)
     return HbfWeights(
-        proj_img_w=p("proj_img.weight", (2 * c, c)),
-        proj_img_b=p("proj_img.bias", (c,)),
-        proj_lid_w=p("proj_lid.weight", (2 * c, c)),
-        proj_lid_b=p("proj_lid.bias", (c,)),
+        proj_img=init_linear(f"{name}.proj_img", 2 * c, c, global_seed),
+        proj_lid=init_linear(f"{name}.proj_lid", 2 * c, c, global_seed),
         ib_img=init_ib_mamba(f"{name}.ib_img", c, d_state, global_seed),
         ib_lid=init_ib_mamba(f"{name}.ib_lid", c, d_state, global_seed),
         cb=init_cb_mamba(f"{name}.cb", c, d_state, global_seed),
@@ -284,9 +271,16 @@ def init_hbf(name: str, c: int, d_state: int, global_seed: int) -> HbfWeights:
 _IB_IMG_MEMO: dict[bytes, FeatureMap] = {}
 
 
+def _tensors(w) -> list[np.ndarray]:
+    """Every tensor of the weights record w, nested records included."""
+    if not is_dataclass(w):
+        return [w]
+    return [arr for f in fields(w) for arr in _tensors(getattr(w, f.name))]
+
+
 def _memo_key(m: FeatureMap, w: SsmBlockWeights) -> bytes:
     digest = hashlib.sha256(repr((m.origin, m.cell_size)).encode())
-    for arr in (m.data, *(getattr(w, f.name) for f in fields(w))):
+    for arr in (m.data, *_tensors(w)):
         digest.update(repr((arr.dtype.str, arr.shape)).encode())
         digest.update(np.ascontiguousarray(arr).data)
     return digest.digest()
@@ -317,8 +311,8 @@ def hbf_forward(
     b_img_vox = sparse_height_compress(v_img)
     cat_lid = np.concatenate([b_lidar.data, b_lidar_vox.data], axis=-1)
     cat_img = np.concatenate([b_img.data, b_img_vox.data], axis=-1)
-    m_lid = b_lidar.with_data(cat_lid @ w.proj_lid_w + w.proj_lid_b)
-    m_img = b_img.with_data(cat_img @ w.proj_img_w + w.proj_img_b)
+    m_lid = b_lidar.with_data(w.proj_lid(cat_lid))
+    m_img = b_img.with_data(w.proj_img(cat_img))
     m_lid = ib_mamba(m_lid, w.ib_lid)
     if v_img.n == 0 and not b_img.data.any():
         m_img = _ib_img_camera_less(m_img, w.ib_img)

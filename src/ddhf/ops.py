@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import init_param, zeroed
+from .core import Linear, init_linear, init_param, zeroed
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -136,28 +136,18 @@ def posenc_2d(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
 class AttentionWeights:
     """Projections of one attention block, each (C, C) with a (C,) bias."""
 
-    q_w: np.ndarray
-    q_b: np.ndarray
-    k_w: np.ndarray
-    k_b: np.ndarray
-    v_w: np.ndarray
-    v_b: np.ndarray
-    o_w: np.ndarray
-    o_b: np.ndarray
+    q: Linear
+    k: Linear
+    v: Linear
+    o: Linear
 
     def identity_configured(self) -> "AttentionWeights":
         """Zero the output projection: the block returns its input."""
-        return zeroed(self, "o_w", "o_b")
+        return zeroed(self, "o")
 
 
 def init_attn(name: str, c: int, seed: int) -> AttentionWeights:
-    p = lambda suffix, shape: init_param(f"{name}.{suffix}", shape, seed)
-    return AttentionWeights(
-        p("q.weight", (c, c)), p("q.bias", (c,)),
-        p("k.weight", (c, c)), p("k.bias", (c,)),
-        p("v.weight", (c, c)), p("v.bias", (c,)),
-        p("o.weight", (c, c)), p("o.bias", (c,)),
-    )
+    return AttentionWeights(*(init_linear(f"{name}.{p}", c, c, seed) for p in "qkvo"))
 
 
 def attention(x: np.ndarray, w: AttentionWeights, ctx: np.ndarray | None = None) -> np.ndarray:
@@ -169,8 +159,8 @@ def attention(x: np.ndarray, w: AttentionWeights, ctx: np.ndarray | None = None)
     products run whole: a float64 gemm cut into row pieces of 1 or 7 rows
     gives some rows other bits (measured at K = 32 and K = 100)."""
     ctx = x if ctx is None else ctx
-    q, k, v = x @ w.q_w + w.q_b, ctx @ w.k_w + w.k_b, ctx @ w.v_w + w.v_b
+    q, k, v = w.q(x), w.k(ctx), w.v(ctx)
     logits = q.astype(np.float64) @ k.astype(np.float64).T
     logits *= 1.0 / np.sqrt(q.shape[-1])
     out = (softmax(logits) @ v.astype(np.float64)).astype(np.float32)
-    return (x + out @ w.o_w + w.o_b).astype(np.float32, copy=False)
+    return (x + out @ w.o.w + w.o.b).astype(np.float32, copy=False)

@@ -198,14 +198,16 @@ def height_compress(
     coords: np.ndarray, feats: np.ndarray, extents: tuple[int, int, int]
 ) -> np.ndarray:
     """(ny, nx, C) channelwise pillar max; empty pillars zero. Positive
-    integer extents, integer (n, 3) coords inside them and one (n, C) feats
-    row per coord, as `GridSpec` and `SparseVoxelSet` hold."""
+    integer extents, distinct integer (n, 3) coords inside them and one
+    (n, C) feats row per coord, as `GridSpec` and `SparseVoxelSet` hold."""
     if len(extents) != 3 or min(extents) < 1:
         raise ValueError(f"height_compress: extents must be three positive integers, got {extents}")
     coords = _check_shape("height_compress: coords", coords, ("n", 3))
     # NaN fails every comparison
     if not np.all((coords >= 0) & (coords < extents) & (coords == np.floor(coords))):
         raise ValueError(f"height_compress: coords must be integer cells inside {extents}")
+    if len(np.unique(coords, axis=0)) != len(coords):
+        raise ValueError("height_compress: coords must name each cell at most once")
     _check_shape("height_compress: feats", feats, (len(coords), "C"))
     nx, ny = extents[0], extents[1]
     cw = feats.shape[1]
@@ -395,24 +397,24 @@ def ib_mamba(data: np.ndarray, w) -> np.ndarray:
     """Scalar transcription of the intra-modal four-direction block."""
     h, wd, cw = data.shape
     flat_in = data.reshape(h * wd, cw)
-    x = _linear_rows(flat_in, w.in_w, w.in_b)
+    x = _linear_rows(flat_in, w.in_proj.w, w.in_proj.b)
     x_arr = np.array(x)
     bmap = _linear_rows(x_arr, w.b_w)
     cmap = _linear_rows(x_arr, w.c_w)
-    dt_lin = _linear_rows(x_arr, w.dt_w, w.dt_b)
+    dt_lin = _linear_rows(x_arr, w.dt_proj.w, w.dt_proj.b)
     dtmap = [[_softplus_delta(v) for v in row] for row in dt_lin]
     a = [[float(w.a[ch, s]) for s in range(w.a.shape[1])] for ch in range(cw)]
     merged = _ss2d_scalar(
         x, a, [(bmap, cmap, dtmap)] * 4, w.norm_scale, w.norm_shift, h, wd
     )
-    gate_lin = _linear_rows(flat_in, w.y_w, w.y_b)
+    gate_lin = _linear_rows(flat_in, w.y_gate.w, w.y_gate.b)
     out = np.zeros((h * wd, cw))
     for i in range(h * wd):
         gated = [merged[i][ch] * _silu(gate_lin[i][ch]) for ch in range(cw)]
         for j in range(cw):
-            acc = float(flat_in[i, j]) + float(w.out_b[j])
+            acc = float(flat_in[i, j]) + float(w.out_proj.b[j])
             for ch in range(cw):
-                acc += gated[ch] * float(w.out_w[ch, j])
+                acc += gated[ch] * float(w.out_proj.w[ch, j])
             out[i, j] = acc
     return out.reshape(h, wd, cw)
 
@@ -426,7 +428,7 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
     flat_lid = lid.reshape(n, cw)
     f_comb = np.concatenate([flat_img, flat_lid], axis=1)
 
-    t1_lin = _linear_rows(f_comb, w.t1_w, w.t1_b)
+    t1_lin = _linear_rows(f_comb, w.t1.w, w.t1.b)
     t1 = [
         [
             _silu(v * float(w.bn_scale[j]) + float(w.bn_shift[j]))
@@ -434,7 +436,7 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
         ]
         for row in t1_lin
     ]
-    t = _linear_rows(np.array(t1), w.t2_w, w.t2_b)
+    t = _linear_rows(np.array(t1), w.t2.w, w.t2.b)
 
     span = 2 * ds + cw
     split = []
@@ -450,12 +452,12 @@ def cb_mamba(img: np.ndarray, lid: np.ndarray, w) -> np.ndarray:
 
     a_img = [[float(w.img.a[ch, s]) for s in range(ds)] for ch in range(cw)]
     a_lid = [[float(w.lid.a[ch, s]) for s in range(ds)] for ch in range(cw)]
-    x_img = _linear_rows(flat_img, w.img.in_w, w.img.in_b)
-    x_lid = _linear_rows(flat_lid, w.lid.in_w, w.lid.in_b)
+    x_img = _linear_rows(flat_img, w.img.in_proj.w, w.img.in_proj.b)
+    x_lid = _linear_rows(flat_lid, w.lid.in_proj.w, w.lid.in_proj.b)
     ss_img = _ss2d_scalar(x_img, a_img, split[0], w.img.norm_scale, w.img.norm_shift, h, wd)
     ss_lid = _ss2d_scalar(x_lid, a_lid, split[1], w.lid.norm_scale, w.lid.norm_shift, h, wd)
 
-    gate_lin = _linear_rows(np.array(t), w.gate_w, w.gate_b)
+    gate_lin = _linear_rows(np.array(t), w.gate.w, w.gate.b)
     out = np.zeros((n, cw))
     for i in range(n):
         for ch in range(cw):
@@ -544,7 +546,9 @@ def lss_splat(
     ny: int,
 ) -> np.ndarray:
     """(ny, nx, C) splat of feats (h, w, C) by depth (h, w, D) at bins (D,),
-    on viewtrans.lss_splat's grid: finite origin, positive cell, counts >= 1."""
+    on viewtrans.lss_splat's grid: finite origin, positive cell, counts >= 1.
+    Each pixel's depth row is a distribution, summing to 1 within 1e-5, as
+    `ImageFeatureSet` holds it."""
     if len(origin) != 2 or not all(math.isfinite(v) for v in origin):
         raise ValueError(f"lss_splat: origin must be two finite numbers, got {origin}")
     if len(cell) != 2 or not all(v > 0 for v in cell):
@@ -557,6 +561,9 @@ def lss_splat(
     _check_shape("lss_splat: intrinsics", intrinsics, (3, 3))
     _check_shape("lss_splat: extrinsics", extrinsics, (4, 4))
     _check_shape("lss_splat: bins", bins, depth.shape[2:])
+    # NaN fails the comparison
+    if not np.all(np.abs(depth.sum(axis=-1) - 1.0) <= 1e-5):
+        raise ValueError("lss_splat: depth must sum to 1 over its bins at every pixel")
     h, w, cw = feats.shape
     nbins = depth.shape[2]
     acc = np.zeros((ny, nx, cw), dtype=np.float64)

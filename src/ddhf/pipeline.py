@@ -26,9 +26,10 @@ from .core import (
     VOXEL_COUNT_CHANNEL,
     VOXEL_FEATURE_DIM,
     CameraModel,
+    Linear,
     bev_map_for_grid,
     empty_voxel_set,
-    init_param,
+    init_linear,
     voxelize,
     zeroed,
 )
@@ -57,8 +58,7 @@ MAX_PIXEL = 1.0  # pixels lie in [0, 1], the range scene.render_images writes
 
 @dataclass(frozen=True)
 class PipelineWeights:
-    lidar_embed_w: np.ndarray  # (VOXEL_FEATURE_DIM, C)
-    lidar_embed_b: np.ndarray
+    lidar_embed: Linear  # (VOXEL_FEATURE_DIM, C)
     encoder: ImageEncoderWeights
     hvf: HvfWeights
     hbf: HbfWeights
@@ -69,8 +69,7 @@ class PipelineWeights:
 def init_pipeline_weights(cfg: PipelineConfig) -> PipelineWeights:
     seed, c = cfg.global_seed, cfg.channels
     return PipelineWeights(
-        lidar_embed_w=init_param("lidar_embed.weight", (VOXEL_FEATURE_DIM, c), seed),
-        lidar_embed_b=init_param("lidar_embed.bias", (c,), seed),
+        lidar_embed=init_linear("lidar_embed", VOXEL_FEATURE_DIM, c, seed),
         encoder=init_image_encoder("image_encoder", c, cfg.depth_count, seed),
         hvf=init_hvf("hvf", c, cfg.d_state, seed),
         hbf=init_hbf("hbf", c, cfg.d_state, seed),
@@ -81,9 +80,9 @@ def init_pipeline_weights(cfg: PipelineConfig) -> PipelineWeights:
 
 def _density_heatmap_head(like: HeatmapHeadWeights) -> HeatmapHeadWeights:
     """Class-0 logit = gain * silu(channel 0); other classes stay at zero."""
-    w = zeroed(like, "conv_k", "conv_b", "head_w", "head_b")
+    w = zeroed(like, "conv_k", "conv_b", "head")
     w.conv_k[1, 1, 0, 0] = 1.0
-    w.head_w[0, 0] = PASSTHROUGH_GAIN
+    w.head.w[0, 0] = PASSTHROUGH_GAIN
     return w
 
 
@@ -98,17 +97,17 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
     """
     base = init_pipeline_weights(cfg)
     hbf = replace(
-        zeroed(base.hbf, "proj_img_w", "proj_img_b", "proj_lid_w", "proj_lid_b"),
+        zeroed(base.hbf, "proj_img", "proj_lid"),
         ib_img=base.hbf.ib_img.identity_configured(),
         ib_lid=base.hbf.ib_lid.identity_configured(),
         cb=replace(
-            zeroed(base.hbf.cb, "gate_w", "gate_b"),
-            img=zeroed(base.hbf.cb.img, "in_w", "in_b"),
-            lid=zeroed(base.hbf.cb.lid, "in_w", "in_b"),
+            zeroed(base.hbf.cb, "gate"),
+            img=zeroed(base.hbf.cb.img, "in_proj"),
+            lid=zeroed(base.hbf.cb.lid, "in_proj"),
         ),
         backbone=base.hbf.backbone.identity_configured(),
     )
-    hbf.proj_lid_w[0, 0] = 1.0
+    hbf.proj_lid.w[0, 0] = 1.0
     pqg = replace(
         base.pqg,
         head_easy=_density_heatmap_head(base.pqg.head_easy),
@@ -116,17 +115,17 @@ def passthrough_weights(cfg: PipelineConfig) -> PipelineWeights:
         hia=base.pqg.hia.identity_configured(),
     )
     dec = base.decoder.identity_configured()
-    zero_box = zeroed(dec.box, "w1", "b1", "w2", "b2")
-    head = replace(zeroed(dec.head, "cls_w", "cls_b"), box=zero_box)
-    head.cls_w[0, 0] = PASSTHROUGH_GAIN
+    zero_box = zeroed(dec.box, "fc1", "fc2")
+    head = replace(zeroed(dec.head, "cls"), box=zero_box)
+    head.cls.w[0, 0] = PASSTHROUGH_GAIN
     w = replace(
-        zeroed(base, "lidar_embed_w", "lidar_embed_b"),
+        zeroed(base, "lidar_embed"),
         hvf=base.hvf.identity_configured(),
         hbf=hbf,
         pqg=pqg,
         decoder=replace(dec, box=zero_box, head=head),
     )
-    w.lidar_embed_w[VOXEL_COUNT_CHANNEL, 0] = 1.0
+    w.lidar_embed.w[VOXEL_COUNT_CHANNEL, 0] = 1.0
     return w
 
 
@@ -216,10 +215,10 @@ def validate_weights(weights: PipelineWeights, cfg: PipelineConfig) -> None:
     k_classes, depth_count, n_bev and m_vox; the error names the field that
     differs."""
     built = {
-        "channels": weights.lidar_embed_w.shape[1],
+        "channels": weights.lidar_embed.w.shape[1],
         "d_state": weights.hvf.cv[0].a.shape[1],
-        "k_classes": weights.decoder.head.cls_w.shape[1],
-        "depth_count": weights.encoder.depth_w.shape[1],
+        "k_classes": weights.decoder.head.cls.w.shape[1],
+        "depth_count": weights.encoder.depth_head.w.shape[1],
         "n_bev": len(weights.decoder.deform),
         "m_vox": len(weights.decoder.mmvfm),
     }
@@ -247,7 +246,7 @@ def run_pipeline(
 
     t = time.perf_counter()
     v_raw = voxelize(points, grid_l)
-    v_lidar = v_raw.with_feats(v_raw.feats @ weights.lidar_embed_w + weights.lidar_embed_b)
+    v_lidar = v_raw.with_feats(weights.lidar_embed(v_raw.feats))
     log.add("voxelize", time.perf_counter() - t)
 
     t = time.perf_counter()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FeatureMap, init_param, zeroed
+from .core import FeatureMap, Linear, init_linear, init_param, zeroed
 from .ops import (
     AttentionWeights,
     ConvBlock,
@@ -64,8 +64,7 @@ class Queries:
 class HeatmapHeadWeights:
     conv_k: np.ndarray  # (3, 3, C, C)
     conv_b: np.ndarray
-    head_w: np.ndarray  # (C, K)
-    head_b: np.ndarray
+    head: Linear  # (C, K)
 
 
 def init_heatmap_head(
@@ -75,14 +74,13 @@ def init_heatmap_head(
     return HeatmapHeadWeights(
         conv_k=p("conv.weight", (3, 3, c, c)),
         conv_b=p("conv.bias", (c,)),
-        head_w=p("head.weight", (c, k_classes)),
-        head_b=p("head.bias", (k_classes,)),
+        head=init_linear(f"{name}.head", c, k_classes, global_seed),
     )
 
 
 def heatmap_head(b: FeatureMap, w: HeatmapHeadWeights) -> Heatmap:
     f = silu(conv2d(b.data, w.conv_k, w.conv_b))
-    scores = sigmoid((f @ w.head_w + w.head_b).astype(np.float64))
+    scores = sigmoid(w.head(f).astype(np.float64))
     return Heatmap(np.moveaxis(scores, -1, 0).astype(np.float32))
 
 
@@ -139,8 +137,7 @@ def build_mask(p_easy: np.ndarray, h: int, w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HiaWeights:
-    emb_w: np.ndarray  # (K + C, C): one-hot class ++ position encoding -> C
-    emb_b: np.ndarray
+    embed: Linear  # (K + C, C): one-hot class ++ position encoding -> C
     self_attn: AttentionWeights
     cross_attn: AttentionWeights
     conv: ConvBlock
@@ -156,8 +153,7 @@ class HiaWeights:
 
 def init_hia(name: str, c: int, k_classes: int, global_seed: int) -> HiaWeights:
     return HiaWeights(
-        emb_w=init_param(f"{name}.embed.weight", (k_classes + c, c), global_seed),
-        emb_b=init_param(f"{name}.embed.bias", (c,), global_seed),
+        embed=init_linear(f"{name}.embed", k_classes + c, c, global_seed),
         self_attn=init_attn(f"{name}.self_attn", c, global_seed),
         cross_attn=init_attn(f"{name}.cross_attn", c, global_seed),
         conv=init_conv_block(name, c, global_seed),
@@ -180,10 +176,10 @@ def hia(q_easy: Queries, b: FeatureMap, w: HiaWeights) -> FeatureMap:
     """
     if not len(q_easy):  # a softmax over zero tokens has no max
         return b.with_data(conv_block(b.data, w.conv))
-    onehot = np.eye(w.emb_w.shape[0] - b.channels, dtype=np.float32)[q_easy.classes]
+    onehot = np.eye(w.embed.w.shape[0] - b.channels, dtype=np.float32)[q_easy.classes]
     rows, cols = q_easy.pos.T.astype(np.float64)
     pe = posenc_2d(rows, cols, b.channels)
-    tokens = q_easy.feats + (np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b)
+    tokens = q_easy.feats + w.embed(np.concatenate([onehot, pe], axis=1))
     tokens = attention(tokens, w.self_attn)
     x = attention(b.data.reshape(-1, b.channels), w.cross_attn, tokens)
     return b.with_data(conv_block(x.reshape(b.data.shape), w.conv))

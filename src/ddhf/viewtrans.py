@@ -18,8 +18,10 @@ from .core import (
     CameraModel,
     FeatureMap,
     GridSpec,
+    Linear,
     SparseVoxelSet,
     bev_map_for_grid,
+    init_linear,
     init_param,
 )
 from .ops import conv2d, sigmoid, silu, softmax
@@ -82,10 +84,8 @@ class ImageEncoderWeights:
     conv1_b: np.ndarray
     conv2_k: np.ndarray  # (3, 3, C, C)
     conv2_b: np.ndarray
-    depth_w: np.ndarray  # (C, D)
-    depth_b: np.ndarray
-    sem_w: np.ndarray  # (C, 1)
-    sem_b: np.ndarray
+    depth_head: Linear  # (C, D)
+    sem_head: Linear  # (C, 1)
 
 
 def init_image_encoder(
@@ -97,10 +97,8 @@ def init_image_encoder(
         conv1_b=p("conv1.bias", (c,)),
         conv2_k=p("conv2.weight", (3, 3, c, c)),
         conv2_b=p("conv2.bias", (c,)),
-        depth_w=p("depth_head.weight", (c, depth_bins)),
-        depth_b=p("depth_head.bias", (depth_bins,)),
-        sem_w=p("sem_head.weight", (c, 1)),
-        sem_b=p("sem_head.bias", (1,)),
+        depth_head=init_linear(f"{name}.depth_head", c, depth_bins, global_seed),
+        sem_head=init_linear(f"{name}.sem_head", c, 1, global_seed),
     )
 
 
@@ -110,8 +108,8 @@ def encode_image(image: np.ndarray, w: ImageEncoderWeights) -> tuple[np.ndarray,
         raise ValueError("encode_image: image must be finite")
     f = silu(conv2d(image.astype(np.float32), w.conv1_k, w.conv1_b, stride=2))
     f = silu(conv2d(f, w.conv2_k, w.conv2_b, stride=2))
-    depth = softmax((f @ w.depth_w + w.depth_b).astype(np.float64), axis=-1)
-    sem = sigmoid((f @ w.sem_w + w.sem_b)[..., 0])
+    depth = softmax(w.depth_head(f).astype(np.float64), axis=-1)
+    sem = sigmoid(w.sem_head(f)[..., 0])
     return f.astype(np.float32), depth.astype(np.float32), sem.astype(np.float32)
 
 

@@ -37,6 +37,14 @@ def fill_zero_tensors(w, rng):
     return rng.uniform(0.1, 0.5, size=w.shape).astype(w.dtype) if not np.any(w) else w
 
 
+def mix_tensors(w) -> tuple:
+    """A decoder MixWeights as the eight tensors oracles.mmvfm_mix takes after
+    its inputs: offset embedding, channel kernel, spatial kernel and down
+    projection, each weight then bias."""
+    layers = (w.offset_embed, w.channel_kernel, w.spatial_kernel, w.down)
+    return tuple(t for layer in layers for t in (layer.w, layer.b))
+
+
 def sparse_lattice(rng, extents, keep: float = 0.9) -> np.ndarray:
     """Cell centers at the default image grid's 2.25 x 2.25 x 0.5 spacing, in
     grid (x-major) order, with about 1 - keep of the cells left out: the

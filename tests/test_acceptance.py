@@ -10,7 +10,7 @@ import numpy as np
 
 from ddhf import oracles
 from ddhf.config import PipelineConfig
-from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, voxelize
+from ddhf.core import FeatureMap, GridSpec, Linear, SparseVoxelSet, voxelize
 from ddhf.curve import cross_merge_2d, hilbert_index, scan_orders_2d
 from ddhf.decoder import GridFeatures, MixWeights, mmvfm_mix, voxel_pool
 from ddhf.evalmetrics import eval_detections
@@ -23,7 +23,7 @@ from ddhf.scene import SceneObject, SceneSpec, gen_points, render_images
 from ddhf.ssm import ScanParams, init_ssm_block, selective_scan, selective_scan_chunked
 from ddhf.viewtrans import encode_images, fps, lss_splat, safs_select
 
-from conftest import random_voxel_set, sparse_lattice
+from conftest import mix_tensors, random_voxel_set, sparse_lattice
 
 
 def test_criterion_1_scan_equivalence():
@@ -136,14 +136,22 @@ def test_criterion_3_oracle_batch():
     for _ in range(100):  # mmvfm_mix: 1e-5
         c, g = 4, 8
         w = MixWeights(
-            off_w=rng.normal(size=(3, c)).astype(np.float32),
-            off_b=rng.normal(size=c).astype(np.float32),
-            cw=rng.normal(size=(c, c * c)).astype(np.float32) * 0.3,
-            cb=rng.normal(size=c * c).astype(np.float32) * 0.3,
-            sw=rng.normal(size=(c, g * (g // 4))).astype(np.float32) * 0.3,
-            sb=rng.normal(size=g * (g // 4)).astype(np.float32) * 0.3,
-            down_w=rng.normal(size=(c * (g // 4), c)).astype(np.float32) * 0.3,
-            down_b=rng.normal(size=c).astype(np.float32),
+            offset_embed=Linear(
+                rng.normal(size=(3, c)).astype(np.float32),
+                rng.normal(size=c).astype(np.float32),
+            ),
+            channel_kernel=Linear(
+                rng.normal(size=(c, c * c)).astype(np.float32) * 0.3,
+                rng.normal(size=c * c).astype(np.float32) * 0.3,
+            ),
+            spatial_kernel=Linear(
+                rng.normal(size=(c, g * (g // 4))).astype(np.float32) * 0.3,
+                rng.normal(size=g * (g // 4)).astype(np.float32) * 0.3,
+            ),
+            down=Linear(
+                rng.normal(size=(c * (g // 4), c)).astype(np.float32) * 0.3,
+                rng.normal(size=c).astype(np.float32),
+            ),
         )
         q = rng.normal(size=c).astype(np.float32)
         gridf = GridFeatures(
@@ -152,10 +160,7 @@ def test_criterion_3_oracle_batch():
             offsets=rng.normal(size=(g, 3)),
         )
         got = mmvfm_mix(q, gridf, w)
-        want = oracles.mmvfm_mix(
-            q, gridf.feats, gridf.offsets, w.off_w, w.off_b, w.cw, w.cb,
-            w.sw, w.sb, w.down_w, w.down_b,
-        )
+        want = oracles.mmvfm_mix(q, gridf.feats, gridf.offsets, *mix_tensors(w))
         assert np.max(np.abs(got - want)) < 1e-5
 
     for i in range(100):  # cb_mamba: 1e-5
@@ -283,7 +288,7 @@ def test_criterion_7_identity_end_to_end():
     # rerun the trunk stage by stage to inspect the easy-query positions
     weights = build_weights(cfg)
     v_raw = voxelize(points, grid_l)
-    emb = (v_raw.feats @ weights.lidar_embed_w + weights.lidar_embed_b).astype(np.float32)
+    emb = weights.lidar_embed(v_raw.feats).astype(np.float32)
     v_lidar = v_raw.with_feats(emb)
     img_feats = encode_images(images, weights.encoder)
     v_img = safs_select(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddhf import oracles
+from ddhf.ssm import init_ssm_block
 from ddhf.core import (
     CAMERA_MAX,
     MIN_DEPTH,
     CameraModel,
     FeatureMap,
     GridSpec,
+    Linear,
     SparseVoxelSet,
     bev_map_for_grid,
     empty_voxel_set,
     fnv1a64,
+    init_linear,
     init_param,
     load_tensor,
     prng_fill,
@@ -204,6 +208,34 @@ def test_zeroed_zeroes_only_the_named_fields(rng):
     assert [a.shape for a in (out.blocks[0], *out.blocks[1])] == [(2, 2), (4,), (1,)]
     assert not any(np.any(a) for a in (out.blocks[0], *out.blocks[1]))
     assert np.all(src.w != 0) and np.all(src.blocks[0] != 0)  # source untouched
+    # a record field such as a Linear is zeroed tensor by tensor
+    block = init_ssm_block("blk", 4, 2, 3)
+    block = dataclasses.replace(block, out_proj=Linear(f32(4, 4), f32(4)))
+    out = zeroed(block, "out_proj")
+    assert isinstance(out.out_proj, Linear)
+    assert not np.any(out.out_proj.w) and not np.any(out.out_proj.b)
+    assert out.out_proj.w.shape == (4, 4) and out.out_proj.b.shape == (4,)
+    assert out.in_proj is block.in_proj
+    assert np.all(block.out_proj.w != 0)
+
+
+def test_linear_is_x_at_w_plus_b(rng):
+    lin = init_linear("proj", 3, 5, 11)
+    assert np.array_equal(lin.w, init_param("proj.weight", (3, 5), 11))
+    assert np.array_equal(lin.b, init_param("proj.bias", (5,), 11))
+    lin = Linear(lin.w, rng.normal(size=5).astype(np.float32))
+    x = rng.normal(size=(4, 3)).astype(np.float32)
+    assert np.array_equal(lin(x), x @ lin.w + lin.b)
+
+
+@pytest.mark.parametrize(
+    "w_shape, b_shape", [((3, 5), (6,)), ((5,), (5,))], ids=["bias-one-too-long", "weight-1d"]
+)
+def test_linear_rejects_mismatched_shapes(w_shape, b_shape):
+    w, b = np.zeros(w_shape, dtype=np.float32), np.zeros(b_shape, dtype=np.float32)
+    want = f"^Linear: .*{re.escape(str(w_shape))} and {re.escape(str(b_shape))}$"
+    with pytest.raises(ValueError, match=want):
+        Linear(w, b)
 
 
 def test_empty_voxel_set_shapes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set, zeroed
+from ddhf.core import FeatureMap, GridSpec, Linear, SparseVoxelSet, empty_voxel_set, zeroed
 from ddhf.decoder import (
     BOX_RAW_CLIP,
     DetectionHeadWeights,
@@ -24,7 +24,7 @@ from ddhf.decoder import (
 from ddhf.ops import AttentionWeights
 from ddhf.pqg import Queries
 
-from conftest import fill_zero_tensors, random_voxel_set, traced_peak
+from conftest import fill_zero_tensors, mix_tensors, random_voxel_set, traced_peak
 from test_ops import sigmoid_ref
 
 
@@ -42,8 +42,12 @@ def bev_map(rng, h=8, w=8, c=4):
     )
 
 
+def zero_linear(n_in, n_out):
+    return Linear(np.zeros((n_in, n_out), dtype=np.float32), np.zeros(n_out, dtype=np.float32))
+
+
 def zero_box_head(c):
-    return zeroed(init_decoder("dec", c, 3, 0, 0, 0).box, "w1", "b1", "w2", "b2")
+    return zeroed(init_decoder("dec", c, 3, 0, 0, 0).box, "fc1", "fc2")
 
 
 def make_queries(rng, fm, n, c=4):
@@ -60,11 +64,8 @@ def test_deformable_zero_generators_sample_own_cell(rng):
     c = 4
     w = init_decoder("dec", c, 3, 1, 0, 7).deform[0]
     w = dataclasses.replace(
-        w,
-        off_w=np.zeros_like(w.off_w), off_b=np.zeros_like(w.off_b),
-        att_w=np.zeros_like(w.att_w), att_b=np.zeros_like(w.att_b),
-        out_w=np.eye(c, dtype=np.float32), out_b=np.zeros(c, dtype=np.float32),
-        ffn2_w=np.zeros_like(w.ffn2_w), ffn2_b=np.zeros_like(w.ffn2_b),
+        zeroed(w, "offset", "attn", "ffn2"),
+        out=Linear(np.eye(c, dtype=np.float32), np.zeros(c, dtype=np.float32)),
     )
     b = bev_map(rng, c=c)
     feats = rng.normal(size=(3, c)).astype(np.float32)
@@ -92,8 +93,8 @@ def test_deformable_matches_scalar_reference(rng):
     want = np.zeros_like(feats, dtype=np.float64)
     for i in range(2):
         f = feats[i].astype(np.float64)
-        off = (f @ w.off_w + w.off_b).reshape(4, 2)
-        logits = f @ w.att_w + w.att_b
+        off = w.offset(f).reshape(4, 2)
+        logits = w.attn(f)
         e = np.exp(logits - logits.max())
         wts = e / e.sum()
         agg = np.zeros(c)
@@ -101,8 +102,8 @@ def test_deformable_matches_scalar_reference(rng):
             u = cols[i] + off[j, 0]
             v = rows[i] + off[j, 1]
             agg += wts[j] * oracles.bilinear(b.data, float(u), float(v))
-        x = f + agg @ w.out_w + w.out_b
-        x = x + silu_ref(x @ w.ffn1_w + w.ffn1_b) @ w.ffn2_w + w.ffn2_b
+        x = f + agg @ w.out.w + w.out.b
+        x = x + silu_ref(w.ffn1(x)) @ w.ffn2.w + w.ffn2.b
         want[i] = x
     assert np.max(np.abs(got - want)) < 1e-5
 
@@ -143,7 +144,7 @@ def test_box_readout_rejects_nan_feature(rng):
 def box_from_query_ref(feat, row, col, fm, w):
     """Reference readout of one query: a 1-D MLP pass, then its (center,
     size, yaw) as Python floats."""
-    raw = silu_two_branch(feat @ w.w1 + w.b1) @ w.w2 + w.b2
+    raw = w.fc2(silu_two_branch(w.fc1(feat)))
     raw = np.clip(raw, -BOX_RAW_CLIP, BOX_RAW_CLIP)
     cx, cy = fm.cell_centers(np.array([row]), np.array([col]))[0]
     yaw = math.atan2(float(raw[6]), float(raw[7]))
@@ -174,7 +175,7 @@ def test_box_readout_matches_per_query(scale, c):
     fm = bev_map(rng, h=16, w=16, c=c)
     feats = (rng.normal(size=(m, c)) * scale).astype(np.float32)
     rows, cols = rng.integers(0, 16, size=m), rng.integers(0, 16, size=m)
-    raw = silu_two_branch(feats @ w.w1 + w.b1) @ w.w2 + w.b2
+    raw = w.fc2(silu_two_branch(w.fc1(feats)))
     assert np.abs(raw).max() < BOX_RAW_CLIP
     centers, sizes, yaws = box_readout(feats, rows, cols, fm, w)
     want = [box_from_query_ref(feats[i], rows[i], cols[i], fm, w) for i in range(m)]
@@ -270,25 +271,18 @@ def test_voxel_pool_stacked_lattices_match_per_lattice(rng):
         assert np.array_equal(stacked[i], voxel_pool(v, lattices[i]))
 
 
-def mix_weights_for(c, g, **overrides):
-    base = dict(
-        off_w=np.zeros((3, c), dtype=np.float32),
-        off_b=np.zeros(c, dtype=np.float32),
-        cw=np.zeros((c, c * c), dtype=np.float32),
-        cb=np.zeros(c * c, dtype=np.float32),
-        sw=np.zeros((c, g * (g // 4)), dtype=np.float32),
-        sb=np.zeros(g * (g // 4), dtype=np.float32),
-        down_w=np.zeros((c * (g // 4), c), dtype=np.float32),
-        down_b=np.zeros(c, dtype=np.float32),
+def zero_mix_weights(c, g):
+    gq = g // 4
+    return MixWeights(
+        zero_linear(3, c), zero_linear(c, c * c), zero_linear(c, g * gq), zero_linear(c * gq, c)
     )
-    base.update(overrides)
-    return MixWeights(**base)
 
 
 def test_mmvfm_mix_zero_grid_gives_down_bias(rng):
     c, g = 4, 8
     bias = rng.normal(size=c).astype(np.float32)
-    w = mix_weights_for(c, g, down_b=bias)
+    w = zero_mix_weights(c, g)
+    w.down.b[...] = bias
     grid = GridFeatures(
         points=np.zeros((g, 3)), feats=np.zeros((g, c), dtype=np.float32),
         offsets=np.zeros((g, 3)),
@@ -302,17 +296,11 @@ def test_mmvfm_mix_selector_case(rng):
     # first grid feature row straight through the down projection
     c, g = 4, 8
     gq = g // 4
-    down_w = np.zeros((c * gq, c), dtype=np.float32)
+    w = zero_mix_weights(c, g)
     for ch in range(c):
-        down_w[ch * gq, ch] = 1.0
-    sb = np.zeros((g, gq), dtype=np.float32)
-    sb[0, 0] = 1.0
-    w = mix_weights_for(
-        c, g,
-        cb=np.eye(c, dtype=np.float32).ravel(),
-        sb=sb.ravel(),
-        down_w=down_w,
-    )
+        w.down.w[ch * gq, ch] = 1.0
+    w.spatial_kernel.b[0] = 1.0  # entry (0, 0) of the (g, gq) kernel
+    w.channel_kernel.b[...] = np.eye(c, dtype=np.float32).ravel()
     feats = rng.normal(size=(g, c)).astype(np.float32)
     grid = GridFeatures(points=np.zeros((g, 3)), feats=feats, offsets=np.zeros((g, 3)))
     out = mmvfm_mix(rng.normal(size=c).astype(np.float32), grid, w)
@@ -321,14 +309,21 @@ def test_mmvfm_mix_selector_case(rng):
 
 def random_mix_weights(rng, c, g):
     return MixWeights(
-        off_w=rng.normal(size=(3, c)).astype(np.float32),
-        off_b=rng.normal(size=c).astype(np.float32),
-        cw=rng.normal(size=(c, c * c)).astype(np.float32) * 0.2,
-        cb=rng.normal(size=c * c).astype(np.float32) * 0.2,
-        sw=rng.normal(size=(c, g * (g // 4))).astype(np.float32) * 0.2,
-        sb=rng.normal(size=g * (g // 4)).astype(np.float32) * 0.2,
-        down_w=rng.normal(size=(c * (g // 4), c)).astype(np.float32) * 0.2,
-        down_b=rng.normal(size=c).astype(np.float32),
+        offset_embed=Linear(
+            rng.normal(size=(3, c)).astype(np.float32), rng.normal(size=c).astype(np.float32)
+        ),
+        channel_kernel=Linear(
+            rng.normal(size=(c, c * c)).astype(np.float32) * 0.2,
+            rng.normal(size=c * c).astype(np.float32) * 0.2,
+        ),
+        spatial_kernel=Linear(
+            rng.normal(size=(c, g * (g // 4))).astype(np.float32) * 0.2,
+            rng.normal(size=g * (g // 4)).astype(np.float32) * 0.2,
+        ),
+        down=Linear(
+            rng.normal(size=(c * (g // 4), c)).astype(np.float32) * 0.2,
+            rng.normal(size=c).astype(np.float32),
+        ),
     )
 
 
@@ -342,10 +337,7 @@ def test_mmvfm_mix_matches_scalar_oracle(rng):
         offsets=rng.normal(size=(g, 3)),
     )
     got = mmvfm_mix(q, grid, w)
-    want = oracles.mmvfm_mix(
-        q, grid.feats, grid.offsets, w.off_w, w.off_b, w.cw, w.cb, w.sw, w.sb,
-        w.down_w, w.down_b,
-    )
+    want = oracles.mmvfm_mix(q, grid.feats, grid.offsets, *mix_tensors(w))
     assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -362,10 +354,7 @@ def test_mmvfm_mix_batched_matches_per_query(rng):
     assert got.shape == (m, c)
     for i in range(m):
         one = mmvfm_mix(q[i], GridFeatures(grid.points[i], grid.feats[i], grid.offsets[i]), w)
-        want = oracles.mmvfm_mix(
-            q[i], grid.feats[i], grid.offsets[i], w.off_w, w.off_b, w.cw, w.cb, w.sw, w.sb,
-            w.down_w, w.down_b,
-        )
+        want = oracles.mmvfm_mix(q[i], grid.feats[i], grid.offsets[i], *mix_tensors(w))
         assert np.max(np.abs(got[i] - want)) < 1e-5
         assert np.max(np.abs(got[i] - one)) < 1e-6
 
@@ -449,16 +438,11 @@ def test_identity_configured_decoder_layers_with_filled_zero_tensors(rng):
 
 def test_detection_head_zero_weights_scores_half(rng):
     c, k = 4, 3
-    zeros = lambda *shape: np.zeros(shape, dtype=np.float32)
-    attn = AttentionWeights(
-        zeros(c, c), zeros(c), zeros(c, c), zeros(c),
-        zeros(c, c), zeros(c), zeros(c, c), zeros(c),
-    )
     w = DetectionHeadWeights(
-        attn=attn,
-        ffn1_w=zeros(c, 2 * c), ffn1_b=zeros(2 * c),
-        ffn2_w=zeros(2 * c, c), ffn2_b=zeros(c),
-        cls_w=zeros(c, k), cls_b=zeros(k),
+        attn=AttentionWeights(*(zero_linear(c, c) for _ in range(4))),
+        ffn1=zero_linear(c, 2 * c),
+        ffn2=zero_linear(2 * c, c),
+        cls=zero_linear(c, k),
         box=zero_box_head(c),
     )
     fm = bev_map(rng, c=c)

@@ -764,7 +764,7 @@ def test_camera_less_memo_hit_matches_cleared(cfg, spec, mode, ib_calls):
 
 
 @pytest.mark.parametrize("mode", ["seeded", "passthrough"])
-@pytest.mark.parametrize("field", ["ib_img.in_w", "proj_img_b"])
+@pytest.mark.parametrize("field", ["ib_img.in_proj.w", "proj_img.b"])
 def test_camera_less_memo_misses_after_in_place_edit(field, mode, ib_calls):
     # the memo key is the content of the image map and weights, not their
     # identity: an in-place edit between two frames must not reuse the old output
@@ -1226,6 +1226,7 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
         ("height-compress", "--coords", np.array([[0, 0, 0], [4, 3, 1]])),
         ("height-compress", "--coords", np.array([[0, 0, 0], [-1, 3, 1]])),
         ("height-compress", "--coords", np.array([[1.7, 2.9, 0], [3, 3, 1]])),
+        ("height-compress", "--coords", np.array([[1, 1, 0], [1, 1, 0]])),
         ("height-compress", "--feats", np.ones((3, 3))),
         ("splat", "--cell", "0,1"),
         ("splat", "--cell", "0.5,-1"),
@@ -1240,7 +1241,8 @@ def test_cli_oracle_valid_inputs_run(tmp_path, capsys, cmd):
         "fps-points-7-values", "fps-points-4-columns", "fps-points-empty", "fps-points-nan",
         "ssm-a-positive", "ssm-delta-negative", "ssm-b-rows", "nms-heat-2d",
         "nms-heat-above-1", "hc-zero-extent", "hc-extent-not-int", "hc-coord-past-extent",
-        "hc-coord-negative", "hc-coord-fractional", "hc-feats-rows", "splat-cell-zero", "splat-cell-negative",
+        "hc-coord-negative", "hc-coord-fractional", "hc-coord-duplicate", "hc-feats-rows",
+        "splat-cell-zero", "splat-cell-negative",
         "splat-cell-not-number", "splat-origin-nan", "splat-origin-inf", "splat-nx-negative",
         "splat-ny-zero", "splat-stride-zero",
     ],
@@ -1259,13 +1261,14 @@ def test_cli_oracle_bad_input_names_its_flag(tmp_path, capsys, cmd, flag, value)
         ("splat", "intrinsics", {"intrinsics": np.array([12.0, 12, 6])}),
         ("splat", "bins", {"depth": np.full((2, 3, 9), 0.1)}),  # 9 depth bins, 8 centres
         ("splat", "depth", {"depth": np.full((1, 3, 8), 0.125)}),  # feats has 2 rows
+        ("splat", "depth", {"depth": np.full((2, 3, 8), 3.0)}),  # rows sum to 24
         ("mix-scalar", "feats", {"feats": np.ones((4, 3))}),  # one column wider than q
         ("mix-scalar", "feats",  # G = 6, every other file sized to it
          {"feats": np.ones((6, 2)), "offsets": np.ones((6, 3)), "sw": np.ones((2, 6)),
           "sb": np.ones(6)}),
     ],
     ids=["splat-depth-2d", "splat-intrinsics-1d", "splat-bins-count", "splat-depth-rows",
-         "mix-feats-columns", "mix-lattice-6"],
+         "splat-depth-sum", "mix-feats-columns", "mix-lattice-6"],
 )
 def test_cli_oracle_bad_inputs_file_names_it(tmp_path, capsys, cmd, named, changed):
     assert main(_oracle_run_args(tmp_path, cmd, **changed)) == 2
@@ -1308,12 +1311,16 @@ _SPLAT_TENSORS = (  # feats, depth, intrinsics, extrinsics, stride, bins
         ("nms_topk", (np.zeros((1, 4, 4)), 0), "k"),
         ("height_compress", (np.array([[1.7, 2.0, 0.0]]), np.ones((1, 3)), (4, 4, 2)), "coords"),
         ("height_compress", (np.array([[-1, 0, 0]]), np.ones((1, 3)), (4, 4, 2)), "coords"),
+        ("height_compress", (np.array([[1, 1, 0], [1, 1, 0]]), np.array([[1.0], [5.0]]), (2, 2, 1)),
+         "coords"),
         ("mmvfm_mix", _mix_args(6), "feats"),
         ("lss_splat", (*_SPLAT_TENSORS, (-4.0, -4.0), (0.0, 0.5), 16, 16), "cell"),
+        ("lss_splat", (_SPLAT_TENSORS[0], np.full((2, 3, 8), 3.0), *_SPLAT_TENSORS[2:],
+                       (-4.0, -4.0), (0.5, 0.5), 16, 16), "depth"),
     ],
     ids=["fps-nan-row", "fps-empty", "fps-n-past-count", "ssm-a-positive", "nms-heat-5",
-         "nms-k-0", "hc-coord-fractional", "hc-coord-negative", "mix-lattice-6",
-         "splat-cell-0"],
+         "nms-k-0", "hc-coord-fractional", "hc-coord-negative", "hc-coord-duplicate",
+         "mix-lattice-6", "splat-cell-0", "splat-depth-sum"],
 )
 def test_oracle_outside_its_twins_domain_raises(oracle, args, param):
     with pytest.raises(ValueError, match=f"^{oracle}: {param} "):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap, GridSpec, SparseVoxelSet, empty_voxel_set, zeroed
+from ddhf.core import FeatureMap, GridSpec, Linear, SparseVoxelSet, empty_voxel_set, zeroed
 from ddhf.hbf import (
     bev_backbone,
     cb_mamba,
@@ -129,15 +129,17 @@ def test_cb_gate_zeroed_uses_lidar_path_plus_skip(rng):
     import dataclasses
 
     w = init_cb_mamba("cb", 4, 2, 52)
-    w = dataclasses.replace(w, gate_w=np.zeros_like(w.gate_w), gate_b=np.zeros_like(w.gate_b))
+    w = zeroed(w, "gate")
     img, lid = bev_map(rng), bev_map(rng)
     out, y_img, y_lid = cb_mamba(img, lid, w, return_gates=True)
     assert np.all(y_img == 0.0)  # silu(0) = 0
     assert np.all(y_lid == 1.0)
     # the image scan path is weighted by zero, so perturbing its private input
     # projection (which feeds nothing else) cannot move the output
-    noisy = rng.normal(size=w.img.in_w.shape).astype(np.float32)
-    w2 = dataclasses.replace(w, img=dataclasses.replace(w.img, in_w=noisy))
+    noisy = rng.normal(size=w.img.in_proj.w.shape).astype(np.float32)
+    w2 = dataclasses.replace(
+        w, img=dataclasses.replace(w.img, in_proj=dataclasses.replace(w.img.in_proj, w=noisy))
+    )
     out2 = cb_mamba(img, lid, w2)
     assert np.array_equal(out2.data, out.data)
 
@@ -201,16 +203,17 @@ def identity_hbf(c, d_state, seed):
     w = init_hbf("hbf", c, d_state, seed)
     proj = np.zeros((2 * c, c), dtype=np.float32)
     proj[:c, :c] = np.eye(c, dtype=np.float32)
+    proj = Linear(proj, np.zeros(c, dtype=np.float32))
     return dataclasses.replace(
-        zeroed(w, "proj_img_b", "proj_lid_b"),
-        proj_img_w=proj,
-        proj_lid_w=proj,
+        w,
+        proj_img=proj,
+        proj_lid=proj,
         ib_img=w.ib_img.identity_configured(),
         ib_lid=w.ib_lid.identity_configured(),
         cb=dataclasses.replace(
-            zeroed(w.cb, "gate_w", "gate_b"),
-            img=zeroed(w.cb.img, "in_w", "in_b"),
-            lid=zeroed(w.cb.lid, "in_w", "in_b"),
+            zeroed(w.cb, "gate"),
+            img=zeroed(w.cb.img, "in_proj"),
+            lid=zeroed(w.cb.lid, "in_proj"),
         ),
         backbone=w.backbone.identity_configured(),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddhf import oracles
-from ddhf.core import FeatureMap, zeroed
+from ddhf.core import FeatureMap, Linear, zeroed
 from ddhf.ops import conv_block
 from ddhf.pqg import (
     Heatmap,
@@ -45,8 +45,7 @@ def test_heatmap_head_zero_weights(rng):
     w = HeatmapHeadWeights(
         conv_k=np.zeros((3, 3, c, c), dtype=np.float32),
         conv_b=np.zeros(c, dtype=np.float32),
-        head_w=np.zeros((c, k), dtype=np.float32),
-        head_b=np.zeros(k, dtype=np.float32),
+        head=Linear(np.zeros((c, k), dtype=np.float32), np.zeros(k, dtype=np.float32)),
     )
     out = heatmap_head(bev_map(rng), w)
     assert out.data.shape == (k, 8, 8)
@@ -195,17 +194,13 @@ def test_hia_matches_scalar_reference(rng):
     onehot[1, 0] = 1.0
     pe = _posenc_ref(pos[:, 0].astype(float), pos[:, 1].astype(float), c)
     tokens = qs.feats.astype(np.float64)
-    tokens = tokens + np.concatenate([onehot, pe], axis=1) @ w.emb_w + w.emb_b
+    tokens = tokens + np.concatenate([onehot, pe], axis=1) @ w.embed.w + w.embed.b
     sa, ca = w.self_attn, w.cross_attn
-    attn = oracles.attention(
-        tokens @ sa.q_w + sa.q_b, tokens @ sa.k_w + sa.k_b, tokens @ sa.v_w + sa.v_b
-    )
-    tokens = tokens + attn @ sa.o_w + sa.o_b
+    attn = oracles.attention(sa.q(tokens), sa.k(tokens), sa.v(tokens))
+    tokens = tokens + attn @ sa.o.w + sa.o.b
     flat = b.data.reshape(-1, c).astype(np.float64)
-    cross = oracles.attention(
-        flat @ ca.q_w + ca.q_b, tokens @ ca.k_w + ca.k_b, tokens @ ca.v_w + ca.v_b
-    )
-    want = b.data + (cross @ ca.o_w + ca.o_b).reshape(b.data.shape)
+    cross = oracles.attention(ca.q(flat), ca.k(tokens), ca.v(tokens))
+    want = b.data + ca.o(cross).reshape(b.data.shape)
 
     out = hia(qs, b, w)
     assert np.max(np.abs(out.data - want)) < 1e-5
@@ -235,8 +230,7 @@ def test_pqg_two_peak_stages():
     head = HeatmapHeadWeights(
         conv_k=conv_k,
         conv_b=np.zeros(c, dtype=np.float32),
-        head_w=head_w,
-        head_b=np.zeros(1, dtype=np.float32),
+        head=Linear(head_w, np.zeros(1, dtype=np.float32)),
     )
     w = init_pqg("pqg", c, 1, 95)
     w = dataclasses.replace(

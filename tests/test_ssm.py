@@ -234,7 +234,7 @@ def test_init_ssm_block_structure():
     assert w.a.shape == (5, 3)
     assert np.all(w.a < 0)
     assert np.allclose(w.a, -np.tile(np.arange(1, 4), (5, 1)))
-    d = softplus_delta(np.broadcast_to(w.dt_b, (1, 5)))
+    d = softplus_delta(np.broadcast_to(w.dt_proj.b, (1, 5)))
     assert np.all(d >= 0.01 - 1e-6)
     assert np.all(d <= 0.1 + 1e-6)
 
@@ -259,7 +259,7 @@ def scan_hashes() -> dict:
     """SHA-256 of the float32 output bytes of one seeded bidirectional block
     (C=32, d_state=16, n=3000) and of its forward scan at three block sizes."""
     seq, w = scan_hash_block_input()
-    x = (layer_norm(seq, w.norm_scale, w.norm_shift) @ w.in_w + w.in_b).astype(np.float32)
+    x = w.in_proj(layer_norm(seq, w.norm_scale, w.norm_shift)).astype(np.float32)
     params = generate_scan_params(x, w)
     outs = {"block": bidirectional_block(seq, w)}
     for chunk in (1, 64, seq.shape[0]):

@@ -8,8 +8,10 @@ module never reads, each module-level function or class of `src/ddhf` that
 no module of `src`, `tests`, `scripts` or `perfbench` reads outside the
 definition itself, and each dataclass field of `src/ddhf` that no module
 of `src/ddhf` reads as an attribute or names in a string: a field only
-tests read is carried by the program for nothing. Package `__init__.py`
-files are skipped: their imports are the package's re-exports.
+tests read is carried by the program for nothing. No dataclass of
+`src/ddhf` holds a projection as a loose `<p>_w`/`<p>_b` field pair: a
+weight and its bias are one `core.Linear`. Package `__init__.py` files are
+skipped: their imports are the package's re-exports.
 """
 
 import ast
@@ -186,3 +188,40 @@ def test_checker_flags_an_unread_field():
     assert unread_fields(package) == unread
     # the same read in a package module counts
     assert unread_fields({**package, "n": test}) == unread[:-1]
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, [field names]) of each dataclass defined at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            yield node.name, [
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+
+
+def loose_pairs(package: dict[str, str]) -> list[str]:
+    """`module: Class.<p>_w/<p>_b` of each dataclass of the package that
+    declares both fields of a pair, a projection that is not one `Linear`."""
+    return [
+        f"{module}: {cls}.{name}/{name[:-2]}_b"
+        for module, src in package.items()
+        for cls, names in dataclass_fields(ast.parse(src))
+        for name in names
+        if name.endswith("_w") and f"{name[:-2]}_b" in names
+    ]
+
+
+def test_no_dataclass_holds_a_loose_weight_bias_pair():
+    package, _ = package_and_others()
+    assert loose_pairs(package) == []
+
+
+def test_checker_flags_a_loose_pair():
+    package = {
+        "m": "from dataclasses import dataclass\n\n@dataclass\nclass P:\n    in_w: int\n"
+        "    b_w: int\n    in_b: int\n    conv_k: int\n    conv_b: int\n    w: int\n    b: int\n\n"
+        "class Plain:\n    out_w: int\n    out_b: int\n",
+    }
+    assert loose_pairs(package) == ["m: P.in_w/in_b"]

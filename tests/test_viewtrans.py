@@ -4,7 +4,7 @@ import pytest
 from ddhf import oracles, viewtrans
 from ddhf.cli import main
 from ddhf.config import PipelineConfig
-from ddhf.core import CAMERA_MAX, CameraModel, GridSpec, load_tensor, save_tensor
+from ddhf.core import CAMERA_MAX, CameraModel, GridSpec, Linear, load_tensor, save_tensor
 from ddhf.scene import DEFAULT_IMAGE_SIZE, default_cameras
 from ddhf.viewtrans import (
     FEATURE_STRIDE,
@@ -66,10 +66,8 @@ def test_encoder_zero_weights_heads():
         conv1_b=np.zeros(c, dtype=np.float32),
         conv2_k=np.zeros((3, 3, c, c), dtype=np.float32),
         conv2_b=np.zeros(c, dtype=np.float32),
-        depth_w=np.zeros((c, 6), dtype=np.float32),
-        depth_b=np.zeros(6, dtype=np.float32),
-        sem_w=np.zeros((c, 1), dtype=np.float32),
-        sem_b=np.zeros(1, dtype=np.float32),
+        depth_head=Linear(np.zeros((c, 6), dtype=np.float32), np.zeros(6, dtype=np.float32)),
+        sem_head=Linear(np.zeros((c, 1), dtype=np.float32), np.zeros(1, dtype=np.float32)),
     )
     img = np.zeros((8, 12, 3), dtype=np.float32)
     feats, depth, sem = encode_image(img, w)
