@@ -9,7 +9,13 @@ scatters through the parent rows its down conv returned. LiDAR z indices are
 doubled before merging so both modalities share one coordinate frame. The
 merged sequence is only an order: `cv_merge` returns the Hilbert order of
 the stacked rows [LiDAR; image], which the cross-modal block reads in place
-and splits back into two slices.
+from each set's own features and writes back to one output per set.
+
+The scale-0 cross-modal block sets a default-config frame's traced peak.
+There the frame holds the two scale-0 intra-modal outputs, the merged
+order, the scan's float32 x, Delta, B and C and its summed (n, C) output,
+beside about 1 MB of other frame state; the input voxel sets are already
+freed (`hvf_forward`), and no stacked copy of the features exists.
 """
 
 from __future__ import annotations
@@ -187,26 +193,35 @@ def cv_mamba(
     v_lidar: SparseVoxelSet, v_image: SparseVoxelSet, w: SsmBlockWeights
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Cross-modal block: one scan over the merged two-modality sequence,
-    read in place through cv_merge's order over the stacked rows."""
-    feats = np.concatenate([v_lidar.feats, v_image.feats])
-    out = bidirectional_block(feats, w, cv_merge(v_lidar, v_image))
-    return v_lidar.with_feats(out[: v_lidar.n]), v_image.with_feats(out[v_lidar.n :])
+    read in place through cv_merge's order over the stacked rows, each row
+    taken from the set it lies in: the stack is never built."""
+    order = cv_merge(v_lidar, v_image)
+    out_l, out_i = bidirectional_block((v_lidar.feats, v_image.feats), w, order)
+    return v_lidar.with_feats(out_l), v_image.with_feats(out_i)
 
 
 def hvf_forward(
     v_lidar: SparseVoxelSet, v_image: SparseVoxelSet, w: HvfWeights
 ) -> tuple[SparseVoxelSet, SparseVoxelSet]:
     """Three scales of IV + CV blocks with downsampling between scales, then
-    upsampling back to stride 1 onto the recorded skip sets."""
+    upsampling back to stride 1 onto the recorded skip sets.
+
+    Each input set is dropped once its scale-0 intra-modal block has read
+    it, so when the caller keeps no reference either (`run_pipeline` hands
+    its sets over), the input features are freed before the scale-0
+    cross-modal block, whose peak is the frame's."""
     branches = (w.lidar, w.image)  # LiDAR first at every step
-    vs = (v_lidar, v_image)
+    vs = [v_lidar, v_image]
+    del v_lidar, v_image
     skips = []  # per step and branch: (the set sparse_down took, its parents)
     for s in range(N_SCALES):
-        vs = cv_mamba(*(iv_mamba(v, b.iv[s]) for v, b in zip(vs, branches)), w.cv[s])
+        for k, b in enumerate(branches):
+            vs[k] = iv_mamba(vs[k], b.iv[s])
+        vs = list(cv_mamba(*vs, w.cv[s]))
         if s < N_SCALES - 1:
             downs = [sparse_down(v, *b.down[s]) for v, b in zip(vs, branches)]
             skips.append([(v, parents) for v, (_, parents) in zip(vs, downs)])
-            vs = tuple(coarse for coarse, _ in downs)
+            vs = [coarse for coarse, _ in downs]
     for s in range(N_SCALES - 2, -1, -1):
         vs = tuple(sparse_up(v, *skip, b.up[s]) for v, skip, b in zip(vs, skips[s], branches))
     return vs

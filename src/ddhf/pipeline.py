@@ -270,7 +270,11 @@ def run_pipeline(
     log.add("height_compress", time.perf_counter() - t)
 
     t = time.perf_counter()
-    vl, vi = hvf_forward(v_lidar, v_img, weights.hvf)
+    # hvf_forward drops each input set once its first block has read it, so
+    # they are handed over from a list that no name here keeps
+    inputs = [v_lidar, v_img]
+    del v_lidar, v_img
+    vl, vi = hvf_forward(inputs.pop(0), inputs.pop(), weights.hvf)
     log.add("voxel_fusion", time.perf_counter() - t)
 
     t = time.perf_counter()

@@ -25,11 +25,13 @@ A summed call takes no row table: it runs two streams, forward over rows
 0..N-1 and backward over N-1..0, and sums their outputs into one (N, C)
 buffer, as bidirectional Mamba sums its forward and backward outputs (Vim,
 arXiv 2401.09417); the sum has the bits of adding the two per-stream
-outputs, and the (N, 2, C) output is never held. The
-bidirectional block scans that way, and it reads its sequence through a
-row order in place and writes its output rows back through it, so a
-Hilbert-ordered voxel block builds neither a permuted copy of its input
-nor a second output buffer to scatter into.
+outputs; neither the (N, 2) row table nor the (N, 2, C) output is ever
+held, each block reading its rows by slice. The bidirectional block scans
+that way, and it reads its sequence through a row order in place and
+writes its output rows back through it, so a Hilbert-ordered voxel block
+builds neither a permuted copy of its input nor a second output buffer to
+scatter into. Its input may be several arrays read as their stacked rows,
+so the cross-modal block's merged sequence is never stacked either.
 """
 
 from __future__ import annotations
@@ -113,6 +115,17 @@ def _gather(p: np.ndarray, rows: np.ndarray, streams: np.ndarray) -> np.ndarray:
     return (p[rows] if p.ndim == 2 else p[rows, streams]).astype(np.float32, copy=False)
 
 
+def _summed_block(p: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """A summed scan's float32 rows of shared p for the block at step lo,
+    (k, 2, .): rows lo..lo+k-1 for the forward stream and N-1-lo down to
+    N-lo-k for the backward one, each read by slice."""
+    n = p.shape[0]
+    out = np.empty((k, 2, *p.shape[1:]), np.float32)
+    out[:, 0] = p[lo : lo + k]
+    out[:, 1] = p[n - lo - k : n - lo][::-1]
+    return out
+
+
 def _scan(
     x: np.ndarray,
     a: np.ndarray,
@@ -147,25 +160,29 @@ def _scan(
     without a row table.
 
     With `sum_streams` there is no row table to pass: the call runs stream
-    0 over rows 0..N-1 and stream 1 over N-1..0, and the (N, 2, C) output
-    is never built. The residual goes into the readout buffer, and the
-    block at step lo adds stream 0's rows into out[lo:lo+k], then stream
-    1's, reversed, into out[N-lo-k:N-lo], of one (N, C) float32
-    accumulator, which is returned. It starts at -0.0, the additive
-    identity, so each row holds its two outputs' float32 sum, -0.0
-    included, whichever stream reaches it first. One slice add per block
-    and stream replaced a fancy-index add that made a bidirectional block
-    of 18,000 rows about 5 ms slower (2-vCPU Xeon VM).
+    0 over rows 0..N-1 and stream 1 over N-1..0, and builds neither their
+    (N, 2) row table nor the (N, 2, C) output. Each block reads its rows
+    of x and of the shared parameters by slice (`_summed_block`). The
+    residual goes into the readout buffer, and the block at step lo adds
+    stream 0's rows into out[lo:lo+k], then stream 1's, reversed, into
+    out[N-lo-k:N-lo], of one (N, C) float32 accumulator, which is
+    returned. It starts at -0.0, the additive identity, so each row holds
+    its two outputs' float32 sum, -0.0 included, whichever stream reaches
+    it first. One slice add per block and stream replaced a fancy-index
+    add that made a bidirectional block of 18,000 rows about 5 ms slower
+    (2-vCPU Xeon VM).
     """
     if sum_streams:
         if rows is not None:
             raise ValueError(
                 "selective_scan: sum_streams takes no rows; it scans rows 0..N-1 and N-1..0"
             )
-        steps = np.arange(x.shape[0])
-        rows = np.stack([steps, steps[::-1]], axis=1)
-    table = _row_table(rows, x.shape[0], params)
-    n, g = table.shape
+        if any(getattr(params, name).ndim != 2 for name in ("b", "c", "delta")):
+            raise ValueError("selective_scan: sum_streams reads parameters shared by both streams")
+        n, g = x.shape[0], 2
+    else:
+        table = _row_table(rows, x.shape[0], params)
+        n, g = table.shape
     c_width = x.shape[1]
     a = np.asarray(a, dtype=np.float32)
     if np.any(a >= 0):
@@ -187,13 +204,16 @@ def _scan(
     else:
         out = np.empty((n, g, c_width), f32)
     mul, add = np.multiply, np.add
+    if sum_streams:
+        take = _summed_block
+    else:
+        take = lambda p, lo, k: _gather(p, table[lo : lo + k], streams)
     for lo in range(0, n, per_block):
         k = min(per_block, n - lo)
-        r = table[lo : lo + k]
-        xs = x[r].astype(f32, copy=False)
+        xs = take(x, lo, k)
         e_k, hs_k = e[:k], hs[:k]
-        e_k[...] = _gather(params.delta, r, streams)[..., None]
-        _zoh(a, inv_a, _gather(params.b, r, streams)[:, :, None], e_k, e_k, hs_k)
+        e_k[...] = take(params.delta, lo, k)[..., None]
+        _zoh(a, inv_a, take(params.b, lo, k)[:, :, None], e_k, e_k, hs_k)
         hs_k *= np.repeat(xs[..., None], d_state, axis=3)
         prev = h
         for e_i, h_i in steps[:k]:
@@ -202,14 +222,14 @@ def _scan(
             add(prev, e_i, h_i)
             prev = h_i
         h[...] = prev
-        np.matmul(hs_k, _gather(params.c, r, streams)[..., None], out=y[:k])
+        np.matmul(hs_k, take(params.c, lo, k)[..., None], out=y[:k])
         if sum_streams:
             y_k = add(y[:k, :, :, 0], xs, y[:k, :, :, 0])
             out[lo : lo + k] += y_k[:, 0]
             out[n - lo - k : n - lo] += y_k[::-1, 1]
         else:
             add(y[:k, :, :, 0], xs, out[lo : lo + k])
-    return out[:, 0] if rows is None else out
+    return out if sum_streams or rows is not None else out[:, 0]
 
 
 def selective_scan(
@@ -322,9 +342,21 @@ def _row_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _part_rows(rows: np.ndarray, parts: tuple):
+    """For rows of the stacked parts [parts[0]; parts[1]; ...], each part
+    with the positions in `rows` that lie in it and its own rows there."""
+    lo = 0
+    for p in parts:
+        at = np.flatnonzero((rows >= lo) & (rows < lo + p.shape[0]))
+        yield p, at, rows[at] - lo
+        lo += p.shape[0]
+
+
 def bidirectional_block(
-    feats: np.ndarray, w: SsmBlockWeights, order: np.ndarray | None = None
-) -> np.ndarray:
+    feats: np.ndarray | tuple[np.ndarray, ...],
+    w: SsmBlockWeights,
+    order: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Forward + backward selective scans over the sequence feats[order],
     gated and residually added; the result is in feats' row order.
 
@@ -333,7 +365,11 @@ def bidirectional_block(
     `order` is a permutation of feats' rows, position k of the sequence
     being row order[k]; None scans the rows as they stand. Either way the
     output rows are the ones bidirectional_block(feats[order], w) returns,
-    written back at order, bit for bit.
+    written back at order, bit for bit. feats may also be a tuple of
+    (n_i, C) arrays, whose stacked rows [feats[0]; feats[1]; ...] are
+    scanned without the stack being built: each chunk reads its rows from
+    the arrays they lie in, and the output is a tuple of arrays, one per
+    input array, with the bits of the stacked call's output rows.
 
     Both directions run as one two-stream scan that reads position i and
     position n-1-i at step i, and which sums the two streams' outputs per
@@ -341,13 +377,32 @@ def bidirectional_block(
     Layer norm, in_proj, the (B, C, Delta) generation, the gate and
     out_proj run over chunks of positions (`_row_chunks`) into float32
     buffers, each reading its feats rows through `order`, so neither a
-    whole-sequence float64 temporary nor a permuted copy of feats exists.
+    whole-sequence float64 temporary nor a permuted or stacked copy of
+    feats exists.
     """
-    n, c_width = feats.shape
+    parts = feats if isinstance(feats, tuple) else (feats,)
+    c_width = parts[0].shape[1]
+    if any(p.ndim != 2 or p.shape[1] != c_width for p in parts):
+        raise ValueError("bidirectional_block: feats must be (rows, C) arrays of one width C")
+    n = sum(p.shape[0] for p in parts)
+    held = [k for k, p in enumerate(parts) if p.shape[0]]
+    # the only array holding rows, if one is: its own rows are the stacked rows
+    alone = held[0] if len(held) == 1 else None
+    if order is None and alone is None:
+        order = np.arange(n)  # the stacked rows as they stand
     if order is not None:
         order = np.asarray(order)
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"bidirectional_block: order must be a permutation of {n} rows")
+
+    def read(rows):
+        if alone is not None:
+            return parts[alone][rows]
+        seq = np.empty((rows.size, c_width), np.result_type(*parts))
+        for p, at, own in _part_rows(rows, parts):
+            seq[at] = p[own]
+        return seq
+
     d_state = w.a.shape[1]
     x = np.empty((n, c_width), dtype=np.float32)
     params = ScanParams(
@@ -357,7 +412,7 @@ def bidirectional_block(
     )
     chunks = [(pos, pos if order is None else order[pos]) for pos in _row_chunks(n)]
     for pos, rows in chunks:
-        u = layer_norm(feats[rows], w.norm_scale, w.norm_shift)
+        u = layer_norm(read(rows), w.norm_scale, w.norm_shift)
         x[pos] = w.in_proj(u)
         part = generate_scan_params(x[pos], w)
         params.b[pos], params.c[pos], params.delta[pos] = part.b, part.c, part.delta
@@ -365,9 +420,14 @@ def bidirectional_block(
     # the chunked name keeps voxel-block scans apart from BEV scans in traces
     both = selective_scan_chunked(x, w.a, params, SCAN_BLOCK, sum_streams=True)
     del x, params  # only the summed scan output is read from here on
-    out = np.empty((n, c_width), dtype=np.float32)
+    outs = tuple(np.empty((p.shape[0], c_width), dtype=np.float32) for p in parts)
     for pos, rows in chunks:
-        seq = feats[rows]
+        seq = read(rows)
         y = both[pos] * silu(w.y_gate(seq))
-        out[rows] = seq + y @ w.out_proj.w + w.out_proj.b
-    return out
+        y = seq + y @ w.out_proj.w + w.out_proj.b
+        if alone is not None:
+            outs[alone][rows] = y
+        else:
+            for out, at, own in _part_rows(rows, outs):
+                out[own] = y[at]
+    return outs if isinstance(feats, tuple) else outs[0]

@@ -69,12 +69,12 @@ class ImageFeatureSet:
     sem: tuple[np.ndarray, ...]  # each (h, w) in [0, 1]
 
     def __post_init__(self):
+        # each check states what every value must be, so a NaN fails it
         for dp in self.depth:
-            sums = dp.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > 1e-5):
+            if not np.all(np.abs(dp.sum(axis=-1) - 1.0) <= 1e-5):
                 raise ValueError("ImageFeatureSet: depth bins must sum to 1 per pixel")
         for sm in self.sem:
-            if np.any(sm < 0) or np.any(sm > 1):
+            if not np.all((0 <= sm) & (sm <= 1)):
                 raise ValueError("ImageFeatureSet: semantic scores must lie in [0, 1]")
 
 
@@ -352,8 +352,9 @@ def fps(points: np.ndarray, n_target: int) -> np.ndarray:
 # Semantic-aware voxel selection
 # ---------------------------------------------------------------------------
 
-# grid cells projected, or kept cells sampled, per step; any size gives the same bits
+# grid cells projected, and kept cells sampled, per step; any sizes give the same bits
 SAFS_CHUNK = 4096
+SAFS_SAMPLE_CHUNK = 1024  # a sampled row's float64 corners and blend take about 1.5 kB
 
 
 def _best_camera(
@@ -419,10 +420,10 @@ def safs_select(
     order, and each survivor keeps five numbers: its flat cell index, its
     camera, its feature-map u and v, and v_d. FPS trims the survivors on
     their centers. Features are then sampled only for the cells FPS keeps,
-    per camera and SAFS_CHUNK rows at a time, scaled by v_d and cast to
-    float32. So no whole-grid float64 state exists and no cell FPS drops
-    is sampled. Every step is per cell, so any chunk size gives the same
-    bits.
+    per camera and SAFS_SAMPLE_CHUNK rows at a time, scaled by v_d and cast
+    to float32. So no whole-grid float64 state exists, no cell FPS drops is
+    sampled, and the sampling stays under FPS's peak. Every step is per
+    cell, so any chunk sizes give the same bits.
     """
     if not 0 <= d_thresh <= 1 or not 0 <= s_thresh <= 1:
         raise ValueError("safs_select: thresholds must lie in [0, 1]")
@@ -443,8 +444,8 @@ def safs_select(
     feats = np.empty((cell.size, images.feats[0].shape[2]), dtype=np.float32)
     for cam_idx in range(len(cameras)):
         rows = np.flatnonzero(cam == cam_idx)
-        for lo in range(0, rows.size, SAFS_CHUNK):
-            r = rows[lo : lo + SAFS_CHUNK]
+        for lo in range(0, rows.size, SAFS_SAMPLE_CHUNK):
+            r = rows[lo : lo + SAFS_SAMPLE_CHUNK]
             feats[r] = bilinear_sample(images.feats[cam_idx], u[r], v[r]) * vd[r, None]
     return SparseVoxelSet(coords_of(cell), feats, grid)
 

@@ -127,3 +127,78 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the stages of a frame, as `<module>.<function>` in ddhf; none holds another
+FRAME_STAGES = (
+    "core.voxelize",
+    "viewtrans.encode_images",
+    "viewtrans.safs_select",
+    "viewtrans.lss_splat",
+    "hbf.sparse_height_compress",
+    "hvf.iv_mamba",
+    "hvf.cv_mamba",
+    "hvf.sparse_down",
+    "hvf.sparse_up",
+    "hbf.ib_mamba",
+    "hbf.cb_mamba",
+    "hbf.bev_backbone",
+    "pqg.pqg_forward",
+    "decoder.decode",
+)
+
+
+def frame_stage_peaks(*args) -> dict:
+    """One `run_pipeline(*args)` frame under tracemalloc: stage name -> the
+    traced peak, in bytes above the frame's start, of each of its calls in
+    call order, and "frame" -> [the frame's own peak].
+
+    Each FRAME_STAGES function is wrapped wherever a ddhf module binds it,
+    the names its callers look up at run time, as perfbench's tracer does;
+    the originals come back on exit. A wrapper holds its call's arguments
+    only while the stage runs, which holds them anyway.
+    """
+    from ddhf.pipeline import run_pipeline
+
+    peaks = {"frame": [0]}
+    running = []  # the peak so far of each open stage call
+
+    def lift(peak):
+        running[:] = [max(r, peak) for r in running]
+
+    def wrap(fn, name):
+        def stage(*a, **k):
+            lift(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            running.append(0)
+            try:
+                return fn(*a, **k)
+            finally:
+                lift(tracemalloc.get_traced_memory()[1])
+                peaks.setdefault(name, []).append(running.pop())
+                lift(peaks[name][-1])
+
+        return stage
+
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "ddhf"]
+    patched = []
+    try:
+        for qual in FRAME_STAGES:
+            mod_name, fn_name = qual.split(".")
+            orig = getattr(sys.modules[f"ddhf.{mod_name}"], fn_name)
+            stage = wrap(orig, qual)
+            for mod in modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        setattr(mod, attr, stage)
+                        patched.append((mod, attr, orig))
+        running.append(0)
+        tracemalloc.start()
+        run_pipeline(*args)
+        lift(tracemalloc.get_traced_memory()[1])
+        peaks["frame"] = [running.pop()]
+        return peaks
+    finally:
+        tracemalloc.stop()
+        for mod, attr, orig in reversed(patched):
+            setattr(mod, attr, orig)

@@ -7,11 +7,12 @@ import re
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import PINS, pins_at_blas_threads, traced_peak
+from conftest import PINS, frame_stage_peaks, pins_at_blas_threads, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -814,6 +815,58 @@ def test_camera_less_frame_peak_memory():
     run_pipeline(points, [], [], cfg, weights)
     hbf._IB_IMG_MEMO.clear()
     assert traced_peak(run_pipeline, points, [], [], cfg, weights) < 12e6
+
+
+def test_voxel_fusion_frees_the_image_set_once_read(monkeypatch):
+    # run_pipeline hands its voxel sets to hvf_forward, which drops each once
+    # its scale-0 intra-modal block has read it: when the scale-0
+    # cross-modal block starts, nothing holds the set safs_select returned
+    from ddhf import hvf, pipeline
+    from ddhf.scene import gen_points, render_images
+
+    made, alive = [], []
+    safs, cv = pipeline.safs_select, hvf.cv_mamba
+
+    def spy_safs(*args):
+        out = safs(*args)
+        made.append((weakref.ref(out), out.n))
+        return out
+
+    def spy_cv(*args):
+        alive.append(made[0][0]() is not None)
+        return cv(*args)
+
+    monkeypatch.setattr(pipeline, "safs_select", spy_safs)
+    monkeypatch.setattr(hvf, "cv_mamba", spy_cv)
+    run_pipeline(gen_points(TINY_SCENE), render_images(TINY_SCENE), list(TINY_SCENE.cameras), TINY)
+    assert len(made) == 1 and made[0][1] > 0
+    assert alive == [False] * len(STRIDES)
+
+
+def test_frame_memory_high_water():
+    # one default-config frame with cameras, seeded weights built beforehand,
+    # after a first frame has done the process's one-time work. The scale-0
+    # cross-modal block sets the traced peak, 14.8 MB: the input voxel sets
+    # are freed once read, the merged sequence is read from both sets in
+    # place and SAFS samples 1,024 rows at a time. Holding the input sets
+    # and the stacked features read 20.1 MB
+    from ddhf.pipeline import build_weights
+    from ddhf.scene import gen_points, render_images
+
+    cfg = PipelineConfig()
+    args = (
+        gen_points(GOLDEN_SCENE), render_images(GOLDEN_SCENE), list(GOLDEN_SCENE.cameras),
+        cfg, build_weights(cfg),
+    )
+    run_pipeline(*args)
+    peaks = frame_stage_peaks(*args)
+    frame = peaks.pop("frame")[0]
+    stage, calls = max(peaks.items(), key=lambda item: max(item[1]))
+    top = max(calls)
+    assert frame < 16e6, (
+        f"frame peak {frame / 1e6:.2f} MB; {stage} call {calls.index(top)} of"
+        f" {len(calls)} holds {top / 1e6:.2f} MB"
+    )
 
 
 def test_run_demo_script_runs_both_weight_modes():

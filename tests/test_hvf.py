@@ -16,7 +16,7 @@ from ddhf.hvf import (
     sparse_down,
     sparse_up,
 )
-from ddhf.ssm import bidirectional_block, init_ssm_block
+from ddhf.ssm import ROW_CHUNK, bidirectional_block, init_ssm_block
 
 from conftest import fill_zero_tensors, random_voxel_set, traced_peak
 
@@ -59,10 +59,10 @@ def test_merge_tie_breaks_lidar_first(rng):
     assert cv_merge(vl, vi).tolist() == [0, 1]  # stacked rows: LiDAR 0, image 1
 
 
-def lifted_keys(vl, vi):
+def lifted_keys(vl, vi, bits=3):
     """Hilbert keys of the stacked rows [LiDAR coords with z doubled; image
-    coords]; 3 bits cover the 8-cell image grid."""
-    return hilbert_index(*np.concatenate([vl.coords * np.array([1, 1, 2]), vi.coords]).T, 3)
+    coords]; the default 3 bits cover the 8-cell image grid."""
+    return hilbert_index(*np.concatenate([vl.coords * np.array([1, 1, 2]), vi.coords]).T, bits)
 
 
 def test_merge_lifts_lidar_z(rng):
@@ -87,17 +87,38 @@ def test_cv_mamba_identity_exact(rng):
     assert np.array_equal(out_i.feats, vi.feats)
 
 
+# 48 x 48 x 8 LiDAR and 48 x 48 x 16 image grids; 6 bits cover 48 cells
+WIDE_GRIDS = (
+    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (48, 48, 8)),
+    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), (48, 48, 16)),
+)
+
+
 def test_cv_mamba_scans_the_lifted_sequence(rng):
-    # seeded weights: each row's output is the scan of the sequence sorted by
-    # lifted keys (LiDAR first on a tie), written back to its own set and row
+    # seeded weights: each row's output is the scan of the concatenated
+    # sequence sorted by lifted keys (LiDAR first on a tie), written back to
+    # its own set and row, bit for bit, whether a set is empty (the image one
+    # on a camera-less frame) or the sequence runs over several ROW_CHUNK
+    # chunks, each holding rows of both sets
     w = init_ssm_block("cv", 4, 3, 21)
-    vl, vi = paired_sets(rng, coincident=5)
-    seq = np.lexsort((np.arange(vl.n + vi.n), lifted_keys(vl, vi)))
-    want = np.empty((vl.n + vi.n, 4), dtype=np.float32)
-    want[seq] = bidirectional_block(np.concatenate([vl.feats, vi.feats])[seq], w)
-    out_l, out_i = cv_mamba(vl, vi, w)
-    assert out_l.feats.tobytes() == want[: vl.n].tobytes()
-    assert out_i.feats.tobytes() == want[vl.n :].tobytes()
+    small = (LIDAR_GRID, IMAGE_GRID)
+    cases = {  # (LiDAR rows, image rows), grids, Hilbert bits
+        "both": ((24, 30), small, 3),
+        "empty-lidar": ((0, 30), small, 3),
+        "empty-image": ((24, 0), small, 3),
+        "chunks-straddle-both": ((1500, 2600), WIDE_GRIDS, 6),
+    }
+    for case, (sizes, grids, bits) in cases.items():
+        vl, vi = paired_sets(rng, *sizes, coincident=min(5, *sizes), grids=grids)
+        seq = np.lexsort((np.arange(vl.n + vi.n), lifted_keys(vl, vi, bits)))
+        for chunk in (seq[lo : lo + ROW_CHUNK] for lo in range(0, seq.size, ROW_CHUNK)):
+            if seq.size > ROW_CHUNK:
+                assert np.any(chunk < vl.n) and np.any(chunk >= vl.n), case
+        want = np.empty((vl.n + vi.n, 4), dtype=np.float32)
+        want[seq] = bidirectional_block(np.concatenate([vl.feats, vi.feats])[seq], w)
+        out_l, out_i = cv_mamba(vl, vi, w)
+        assert out_l.feats.tobytes() == want[: vl.n].tobytes(), case
+        assert out_i.feats.tobytes() == want[vl.n :].tobytes(), case
 
 
 def test_cv_mamba_permutes_with_its_inputs(rng):
@@ -157,15 +178,16 @@ def test_iv_mamba_peak_memory():
 
 
 def test_cv_mamba_peak_memory():
-    # the block holds the stacked (n, C) features and cv_merge's int64 order
-    # and reads the sequence through the order in place: no permuted copy of
-    # the features, no lifted coords, tags or source rows, no split buffers.
-    # 7.32 MB measured; the slack holds the scan's block buffers (0.26 MB),
-    # its row table and one ROW_CHUNK's projection temporaries. The merged
-    # sequence object read 7.48 MB
+    # the block holds cv_merge's int64 order and reads the sequence through
+    # it in place, each row from its own set: no stacked or permuted copy of
+    # the features, no lifted coords, tags or source rows, no split buffers,
+    # and the summed scan builds no (n, 2) row table. 6.04 MB measured; the
+    # slack holds the scan's block buffers (0.26 MB) and one ROW_CHUNK's
+    # projection temporaries. The stacked features and the row table read
+    # 7.32 MB, the merged sequence object 7.48 MB
     vl, vi, w = _peak_case(2000, 8000)
     n = vl.n + vi.n
-    held = n * (4 * 32 + 8)
+    held = n * 8
     assert traced_peak(cv_mamba, vl, vi, w) < held + _scan_bytes(n, 32, 16) + 1.0e6
 
 

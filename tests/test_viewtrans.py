@@ -24,6 +24,23 @@ from ddhf.viewtrans import (
 from conftest import sparse_lattice, traced_peak
 
 
+@pytest.mark.parametrize(
+    "field, match",
+    [("depth", "depth bins must sum to 1"), ("sem", "semantic scores must lie in")],
+)
+def test_feature_set_rejects_nan(field, match):
+    # one NaN depth row or semantic score in an otherwise valid set: each
+    # check states the range every value lies in, which NaN does not
+    parts = {
+        "feats": np.zeros((2, 2, 3), dtype=np.float32),
+        "depth": np.full((2, 2, 4), 0.25, dtype=np.float32),
+        "sem": np.full((2, 2), 0.5, dtype=np.float32),
+    }
+    parts[field][1, 0] = np.nan
+    with pytest.raises(ValueError, match=match):
+        ImageFeatureSet(**{name: (a,) for name, a in parts.items()})
+
+
 def make_camera(extrinsics=None, focal=20.0, image_size=(16, 24)):
     h, w = image_size
     intr = np.array([[focal, 0.0, w / 2], [0.0, focal, h / 2], [0.0, 0.0, 1.0]])
@@ -293,10 +310,11 @@ def small_safs_args(rng, cap: int) -> tuple:
 def test_safs_matches_brute_force(rng, monkeypatch):
     args = small_safs_args(rng, 40)
     want = brute_force_safs(*args)
-    whole = safs_select(*args)  # the 256 cells fit in one SAFS_CHUNK
+    whole = safs_select(*args)  # 256 cells fit in one SAFS_CHUNK, the 40 kept in one sample
     # chunk boundaries must not change a bit, whatever cells they cut apart
-    for chunk in (7, 64, 256):
+    for chunk, sample_chunk in ((7, 3), (64, 16), (256, 40)):
         monkeypatch.setattr(viewtrans, "SAFS_CHUNK", chunk)
+        monkeypatch.setattr(viewtrans, "SAFS_SAMPLE_CHUNK", sample_chunk)
         got = safs_select(*args)
         assert got.n == len(want)
         assert got.n > 0
@@ -329,7 +347,8 @@ def test_safs_peak_memory(rng):
     # 9.4 MB, and the per-camera samples of every visible cell several times
     # that (34 MB peak before the cells were chunked). With five scalars per
     # survivor through FPS and only the 18,000 kept cells sampled, the peak
-    # is 12.1 MB, set by the 4096-row sampling batches (FPS: 7.3 MB)
+    # is FPS's 7.3 MB; 4096-row sampling batches read 12.1 MB, 1024-row
+    # ones 5.6 MB
     cfg = PipelineConfig()
     cameras = list(default_cameras())
     h, w = (s // FEATURE_STRIDE for s in DEFAULT_IMAGE_SIZE)
